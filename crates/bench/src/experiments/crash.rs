@@ -10,15 +10,15 @@
 //! reference states. A recovery that matches neither — a
 //! corrupted-but-served state — fails the row.
 //!
-//! Sweeps cover the single index (`insert_graph`, `remove_graph`: WAL +
-//! page writes + meta rename) and the sharded database (`insert_graph`:
-//! journal + `graphs.json` + shard WAL + `shards.json` manifest rewrite;
-//! `remove_graph`). Only built with `--features failpoints`.
+//! Sweeps cover insert, remove and fold on both layouts — the single
+//! generational database (journal + `graphs.json` + the `mvcc.json` flip;
+//! a fold builds a whole generation first) and the sharded one (the same,
+//! per shard, plus the `shards.json` rewrite on insert). Only built with
+//! `--features failpoints`.
 
 use std::path::Path;
-use tale::{QueryOptions, TaleParams};
+use tale::{QueryOptions, TaleDatabase, TaleParams};
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
-use tale_nhindex::{NhIndex, NhIndexConfig, NodeCandidate};
 use tale_shard::{HashPolicy, ShardedTaleDatabase};
 use tale_storage::faults;
 
@@ -39,19 +39,8 @@ pub struct CrashRow {
     pub identical: bool,
 }
 
-/// Tiny pool so mutations overflow it and exercise eviction write-backs
-/// mid-transaction.
-fn cfg() -> NhIndexConfig {
-    NhIndexConfig {
-        sbit: 32,
-        buffer_frames: 8,
-        parallel_build: false,
-        bloom_hashes: 1,
-        use_edge_labels: false,
-        ..NhIndexConfig::default()
-    }
-}
-
+/// Tiny pool so generation builds overflow it and exercise eviction
+/// write-backs.
 fn params() -> TaleParams {
     TaleParams {
         buffer_frames: 8,
@@ -107,92 +96,50 @@ fn copy_tree(src: &Path, dst: &Path) {
     }
 }
 
-/// Probes every node of every graph — the single-index "query output"
+/// Compressed query answers over all probe graphs — the "query output"
 /// whose bit-identity the sweep checks.
-fn probe_matrix(idx: &NhIndex, db: &GraphDb) -> Vec<Vec<NodeCandidate>> {
-    let mut out = Vec::new();
-    for (gid, _, g) in db.iter() {
-        for n in g.nodes() {
-            let sig = idx.signature(g, n, &|x| db.effective_label(gid, x));
-            let mut hits = idx.probe(&sig, 0.3).unwrap();
-            hits.sort_by_key(|h| h.node);
-            out.push(hits);
-        }
-    }
-    out
-}
-
-/// Sweeps one single-index mutation over all its fault points.
-fn sweep_single<F>(db: &GraphDb, pre: &Path, scratch: &Path, name: &str, mutate: F) -> CrashRow
-where
-    F: Fn(&mut NhIndex) -> tale_nhindex::Result<()>,
-{
-    let frames = cfg().buffer_frames;
-    let pre_idx = NhIndex::open(pre, frames).unwrap();
-    let pre_gen = pre_idx.generation();
-    let pre_matrix = probe_matrix(&pre_idx, db);
-    drop(pre_idx);
-
-    let post_dir = scratch.join("post");
-    copy_tree(pre, &post_dir);
-    let mut post_idx = NhIndex::open(&post_dir, frames).unwrap();
-    mutate(&mut post_idx).unwrap();
-    let post_gen = post_idx.generation();
-    let post_matrix = probe_matrix(&post_idx, db);
-    drop(post_idx);
-
-    let count_dir = scratch.join("count");
-    copy_tree(pre, &count_dir);
-    let mut idx = NhIndex::open(&count_dir, frames).unwrap();
-    faults::arm_counting();
-    mutate(&mut idx).unwrap();
-    let n = faults::disarm();
-    drop(idx);
-
-    let mut row = CrashRow {
-        mutation: name.to_owned(),
-        fault_points: n,
-        rolled_back: 0,
-        committed: 0,
-        identical: true,
-    };
-    for i in 0..n {
-        let work = scratch.join(format!("fault-{i}"));
-        copy_tree(pre, &work);
-        let mut idx = NhIndex::open(&work, frames).unwrap();
-        faults::arm(i);
-        let crashed = mutate(&mut idx).is_err();
-        drop(idx);
-        faults::disarm();
-        let Ok((idx, _)) = NhIndex::open_with_recovery(&work, frames) else {
-            row.identical = false;
-            continue;
-        };
-        let matrix = probe_matrix(&idx, db);
-        let clean = idx.verify().is_ok_and(|r| r.is_ok());
-        if idx.generation() == post_gen && matrix == post_matrix && clean {
-            row.committed += 1;
-        } else if idx.generation() == pre_gen && matrix == pre_matrix && clean && crashed {
-            row.rolled_back += 1;
-        } else {
-            row.identical = false;
-        }
-        drop(idx);
-        std::fs::remove_dir_all(&work).unwrap();
-    }
-    row
-}
-
-/// Compressed query answers over all probe graphs for the sharded sweep.
 type Answers = Vec<Vec<(GraphId, u64, usize)>>;
 
-fn answers(sharded: &ShardedTaleDatabase, queries: &[Graph]) -> Answers {
+/// The two database layouts behind one sweep.
+trait Layout: Sized {
+    /// Opens `dir` through the layout's crash-recovery path.
+    fn recover(dir: &Path) -> Option<Self>;
+    fn query(&self, q: &Graph) -> Vec<tale::QueryMatch>;
+    /// Deep integrity check of every index file.
+    fn clean(&self) -> bool;
+}
+
+impl Layout for TaleDatabase {
+    fn recover(dir: &Path) -> Option<Self> {
+        TaleDatabase::open(dir, params().buffer_frames).ok()
+    }
+    fn query(&self, q: &Graph) -> Vec<tale::QueryMatch> {
+        TaleDatabase::query(self, q, &opts()).unwrap()
+    }
+    fn clean(&self) -> bool {
+        self.index().verify().is_ok_and(|r| r.is_ok())
+    }
+}
+
+impl Layout for ShardedTaleDatabase {
+    fn recover(dir: &Path) -> Option<Self> {
+        ShardedTaleDatabase::open(dir, params().buffer_frames).ok()
+    }
+    fn query(&self, q: &Graph) -> Vec<tale::QueryMatch> {
+        ShardedTaleDatabase::query(self, q, &opts()).unwrap()
+    }
+    fn clean(&self) -> bool {
+        self.index()
+            .verify()
+            .is_ok_and(|rs| rs.iter().all(|r| r.is_ok()))
+    }
+}
+
+fn answers<D: Layout>(db: &D, queries: &[Graph]) -> Answers {
     queries
         .iter()
         .map(|q| {
-            sharded
-                .query(q, &opts())
-                .unwrap()
+            db.query(q)
                 .into_iter()
                 .map(|m| (m.graph, m.score.to_bits(), m.matched_nodes))
                 .collect()
@@ -200,36 +147,35 @@ fn answers(sharded: &ShardedTaleDatabase, queries: &[Graph]) -> Answers {
         .collect()
 }
 
-/// Sweeps one sharded-database mutation over all its fault points.
-fn sweep_sharded<F>(
+/// Sweeps one mutation over all its fault points. `mutate` returns
+/// whether the mutation succeeded.
+fn sweep<D: Layout>(
     pre: &Path,
     scratch: &Path,
     queries: &[Graph],
     name: &str,
-    mutate: F,
-) -> CrashRow
-where
-    F: Fn(&mut ShardedTaleDatabase) -> tale_shard::Result<()>,
-{
-    let frames = params().buffer_frames;
-    let pre_db = ShardedTaleDatabase::open(pre, frames).unwrap();
+    mutate: impl Fn(&mut D) -> bool,
+) -> CrashRow {
+    let pre_db = D::recover(pre).unwrap();
     let pre_answers = answers(&pre_db, queries);
     drop(pre_db);
 
     let post_dir = scratch.join("post");
     copy_tree(pre, &post_dir);
-    let mut post = ShardedTaleDatabase::open(&post_dir, frames).unwrap();
-    mutate(&mut post).unwrap();
+    let mut post = D::recover(&post_dir).unwrap();
+    assert!(mutate(&mut post), "{name}: the clean mutation failed");
     let post_answers = answers(&post, queries);
     drop(post);
+    std::fs::remove_dir_all(&post_dir).unwrap();
 
     let count_dir = scratch.join("count");
     copy_tree(pre, &count_dir);
-    let mut counted = ShardedTaleDatabase::open(&count_dir, frames).unwrap();
+    let mut counted = D::recover(&count_dir).unwrap();
     faults::arm_counting();
-    mutate(&mut counted).unwrap();
+    assert!(mutate(&mut counted), "{name}: the counted mutation failed");
     let n = faults::disarm();
     drop(counted);
+    std::fs::remove_dir_all(&count_dir).unwrap();
 
     let mut row = CrashRow {
         mutation: name.to_owned(),
@@ -241,24 +187,23 @@ where
     for i in 0..n {
         let work = scratch.join(format!("fault-{i}"));
         copy_tree(pre, &work);
-        let mut sharded = ShardedTaleDatabase::open(&work, frames).unwrap();
+        let mut db = D::recover(&work).unwrap();
         faults::arm(i);
-        let crashed = mutate(&mut sharded).is_err();
-        drop(sharded);
+        let crashed = !mutate(&mut db);
+        drop(db);
         faults::disarm();
-        let Ok((recovered, _)) = ShardedTaleDatabase::open_with_recovery(&work, frames) else {
+        let Some(recovered) = D::recover(&work) else {
             row.identical = false;
             continue;
         };
         let got = answers(&recovered, queries);
-        let clean = recovered
-            .index()
-            .verify()
-            .is_ok_and(|rs| rs.iter().all(|r| r.is_ok()));
-        if got == post_answers && clean {
-            row.committed += 1;
-        } else if got == pre_answers && clean && crashed {
+        let clean = recovered.clean();
+        // A fold leaves the answers alone, so both sides match: count it
+        // with the rollbacks unless the mutation went through.
+        if got == pre_answers && clean && crashed {
             row.rolled_back += 1;
+        } else if got == post_answers && clean {
+            row.committed += 1;
         } else {
             row.identical = false;
         }
@@ -268,58 +213,76 @@ where
     row
 }
 
-/// Runs the full crash-safety sweep: single-index insert/remove, sharded
-/// insert (journal + manifest rewrite) and remove. Returns one row per
-/// mutation kind; `identical` must be true on every row.
+/// Runs the full crash-safety sweep: insert, remove and fold on the
+/// single generational database and on a two-shard one. Returns one row
+/// per mutation; `identical` must be true on every row.
 pub fn run_crash() -> Vec<CrashRow> {
     let (db, graphs, fodder) = corpus();
+    let mut queries = graphs;
+    queries.push(fodder.clone());
     let mut rows = Vec::new();
 
-    // single index over the first five graphs; g5 is single-insert fodder
+    // Each layout's pre state already holds one unfolded insert and one
+    // tombstone, so the fold row has real work to do.
     {
         let scratch = tempfile::tempdir().unwrap();
         let pre = scratch.path().join("pre");
-        let initial: Vec<GraphId> = (0..5).map(GraphId).collect();
-        NhIndex::build_subset(&pre, &db, &cfg(), &initial).unwrap();
-        rows.push(sweep_single(
-            &db,
+        let built = TaleDatabase::build(db.clone(), &pre, &params()).unwrap();
+        built.insert_graph("early", fodder.clone()).unwrap();
+        built.remove_graph(GraphId(1)).unwrap();
+        drop(built);
+        let dir = scratch.path();
+        rows.push(sweep(
             &pre,
-            scratch.path(),
-            "index insert_graph",
-            |idx| idx.insert_graph(&db, GraphId(5)),
+            dir,
+            &queries,
+            "single insert_graph",
+            |d: &mut TaleDatabase| d.insert_graph("late", fodder.clone()).is_ok(),
         ));
-        rows.push(sweep_single(
-            &db,
+        rows.push(sweep(
             &pre,
-            scratch.path(),
-            "index remove_graph",
-            |idx| idx.remove_graph(GraphId(1), db.effective_vocab_size() as u64),
+            dir,
+            &queries,
+            "single remove_graph",
+            |d: &mut TaleDatabase| d.remove_graph(GraphId(0)).is_ok(),
+        ));
+        rows.push(sweep(
+            &pre,
+            dir,
+            &queries,
+            "single fold",
+            |d: &mut TaleDatabase| d.fold().is_ok(),
         ));
     }
-
-    // sharded database (2 shards): insert covers the journal, the
-    // graphs.json save and the manifest rewrite on top of the shard WAL
     {
         let scratch = tempfile::tempdir().unwrap();
         let pre = scratch.path().join("pre");
-        let built =
+        let mut built =
             ShardedTaleDatabase::build(db.clone(), &pre, &params(), 2, &HashPolicy).unwrap();
+        built.insert_graph("early", fodder.clone()).unwrap();
+        built.remove_graph(GraphId(1)).unwrap();
         drop(built);
-        let mut queries = graphs.clone();
-        queries.push(fodder.clone());
-        rows.push(sweep_sharded(
+        let dir = scratch.path();
+        rows.push(sweep(
             &pre,
-            scratch.path(),
+            dir,
             &queries,
-            "sharded insert_graph (journal + manifest)",
-            |s| s.insert_graph("late", fodder.clone()).map(|_| ()),
+            "sharded insert_graph",
+            |d: &mut ShardedTaleDatabase| d.insert_graph("late", fodder.clone()).is_ok(),
         ));
-        rows.push(sweep_sharded(
+        rows.push(sweep(
             &pre,
-            scratch.path(),
+            dir,
             &queries,
             "sharded remove_graph",
-            |s| s.remove_graph(GraphId(0)),
+            |d: &mut ShardedTaleDatabase| d.remove_graph(GraphId(0)).is_ok(),
+        ));
+        rows.push(sweep(
+            &pre,
+            dir,
+            &queries,
+            "sharded fold",
+            |d: &mut ShardedTaleDatabase| d.fold().is_ok(),
         ));
     }
     rows

@@ -16,7 +16,7 @@
 //! sharded executor relies on).
 //!
 //! An overlay is immutable once built; each insert publishes a fresh one
-//! covering `[first_gid, upto)`. Removals are *not* the overlay's
+//! covering every unfolded member. Removals are *not* the overlay's
 //! business — the MVCC snapshot filters removed graphs out of both base
 //! and delta answers, which keeps one overlay shareable across remove
 //! operations.
@@ -40,9 +40,8 @@ use crate::index::AtomicProbeCounters;
 pub struct DeltaOverlay {
     scheme: NeighborArrayScheme,
     edge_labels: bool,
-    /// Covered graph-id range: `[first_gid, upto)`.
-    first_gid: u32,
-    upto: u32,
+    /// Graphs held by the overlay.
+    graph_count: u32,
     /// `(key, posting, label-pair summary)` sorted by key — the leaf
     /// level of the disk index, without the tree above it (binary search
     /// replaces the descent). The summary is the same fold the disk
@@ -57,19 +56,19 @@ pub struct DeltaOverlay {
 }
 
 impl DeltaOverlay {
-    /// Builds the overlay for graphs `[first_gid, upto)` of `db`, using
-    /// the base generation's `scheme` so signatures probe both sides
-    /// unchanged. `first_gid == upto` yields a valid empty overlay.
+    /// Builds the overlay for the listed `graphs` of `db` (the index's
+    /// members not yet covered by its base generation), using the base
+    /// generation's `scheme` so signatures probe both sides unchanged. An
+    /// empty list yields a valid empty overlay.
     pub fn build(
         db: &GraphDb,
         scheme: NeighborArrayScheme,
         edge_labels: bool,
-        first_gid: u32,
-        upto: u32,
+        graphs: &[u32],
     ) -> Result<Self> {
         let mut stats_builder = StatsBuilder::new();
         let mut units = Vec::new();
-        for gid in first_gid..upto {
+        for &gid in graphs {
             let g = db.try_graph(GraphId(gid))?;
             stats_builder.record_graph(g.node_count() as u64, g.edge_count() as u64);
             NhIndex::extract_graph(db, gid, g, scheme, edge_labels, &mut units);
@@ -96,8 +95,7 @@ impl DeltaOverlay {
         Ok(DeltaOverlay {
             scheme,
             edge_labels,
-            first_gid,
-            upto,
+            graph_count: graphs.len() as u32,
             postings,
             node_count,
             counters: AtomicProbeCounters::default(),
@@ -110,19 +108,9 @@ impl DeltaOverlay {
         Arc::clone(&self.stats)
     }
 
-    /// First graph id the overlay covers (== the base generation's length).
-    pub fn first_gid(&self) -> u32 {
-        self.first_gid
-    }
-
-    /// One past the last covered graph id.
-    pub fn upto(&self) -> u32 {
-        self.upto
-    }
-
     /// Graphs held by the overlay.
     pub fn graph_count(&self) -> u32 {
-        self.upto - self.first_gid
+        self.graph_count
     }
 
     /// Indexed nodes held by the overlay.
@@ -148,23 +136,7 @@ impl DeltaOverlay {
         node: NodeId,
         label_of: &dyn Fn(NodeId) -> u32,
     ) -> QuerySignature {
-        let nb_array = if self.edge_labels {
-            self.scheme
-                .array_of_pairs(g.neighbor_edges(node).map(|(nb, eid)| {
-                    (
-                        label_of(nb),
-                        g.edge_label(eid).map(|l| l.0 + 1).unwrap_or(0),
-                    )
-                }))
-        } else {
-            self.scheme.array_of(g.neighbors(node).map(label_of))
-        };
-        QuerySignature {
-            label: label_of(node),
-            degree: g.degree(node) as u32,
-            nb_connection: g.neighbor_connection(node) as u32,
-            nb_array,
-        }
+        QuerySignature::of(self.scheme, self.edge_labels, g, node, label_of)
     }
 
     /// Probes the overlay for `sig` under `rho` — the in-memory mirror of
@@ -288,7 +260,7 @@ mod tests {
         db
     }
 
-    /// The oracle: probing the overlay over graphs `[s, n)` must return
+    /// The oracle: probing the overlay over a graph list must return
     /// exactly the full index's answer filtered to those graphs —
     /// identical candidates in identical order.
     #[test]
@@ -302,7 +274,8 @@ mod tests {
             ..NhIndexConfig::default()
         };
         let full = NhIndex::build(dir.path(), &db, &config).unwrap();
-        let overlay = DeltaOverlay::build(&db, full.scheme(), false, 1, db.len() as u32).unwrap();
+        // a non-contiguous member list, as one shard's delta would be
+        let overlay = DeltaOverlay::build(&db, full.scheme(), false, &[0, 2]).unwrap();
 
         for (gid, _, g) in db.iter() {
             for n in g.nodes() {
@@ -313,7 +286,7 @@ mod tests {
                         .probe(&sig, rho)
                         .unwrap()
                         .into_iter()
-                        .filter(|c| c.node.graph >= 1)
+                        .filter(|c| c.node.graph != 1)
                         .collect();
                     let (got, _) = overlay.probe_with_stats(&sig, rho);
                     assert_eq!(got, want, "gid={gid:?} node={n:?} rho={rho}");
@@ -336,7 +309,7 @@ mod tests {
             ..NhIndexConfig::default()
         };
         let full = NhIndex::build(dir.path(), &db, &config).unwrap();
-        let overlay = DeltaOverlay::build(&db, full.scheme(), false, 0, db.len() as u32).unwrap();
+        let overlay = DeltaOverlay::build(&db, full.scheme(), false, &[0, 1, 2]).unwrap();
         // vocab is {A,B,C} = {0,1,2}; neighbor label 3 is in no posting
         let sig = QuerySignature {
             label: 0,
@@ -365,7 +338,7 @@ mod tests {
             ..NhIndexConfig::default()
         };
         let full = NhIndex::build(dir.path(), &db, &config).unwrap();
-        let overlay = DeltaOverlay::build(&db, full.scheme(), false, 1, db.len() as u32).unwrap();
+        let overlay = DeltaOverlay::build(&db, full.scheme(), false, &[1, 2]).unwrap();
         let g = db.graph(GraphId(0));
         let label_of = |x: NodeId| db.effective_label(GraphId(0), x);
         let good = overlay.signature(g, g.nodes().next().unwrap(), &label_of);
@@ -392,7 +365,7 @@ mod tests {
             ..NhIndexConfig::default()
         };
         let full = NhIndex::build(dir.path(), &db, &config).unwrap();
-        let overlay = DeltaOverlay::build(&db, full.scheme(), false, 3, 3).unwrap();
+        let overlay = DeltaOverlay::build(&db, full.scheme(), false, &[]).unwrap();
         assert_eq!(overlay.graph_count(), 0);
         assert_eq!(overlay.node_count(), 0);
         let g = db.graph(GraphId(0));

@@ -38,11 +38,12 @@
 //! is the exact column-occupancy bitmap. Debug builds re-check every
 //! skipped posting against the real probe (`NhIndex::scan_keys`).
 //!
-//! Under mutation the same direction holds: inserts recompute the
-//! summary from the full merged posting; removes leave it alone
-//! (tombstoned rows only shrink true occupancy, so the stale summary is
-//! a superset — fewer skips, never a wrong one). A key with no entry is
-//! never skipped.
+//! Under mutation the same direction holds: a generation's postings
+//! never change, inserts land in the delta overlay (which folds its own
+//! exact summaries inline), and removes leave summaries alone —
+//! tombstoned rows only shrink true occupancy, so the summary is a
+//! superset: fewer skips, never a wrong one. A key with no entry is never
+//! skipped.
 //!
 //! ## Persistence
 //!
@@ -118,14 +119,6 @@ impl LabelPairFilter {
             .binary_search_by_key(&key, |&(k, _)| k)
             .ok()
             .map(|i| self.entries[i].1)
-    }
-
-    /// Records (or replaces) the summary for `key`.
-    pub fn set(&mut self, key: CompositeKey, summary: u64) {
-        match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => self.entries[i].1 = summary,
-            Err(i) => self.entries.insert(i, (key, summary)),
-        }
     }
 
     /// True when the posting under `key` cannot contain any row within
@@ -227,15 +220,13 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_replace() {
-        let mut f = LabelPairFilter::default();
+    fn lookup() {
+        let f = LabelPairFilter::default();
         assert!(f.get(key(1, 2, 3)).is_none());
         assert!(!f.can_skip(key(1, 2, 3), &[u64::MAX], 0)); // no entry → never skip
-        f.set(key(1, 2, 3), 0b10);
-        f.set(key(0, 9, 9), 0b01);
+        let f = LabelPairFilter::from_entries(vec![(key(1, 2, 3), 0b10), (key(0, 9, 9), 0b01)]);
         assert_eq!(f.get(key(1, 2, 3)), Some(0b10));
-        f.set(key(1, 2, 3), 0b11);
-        assert_eq!(f.get(key(1, 2, 3)), Some(0b11));
+        assert_eq!(f.get(key(0, 9, 9)), Some(0b01));
         assert_eq!(f.len(), 2);
     }
 
@@ -306,8 +297,7 @@ mod tests {
                 })
                 .collect();
             let budget = rng.gen_range(0..6);
-            let mut f = LabelPairFilter::default();
-            f.set(key(0, 0, 0), summary);
+            let f = LabelPairFilter::from_entries(vec![(key(0, 0, 0), summary)]);
             if f.can_skip(key(0, 0, 0), &query, budget) {
                 skips += 1;
                 let mut bm = ColumnBitmap::new(n, sbit);

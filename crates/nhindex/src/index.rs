@@ -28,18 +28,18 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tale_graph::{Graph, GraphDb, NodeId};
 use tale_storage::{
-    BTree, BlobRef, BlobStore, BufferPool, CompositeKey, DiskManager, IoPool, PrefetchStats, Wal,
+    BTree, BlobRef, BlobStore, BufferPool, CompositeKey, DiskManager, IoPool, PrefetchStats,
 };
 
 const BTREE_FILE: &str = "nh.btree";
 const BLOB_FILE: &str = "nh.blobs";
 const META_FILE: &str = "nh.meta.json";
-const WAL_FILE: &str = "nh.wal";
 
-/// WAL file tag of the B+-tree page file.
-const TAG_BTREE: u8 = 0;
-/// WAL file tag of the blob page file.
-const TAG_BLOB: u8 = 1;
+/// The write-ahead log builds before the generational refactor kept
+/// beside the page files. Nothing creates one any more: layouts that
+/// could carry a stale one refuse to open it, and tests assert its
+/// absence.
+pub const LEGACY_WAL_FILE: &str = "nh.wal";
 
 /// Build/open options.
 #[derive(Debug, Clone)]
@@ -105,38 +105,12 @@ struct MetaFile {
     node_count: u64,
     key_count: u64,
     vocab_size: u64,
-    #[serde(default)]
-    tombstones: Vec<u32>,
-    /// Mutation counter: bumped by every committed `insert_graph` /
-    /// `remove_graph`. Recovery compares it against the generation in the
-    /// WAL's `Begin` record to tell a committed mutation (meta rename
-    /// happened) from an in-flight one (roll back). Defaults to 0 for
-    /// indexes persisted before the WAL existed.
-    #[serde(default)]
-    generation: u64,
     /// Label-pair filter sidecar version (`nh.lpf`, see [`crate::filter`]):
     /// 0 (or absent — indexes persisted before the filter existed) means no
     /// sidecar; [`FILTER_SCHEMA_VERSION`] means one was written alongside
     /// this meta. Open degrades to "no filter" on any mismatch.
     #[serde(default)]
     label_filter: u32,
-}
-
-/// What [`NhIndex::open_with_recovery`] found and did with the write-ahead
-/// log.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct RecoveryReport {
-    /// A WAL file was present on open.
-    pub wal_present: bool,
-    /// An in-flight mutation was rolled back to the pre-op state.
-    pub rolled_back: bool,
-    /// The logged mutation had already committed (meta rename happened);
-    /// the log was simply discarded.
-    pub committed: bool,
-    /// Before-images written back during rollback.
-    pub pages_restored: u64,
-    /// Bytes truncated off the page files during rollback.
-    pub bytes_truncated: u64,
 }
 
 /// Deep integrity report from [`NhIndex::verify`]: page checksums of both
@@ -175,6 +149,35 @@ pub struct QuerySignature {
     pub nb_connection: u32,
     /// Neighbor array under the index's scheme.
     pub nb_array: Vec<u64>,
+}
+
+impl QuerySignature {
+    /// The probe signature of `node` under `scheme` — shared by the disk
+    /// index and the delta overlay, which must agree bit for bit.
+    pub(crate) fn of(
+        scheme: NeighborArrayScheme,
+        edge_labels: bool,
+        g: &Graph,
+        node: NodeId,
+        label_of: &dyn Fn(NodeId) -> u32,
+    ) -> QuerySignature {
+        let nb_array = if edge_labels {
+            scheme.array_of_pairs(g.neighbor_edges(node).map(|(nb, eid)| {
+                (
+                    label_of(nb),
+                    g.edge_label(eid).map(|l| l.0 + 1).unwrap_or(0),
+                )
+            }))
+        } else {
+            scheme.array_of(g.neighbors(node).map(label_of))
+        };
+        QuerySignature {
+            label: label_of(node),
+            degree: g.degree(node) as u32,
+            nb_connection: g.neighbor_connection(node) as u32,
+            nb_array,
+        }
+    }
 }
 
 /// One index hit: a database node satisfying conditions IV.1–IV.4.
@@ -279,7 +282,9 @@ impl AtomicProbeCounters {
     }
 }
 
-/// The disk-resident neighborhood index.
+/// The disk-resident neighborhood index: built once, then read-only.
+/// Mutations live one layer up ([`crate::mvcc`]) — inserts in a delta
+/// overlay, removals in a tombstone set, both folded into a *new* index.
 pub struct NhIndex {
     btree: BTree,
     bt_pool: Arc<BufferPool>,
@@ -288,26 +293,16 @@ pub struct NhIndex {
     dir: PathBuf,
     node_count: u64,
     key_count: u64,
-    /// Graphs logically removed; their posting rows are filtered at probe
-    /// time until the next full rebuild reclaims the space.
-    tombstones: std::collections::HashSet<u32>,
     /// Neighbor arrays are over (label, edge label) pairs.
     edge_labels: bool,
     /// Lifetime probe tallies (see [`NhIndex::counters`]).
     counters: AtomicProbeCounters,
-    /// Write-ahead log bracketing mutations (attached to both disk
-    /// managers; idle outside a transaction, so the read path and bulk
-    /// build pay nothing).
-    wal: Arc<Wal>,
-    /// Committed mutation counter (see `MetaFile::generation`).
-    generation: u64,
     /// Async read-path workers feeding both page files' prefetchers
     /// (`None` when prefetching is disabled). Shards of a sharded index
     /// all hold clones of one shared pool.
     io: Option<Arc<IoPool>>,
-    /// Planner statistics (see [`crate::stats`]): exact after build/fold,
-    /// merged conservatively by inserts, `None` for indexes persisted
-    /// before statistics existed.
+    /// Planner statistics (see [`crate::stats`]), collected exactly at
+    /// build; `None` for indexes persisted before statistics existed.
     stats: Option<Arc<IndexStatistics>>,
     /// Label-pair pre-filter (see [`crate::filter`]): per-key summaries
     /// consulted by the probe's key scan to skip postings before blob
@@ -348,12 +343,6 @@ impl NhIndex {
         config: &NhIndexConfig,
         graphs: &[tale_graph::GraphId],
     ) -> Result<Self> {
-        let mut stats_builder = StatsBuilder::new();
-        for &gid in graphs {
-            let g = db.try_graph(gid)?;
-            stats_builder.record_graph(g.node_count() as u64, g.edge_count() as u64);
-        }
-        std::fs::create_dir_all(dir)?;
         let scheme = if config.use_edge_labels {
             // pair space is too large for the deterministic regime
             NeighborArrayScheme {
@@ -368,6 +357,26 @@ impl NhIndex {
                 config.bloom_hashes,
             )
         };
+        Self::build_with_scheme(dir, db, config, scheme, graphs)
+    }
+
+    /// [`NhIndex::build_subset`] under a caller-chosen `scheme` instead of
+    /// one derived from the current vocabulary — how a fold keeps the
+    /// scheme its index was first built with, so sibling shards (and the
+    /// signatures probing them) never disagree on the bit layout.
+    pub(crate) fn build_with_scheme(
+        dir: &Path,
+        db: &GraphDb,
+        config: &NhIndexConfig,
+        scheme: NeighborArrayScheme,
+        graphs: &[tale_graph::GraphId],
+    ) -> Result<Self> {
+        let mut stats_builder = StatsBuilder::new();
+        for &gid in graphs {
+            let g = db.try_graph(gid)?;
+            stats_builder.record_graph(g.node_count() as u64, g.edge_count() as u64);
+        }
+        std::fs::create_dir_all(dir)?;
 
         let mut units = if config.parallel_build && graphs.len() > 1 {
             Self::extract_parallel(db, scheme, config.use_edge_labels, graphs)
@@ -379,12 +388,9 @@ impl NhIndex {
         units.sort_unstable_by(|a, b| a.key.cmp(&b.key).then(a.node.cmp(&b.node)));
 
         let bt_disk = Arc::new(DiskManager::create(&dir.join(BTREE_FILE))?);
-        let bt_pool = Arc::new(BufferPool::new(Arc::clone(&bt_disk), config.buffer_frames));
+        let bt_pool = Arc::new(BufferPool::new(bt_disk, config.buffer_frames));
         let blob_disk = Arc::new(DiskManager::create(&dir.join(BLOB_FILE))?);
-        let blob_pool = Arc::new(BufferPool::new(
-            Arc::clone(&blob_disk),
-            config.buffer_frames,
-        ));
+        let blob_pool = Arc::new(BufferPool::new(blob_disk, config.buffer_frames));
         let io = if config.io_workers > 0 {
             let io = IoPool::new(config.io_workers);
             bt_pool.attach_prefetcher(Arc::clone(&io), config.prefetch_pages);
@@ -394,13 +400,6 @@ impl NhIndex {
             None
         };
         let blobs = BlobStore::create(blob_pool);
-        // A fresh build invalidates any log a previous index in this
-        // directory left behind (the data files were just truncated, so a
-        // stale rollback would corrupt them). Bulk build itself runs
-        // outside any transaction: it is rebuild-on-failure by design.
-        let wal = Arc::new(Wal::open(&dir.join(WAL_FILE))?);
-        bt_disk.attach_wal(Arc::clone(&wal), TAG_BTREE);
-        blob_disk.attach_wal(Arc::clone(&wal), TAG_BLOB);
 
         let mut pairs: Vec<(CompositeKey, u64)> = Vec::new();
         let mut summaries: Vec<(CompositeKey, u64)> = Vec::new();
@@ -431,11 +430,8 @@ impl NhIndex {
             dir: dir.to_owned(),
             node_count: units.len() as u64,
             key_count: pairs.len() as u64,
-            tombstones: std::collections::HashSet::new(),
             edge_labels: config.use_edge_labels,
             counters: AtomicProbeCounters::default(),
-            wal,
-            generation: 0,
             io,
             stats: Some(Arc::new(stats_builder.finish())),
             filter: Some(LabelPairFilter::from_entries(summaries)),
@@ -443,119 +439,6 @@ impl NhIndex {
         };
         idx.flush(db.effective_vocab_size() as u64)?;
         Ok(idx)
-    }
-
-    /// Incrementally indexes one more graph of `db` (by id) — the growing-
-    /// database path the paper's introduction motivates (BIND "grew about
-    /// 10 folds…"). Each affected posting is rewritten as a fresh blob and
-    /// its B+-tree entry repointed; superseded blobs become dead space
-    /// until the next full rebuild (the read-optimized trade-off of an
-    /// append-only posting store).
-    ///
-    /// The caller must have inserted the graph into the same `GraphDb` the
-    /// index was built over (vocabulary and group map unchanged — the
-    /// neighbor-array scheme is fixed at build time).
-    ///
-    /// The whole mutation runs inside a WAL transaction: on any error the
-    /// on-disk index is recoverable to its pre-call state, but this handle
-    /// is no longer consistent with it — drop it and reopen (recovery runs
-    /// in [`NhIndex::open`]).
-    pub fn insert_graph(&mut self, db: &GraphDb, graph: tale_graph::GraphId) -> Result<()> {
-        let g = db.try_graph(graph)?;
-        self.begin_mutation()?;
-        let mut units = Vec::with_capacity(g.node_count());
-        Self::extract_graph(db, graph.0, g, self.scheme, self.edge_labels, &mut units);
-        units.sort_unstable_by(|a, b| a.key.cmp(&b.key).then(a.node.cmp(&b.node)));
-
-        let mut i = 0;
-        while i < units.len() {
-            let key = units[i].key;
-            let mut j = i;
-            while j < units.len() && units[j].key == key {
-                j += 1;
-            }
-            let group = &units[i..j];
-            // merge with the existing posting for this key, if any
-            let existing = self.btree.get(key)?;
-            let (mut refs, mut rows) = match existing {
-                Some(packed) => {
-                    let bytes = self.blobs.get(BlobRef::unpack(packed))?;
-                    let posting = Posting::decode(&bytes)?;
-                    let rows: Vec<Vec<u64>> = (0..posting.refs.len())
-                        .map(|r| posting.bitmap.row(r))
-                        .collect();
-                    (posting.refs, rows)
-                }
-                None => (Vec::new(), Vec::new()),
-            };
-            for u in group {
-                refs.push(u.node);
-                rows.push(u.array.clone());
-            }
-            // The merged posting's summary is recomputed exactly (a crash
-            // before commit leaves the old filter, whose summaries are a
-            // subset of the rolled-forward one — the fail-to-skip, safe
-            // direction either way).
-            if let Some(f) = &mut self.filter {
-                f.set(key, filter::summary_of_rows(&rows));
-            }
-            let posting = Posting::from_rows(refs, self.scheme.sbit, &rows);
-            let r = self.blobs.put(&posting.encode())?;
-            if existing.is_none() {
-                self.key_count += 1;
-            }
-            if let Some(stats) = &mut self.stats {
-                Arc::make_mut(stats).merge_inserted_key(
-                    key.label,
-                    key.degree,
-                    group.len() as u64,
-                    existing.is_none(),
-                );
-            }
-            self.btree.insert(key, r.pack())?;
-            i = j;
-        }
-        if let Some(stats) = &mut self.stats {
-            Arc::make_mut(stats).note_inserted_graph(g.node_count() as u64 + g.edge_count() as u64);
-        }
-        self.node_count += units.len() as u64;
-        self.generation += 1;
-        self.flush(db.effective_vocab_size() as u64)?;
-        self.wal.commit()?;
-        Ok(())
-    }
-
-    /// Logically removes a graph: its posting rows stop matching probes
-    /// immediately; the space is reclaimed at the next full rebuild (the
-    /// standard tombstone trade-off for an append-only, read-optimized
-    /// index). Idempotent. `vocab_size` is persisted metadata — pass
-    /// `db.effective_vocab_size()`.
-    pub fn remove_graph(&mut self, graph: tale_graph::GraphId, vocab_size: u64) -> Result<()> {
-        self.begin_mutation()?;
-        self.tombstones.insert(graph.0);
-        self.generation += 1;
-        self.flush(vocab_size)?;
-        self.wal.commit()?;
-        Ok(())
-    }
-
-    /// Opens a WAL transaction with the current file lengths as rollback
-    /// baselines. Every page overwritten between here and the commit point
-    /// (the meta rename in [`NhIndex::flush`]) gets a durable before-image
-    /// first.
-    fn begin_mutation(&self) -> Result<()> {
-        let bt_pages = self.bt_pool.disk().pages_on_disk()?;
-        let blob_pages = self.blobs.disk().pages_on_disk()?;
-        let mut baselines = [0u64; tale_storage::wal::WAL_FILES];
-        baselines[TAG_BTREE as usize] = bt_pages;
-        baselines[TAG_BLOB as usize] = blob_pages;
-        self.wal.begin(self.generation, baselines)?;
-        Ok(())
-    }
-
-    /// True when `graph` has been removed.
-    pub fn is_removed(&self, graph: tale_graph::GraphId) -> bool {
-        self.tombstones.contains(&graph.0)
     }
 
     fn extract_serial(
@@ -623,32 +506,19 @@ impl NhIndex {
         }
     }
 
-    /// Persists all dirty state. Ordering is the crash-safety protocol:
-    /// data pages are flushed and fsynced *first* (their before-images hit
-    /// the WAL ahead of them), then the meta file — carrying the new
-    /// generation — is swapped in atomically. That rename is the commit
-    /// point: recovery rolls a mutation back iff the persisted generation
-    /// still equals the one recorded at `begin`.
+    /// Persists the freshly built index: data pages flushed and fsynced
+    /// first, then the sidecars, then the meta file — written atomically
+    /// last, so a directory with a meta file is a complete index.
     fn flush(&self, vocab_size: u64) -> Result<()> {
         self.sync()?;
-        // Statistics land before the meta rename (the commit point): a
-        // crash between the two leaves stats that overestimate the
-        // rolled-back index, which is the safe direction (see
-        // `crate::stats`). WAL rollback never touches this file.
         if let Some(stats) = &self.stats {
             let json = serde_json::to_string_pretty(stats.as_ref())
                 .map_err(|e| NhError::Meta(format!("serialize stats: {e}")))?;
             tale_storage::atomic::write_atomic(&self.dir.join(STATS_FILE), json.as_bytes())?;
         }
-        // Same ordering contract as the stats file: the filter sidecar
-        // lands before the meta rename, and a crash between the two leaves
-        // a sidecar whose summaries cover a superset of the rolled-back
-        // postings — supersets only fail to skip (see `crate::filter`).
         if let Some(f) = &self.filter {
             tale_storage::atomic::write_atomic(&self.dir.join(FILTER_FILE), &f.encode())?;
         }
-        let mut tombstones: Vec<u32> = self.tombstones.iter().copied().collect();
-        tombstones.sort_unstable();
         let meta = MetaFile {
             sbit: self.scheme.sbit,
             deterministic: self.scheme.deterministic,
@@ -660,8 +530,6 @@ impl NhIndex {
             node_count: self.node_count,
             key_count: self.key_count,
             vocab_size,
-            tombstones,
-            generation: self.generation,
             label_filter: if self.filter.is_some() {
                 FILTER_SCHEMA_VERSION
             } else {
@@ -671,13 +539,6 @@ impl NhIndex {
         let json = serde_json::to_string_pretty(&meta)
             .map_err(|e| NhError::Meta(format!("serialize: {e}")))?;
         tale_storage::atomic::write_atomic(&self.dir.join(META_FILE), json.as_bytes())?;
-        // The meta rename is a generation flip: drop every staged
-        // read-ahead image. Dirty-page hooks already invalidated pages
-        // *this* pool rewrote, but the flip is the one point where the
-        // on-disk state as a whole changes identity, so anything still
-        // staged from before it is suspect.
-        self.bt_pool.invalidate_prefetched();
-        self.blobs.pool().invalidate_prefetched();
         Ok(())
     }
 
@@ -689,89 +550,25 @@ impl NhIndex {
         Ok(())
     }
 
-    /// Reopens an index previously built in `dir`, running WAL recovery
-    /// first (see [`NhIndex::open_with_recovery`]).
+    /// Reopens an index previously built in `dir`, with the default async
+    /// read path ([`DEFAULT_IO_WORKERS`] private workers).
     pub fn open(dir: &Path, buffer_frames: usize) -> Result<Self> {
-        Ok(Self::open_with_recovery(dir, buffer_frames)?.0)
+        let mut idx = Self::open_without_io(dir, buffer_frames)?;
+        idx.attach_io(IoPool::new(DEFAULT_IO_WORKERS), DEFAULT_PREFETCH_PAGES);
+        Ok(idx)
     }
 
-    /// Reads the persisted mutation generation without opening the index
-    /// (used by recovery to decide whether a journaled mutation committed).
-    pub fn peek_generation(dir: &Path) -> Result<u64> {
-        let meta_raw = std::fs::read_to_string(dir.join(META_FILE))?;
-        let meta: MetaFile =
-            serde_json::from_str(&meta_raw).map_err(|e| NhError::Meta(format!("parse: {e}")))?;
-        Ok(meta.generation)
-    }
-
-    /// Reopens an index, first repairing any interrupted mutation from the
-    /// write-ahead log:
-    ///
-    /// 1. Read the WAL tail, stopping at the first torn or corrupt record.
-    /// 2. If it holds a transaction, compare the persisted meta generation
-    ///    against the generation recorded at `begin`. The atomic meta
-    ///    rename is the commit point, so a *newer* persisted generation
-    ///    means the mutation committed — the log is simply discarded.
-    /// 3. Otherwise the mutation was in flight: write every before-image
-    ///    back and truncate the page files to their pre-transaction
-    ///    lengths, restoring the bit-exact pre-mutation state.
-    ///
-    /// Recovery is idempotent — crashing during rollback and reopening
-    /// replays the same undo.
-    pub fn open_with_recovery(dir: &Path, buffer_frames: usize) -> Result<(Self, RecoveryReport)> {
-        Self::open_with_recovery_io(
-            dir,
-            buffer_frames,
-            DEFAULT_IO_WORKERS,
-            DEFAULT_PREFETCH_PAGES,
-        )
-    }
-
-    /// [`NhIndex::open_with_recovery`] with explicit async read-path
-    /// sizing. `io_workers == 0` opens with prefetching disabled — the
-    /// sharded wrapper does this and then binds every shard to one shared
-    /// worker pool via [`NhIndex::attach_io`].
-    pub fn open_with_recovery_io(
-        dir: &Path,
-        buffer_frames: usize,
-        io_workers: usize,
-        prefetch_pages: usize,
-    ) -> Result<(Self, RecoveryReport)> {
-        let wal_path = dir.join(WAL_FILE);
-        let mut report = RecoveryReport::default();
-        if wal_path.exists() {
-            report.wal_present = true;
-            if let Some(tx) = tale_storage::wal::read_log(&wal_path)? {
-                let meta_gen = Self::peek_generation(dir)?;
-                if tx.committed || meta_gen > tx.generation {
-                    report.committed = true;
-                } else {
-                    let stats = tale_storage::wal::rollback(
-                        &tx,
-                        [&dir.join(BTREE_FILE), &dir.join(BLOB_FILE)],
-                    )?;
-                    report.rolled_back = true;
-                    report.pages_restored = stats.pages_restored;
-                    report.bytes_truncated = stats.bytes_truncated;
-                }
-            }
-        }
-
+    /// [`NhIndex::open`] with prefetching disabled — an owner that shares
+    /// one worker pool across several indexes opens each this way and then
+    /// binds it via [`NhIndex::attach_io`].
+    pub fn open_without_io(dir: &Path, buffer_frames: usize) -> Result<Self> {
         let meta_raw = std::fs::read_to_string(dir.join(META_FILE))?;
         let meta: MetaFile =
             serde_json::from_str(&meta_raw).map_err(|e| NhError::Meta(format!("parse: {e}")))?;
         let bt_disk = Arc::new(DiskManager::open(&dir.join(BTREE_FILE))?);
-        let bt_pool = Arc::new(BufferPool::new(Arc::clone(&bt_disk), buffer_frames));
+        let bt_pool = Arc::new(BufferPool::new(bt_disk, buffer_frames));
         let blob_disk = Arc::new(DiskManager::open(&dir.join(BLOB_FILE))?);
-        let blob_pool = Arc::new(BufferPool::new(Arc::clone(&blob_disk), buffer_frames));
-        let io = if io_workers > 0 {
-            let io = IoPool::new(io_workers);
-            bt_pool.attach_prefetcher(Arc::clone(&io), prefetch_pages);
-            blob_pool.attach_prefetcher(Arc::clone(&io), prefetch_pages);
-            Some(io)
-        } else {
-            None
-        };
+        let blob_pool = Arc::new(BufferPool::new(blob_disk, buffer_frames));
         // Statistics are best-effort on open: absent (pre-stats index),
         // unparseable, or version-skewed files mean "no statistics" and
         // the planner falls back to the fixed pipeline.
@@ -791,12 +588,7 @@ impl NhIndex {
         } else {
             None
         };
-        // Opening the WAL truncates it: recovery is complete, so the old
-        // log must not be replayed against the repaired files again.
-        let wal = Arc::new(Wal::open(&wal_path)?);
-        bt_disk.attach_wal(Arc::clone(&wal), TAG_BTREE);
-        blob_disk.attach_wal(Arc::clone(&wal), TAG_BLOB);
-        let idx = NhIndex {
+        Ok(NhIndex {
             btree: BTree::open(
                 Arc::clone(&bt_pool),
                 tale_storage::PageId(meta.root_page),
@@ -812,22 +604,13 @@ impl NhIndex {
             dir: dir.to_owned(),
             node_count: meta.node_count,
             key_count: meta.key_count,
-            tombstones: meta.tombstones.into_iter().collect(),
             edge_labels: meta.edge_labels,
             counters: AtomicProbeCounters::default(),
-            wal,
-            generation: meta.generation,
-            io,
+            io: None,
             stats,
             filter: lp_filter,
             filter_enabled: std::sync::atomic::AtomicBool::new(true),
-        };
-        Ok((idx, report))
-    }
-
-    /// Committed mutation count (0 for a fresh build).
-    pub fn generation(&self) -> u64 {
-        self.generation
+        })
     }
 
     /// The planner statistics persisted with this index (`None` for
@@ -960,23 +743,7 @@ impl NhIndex {
         node: NodeId,
         label_of: &dyn Fn(NodeId) -> u32,
     ) -> QuerySignature {
-        let nb_array = if self.edge_labels {
-            self.scheme
-                .array_of_pairs(g.neighbor_edges(node).map(|(nb, eid)| {
-                    (
-                        label_of(nb),
-                        g.edge_label(eid).map(|l| l.0 + 1).unwrap_or(0),
-                    )
-                }))
-        } else {
-            self.scheme.array_of(g.neighbors(node).map(label_of))
-        };
-        QuerySignature {
-            label: label_of(node),
-            degree: g.degree(node) as u32,
-            nb_connection: g.neighbor_connection(node) as u32,
-            nb_array,
-        }
+        QuerySignature::of(self.scheme, self.edge_labels, g, node, label_of)
     }
 
     /// The miss budgets `(nbmiss, nbcmiss)` for a query node under `ρ`
@@ -1006,9 +773,9 @@ impl NhIndex {
         stats: &mut ProbeStats,
     ) -> Result<Vec<(CompositeKey, BlobRef)>> {
         // The probe-width contract, enforced here as a typed error: a
-        // signature built under a different generation's scheme (base vs
-        // delta sbit skew after vocabulary growth) must fail loudly, not
-        // silently under-count misses in the kernels below.
+        // signature built under a different index's scheme (sbit skew)
+        // must fail loudly, not silently under-count misses in the
+        // kernels below.
         self.scheme
             .check_query_width(&sig.nb_array)
             .map_err(NhError::Meta)?;
@@ -1116,9 +883,6 @@ impl NhIndex {
                 self.scheme.hashes.max(1) as u32
             };
             for (row, &miss) in ph.rows.iter().zip(ph.misses.iter()) {
-                if self.tombstones.contains(&posting.refs[*row as usize].graph) {
-                    continue;
-                }
                 // Bit misses over-count by up to k per missing label under
                 // multi-hash Bloom (divide, rounding up) and can undercount
                 // when several query neighbors share a bit; the degree
@@ -1254,12 +1018,6 @@ impl NhIndex {
             .pool()
             .attach_prefetcher(Arc::clone(&io), staging_pages);
         self.io = Some(io);
-    }
-
-    /// The async read-path worker pool this index's prefetchers feed
-    /// (`None` when prefetching is disabled).
-    pub fn io_pool(&self) -> Option<&Arc<IoPool>> {
-        self.io.as_ref()
     }
 
     /// Adds a fixed per-read delay to both page files' read backends —
@@ -1483,77 +1241,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_graph_extends_index() {
-        let dir = tempfile::tempdir().unwrap();
-        let mut db = sample_db();
-        let idx_before;
-        let mut idx = {
-            // build over the original two graphs
-            let i = NhIndex::build(dir.path(), &db, &cfg()).unwrap();
-            idx_before = (i.node_count(), i.key_count());
-            i
-        };
-        // grow the database: a third graph, a fresh A-B edge pair
-        let a = db.intern_node_label("A"); // existing label
-        let b = db.intern_node_label("B");
-        let mut g2 = Graph::new_undirected();
-        let x = g2.add_node(a);
-        let y = g2.add_node(b);
-        g2.add_edge(x, y).unwrap();
-        let gid = db.insert("g2", g2);
-        idx.insert_graph(&db, gid).unwrap();
-        assert_eq!(idx.node_count(), idx_before.0 + 2);
-        assert!(idx.key_count() >= idx_before.1);
-
-        // the new node is findable through a probe
-        let g2ref = db.graph(gid);
-        let sig = idx.signature(g2ref, NodeId(0), &|n| db.effective_label(gid, n));
-        let hits = idx.probe(&sig, 0.5).unwrap();
-        assert!(
-            hits.iter().any(|h| h.node
-                == NodeRef {
-                    graph: gid.0,
-                    node: 0
-                }),
-            "inserted node not probeable: {hits:?}"
-        );
-        // pre-existing nodes still probeable
-        let g1 = db.graph(tale_graph::GraphId(1));
-        let sig = idx.signature(g1, NodeId(0), &|n| {
-            db.effective_label(tale_graph::GraphId(1), n)
-        });
-        let hits = idx.probe(&sig, 0.0).unwrap();
-        assert!(hits.iter().any(|h| h.node == NodeRef { graph: 1, node: 0 }));
-    }
-
-    #[test]
-    fn insert_graph_then_reopen() {
-        let dir = tempfile::tempdir().unwrap();
-        let mut db = sample_db();
-        let mut idx = NhIndex::build(dir.path(), &db, &cfg()).unwrap();
-        let a = db.intern_node_label("A");
-        let mut g2 = Graph::new_undirected();
-        g2.add_node(a);
-        let gid = db.insert("solo", g2);
-        idx.insert_graph(&db, gid).unwrap();
-        let total = idx.node_count();
-        drop(idx);
-        let idx = NhIndex::open(dir.path(), 64).unwrap();
-        assert_eq!(idx.node_count(), total);
-        let g2ref = db.graph(gid);
-        let sig = idx.signature(g2ref, NodeId(0), &|n| db.effective_label(gid, n));
-        assert!(!idx.probe(&sig, 0.0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn insert_graph_bad_id_errors() {
-        let dir = tempfile::tempdir().unwrap();
-        let db = sample_db();
-        let mut idx = NhIndex::build(dir.path(), &db, &cfg()).unwrap();
-        assert!(idx.insert_graph(&db, tale_graph::GraphId(99)).is_err());
-    }
-
-    #[test]
     fn multi_hash_bloom_index_probes_correctly() {
         // Force the Bloom regime (sbit below vocab) with 3 hashes; probes
         // must still find every true match (no false negatives).
@@ -1589,49 +1276,6 @@ mod tests {
         drop(idx);
         let idx = NhIndex::open(dir.path(), 64).unwrap();
         assert_eq!(idx.scheme().hashes, 3);
-    }
-
-    #[test]
-    fn remove_graph_hides_rows_and_persists() {
-        let dir = tempfile::tempdir().unwrap();
-        let db = sample_db();
-        let mut idx = NhIndex::build(dir.path(), &db, &cfg()).unwrap();
-        let g1 = db.graph(tale_graph::GraphId(1));
-        let sig = idx.signature(g1, NodeId(0), &|n| {
-            db.effective_label(tale_graph::GraphId(1), n)
-        });
-        assert!(idx
-            .probe(&sig, 0.25)
-            .unwrap()
-            .iter()
-            .any(|h| h.node.graph == 1));
-        idx.remove_graph(tale_graph::GraphId(1), db.effective_vocab_size() as u64)
-            .unwrap();
-        assert!(idx.is_removed(tale_graph::GraphId(1)));
-        assert!(idx
-            .probe(&sig, 0.25)
-            .unwrap()
-            .iter()
-            .all(|h| h.node.graph != 1));
-        // graph 0's rows are untouched
-        let g0 = db.graph(tale_graph::GraphId(0));
-        let sig0 = idx.signature(g0, NodeId(0), &|n| {
-            db.effective_label(tale_graph::GraphId(0), n)
-        });
-        assert!(idx
-            .probe(&sig0, 0.25)
-            .unwrap()
-            .iter()
-            .any(|h| h.node.graph == 0));
-        // persists across reopen
-        drop(idx);
-        let idx = NhIndex::open(dir.path(), 64).unwrap();
-        assert!(idx.is_removed(tale_graph::GraphId(1)));
-        assert!(idx
-            .probe(&sig, 0.25)
-            .unwrap()
-            .iter()
-            .all(|h| h.node.graph != 1));
     }
 
     #[test]
@@ -1769,41 +1413,32 @@ mod tests {
     }
 
     #[test]
-    fn filter_survives_reopen_and_insert() {
-        let (dir, mut db, idx) = build_sample(&cfg());
+    fn filter_survives_reopen() {
+        let (dir, db, idx) = build_sample(&cfg());
         drop(idx);
-        let mut idx = NhIndex::open(dir.path(), 64).unwrap();
+        let idx = NhIndex::open(dir.path(), 64).unwrap();
         assert!(idx.filter_keys() > 0, "sidecar should reload on open");
         let sig = skipping_signature(&idx, &db);
         let (_, stats) = idx.probe_with_stats(&sig, 0.0).unwrap();
         assert!(stats.postings_filtered > 0);
+    }
 
-        // inserts keep the filter exact: the new graph's postings get
-        // summaries, and probes stay identical with the filter on or off
-        let mut g2 = Graph::new_undirected();
-        let a = tale_graph::NodeLabel(0);
-        let b = tale_graph::NodeLabel(1);
-        let p0 = g2.add_node(a);
-        let p1 = g2.add_node(b);
-        let p2 = g2.add_node(b);
-        g2.add_edge(p0, p1).unwrap();
-        g2.add_edge(p0, p2).unwrap();
-        let gid = db.insert("g2", g2);
-        idx.insert_graph(&db, gid).unwrap();
-        let g = db.graph(gid);
-        let probe_sig = idx.signature(g, NodeId(0), &|x| db.effective_label(gid, x));
-        let on = idx.probe(&probe_sig, 0.25).unwrap();
-        idx.set_filter_enabled(false);
-        let off = idx.probe(&probe_sig, 0.25).unwrap();
-        assert_eq!(on, off);
-        assert!(on.iter().any(|h| h.node.graph == gid.0));
-
-        // and the updated sidecar persists
+    /// Meta files written before the generational refactor carry
+    /// `tombstones` and `generation`; they must still parse (the fields
+    /// are simply ignored).
+    #[test]
+    fn meta_with_dropped_fields_still_opens() {
+        let (dir, db, idx) = build_sample(&cfg());
+        let sig = skipping_signature(&idx, &db);
+        let want = idx.probe(&sig, 0.5).unwrap();
         drop(idx);
+        let meta_path = dir.path().join(META_FILE);
+        let meta = std::fs::read_to_string(&meta_path).unwrap();
+        let old = meta.replacen('{', "{\n  \"tombstones\": [1],\n  \"generation\": 7,", 1);
+        assert_ne!(old, meta);
+        std::fs::write(&meta_path, old).unwrap();
         let idx = NhIndex::open(dir.path(), 64).unwrap();
-        assert!(idx.filter_keys() > 0);
-        let again = idx.probe(&probe_sig, 0.25).unwrap();
-        assert_eq!(again, on);
+        assert_eq!(idx.probe(&sig, 0.5).unwrap(), want);
     }
 
     #[test]

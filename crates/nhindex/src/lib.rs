@@ -26,7 +26,8 @@
 //!   that skip postings before blob prefetch (the l2Match-style pre-probe
 //!   level).
 //! * [`quality`] — the node-match quality `w` of Eq. IV.5.
-//! * [`index`] — [`NhIndex`]: build, persist, reopen and probe.
+//! * [`index`] — [`NhIndex`]: build, persist, reopen, probe and verify
+//!   (read-only once built).
 //! * [`reader`] — [`IndexReader`]: the probe seam the engine runs against.
 //! * [`delta`] — [`DeltaOverlay`]: in-memory postings for unfolded inserts.
 //! * [`mvcc`] — [`GenerationalNhIndex`]: immutable on-disk generations with
@@ -50,7 +51,7 @@ pub use delta::DeltaOverlay;
 pub use filter::{LabelPairFilter, FILTER_FILE, FILTER_SCHEMA_VERSION};
 pub use index::{
     IntegrityReport, NhIndex, NhIndexConfig, NodeCandidate, ProbeCounters, ProbeStats,
-    QuerySignature, RecoveryReport, DEFAULT_IO_WORKERS, DEFAULT_PREFETCH_PAGES,
+    QuerySignature, DEFAULT_IO_WORKERS, DEFAULT_PREFETCH_PAGES, LEGACY_WAL_FILE,
 };
 pub use mvcc::{FoldReport, GenerationInfo, GenerationalNhIndex, MvccRecovery, Snapshot};
 pub use posting::{NodeRef, Posting};

@@ -9,12 +9,22 @@
 //! * Inserts accumulate in an in-memory [`DeltaOverlay`]; removals
 //!   accumulate in a tombstone set consulted when filtering probe
 //!   answers. Both are recorded in the `mvcc.json` manifest (the delta's
-//!   *contents* are re-derived from the graph database on open — graphs
-//!   `[base_len, len)` are by construction the not-yet-folded ones).
+//!   *contents* are re-derived from the graph database on open — the
+//!   index's members at or above `base_len` are by construction the
+//!   not-yet-folded ones).
 //! * [`fold`](GenerationalNhIndex::fold) builds delta + base − removed
 //!   into generation `N+1` on disk and commits it with one atomic
 //!   manifest flip. The old generation's directory is deleted when the
 //!   last reader pin drops ([`Generation`]'s `Drop`).
+//!
+//! An index covers a set of **members**: every graph of the database for
+//! the single-index layout ([`GenerationalNhIndex::build`] /
+//! [`GenerationalNhIndex::open`]), or one shard's rows of `shards.json`
+//! for a shard of the sharded layout
+//! ([`GenerationalNhIndex::build_members`] /
+//! [`GenerationalNhIndex::open_members`]). Everything else — snapshots,
+//! delta, tombstones, fold, the manifest flip as the *only* index commit
+//! point — is the same code either way.
 //!
 //! ## Readers never block on writers
 //!
@@ -63,9 +73,9 @@
 //! structurally gone.
 
 use crate::delta::DeltaOverlay;
-use crate::index::{NhIndexConfig, ProbeCounters, RecoveryReport};
+use crate::index::{NhIndexConfig, NodeCandidate, ProbeCounters, ProbeStats, QuerySignature};
 use crate::reader::IndexReader;
-use crate::{NhError, NhIndex, Result};
+use crate::{NeighborArrayScheme, NhError, NhIndex, Result};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -73,6 +83,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use tale_graph::{GraphDb, GraphId};
+use tale_storage::IoPool;
 
 const MVCC_FILE: &str = "mvcc.json";
 const GENS_DIR: &str = "gens";
@@ -89,8 +100,9 @@ struct MvccManifest {
     /// unchanged by a fold (a fold changes representation, not contents).
     /// The mutation journal records it as the pre-mutation generation.
     logical: u64,
-    /// Graphs `[0, base_len)` are covered by the on-disk generation;
-    /// graphs `[base_len, db.len())` are the delta (re-derived on open).
+    /// Members with an id below `base_len` are covered by the on-disk
+    /// generation; members at or above it are the delta (re-derived on
+    /// open). It is the database length at the last build or fold.
     base_len: u32,
     /// Tombstoned graph ids, filtered out of every probe answer until the
     /// next fold drops their postings entirely.
@@ -137,10 +149,17 @@ struct MvccState {
     base: Arc<Generation>,
     delta: Arc<DeltaOverlay>,
     removed: Arc<HashSet<u32>>,
+    /// The graph ids this index covers, ascending.
+    members: Arc<Vec<u32>>,
     logical: u64,
     base_len: u32,
     base_epoch: u64,
     delta_epoch: u64,
+}
+
+/// The members not yet covered by the base generation.
+fn delta_members(members: &[u32], base_len: u32) -> &[u32] {
+    &members[members.partition_point(|&g| g < base_len)..]
 }
 
 /// A reader's pin on one `MvccState`. Cheap to clone (Arc). Queries
@@ -209,6 +228,35 @@ impl Snapshot {
     pub fn delta_reader(&self) -> DeltaReader<'_> {
         DeltaReader { snap: self }
     }
+
+    /// Filters tombstoned graphs out of a probe answer.
+    fn drop_removed(&self, out: &mut [(Vec<NodeCandidate>, ProbeStats)]) {
+        let removed = &self.state.removed;
+        if !removed.is_empty() {
+            for (cands, stats) in out {
+                cands.retain(|c| !removed.contains(&c.node.graph));
+                stats.rows_returned = cands.len() as u64;
+            }
+        }
+    }
+
+    /// Expands pinned snapshots into the reader list the query engine
+    /// scatters over — `[base, delta]` per snapshot, in order — and hands
+    /// it to `f`. One snapshot is the single-index database; one per
+    /// shard is the sharded one. The readers' graph sets are disjoint by
+    /// construction (members are disjoint across shards, and a member is
+    /// in the base or the delta, never both).
+    pub fn with_readers<R>(snaps: &[Snapshot], f: impl FnOnce(&[&dyn IndexReader]) -> R) -> R {
+        let pairs: Vec<(BaseReader<'_>, DeltaReader<'_>)> = snaps
+            .iter()
+            .map(|s| (s.base_reader(), s.delta_reader()))
+            .collect();
+        let readers: Vec<&dyn IndexReader> = pairs
+            .iter()
+            .flat_map(|(b, d)| [b as &dyn IndexReader, d as &dyn IndexReader])
+            .collect();
+        f(&readers)
+    }
 }
 
 /// [`IndexReader`] over a snapshot's base generation: probes the on-disk
@@ -225,47 +273,29 @@ impl IndexReader for BaseReader<'_> {
         g: &tale_graph::Graph,
         node: tale_graph::NodeId,
         label_of: &dyn Fn(tale_graph::NodeId) -> u32,
-    ) -> crate::index::QuerySignature {
+    ) -> QuerySignature {
         self.snap.state.base.index.signature(g, node, label_of)
     }
 
     fn probe_batch(
         &self,
-        sigs: &[crate::index::QuerySignature],
+        sigs: &[QuerySignature],
         rho: f64,
         threads: usize,
-    ) -> Result<Vec<(Vec<crate::index::NodeCandidate>, crate::index::ProbeStats)>> {
-        let mut out = self.snap.state.base.index.probe_batch(sigs, rho, threads)?;
-        let removed = &self.snap.state.removed;
-        if !removed.is_empty() {
-            for (cands, stats) in &mut out {
-                cands.retain(|c| !removed.contains(&c.node.graph));
-                stats.rows_returned = cands.len() as u64;
-            }
-        }
-        Ok(out)
+    ) -> Result<Vec<(Vec<NodeCandidate>, ProbeStats)>> {
+        self.probe_batch_budgeted(sigs, rho, threads, None)
     }
 
     fn probe_batch_budgeted(
         &self,
-        sigs: &[crate::index::QuerySignature],
+        sigs: &[QuerySignature],
         rho: f64,
         threads: usize,
         prefetch_cap: Option<u64>,
-    ) -> Result<Vec<(Vec<crate::index::NodeCandidate>, crate::index::ProbeStats)>> {
-        let mut out =
-            self.snap
-                .state
-                .base
-                .index
-                .probe_batch_budgeted(sigs, rho, threads, prefetch_cap)?;
-        let removed = &self.snap.state.removed;
-        if !removed.is_empty() {
-            for (cands, stats) in &mut out {
-                cands.retain(|c| !removed.contains(&c.node.graph));
-                stats.rows_returned = cands.len() as u64;
-            }
-        }
+    ) -> Result<Vec<(Vec<NodeCandidate>, ProbeStats)>> {
+        let base = &self.snap.state.base.index;
+        let mut out = base.probe_batch_budgeted(sigs, rho, threads, prefetch_cap)?;
+        self.snap.drop_removed(&mut out);
         Ok(out)
     }
 
@@ -307,24 +337,18 @@ impl IndexReader for DeltaReader<'_> {
         g: &tale_graph::Graph,
         node: tale_graph::NodeId,
         label_of: &dyn Fn(tale_graph::NodeId) -> u32,
-    ) -> crate::index::QuerySignature {
+    ) -> QuerySignature {
         self.snap.state.delta.signature(g, node, label_of)
     }
 
     fn probe_batch(
         &self,
-        sigs: &[crate::index::QuerySignature],
+        sigs: &[QuerySignature],
         rho: f64,
         _threads: usize,
-    ) -> Result<Vec<(Vec<crate::index::NodeCandidate>, crate::index::ProbeStats)>> {
+    ) -> Result<Vec<(Vec<NodeCandidate>, ProbeStats)>> {
         let mut out = self.snap.state.delta.probe_batch(sigs, rho)?;
-        let removed = &self.snap.state.removed;
-        if !removed.is_empty() {
-            for (cands, stats) in &mut out {
-                cands.retain(|c| !removed.contains(&c.node.graph));
-                stats.rows_returned = cands.len() as u64;
-            }
-        }
+        self.snap.drop_removed(&mut out);
         Ok(out)
     }
 
@@ -354,10 +378,6 @@ impl IndexReader for DeltaReader<'_> {
 /// What [`GenerationalNhIndex::open`] found and did.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct MvccRecovery {
-    /// WAL recovery of the current generation's index (always a no-op
-    /// transaction-wise — generations are never mutated — but reported
-    /// for symmetry with the in-place path).
-    pub index: RecoveryReport,
     /// Orphaned generation numbers swept from `gens/` (unfinished folds,
     /// or retired generations whose process died before GC).
     pub swept: Vec<u64>,
@@ -393,6 +413,10 @@ pub struct GenerationInfo {
 pub struct GenerationalNhIndex {
     dir: PathBuf,
     config: NhIndexConfig,
+    /// The async read-path workers every generation of this index binds
+    /// to (shared with sibling shards in the sharded layout), so a fold
+    /// never spawns a pool of its own. `None` = prefetching disabled.
+    io: Option<Arc<IoPool>>,
     state: RwLock<Arc<MvccState>>,
     /// Serializes mutations (insert/remove/fold). Readers never touch it.
     writer: Mutex<()>,
@@ -408,11 +432,28 @@ impl GenerationalNhIndex {
         dir.join(GENS_DIR).join(format!("g{number}"))
     }
 
-    fn write_manifest(dir: &Path, m: &MvccManifest) -> Result<()> {
-        let json = serde_json::to_string_pretty(m)
+    /// The one commit point of every mutation: an atomic rewrite of
+    /// `mvcc.json`. Returns what was written.
+    fn write_manifest(
+        dir: &Path,
+        current: u64,
+        logical: u64,
+        base_len: u32,
+        removed: &HashSet<u32>,
+    ) -> Result<MvccManifest> {
+        let mut removed: Vec<u32> = removed.iter().copied().collect();
+        removed.sort_unstable();
+        let m = MvccManifest {
+            schema_version: SCHEMA_VERSION,
+            current,
+            logical,
+            base_len,
+            removed,
+        };
+        let json = serde_json::to_string_pretty(&m)
             .map_err(|e| NhError::Meta(format!("serialize mvcc manifest: {e}")))?;
         tale_storage::atomic::write_atomic(&dir.join(MVCC_FILE), json.as_bytes())?;
-        Ok(())
+        Ok(m)
     }
 
     fn read_manifest(dir: &Path) -> Result<MvccManifest> {
@@ -428,57 +469,88 @@ impl GenerationalNhIndex {
         Ok(m)
     }
 
-    /// Builds generation 0 for `db` into `dir` and commits the initial
-    /// manifest. Any `gens/` leftovers from a previous index in this
-    /// directory are cleared first (fresh build = fresh history).
+    /// The worker pool generations bind to: the caller's shared one, else
+    /// a private pool of `config.io_workers` threads (none when 0).
+    fn io_for(config: &NhIndexConfig, shared: Option<Arc<IoPool>>) -> Option<Arc<IoPool>> {
+        shared.or_else(|| (config.io_workers > 0).then(|| IoPool::new(config.io_workers)))
+    }
+
+    /// Builds generation `number` over `graphs` and binds it to `io`.
+    /// `scheme: None` derives the neighbor-array scheme from the current
+    /// vocabulary (a from-scratch build); a fold passes the scheme it
+    /// already has.
+    fn build_generation(
+        dir: &Path,
+        number: u64,
+        db: &GraphDb,
+        config: &NhIndexConfig,
+        io: Option<&Arc<IoPool>>,
+        scheme: Option<NeighborArrayScheme>,
+        graphs: &[GraphId],
+    ) -> Result<NhIndex> {
+        let gdir = Self::gen_dir(dir, number);
+        let config = NhIndexConfig {
+            io_workers: 0,
+            ..config.clone()
+        };
+        let mut index = match scheme {
+            Some(s) => NhIndex::build_with_scheme(&gdir, db, &config, s, graphs)?,
+            None => NhIndex::build_subset(&gdir, db, &config, graphs)?,
+        };
+        if let Some(io) = io {
+            index.attach_io(Arc::clone(io), config.prefetch_pages);
+        }
+        Ok(index)
+    }
+
+    /// Builds generation 0 over every graph of `db` into `dir` and commits
+    /// the initial manifest.
     pub fn build(dir: &Path, db: &GraphDb, config: &NhIndexConfig) -> Result<Self> {
+        let all: Vec<GraphId> = db.iter().map(|(id, _, _)| id).collect();
+        Self::build_members(dir, db, &all, config, None)
+    }
+
+    /// Builds generation 0 over `members` (ascending ids of `db`) into
+    /// `dir` and commits the initial manifest. Any `gens/` leftovers from
+    /// a previous index in this directory are cleared first (fresh build
+    /// = fresh history). `io` is a worker pool to share with other
+    /// indexes; `None` gives this one its own (`config.io_workers`).
+    pub fn build_members(
+        dir: &Path,
+        db: &GraphDb,
+        members: &[GraphId],
+        config: &NhIndexConfig,
+        io: Option<Arc<IoPool>>,
+    ) -> Result<Self> {
         let gens = dir.join(GENS_DIR);
         if gens.exists() {
             std::fs::remove_dir_all(&gens)?;
         }
-        let g0 = Self::gen_dir(dir, 0);
-        let index = NhIndex::build(&g0, db, config)?;
-        let base_len = db.len() as u32;
-        Self::write_manifest(
-            dir,
-            &MvccManifest {
-                schema_version: SCHEMA_VERSION,
-                current: 0,
-                logical: 0,
-                base_len,
-                removed: Vec::new(),
-            },
-        )?;
-        let delta = DeltaOverlay::build(
-            db,
-            index.scheme(),
-            config.use_edge_labels,
-            base_len,
-            base_len,
-        )?;
+        let io = Self::io_for(config, io);
+        let index = Self::build_generation(dir, 0, db, config, io.as_ref(), None, members)?;
+        let manifest = Self::write_manifest(dir, 0, 0, db.len() as u32, &HashSet::new())?;
+        let delta = DeltaOverlay::build(db, index.scheme(), config.use_edge_labels, &[])?;
         Ok(Self::assemble(
             dir,
             config.clone(),
+            io,
             index,
-            0,
             delta,
-            HashSet::new(),
-            0,
-            base_len,
+            members.iter().map(|g| g.0).collect(),
+            manifest,
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         dir: &Path,
         config: NhIndexConfig,
+        io: Option<Arc<IoPool>>,
         index: NhIndex,
-        number: u64,
         delta: DeltaOverlay,
-        removed: HashSet<u32>,
-        logical: u64,
-        base_len: u32,
+        members: Vec<u32>,
+        manifest: MvccManifest,
     ) -> Self {
+        let number = manifest.current;
         let state = Arc::new(MvccState {
             base: Arc::new(Generation {
                 index,
@@ -487,9 +559,10 @@ impl GenerationalNhIndex {
                 retired: AtomicBool::new(false),
             }),
             delta: Arc::new(delta),
-            removed: Arc::new(removed),
-            logical,
-            base_len,
+            removed: Arc::new(manifest.removed.into_iter().collect()),
+            members: Arc::new(members),
+            logical: manifest.logical,
+            base_len: manifest.base_len,
             base_epoch: 0,
             delta_epoch: 1,
         });
@@ -497,6 +570,7 @@ impl GenerationalNhIndex {
         GenerationalNhIndex {
             dir: dir.to_owned(),
             config,
+            io,
             state: RwLock::new(state),
             writer: Mutex::new(()),
             states: Mutex::new(states),
@@ -511,17 +585,42 @@ impl GenerationalNhIndex {
         Ok(Self::read_manifest(dir)?.logical)
     }
 
-    /// Reopens the index: loads the manifest, opens the current
-    /// generation (running its — always empty — WAL recovery), sweeps
-    /// orphaned generation directories, and re-derives the delta overlay
-    /// from `db` (graphs `[base_len, db.len())` are the unfolded ones).
+    /// Reopens an index covering every graph of `db`, with
+    /// `buffer_frames` pool frames per page file and a private default
+    /// read path (see [`GenerationalNhIndex::open_members`]).
+    pub fn open(dir: &Path, db: &GraphDb, buffer_frames: usize) -> Result<(Self, MvccRecovery)> {
+        let all: Vec<GraphId> = db.iter().map(|(id, _, _)| id).collect();
+        let config = NhIndexConfig {
+            buffer_frames,
+            ..NhIndexConfig::default()
+        };
+        Self::open_members(dir, db, &all, &config, None)
+    }
+
+    /// Reopens the index covering `members` (ascending ids of `db`):
+    /// loads the manifest, opens the current generation, sweeps orphaned
+    /// generation directories, and re-derives the delta overlay from `db`
+    /// (the members at or above `base_len` are the unfolded ones).
+    /// `config` supplies the pool and read-path sizing; its scheme fields
+    /// are replaced by what the generation was built with. `io` is a
+    /// worker pool to share with other indexes.
     ///
     /// `db` must be the *recovered* graph database: run the mutation
     /// journal against [`GenerationalNhIndex::peek_logical`] first.
-    pub fn open(dir: &Path, db: &GraphDb, buffer_frames: usize) -> Result<(Self, MvccRecovery)> {
+    pub fn open_members(
+        dir: &Path,
+        db: &GraphDb,
+        members: &[GraphId],
+        config: &NhIndexConfig,
+        io: Option<Arc<IoPool>>,
+    ) -> Result<(Self, MvccRecovery)> {
         let manifest = Self::read_manifest(dir)?;
         let gdir = Self::gen_dir(dir, manifest.current);
-        let (index, report) = NhIndex::open_with_recovery(&gdir, buffer_frames)?;
+        let mut index = NhIndex::open_without_io(&gdir, config.buffer_frames)?;
+        let io = Self::io_for(config, io);
+        if let Some(io) = &io {
+            index.attach_io(Arc::clone(io), config.prefetch_pages);
+        }
 
         // Sweep every generation directory except the current one:
         // unfinished folds (crash before the manifest flip) and retired
@@ -549,38 +648,22 @@ impl GenerationalNhIndex {
                 manifest.base_len
             )));
         }
+        let members: Vec<u32> = members.iter().map(|g| g.0).collect();
+        let scheme = index.scheme();
         let delta = DeltaOverlay::build(
             db,
-            index.scheme(),
+            scheme,
             index.edge_labels(),
-            manifest.base_len,
-            n,
+            delta_members(&members, manifest.base_len),
         )?;
-        let scheme = index.scheme();
         let config = NhIndexConfig {
             sbit: scheme.sbit,
-            buffer_frames,
             bloom_hashes: scheme.hashes,
             use_edge_labels: index.edge_labels(),
-            ..NhIndexConfig::default()
+            ..config.clone()
         };
-        let idx = Self::assemble(
-            dir,
-            config,
-            index,
-            manifest.current,
-            delta,
-            manifest.removed.into_iter().collect(),
-            manifest.logical,
-            manifest.base_len,
-        );
-        Ok((
-            idx,
-            MvccRecovery {
-                index: report,
-                swept,
-            },
-        ))
+        let idx = Self::assemble(dir, config, io, index, delta, members, manifest);
+        Ok((idx, MvccRecovery { swept }))
     }
 
     /// Pins the current state. The returned snapshot answers queries
@@ -591,7 +674,8 @@ impl GenerationalNhIndex {
         }
     }
 
-    fn publish(&self, number: u64, state: MvccState) {
+    fn publish(&self, state: MvccState) {
+        let number = state.base.number;
         let state = Arc::new(state);
         let mut states = self.states.lock();
         states.retain(|(_, w)| w.strong_count() > 0);
@@ -604,53 +688,46 @@ impl GenerationalNhIndex {
     }
 
     /// Records the insertion of graph `gid` (already inserted into `db`
-    /// by the caller). Publishes a fresh delta overlay covering every
-    /// unfolded graph; the on-disk generation and the base cache epoch
-    /// are untouched, so in-flight readers and base-derived cache entries
-    /// are completely unaffected. The manifest write (bumping the logical
-    /// counter) is the commit point.
+    /// by the caller) as a new member. Publishes a fresh delta overlay
+    /// covering every unfolded member; the on-disk generation and the
+    /// base cache epoch are untouched, so in-flight readers and
+    /// base-derived cache entries are completely unaffected. The manifest
+    /// write (bumping the logical counter) is the commit point.
     pub fn insert_graph(&self, db: &GraphDb, gid: GraphId) -> Result<()> {
         let _w = self.writer.lock();
         db.try_graph(gid)?;
         let state = self.state.read().clone();
-        if gid.0 < state.base_len {
+        if gid.0 < state.base_len || state.members.last().is_some_and(|&m| m >= gid.0) {
             return Err(NhError::Meta(format!(
-                "graph {} is already covered by generation {}",
+                "graph {} is already covered by this index (generation {})",
                 gid.0, state.base.number
             )));
         }
-        let n = db.len() as u32;
+        let mut members = (*state.members).clone();
+        members.push(gid.0);
         let delta = DeltaOverlay::build(
             db,
             state.base.index.scheme(),
             state.base.index.edge_labels(),
-            state.base_len,
-            n,
+            delta_members(&members, state.base_len),
         )?;
-        let mut removed: Vec<u32> = state.removed.iter().copied().collect();
-        removed.sort_unstable();
         Self::write_manifest(
             &self.dir,
-            &MvccManifest {
-                schema_version: SCHEMA_VERSION,
-                current: state.base.number,
-                logical: state.logical + 1,
-                base_len: state.base_len,
-                removed,
-            },
-        )?;
-        self.publish(
             state.base.number,
-            MvccState {
-                base: Arc::clone(&state.base),
-                delta: Arc::new(delta),
-                removed: Arc::clone(&state.removed),
-                logical: state.logical + 1,
-                base_len: state.base_len,
-                base_epoch: state.base_epoch,
-                delta_epoch: self.next_epoch(),
-            },
-        );
+            state.logical + 1,
+            state.base_len,
+            &state.removed,
+        )?;
+        self.publish(MvccState {
+            base: Arc::clone(&state.base),
+            delta: Arc::new(delta),
+            removed: Arc::clone(&state.removed),
+            members: Arc::new(members),
+            logical: state.logical + 1,
+            base_len: state.base_len,
+            base_epoch: state.base_epoch,
+            delta_epoch: self.next_epoch(),
+        });
         Ok(())
     }
 
@@ -666,45 +743,44 @@ impl GenerationalNhIndex {
         let state = self.state.read().clone();
         let mut removed: HashSet<u32> = (*state.removed).clone();
         removed.insert(graph.0);
-        let mut removed_sorted: Vec<u32> = removed.iter().copied().collect();
-        removed_sorted.sort_unstable();
         Self::write_manifest(
             &self.dir,
-            &MvccManifest {
-                schema_version: SCHEMA_VERSION,
-                current: state.base.number,
-                logical: state.logical + 1,
-                base_len: state.base_len,
-                removed: removed_sorted,
-            },
-        )?;
-        self.publish(
             state.base.number,
-            MvccState {
-                base: Arc::clone(&state.base),
-                delta: Arc::clone(&state.delta),
-                removed: Arc::new(removed),
-                logical: state.logical + 1,
-                base_len: state.base_len,
-                base_epoch: state.base_epoch,
-                delta_epoch: state.delta_epoch,
-            },
-        );
+            state.logical + 1,
+            state.base_len,
+            &removed,
+        )?;
+        self.publish(MvccState {
+            base: Arc::clone(&state.base),
+            delta: Arc::clone(&state.delta),
+            removed: Arc::new(removed),
+            members: Arc::clone(&state.members),
+            logical: state.logical + 1,
+            base_len: state.base_len,
+            base_epoch: state.base_epoch,
+            delta_epoch: state.delta_epoch,
+        });
         Ok(())
     }
 
     /// Folds the delta and the tombstones into a new on-disk generation:
-    /// builds `gens/g{N+1}` from every live graph (scheme re-derived from
-    /// the current vocabulary, exactly as a from-scratch rebuild would),
-    /// commits it with one atomic manifest flip, publishes the new state
-    /// with an empty delta, and retires generation `N` — its directory is
-    /// deleted when the last snapshot pinning it drops.
+    /// builds `gens/g{N+1}` from every live member, commits it with one
+    /// atomic manifest flip, publishes the new state with an empty delta,
+    /// and retires generation `N` — its directory is deleted when the
+    /// last snapshot pinning it drops.
     ///
-    /// The tombstone set is *kept*: the removed graphs still occupy their
-    /// ids in the graph database, so forgetting them here would let the
-    /// *next* fold — which derives its live set from the database again —
-    /// resurrect their postings. Only a compaction (which rebuilds the
-    /// database without the dead graphs) retires tombstones.
+    /// The neighbor-array scheme is *kept*: only a from-scratch build
+    /// re-derives it from the vocabulary. Vocabulary growth past `Sbit`
+    /// leaves a deterministic-regime index correct (bit positions wrap,
+    /// which can only add filter false positives), whereas a fold that
+    /// flipped one shard to the Bloom regime would leave it probed with
+    /// signatures laid out for its siblings' scheme.
+    ///
+    /// The tombstone set is *kept* too: the removed graphs still occupy
+    /// their ids in the graph database, so forgetting them here would let
+    /// the *next* fold — which derives its live set from the members
+    /// again — resurrect their postings. Only a compaction (which
+    /// rebuilds the database without the dead graphs) retires tombstones.
     ///
     /// Readers are never blocked: they keep resolving against whatever
     /// state they pinned. The logical counter is unchanged — a fold
@@ -713,16 +789,27 @@ impl GenerationalNhIndex {
         let _w = self.writer.lock();
         let state = self.state.read().clone();
         let n = db.len() as u32;
-        let live: Vec<GraphId> = (0..n)
+        let live: Vec<GraphId> = state
+            .members
+            .iter()
             .filter(|g| !state.removed.contains(g))
-            .map(GraphId)
+            .map(|&g| GraphId(g))
             .collect();
         let new_number = state.base.number + 1;
         let gdir = Self::gen_dir(&self.dir, new_number);
         if gdir.exists() {
             std::fs::remove_dir_all(&gdir)?;
         }
-        let index = match NhIndex::build_subset(&gdir, db, &self.config, &live) {
+        let scheme = state.base.index.scheme();
+        let index = match Self::build_generation(
+            &self.dir,
+            new_number,
+            db,
+            &self.config,
+            self.io.as_ref(),
+            Some(scheme),
+            &live,
+        ) {
             Ok(idx) => idx,
             Err(e) => {
                 // Best-effort cleanup; open() sweeps leftovers anyway.
@@ -735,40 +822,27 @@ impl GenerationalNhIndex {
             folded_inserts: state.delta.graph_count(),
             folded_removes: state.removed.len(),
         };
-        let mut removed_sorted: Vec<u32> = state.removed.iter().copied().collect();
-        removed_sorted.sort_unstable();
         // Commit point: after this write, open() lands on the new
         // generation; before it, on the old one (with the delta
         // re-derived from the database). Never on a hybrid.
-        Self::write_manifest(
-            &self.dir,
-            &MvccManifest {
-                schema_version: SCHEMA_VERSION,
-                current: new_number,
-                logical: state.logical,
-                base_len: n,
-                removed: removed_sorted,
-            },
-        )?;
-        let delta = DeltaOverlay::build(db, index.scheme(), self.config.use_edge_labels, n, n)?;
+        Self::write_manifest(&self.dir, new_number, state.logical, n, &state.removed)?;
+        let delta = DeltaOverlay::build(db, scheme, self.config.use_edge_labels, &[])?;
         state.base.retired.store(true, Ordering::Release);
-        self.publish(
-            new_number,
-            MvccState {
-                base: Arc::new(Generation {
-                    index,
-                    number: new_number,
-                    dir: gdir,
-                    retired: AtomicBool::new(false),
-                }),
-                delta: Arc::new(delta),
-                removed: Arc::clone(&state.removed),
-                logical: state.logical,
-                base_len: n,
-                base_epoch: self.next_epoch(),
-                delta_epoch: self.next_epoch(),
-            },
-        );
+        self.publish(MvccState {
+            base: Arc::new(Generation {
+                index,
+                number: new_number,
+                dir: gdir,
+                retired: AtomicBool::new(false),
+            }),
+            delta: Arc::new(delta),
+            removed: Arc::clone(&state.removed),
+            members: Arc::clone(&state.members),
+            logical: state.logical,
+            base_len: n,
+            base_epoch: self.next_epoch(),
+            delta_epoch: self.next_epoch(),
+        });
         Ok(report)
     }
 
@@ -790,12 +864,6 @@ impl GenerationalNhIndex {
     /// The index directory (holding `mvcc.json` and `gens/`).
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The build configuration (reconstructed from the generation's meta
-    /// file after [`GenerationalNhIndex::open`]).
-    pub fn config(&self) -> &NhIndexConfig {
-        &self.config
     }
 
     /// Live generations with their reader pin counts: the current one
@@ -852,7 +920,7 @@ impl GenerationalNhIndex {
         g: &tale_graph::Graph,
         node: tale_graph::NodeId,
         label_of: &dyn Fn(tale_graph::NodeId) -> u32,
-    ) -> crate::index::QuerySignature {
+    ) -> QuerySignature {
         self.state.read().base.index.signature(g, node, label_of)
     }
 
@@ -889,6 +957,63 @@ impl GenerationalNhIndex {
     /// Readahead counters of the current generation.
     pub fn prefetch_stats(&self) -> tale_storage::PrefetchStats {
         self.state.read().base.index.prefetch_stats()
+    }
+}
+
+/// The index as one reader over its *current* state: base rows, then
+/// delta rows, tombstones filtered. For introspection (a one-off probe,
+/// an integrity sweep) — it pins a fresh snapshot per call, so two calls
+/// may straddle a mutation. The query engine instead pins one
+/// [`Snapshot`] per run and scatters over its
+/// [`base_reader`](Snapshot::base_reader) and
+/// [`delta_reader`](Snapshot::delta_reader), each with its own statistics
+/// and cache epoch; this combined view offers the planner none.
+impl IndexReader for GenerationalNhIndex {
+    fn signature(
+        &self,
+        g: &tale_graph::Graph,
+        node: tale_graph::NodeId,
+        label_of: &dyn Fn(tale_graph::NodeId) -> u32,
+    ) -> QuerySignature {
+        GenerationalNhIndex::signature(self, g, node, label_of)
+    }
+
+    fn probe_batch(
+        &self,
+        sigs: &[QuerySignature],
+        rho: f64,
+        threads: usize,
+    ) -> Result<Vec<(Vec<NodeCandidate>, ProbeStats)>> {
+        let snap = self.snapshot();
+        let mut out = snap.base_reader().probe_batch(sigs, rho, threads)?;
+        let delta = snap.delta_reader().probe_batch(sigs, rho, threads)?;
+        for ((cands, stats), (more, d)) in out.iter_mut().zip(delta) {
+            cands.extend(more);
+            stats.keys_scanned += d.keys_scanned;
+            stats.postings_fetched += d.postings_fetched;
+            stats.postings_filtered += d.postings_filtered;
+            stats.rows_examined += d.rows_examined;
+            stats.rows_returned += d.rows_returned;
+        }
+        Ok(out)
+    }
+
+    fn counters(&self) -> ProbeCounters {
+        GenerationalNhIndex::counters(self)
+    }
+
+    fn pool_stats(&self) -> tale_storage::PoolStats {
+        GenerationalNhIndex::pool_stats(self)
+    }
+
+    /// The delta epoch: it rolls on every insert and fold, the two
+    /// mutations that can add or alter answers.
+    fn cache_generation(&self) -> u64 {
+        self.state.read().delta_epoch
+    }
+
+    fn is_visible(&self, graph: u32) -> bool {
+        !self.is_removed(GraphId(graph))
     }
 }
 

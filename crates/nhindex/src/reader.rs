@@ -6,13 +6,15 @@
 //! buffer-pool counters for attribution. [`IndexReader`] captures exactly
 //! that surface so the same engine code runs against
 //!
-//! * a plain [`NhIndex`] (the sharded path mutates these in place),
+//! * a plain, immutable [`NhIndex`],
 //! * an MVCC base generation (an `NhIndex` filtered by a snapshot's
 //!   removed set), and
 //! * the in-memory delta overlay holding not-yet-folded inserts,
 //!
 //! with the scatter/gather executor treating each reader as one "shard"
-//! whose graphs are disjoint from every other reader's.
+//! whose graphs are disjoint from every other reader's. Both database
+//! layouts run on the last two: the single index pins one snapshot per
+//! query, the sharded one a snapshot per shard.
 //!
 //! [`cache_generation`](IndexReader::cache_generation) is what makes the
 //! result cache generation-keyed instead of invalidate-on-write: the
@@ -148,10 +150,9 @@ impl IndexReader for NhIndex {
         NhIndex::pool_stats(self)
     }
 
-    /// The persisted mutation counter: every committed `insert_graph` /
-    /// `remove_graph` bumps it, so in-place mutations (the sharded path)
-    /// retire old cache entries by moving to a new key space.
+    /// Constant: an `NhIndex` is never mutated after it is built, so its
+    /// answers never change.
     fn cache_generation(&self) -> u64 {
-        self.generation()
+        0
     }
 }

@@ -19,16 +19,11 @@
 //! Statistics may only **overestimate** what the index can answer, never
 //! underestimate:
 //!
-//! * A full build or fold collects them exactly.
-//! * [`NhIndex::insert_graph`](crate::NhIndex::insert_graph) merges the
-//!   inserted units in (counts grow, `max_degree` ratchets up) and bumps
-//!   [`IndexStatistics::stale_inserts`]; the percentile sketches go stale
-//!   but remain lower bounds on nothing the planner relies on.
-//! * `remove_graph` leaves statistics untouched — tombstoned rows still
+//! * A full build or fold collects them exactly, and a generation's
+//!   pages never change afterwards; inserts get their own exact
+//!   statistics from the delta overlay they land in.
+//! * Removing a graph leaves statistics untouched — tombstoned rows still
 //!   occupy the index, so feasibility stays an upper bound.
-//! * The stats file is written inside `flush` *before* the meta rename
-//!   (the commit point). A crash between the two leaves statistics that
-//!   overestimate the rolled-back index — safe in the same direction.
 //!
 //! An index persisted before this file existed simply has no statistics
 //! ([`NhIndex::statistics`](crate::NhIndex::statistics) returns `None`)
@@ -78,9 +73,7 @@ pub struct LabelStats {
 }
 
 /// Five-number-style summary of a value distribution (nearest-rank
-/// percentiles). Exact as of the last full build/fold; inserts since then
-/// are counted by [`IndexStatistics::stale_inserts`] instead of being
-/// folded in.
+/// percentiles), exact for the generation or overlay it describes.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct SketchSummary {
     /// Values summarized.
@@ -138,8 +131,7 @@ impl SketchSummary {
 pub struct IndexStatistics {
     /// [`STATS_SCHEMA_VERSION`] at write time.
     pub schema_version: u32,
-    /// Graphs covered by this index when the statistics were collected
-    /// (plus merged inserts).
+    /// Graphs covered by this index.
     pub graph_count: u64,
     /// Indexed units.
     pub node_count: u64,
@@ -151,10 +143,6 @@ pub struct IndexStatistics {
     /// bound on any *remaining* graph's size (removals can only raise the
     /// true minimum). `None` for an empty index.
     pub min_graph_size: Option<u64>,
-    /// Inserts merged in since the last exact (build/fold) collection.
-    /// Nonzero means the percentile sketches are stale; the label
-    /// histogram and counts are still maintained conservatively.
-    pub stale_inserts: u64,
     /// Per-label statistics, sorted by label.
     pub labels: Vec<LabelStats>,
     /// Posting-list sizes (rows per composite key).
@@ -212,54 +200,6 @@ impl IndexStatistics {
     /// (any single graph holds at most this many nodes of the label).
     pub fn label_nodes(&self, label: u32) -> u64 {
         self.label(label).map(|l| l.nodes).unwrap_or(0)
-    }
-
-    /// Merges one inserted composite-key group (conservative: counts and
-    /// maxima only grow).
-    pub fn merge_inserted_key(&mut self, label: u32, degree: u32, rows: u64, new_key: bool) {
-        self.node_count += rows;
-        self.max_degree = self.max_degree.max(degree);
-        if new_key {
-            self.key_count += 1;
-        }
-        let idx = match self.labels.binary_search_by_key(&label, |l| l.label) {
-            Ok(i) => i,
-            Err(i) => {
-                self.labels.insert(
-                    i,
-                    LabelStats {
-                        label,
-                        nodes: 0,
-                        keys: 0,
-                        max_degree: 0,
-                        degree_buckets: Vec::new(),
-                    },
-                );
-                i
-            }
-        };
-        let l = &mut self.labels[idx];
-        l.nodes += rows;
-        if new_key {
-            l.keys += 1;
-        }
-        l.max_degree = l.max_degree.max(degree);
-        let b = bucket_of(degree as u64);
-        if l.degree_buckets.len() <= b {
-            l.degree_buckets.resize(b + 1, 0);
-        }
-        l.degree_buckets[b] += rows;
-    }
-
-    /// Records one inserted graph: size lower bound, graph count, and the
-    /// staleness marker for the percentile sketches.
-    pub fn note_inserted_graph(&mut self, graph_size: u64) {
-        self.graph_count += 1;
-        self.min_graph_size = Some(match self.min_graph_size {
-            Some(m) => m.min(graph_size),
-            None => graph_size,
-        });
-        self.stale_inserts += 1;
     }
 }
 
@@ -335,7 +275,6 @@ impl StatsBuilder {
             key_count: self.posting_rows.len() as u64,
             max_degree: labels.iter().map(|l| l.max_degree).max().unwrap_or(0),
             min_graph_size: self.min_graph_size,
-            stale_inserts: 0,
             labels,
             posting_rows: SketchSummary::from_weighted(
                 self.posting_rows.iter().map(|&r| (r, 1)).collect(),
@@ -404,23 +343,6 @@ mod tests {
         assert_eq!(s.p99, 100);
         assert!((s.mean - 10.9).abs() < 1e-9);
         assert_eq!(SketchSummary::from_weighted(vec![]).count, 0);
-    }
-
-    #[test]
-    fn insert_merge_is_conservative() {
-        let mut s = sample();
-        let rows_before = s.estimate_rows(0, 0);
-        s.merge_inserted_key(0, 5, 2, true);
-        s.merge_inserted_key(7, 1, 1, true);
-        s.note_inserted_graph(2);
-        assert!(s.matchable(0, 5));
-        assert!(s.matchable(7, 1));
-        assert!(s.estimate_rows(0, 0) >= rows_before + 2);
-        assert_eq!(s.stale_inserts, 1);
-        assert_eq!(s.min_graph_size, Some(2));
-        assert_eq!(s.max_degree, 5);
-        // labels stay sorted for binary search
-        assert!(s.labels.windows(2).all(|w| w[0].label < w[1].label));
     }
 
     #[test]

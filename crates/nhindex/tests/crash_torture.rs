@@ -1,20 +1,21 @@
-//! Crash-torture harness: every I/O operation of every mutation is failed
-//! in turn, the process death is simulated by dropping the handle with the
-//! fault still tripped (so even the buffer pool's best-effort `Drop` flush
-//! fails), and the reopened index must be *bit-identical in query output*
-//! to either the pre-mutation state (rolled back) or the post-mutation
-//! state (committed) — never anything in between.
+//! Crash-torture harness for the generational index: every gated I/O
+//! operation of a mutation is failed in turn, the process death is
+//! simulated by dropping the handle with the fault still tripped, and the
+//! reopened index must be *bit-identical in query output* to either the
+//! pre-mutation state (the `mvcc.json` flip never landed) or the
+//! post-mutation state (it did) — never anything in between. No mutation
+//! touches an existing page file, so there is nothing to roll back: the
+//! manifest flip is the only commit point.
 //!
 //! The fault shim is thread-local, so these tests are safe under the
 //! default parallel test runner.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
-use tale_nhindex::{NhIndex, NhIndexConfig, NodeCandidate};
+use tale_nhindex::{GenerationalNhIndex, IndexReader, NhIndex, NhIndexConfig, NodeCandidate};
 use tale_storage::faults;
 
-/// Tiny pool so mutations overflow it and exercise eviction write-backs
-/// (which must WAL-protect their pages) mid-transaction.
+/// Tiny pool so builds overflow it and exercise eviction write-backs.
 fn cfg() -> NhIndexConfig {
     NhIndexConfig {
         sbit: 32,
@@ -26,8 +27,7 @@ fn cfg() -> NhIndexConfig {
     }
 }
 
-/// Five graphs over labels {A, B, C}: three in the initial index, two kept
-/// aside as insertion fodder.
+/// Five graphs over labels {A, B, C}.
 fn sample_db() -> GraphDb {
     let mut db = GraphDb::new();
     let a = db.intern_node_label("A");
@@ -65,7 +65,6 @@ fn sample_db() -> GraphDb {
     }
     db.insert("g2", g2);
 
-    // g3, g4: insertion fodder
     let mut g3 = Graph::new_undirected();
     let x = g3.add_node(a);
     let y = g3.add_node(b);
@@ -83,148 +82,11 @@ fn sample_db() -> GraphDb {
     db
 }
 
-const INITIAL: [GraphId; 3] = [GraphId(0), GraphId(1), GraphId(2)];
-
-/// Probes every node of every graph in `db` and returns the full sorted
-/// answer set — the "query output" whose bit-identity the torture asserts.
-fn probe_matrix(idx: &NhIndex, db: &GraphDb) -> Vec<Vec<NodeCandidate>> {
-    let mut out = Vec::new();
-    for (gid, _, g) in db.iter() {
-        for n in g.nodes() {
-            let sig = idx.signature(g, n, &|x| db.effective_label(gid, x));
-            let mut hits = idx.probe(&sig, 0.3).unwrap();
-            hits.sort_by_key(|h| h.node);
-            out.push(hits);
-        }
-    }
-    out
-}
-
-fn copy_dir(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-    }
-}
-
-/// Runs `mutate` against a copy of `pre` failing the `i`-th gated I/O
-/// operation for every `i`, and asserts the recovered index is query-
-/// identical to the pre state (not committed) or the post state
-/// (committed). Returns the number of fault points swept.
-fn sweep<F>(db: &GraphDb, pre: &Path, scratch: &Path, mutate: F) -> u64
-where
-    F: Fn(&mut NhIndex) -> tale_nhindex::Result<()>,
-{
-    // Reference states: pre as-is, post = clean mutation on a copy.
-    let pre_idx = NhIndex::open(pre, cfg().buffer_frames).unwrap();
-    let pre_gen = pre_idx.generation();
-    let pre_matrix = probe_matrix(&pre_idx, db);
-    drop(pre_idx);
-
-    let post_dir = scratch.join("post");
-    copy_dir(pre, &post_dir);
-    let mut post_idx = NhIndex::open(&post_dir, cfg().buffer_frames).unwrap();
-    mutate(&mut post_idx).unwrap();
-    let post_gen = post_idx.generation();
-    let post_matrix = probe_matrix(&post_idx, db);
-    drop(post_idx);
-    assert_eq!(post_gen, pre_gen + 1);
-
-    // Measuring run: how many gated I/O operations does the mutation make?
-    let count_dir = scratch.join("count");
-    copy_dir(pre, &count_dir);
-    let mut idx = NhIndex::open(&count_dir, cfg().buffer_frames).unwrap();
-    faults::arm_counting();
-    mutate(&mut idx).unwrap();
-    let n = faults::disarm();
-    drop(idx);
-    assert!(n > 0, "mutation made no gated I/O");
-
-    for i in 0..n {
-        let work = scratch.join(format!("fault-{i}"));
-        copy_dir(pre, &work);
-        let mut idx = NhIndex::open(&work, cfg().buffer_frames).unwrap();
-        faults::arm(i);
-        let res = mutate(&mut idx);
-        drop(idx); // Drop flush also fails: the process is "dead"
-        faults::disarm();
-        assert!(res.is_err(), "fault {i} of {n} did not surface");
-
-        let (idx, report) = NhIndex::open_with_recovery(&work, cfg().buffer_frames).unwrap();
-        assert!(report.wal_present, "fault {i}: WAL missing on reopen");
-        assert!(
-            !(report.rolled_back && report.committed),
-            "fault {i}: recovery both rolled back and committed"
-        );
-        let matrix = probe_matrix(&idx, db);
-        if idx.generation() == post_gen {
-            assert_eq!(
-                matrix, post_matrix,
-                "fault {i} of {n}: committed state differs from clean mutation"
-            );
-        } else {
-            assert_eq!(idx.generation(), pre_gen, "fault {i}: generation corrupt");
-            assert_eq!(
-                matrix, pre_matrix,
-                "fault {i} of {n}: rolled-back state differs from pre-op"
-            );
-        }
-        let integrity = idx.verify().unwrap();
-        assert!(
-            integrity.is_ok(),
-            "fault {i} of {n}: integrity errors after recovery: {:?}",
-            integrity.errors
-        );
-        std::fs::remove_dir_all(&work).unwrap();
-    }
-    n
-}
-
-#[test]
-fn torture_insert_graph() {
-    let db = sample_db();
-    let scratch = tempfile::tempdir().unwrap();
-    let pre = scratch.path().join("pre");
-    NhIndex::build_subset(&pre, &db, &cfg(), &INITIAL).unwrap();
-    let n = sweep(&db, &pre, scratch.path(), |idx| {
-        idx.insert_graph(&db, GraphId(3))
-    });
-    // sanity: insert touches WAL, pages and the manifest — many gates
-    assert!(n >= 5, "suspiciously few fault points: {n}");
-}
-
-#[test]
-fn torture_remove_graph() {
-    let db = sample_db();
-    let scratch = tempfile::tempdir().unwrap();
-    let pre = scratch.path().join("pre");
-    NhIndex::build_subset(&pre, &db, &cfg(), &INITIAL).unwrap();
-    sweep(&db, &pre, scratch.path(), |idx| {
-        idx.remove_graph(GraphId(1), db.effective_vocab_size() as u64)
-    });
-}
-
-#[test]
-fn torture_second_insert_after_first_commits() {
-    // The WAL holds at most one transaction; a crash in mutation k must
-    // not disturb mutation k-1's committed state.
-    let db = sample_db();
-    let scratch = tempfile::tempdir().unwrap();
-    let pre = scratch.path().join("pre");
-    let mut idx = NhIndex::build_subset(&pre, &db, &cfg(), &INITIAL).unwrap();
-    idx.insert_graph(&db, GraphId(3)).unwrap();
-    drop(idx);
-    sweep(&db, &pre, scratch.path(), |idx| {
-        idx.insert_graph(&db, GraphId(4))
-    });
-}
-
 #[test]
 fn bit_flip_is_refused_not_served() {
     let db = sample_db();
     let dir = tempfile::tempdir().unwrap();
-    let idx = NhIndex::build_subset(dir.path(), &db, &cfg(), &INITIAL).unwrap();
+    let idx = NhIndex::build(dir.path(), &db, &cfg()).unwrap();
     let clean = idx.verify().unwrap();
     assert!(
         clean.is_ok(),
@@ -251,254 +113,206 @@ fn bit_flip_is_refused_not_served() {
     );
 }
 
-mod mvcc_fold {
-    //! Mid-fold kill: every gated I/O of a generational fold is failed in
-    //! turn, the handle is dropped with the fault tripped, and the
-    //! reopened index must land on exactly generation G (fold never
-    //! committed) or G+1 (manifest flip landed) — with orphaned
-    //! generation directories swept and query output bit-identical either
-    //! way, because a fold changes representation, never contents.
-
-    use super::sample_db;
-    use std::path::Path;
-    use tale_graph::{Graph, GraphDb, GraphId, NodeId};
-    use tale_nhindex::{GenerationalNhIndex, IndexReader, NhIndexConfig, NodeCandidate};
-    use tale_storage::faults;
-
-    fn cfg() -> NhIndexConfig {
-        NhIndexConfig {
-            sbit: 32,
-            buffer_frames: 8,
-            parallel_build: false,
-            bloom_hashes: 1,
-            use_edge_labels: false,
-            ..NhIndexConfig::default()
+/// A generational index directory holds `mvcc.json` plus `gens/g{N}/`
+/// subtrees.
+fn copy_tree(src: &Path, dst: &Path) {
+    std::fs::create_dir_all(dst).unwrap();
+    for entry in std::fs::read_dir(src).unwrap() {
+        let entry = entry.unwrap();
+        if entry.file_type().unwrap().is_dir() {
+            copy_tree(&entry.path(), &dst.join(entry.file_name()));
+        } else {
+            std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
         }
-    }
-
-    /// Recursive variant of `copy_dir` — a generational index directory
-    /// holds `mvcc.json` plus `gens/g{N}/` subtrees.
-    fn copy_tree(src: &Path, dst: &Path) {
-        std::fs::create_dir_all(dst).unwrap();
-        for entry in std::fs::read_dir(src).unwrap() {
-            let entry = entry.unwrap();
-            if entry.file_type().unwrap().is_dir() {
-                copy_tree(&entry.path(), &dst.join(entry.file_name()));
-            } else {
-                std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-            }
-        }
-    }
-
-    /// Full probe matrix through a snapshot (base + delta concatenated,
-    /// sorted) — the query output whose bit-identity the kill asserts.
-    fn probe_matrix(idx: &GenerationalNhIndex, db: &GraphDb) -> Vec<Vec<NodeCandidate>> {
-        let snap = idx.snapshot();
-        let mut out = Vec::new();
-        for (gid, _, g) in db.iter() {
-            let label_of = |n: NodeId| db.effective_label(gid, n);
-            let sigs: Vec<_> = g
-                .nodes()
-                .map(|n| snap.base().signature(g, n, &label_of))
-                .collect();
-            let base = snap.base_reader().probe_batch(&sigs, 0.3, 1).unwrap();
-            let delta = snap.delta_reader().probe_batch(&sigs, 0.3, 1).unwrap();
-            for ((mut hits, _), (d, _)) in base.into_iter().zip(delta) {
-                hits.extend(d);
-                hits.sort_by_key(|c| c.node);
-                out.push(hits);
-            }
-        }
-        out
-    }
-
-    /// `gens/` must hold exactly the current generation's directory.
-    fn assert_gens_swept(dir: &Path, current: u64) {
-        let names: Vec<String> = std::fs::read_dir(dir.join("gens"))
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(
-            names,
-            vec![format!("g{current}")],
-            "orphaned generation directories not swept"
-        );
-    }
-
-    #[test]
-    fn torture_mid_fold_kill_lands_on_g_or_g_plus_one() {
-        let scratch = tempfile::tempdir().unwrap();
-        let pre = scratch.path().join("pre");
-
-        // Pre state: generation 0 over the five sample graphs, one
-        // unfolded insert in the delta, one tombstone — a fold with real
-        // work to do.
-        let mut db = sample_db();
-        let idx = GenerationalNhIndex::build(&pre, &db, &cfg()).unwrap();
-        let extra = {
-            let a = db.intern_node_label("A");
-            let c = db.intern_node_label("C");
-            let mut g = Graph::new_undirected();
-            let x = g.add_node(a);
-            let y = g.add_node(c);
-            let z = g.add_node(a);
-            g.add_edge(x, y).unwrap();
-            g.add_edge(y, z).unwrap();
-            db.insert("extra", g)
-        };
-        idx.insert_graph(&db, extra).unwrap();
-        idx.remove_graph(GraphId(1)).unwrap();
-        let pre_gen = idx.current_generation();
-        let pre_logical = idx.logical_generation();
-        let pre_matrix = probe_matrix(&idx, &db);
-        drop(idx);
-
-        // Reference post state: a clean fold on a copy. Its matrix must
-        // equal the pre matrix — the fold-is-representation-only oracle.
-        let post_dir = scratch.path().join("post");
-        copy_tree(&pre, &post_dir);
-        let (idx, _) = GenerationalNhIndex::open(&post_dir, &db, cfg().buffer_frames).unwrap();
-        let report = idx.fold(&db).unwrap();
-        assert_eq!(report.new_generation, pre_gen + 1);
-        assert_eq!(report.folded_inserts, 1);
-        assert_eq!(report.folded_removes, 1);
-        assert_eq!(probe_matrix(&idx, &db), pre_matrix, "fold changed answers");
-        drop(idx);
-
-        // Measure the fold's gated I/O footprint.
-        let count_dir = scratch.path().join("count");
-        copy_tree(&pre, &count_dir);
-        let (idx, _) = GenerationalNhIndex::open(&count_dir, &db, cfg().buffer_frames).unwrap();
-        faults::arm_counting();
-        idx.fold(&db).unwrap();
-        let n = faults::disarm();
-        drop(idx);
-        assert!(n > 0, "fold made no gated I/O");
-
-        for i in 0..n {
-            let work = scratch.path().join(format!("fault-{i}"));
-            copy_tree(&pre, &work);
-            let (idx, _) = GenerationalNhIndex::open(&work, &db, cfg().buffer_frames).unwrap();
-            faults::arm(i);
-            let res = idx.fold(&db);
-            drop(idx); // the process is "dead"; no GC runs
-            faults::disarm();
-            assert!(res.is_err(), "fault {i} of {n} did not surface");
-
-            let (idx, rec) = GenerationalNhIndex::open(&work, &db, cfg().buffer_frames).unwrap();
-            let landed = idx.current_generation();
-            assert!(
-                landed == pre_gen || landed == pre_gen + 1,
-                "fault {i} of {n}: landed on generation {landed}, expected {pre_gen} or {}",
-                pre_gen + 1
-            );
-            assert_eq!(
-                idx.logical_generation(),
-                pre_logical,
-                "fault {i}: a fold must never move the logical counter"
-            );
-            assert_gens_swept(&work, landed);
-            let snap = idx.snapshot();
-            if landed == pre_gen {
-                // Fold never committed: the unfinished g{N+1} was swept
-                // (if it ever hit disk) and the delta is re-derived.
-                assert!(rec.swept.iter().all(|&g| g == pre_gen + 1));
-                assert_eq!(snap.delta_graphs(), 1, "fault {i}: delta not re-derived");
-            } else {
-                assert_eq!(snap.delta_graphs(), 0, "fault {i}: delta survived a commit");
-            }
-            // The tombstone persists across the fold either way.
-            assert_eq!(snap.removed_count(), 1, "fault {i}: tombstone lost");
-            drop(snap);
-            assert_eq!(
-                probe_matrix(&idx, &db),
-                pre_matrix,
-                "fault {i} of {n}: recovered state is not bit-identical"
-            );
-            let integrity = idx.verify().unwrap();
-            assert!(
-                integrity.is_ok(),
-                "fault {i} of {n}: integrity errors after recovery: {:?}",
-                integrity.errors
-            );
-            drop(idx);
-            std::fs::remove_dir_all(&work).unwrap();
-        }
-        assert!(n >= 3, "suspiciously few fold fault points: {n}");
     }
 }
 
-use proptest::prelude::*;
-
-proptest! {
-    // Each case builds and crash-recovers several indexes, so keep the
-    // case count modest; the deterministic sweeps above cover every fault
-    // point exhaustively, this adds interleaving coverage.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Randomized interleavings: shuffle insert/remove operations, crash
-    /// one of them at a random fault point, and check the recovered index
-    /// equals a clean from-scratch replay of exactly the committed prefix.
-    #[test]
-    fn random_interleavings_recover_to_a_clean_replay(
-        order_seed in any::<u64>(),
-        crash_at in 0usize..4,
-        fault_seed in any::<u64>(),
-    ) {
-        // Fisher–Yates over the four ops, driven by the generated seed.
-        let mut order = [0usize, 1, 2, 3];
-        let mut s = order_seed | 1;
-        for i in (1..order.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            order.swap(i, (s >> 33) as usize % (i + 1));
+/// Full probe matrix through a snapshot (base + delta concatenated,
+/// sorted) — the query output whose bit-identity the kills assert.
+fn probe_matrix(idx: &GenerationalNhIndex, db: &GraphDb) -> Vec<Vec<NodeCandidate>> {
+    let snap = idx.snapshot();
+    let mut out = Vec::new();
+    for (gid, _, g) in db.iter() {
+        let label_of = |n: NodeId| db.effective_label(gid, n);
+        let sigs: Vec<_> = g
+            .nodes()
+            .map(|n| snap.base().signature(g, n, &label_of))
+            .collect();
+        let base = snap.base_reader().probe_batch(&sigs, 0.3, 1).unwrap();
+        let delta = snap.delta_reader().probe_batch(&sigs, 0.3, 1).unwrap();
+        for ((mut hits, _), (d, _)) in base.into_iter().zip(delta) {
+            hits.extend(d);
+            hits.sort_by_key(|c| c.node);
+            out.push(hits);
         }
-        let db = sample_db();
-        let apply = |idx: &mut NhIndex, op: usize| match op {
-            0 => idx.insert_graph(&db, GraphId(3)),
-            1 => idx.insert_graph(&db, GraphId(4)),
-            2 => idx.remove_graph(GraphId(0), db.effective_vocab_size() as u64),
-            _ => idx.remove_graph(GraphId(1), db.effective_vocab_size() as u64),
-        };
-        let scratch = tempfile::tempdir().unwrap();
-
-        // work index: clean ops before the crash point
-        let work: PathBuf = scratch.path().join("work");
-        let mut idx = NhIndex::build_subset(&work, &db, &cfg(), &INITIAL).unwrap();
-        for &op in &order[..crash_at] {
-            apply(&mut idx, op).unwrap();
-        }
-        drop(idx);
-
-        // measure the crashing op's fault points on a throwaway copy
-        let count_dir = scratch.path().join("count");
-        copy_dir(&work, &count_dir);
-        let mut idx = NhIndex::open(&count_dir, cfg().buffer_frames).unwrap();
-        faults::arm_counting();
-        apply(&mut idx, order[crash_at]).unwrap();
-        let n = faults::disarm();
-        drop(idx);
-        prop_assert!(n > 0);
-
-        // crash the real one
-        let mut idx = NhIndex::open(&work, cfg().buffer_frames).unwrap();
-        faults::arm(fault_seed % n);
-        let res = apply(&mut idx, order[crash_at]);
-        drop(idx);
-        faults::disarm();
-        prop_assert!(res.is_err());
-
-        let (idx, _) = NhIndex::open_with_recovery(&work, cfg().buffer_frames).unwrap();
-        let committed = idx.generation() as usize;
-        prop_assert!(committed == crash_at || committed == crash_at + 1);
-
-        // clean replay of exactly the committed prefix
-        let replay_dir = scratch.path().join("replay");
-        let mut replay = NhIndex::build_subset(&replay_dir, &db, &cfg(), &INITIAL).unwrap();
-        for &op in &order[..committed] {
-            apply(&mut replay, op).unwrap();
-        }
-        prop_assert_eq!(probe_matrix(&idx, &db), probe_matrix(&replay, &db));
-        let integrity = idx.verify().unwrap();
-        prop_assert!(integrity.is_ok(), "integrity: {:?}", integrity.errors);
     }
+    out
+}
+
+/// `gens/` must hold exactly the current generation's directory, and no
+/// mutation may ever leave a write-ahead log behind.
+fn assert_gens_swept(dir: &Path, current: u64) {
+    let names: Vec<String> = std::fs::read_dir(dir.join("gens"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(
+        names,
+        vec![format!("g{current}")],
+        "orphaned generation directories not swept"
+    );
+    for d in [dir.to_owned(), dir.join("gens").join(format!("g{current}"))] {
+        assert!(
+            !d.join(tale_nhindex::LEGACY_WAL_FILE).exists(),
+            "a WAL appeared in {d:?}"
+        );
+    }
+}
+
+fn ids(members: &[u32]) -> Vec<GraphId> {
+    members.iter().map(|&g| GraphId(g)).collect()
+}
+
+fn open(dir: &Path, db: &GraphDb, members: &[u32]) -> GenerationalNhIndex {
+    GenerationalNhIndex::open_members(dir, db, &ids(members), &cfg(), None)
+        .unwrap()
+        .0
+}
+
+/// Mid-fold kill: every gated I/O of a generational fold is failed in
+/// turn, the handle is dropped with the fault tripped, and the reopened
+/// index must land on exactly generation G (fold never committed) or G+1
+/// (manifest flip landed) — with orphaned generation directories swept
+/// and query output bit-identical either way, because a fold changes
+/// representation, never contents. `members` are the graphs of
+/// `sample_db` the index covers: all five for the single-index layout, a
+/// subset for one shard of the sharded layout (the others belong to
+/// sibling shards and must stay invisible throughout).
+fn mid_fold_kill(members: &[u32]) {
+    let scratch = tempfile::tempdir().unwrap();
+    let pre = scratch.path().join("pre");
+
+    // Pre state: generation 0 over the members, one unfolded insert in
+    // the delta, one tombstone — a fold with real work to do.
+    let mut db = sample_db();
+    let idx = GenerationalNhIndex::build_members(&pre, &db, &ids(members), &cfg(), None).unwrap();
+    let extra = {
+        let a = db.intern_node_label("A");
+        let c = db.intern_node_label("C");
+        let mut g = Graph::new_undirected();
+        let x = g.add_node(a);
+        let y = g.add_node(c);
+        let z = g.add_node(a);
+        g.add_edge(x, y).unwrap();
+        g.add_edge(y, z).unwrap();
+        db.insert("extra", g)
+    };
+    idx.insert_graph(&db, extra).unwrap();
+    idx.remove_graph(GraphId(members[1])).unwrap();
+    let mut members = members.to_vec();
+    members.push(extra.0);
+    let pre_gen = idx.current_generation();
+    let pre_logical = idx.logical_generation();
+    let pre_matrix = probe_matrix(&idx, &db);
+    drop(idx);
+
+    // The pre state answers exactly like a plain index over the live
+    // members — nothing of a sibling shard's graphs leaks in.
+    let live: Vec<GraphId> = ids(&members)
+        .into_iter()
+        .filter(|g| g.0 != members[1])
+        .collect();
+    let oracle_dir = scratch.path().join("oracle");
+    let oracle = NhIndex::build_subset(&oracle_dir, &db, &cfg(), &live).unwrap();
+    for (row, hits) in pre_matrix.iter().enumerate() {
+        assert!(
+            hits.iter().all(|c| live.contains(&GraphId(c.node.graph))),
+            "row {row} answers with a non-member or removed graph"
+        );
+    }
+    let (gid, _, g) = db.iter().next().unwrap();
+    let sig = oracle.signature(g, NodeId(0), &|n| db.effective_label(gid, n));
+    let mut want = oracle.probe(&sig, 0.3).unwrap();
+    want.sort_by_key(|c| c.node);
+    assert_eq!(pre_matrix[0], want);
+
+    // Reference post state: a clean fold on a copy. Its matrix must
+    // equal the pre matrix — the fold-is-representation-only oracle.
+    let post_dir = scratch.path().join("post");
+    copy_tree(&pre, &post_dir);
+    let idx = open(&post_dir, &db, &members);
+    let report = idx.fold(&db).unwrap();
+    assert_eq!(report.new_generation, pre_gen + 1);
+    assert_eq!(report.folded_inserts, 1);
+    assert_eq!(report.folded_removes, 1);
+    assert_eq!(probe_matrix(&idx, &db), pre_matrix, "fold changed answers");
+    drop(idx);
+
+    // Measure the fold's gated I/O footprint.
+    let count_dir = scratch.path().join("count");
+    copy_tree(&pre, &count_dir);
+    let idx = open(&count_dir, &db, &members);
+    faults::arm_counting();
+    idx.fold(&db).unwrap();
+    let n = faults::disarm();
+    drop(idx);
+    assert!(n >= 3, "suspiciously few fold fault points: {n}");
+
+    for i in 0..n {
+        let work = scratch.path().join(format!("fault-{i}"));
+        copy_tree(&pre, &work);
+        let idx = open(&work, &db, &members);
+        faults::arm(i);
+        let res = idx.fold(&db);
+        drop(idx); // the process is "dead"; no GC runs
+        faults::disarm();
+        assert!(res.is_err(), "fault {i} of {n} did not surface");
+
+        let (idx, rec) =
+            GenerationalNhIndex::open_members(&work, &db, &ids(&members), &cfg(), None).unwrap();
+        let landed = idx.current_generation();
+        assert!(
+            landed == pre_gen || landed == pre_gen + 1,
+            "fault {i} of {n}: landed on generation {landed}, expected {pre_gen} or {}",
+            pre_gen + 1
+        );
+        assert_eq!(
+            idx.logical_generation(),
+            pre_logical,
+            "fault {i}: a fold must never move the logical counter"
+        );
+        assert_gens_swept(&work, landed);
+        let snap = idx.snapshot();
+        if landed == pre_gen {
+            // Fold never committed: the unfinished g{N+1} was swept
+            // (if it ever hit disk) and the delta is re-derived.
+            assert!(rec.swept.iter().all(|&g| g == pre_gen + 1));
+            assert_eq!(snap.delta_graphs(), 1, "fault {i}: delta not re-derived");
+        } else {
+            assert_eq!(snap.delta_graphs(), 0, "fault {i}: delta survived a commit");
+        }
+        // The tombstone persists across the fold either way.
+        assert_eq!(snap.removed_count(), 1, "fault {i}: tombstone lost");
+        drop(snap);
+        assert_eq!(
+            probe_matrix(&idx, &db),
+            pre_matrix,
+            "fault {i} of {n}: recovered state is not bit-identical"
+        );
+        let integrity = idx.verify().unwrap();
+        assert!(
+            integrity.is_ok(),
+            "fault {i} of {n}: integrity errors after recovery: {:?}",
+            integrity.errors
+        );
+        drop(idx);
+        std::fs::remove_dir_all(&work).unwrap();
+    }
+}
+
+#[test]
+fn torture_mid_fold_kill_lands_on_g_or_g_plus_one() {
+    mid_fold_kill(&[0, 1, 2, 3, 4]);
+    // one shard's slice: graphs 1 and 4 live in a sibling shard
+    mid_fold_kill(&[0, 2, 3]);
 }

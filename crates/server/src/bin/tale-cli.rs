@@ -43,7 +43,8 @@ use tale::{
 use tale_graph::labels::NodeLabel;
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
 use tale_nhindex::{
-    IndexReader, IndexStatistics, NeighborArrayScheme, NodeCandidate, ProbeStats, QuerySignature,
+    GenerationalNhIndex, IndexReader, IndexStatistics, NeighborArrayScheme, NodeCandidate,
+    ProbeStats, QuerySignature,
 };
 use tale_server::wire;
 use tale_shard::{policy_by_name, ShardManifest, ShardedTaleDatabase};
@@ -112,16 +113,18 @@ stats:    print per-stage engine statistics (probe traffic, pool fetch
           --format json, wraps the output as
           {\"matches\": [...], \"stats\": {...}, \"shards\": [...]}
           (the stats subcommand prints index statistics instead:
-          vocabulary skew, posting-size percentiles, staleness; --json
-          dumps the full per-shard statistics)
+          vocabulary skew, posting-size percentiles; --json dumps the
+          full per-unit statistics)
 no-cache: bypass the query-result cache for this run
 pool-pages: buffer-pool frames per index page file (8 KiB each); small
           values exercise the larger-than-RAM read path. Results are
           identical at every setting — only latency changes.
 generations: show the generational index's on-disk generations, pinned
-          readers, unfolded delta size and tombstone count
+          readers, unfolded delta size and tombstone count — per shard
+          on a sharded layout
 fold:     build the in-memory delta + tombstones into a fresh on-disk
-          generation and atomically flip to it (readers never block)
+          generation and atomically flip to it (readers never block);
+          every shard of a sharded layout folds in turn
 server-stats: fetch a running tale-server's counters (worker or
           frontend) over the wire and pretty-print them; --json dumps
           the raw snapshot
@@ -157,30 +160,6 @@ impl std::ops::Deref for DbRef<'_> {
     }
 }
 
-/// Probes each reader with one signature and merges (hits are disjoint
-/// across readers; counters sum).
-fn probe_readers(
-    readers: &[&dyn IndexReader],
-    sig: &QuerySignature,
-    rho: f64,
-) -> Result<(Vec<NodeCandidate>, ProbeStats), String> {
-    let mut hits = Vec::new();
-    let mut total = ProbeStats::default();
-    for r in readers {
-        let mut res = r
-            .probe_batch(std::slice::from_ref(sig), rho, 1)
-            .map_err(|e| e.to_string())?;
-        let (h, st) = res.remove(0);
-        hits.extend(h);
-        total.keys_scanned += st.keys_scanned;
-        total.postings_fetched += st.postings_fetched;
-        total.postings_filtered += st.postings_filtered;
-        total.rows_examined += st.rows_examined;
-        total.rows_returned += st.rows_returned;
-    }
-    Ok((hits, total))
-}
-
 impl AnyDb {
     fn open(dir: &Path, buffer_frames: usize) -> Result<Self, String> {
         if ShardManifest::exists(dir) {
@@ -202,33 +181,21 @@ impl AnyDb {
     }
 
     fn index_size_bytes(&self) -> u64 {
-        match self {
-            AnyDb::Single(t) => t.index_size_bytes(),
-            AnyDb::Sharded(t) => t.index_size_bytes(),
-        }
+        self.indexes().iter().map(|(_, i)| i.size_bytes()).sum()
     }
 
     fn key_count(&self) -> u64 {
-        match self {
-            AnyDb::Single(t) => t.index().key_count(),
-            AnyDb::Sharded(t) => t.index().key_count(),
-        }
+        self.indexes().iter().map(|(_, i)| i.key_count()).sum()
     }
 
     fn node_count(&self) -> u64 {
-        match self {
-            AnyDb::Single(t) => t.index().node_count(),
-            AnyDb::Sharded(t) => t.index().node_count(),
-        }
+        self.indexes().iter().map(|(_, i)| i.node_count()).sum()
     }
 
+    /// The neighbor-array scheme: all indexes of one database share it
+    /// (derived from the full vocabulary at build time, kept by folds).
     fn scheme(&self) -> NeighborArrayScheme {
-        match self {
-            AnyDb::Single(t) => t.index().scheme(),
-            // all shards share one scheme (derived from the full
-            // database vocabulary at build time)
-            AnyDb::Sharded(t) => t.index().shards()[0].scheme(),
-        }
+        self.indexes()[0].1.scheme()
     }
 
     fn signature(
@@ -237,38 +204,31 @@ impl AnyDb {
         node: NodeId,
         label_of: &dyn Fn(NodeId) -> u32,
     ) -> QuerySignature {
-        match self {
-            AnyDb::Single(t) => t.index().signature(g, node, label_of),
-            AnyDb::Sharded(t) => t.index().shards()[0].signature(g, node, label_of),
-        }
+        self.indexes()[0].1.signature(g, node, label_of)
     }
 
-    /// Probes every reader and merges. For the generational database the
-    /// readers are a pinned snapshot's base generation plus its delta
-    /// overlay; for the sharded one, every shard. Hits are disjoint
-    /// across readers; counters sum.
+    /// Probes every index with one signature and merges (each answers
+    /// from its base generation plus its delta overlay). Hits are
+    /// disjoint across indexes; counters sum.
     fn probe_with_stats(
         &self,
         sig: &QuerySignature,
         rho: f64,
     ) -> Result<(Vec<NodeCandidate>, ProbeStats), String> {
-        match self {
-            AnyDb::Single(t) => {
-                let snap = t.index().snapshot();
-                let base = snap.base_reader();
-                let delta = snap.delta_reader();
-                probe_readers(&[&base, &delta], sig, rho)
-            }
-            AnyDb::Sharded(t) => {
-                let readers: Vec<&dyn IndexReader> = t
-                    .index()
-                    .shards()
-                    .iter()
-                    .map(|s| s as &dyn IndexReader)
-                    .collect();
-                probe_readers(&readers, sig, rho)
-            }
+        let mut hits = Vec::new();
+        let mut total = ProbeStats::default();
+        for (_, index) in self.indexes() {
+            let mut res = IndexReader::probe_batch(index, std::slice::from_ref(sig), rho, 1)
+                .map_err(|e| e.to_string())?;
+            let (h, st) = res.remove(0);
+            hits.extend(h);
+            total.keys_scanned += st.keys_scanned;
+            total.postings_fetched += st.postings_fetched;
+            total.postings_filtered += st.postings_filtered;
+            total.rows_examined += st.rows_examined;
+            total.rows_returned += st.rows_returned;
         }
+        Ok((hits, total))
     }
 
     /// The cost-based plan report for one query, without executing it.
@@ -279,30 +239,54 @@ impl AnyDb {
         }
     }
 
-    /// Live per-unit index statistics: one entry per shard for the
-    /// sharded layout; the pinned base generation plus the delta overlay
-    /// for the generational one. `None` marks a unit whose index predates
-    /// the statistics file (the planner falls back to fixed behavior
-    /// there).
-    fn statistics_units(&self) -> Vec<(String, Option<Arc<IndexStatistics>>)> {
+    /// The generational indexes behind this handle with their display
+    /// names: `index` for the single layout, `shard N` per shard.
+    fn indexes(&self) -> Vec<(String, &GenerationalNhIndex)> {
         match self {
-            AnyDb::Single(t) => {
-                let snap = t.index().snapshot();
-                vec![
-                    (
-                        format!("g{}", t.index().current_generation()),
-                        snap.base_reader().statistics(),
-                    ),
-                    ("delta".to_owned(), snap.delta_reader().statistics()),
-                ]
-            }
+            AnyDb::Single(t) => vec![("index".to_owned(), t.index())],
             AnyDb::Sharded(t) => t
                 .index()
                 .shards()
                 .iter()
                 .enumerate()
-                .map(|(s, idx)| (format!("shard {s}"), idx.statistics()))
+                .map(|(s, idx)| (format!("shard {s}"), idx))
                 .collect(),
+        }
+    }
+
+    /// Live per-unit index statistics: each index's pinned base
+    /// generation, plus its delta overlay when that holds anything.
+    /// `None` marks a unit whose index predates the statistics file (the
+    /// planner falls back to fixed behavior there).
+    fn statistics_units(&self) -> Vec<(String, Option<Arc<IndexStatistics>>)> {
+        let mut units = Vec::new();
+        for (name, index) in self.indexes() {
+            let snap = index.snapshot();
+            units.push((
+                format!("{name} g{}", snap.base_generation()),
+                snap.base_reader().statistics(),
+            ));
+            if snap.delta_graphs() > 0 {
+                units.push((format!("{name} delta"), snap.delta_reader().statistics()));
+            }
+        }
+        units
+    }
+
+    /// Folds every index; one `(name, report)` row each.
+    fn fold(&mut self) -> Result<Vec<(String, tale_nhindex::FoldReport)>, String> {
+        match self {
+            AnyDb::Single(t) => Ok(vec![(
+                "index".to_owned(),
+                t.fold().map_err(|e| e.to_string())?,
+            )]),
+            AnyDb::Sharded(t) => Ok(t
+                .fold()
+                .map_err(|e| e.to_string())?
+                .into_iter()
+                .enumerate()
+                .map(|(s, r)| (format!("shard {s}"), r))
+                .collect()),
         }
     }
 
@@ -639,16 +623,15 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             "Bloom"
         }
     );
-    // Per-unit planner statistics (nh.stats.json): vocabulary skew,
-    // posting-row percentiles, and staleness (inserts merged since the
-    // last exact rebuild). A `-` row means that unit predates the
+    // Per-unit planner statistics (nh.stats.json): vocabulary skew and
+    // posting-row percentiles. A `-` row means that unit predates the
     // statistics file; the planner treats it as unplannable.
     println!("planner statistics:");
-    println!("  unit      graphs   nodes  labels  skew   post p50/p90/p99  maxdeg  stale");
+    println!("  unit           graphs   nodes  labels  skew   post p50/p90/p99  maxdeg");
     for (name, st) in &units {
         match st.as_deref() {
             Some(st) => println!(
-                "  {:<8} {:>7} {:>7}  {:>6}  {:>4.2}  {:>6}/{:>3}/{:>3}  {:>6}  {:>5}",
+                "  {:<13} {:>7} {:>7}  {:>6}  {:>4.2}  {:>6}/{:>3}/{:>3}  {:>6}",
                 name,
                 st.graph_count,
                 st.node_count,
@@ -657,12 +640,9 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
                 st.posting_rows.p50,
                 st.posting_rows.p90,
                 st.posting_rows.p99,
-                st.max_degree,
-                st.stale_inserts
+                st.max_degree
             ),
-            None => println!(
-                "  {name:<8}       -       -       -     -        -/  -/  -       -      -"
-            ),
+            None => println!("  {name:<13}       -       -       -     -        -/  -/  -       -"),
         }
     }
     for (id, name, g) in tale.db().iter() {
@@ -989,9 +969,11 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 }
 
 /// Explicit crash recovery: opens the directory, repairing any mutation a
-/// crash cut short (WAL rollback, `graphs.json` restore, manifest
-/// roll-forward), and reports what was done. Opening with any other
-/// subcommand performs the same repairs silently; this one shows them.
+/// crash cut short, and reports what was done — the one story both
+/// layouts share: a journaled insert committed or was rolled back whole,
+/// and the generation directories of unfinished folds were swept.
+/// Opening with any other subcommand performs the same repairs silently;
+/// this one shows them.
 fn cmd_recover(args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_args(args)?;
     let [dir] = pos.as_slice() else {
@@ -999,60 +981,36 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
     let dir = Path::new(dir);
-    let print_report = |who: &str, r: &tale_nhindex::RecoveryReport| {
-        if !r.wal_present {
-            println!("{who}: clean (no WAL tail)");
-        } else if r.rolled_back {
-            println!(
-                "{who}: rolled back in-flight mutation ({} pages restored, {} bytes truncated)",
-                r.pages_restored, r.bytes_truncated
-            );
-        } else if r.committed {
-            println!("{who}: last mutation had committed; WAL tail discarded");
-        } else {
-            println!("{who}: empty WAL tail discarded");
-        }
-    };
-    if ShardManifest::exists(dir) {
-        let (_, rec) =
-            ShardedTaleDatabase::open_with_recovery(dir, pool_pages).map_err(|e| e.to_string())?;
-        if rec.journal_present {
-            println!("mutation journal: present");
-            if rec.db_rolled_back {
-                println!("  graphs.json restored from pre-mutation backup");
-            }
-            if rec.manifest_rolled_forward {
-                println!("  shards.json rolled forward to the committed insert");
-            }
-        } else {
-            println!("mutation journal: none");
-        }
-        for (s, r) in rec.shards.iter().enumerate() {
-            print_report(&format!("shard {s}"), r);
-        }
+    let sharded = ShardManifest::exists(dir);
+    let rec = if sharded {
+        ShardedTaleDatabase::open_with_recovery(dir, pool_pages).map(|(_, r)| r)
     } else {
-        let (_, rec) =
-            TaleDatabase::open_with_recovery(dir, pool_pages).map_err(|e| e.to_string())?;
-        println!(
-            "mutation journal: {}{}",
-            if rec.journal_present {
-                "present"
-            } else {
-                "none"
-            },
-            if rec.db_rolled_back {
-                " (graphs.json restored from pre-mutation backup)"
-            } else {
-                ""
-            }
-        );
-        print_report("index", &rec.index);
+        TaleDatabase::open_with_recovery(dir, pool_pages)
+            .map(|(_, r)| r)
+            .map_err(tale_shard::ShardError::from)
+    }
+    .map_err(|e| e.to_string())?;
+    println!(
+        "mutation journal: {}",
+        match (rec.journal_present, rec.db_rolled_back) {
+            (false, _) => "none",
+            (true, true) => "present — insert rolled back (graphs.json restored)",
+            (true, false) => "present — insert had committed; marker cleared",
+        }
+    );
+    for (i, n) in rec.generations_swept.iter().enumerate() {
+        let who = if sharded {
+            format!("shard {i}")
+        } else {
+            "index".to_owned()
+        };
+        println!("{who}: {n} orphaned generation(s) swept");
     }
     println!("recovered; the directory is safe to serve");
     Ok(())
 }
 
-/// Shows the generational index's MVCC state: on-disk generations with
+/// Shows each generational index's MVCC state: on-disk generations with
 /// their reader pin counts, the logical mutation counter, the unfolded
 /// delta size and the tombstone set.
 fn cmd_generations(args: &[String]) -> Result<(), String> {
@@ -1062,60 +1020,56 @@ fn cmd_generations(args: &[String]) -> Result<(), String> {
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
     let tale = AnyDb::open(Path::new(dir), pool_pages)?;
-    let AnyDb::Single(t) = &tale else {
-        return Err("a sharded database mutates its shards in place and has no \
-                    generational index; see `stats` for per-shard state"
-            .into());
-    };
-    let index = t.index();
-    let snap = index.snapshot();
-    println!("logical mutations : {}", index.logical_generation());
-    println!("current generation: g{}", index.current_generation());
-    println!(
-        "delta overlay     : {} unfolded insert(s)",
-        snap.delta_graphs()
-    );
-    println!(
-        "tombstones        : {} removed graph(s)",
-        snap.removed_count()
-    );
-    println!("on-disk generations:");
-    for g in index.generations() {
+    let mut pending = false;
+    for (name, index) in tale.indexes() {
+        let snap = index.snapshot();
+        println!("{name}:");
+        println!("  logical mutations : {}", index.logical_generation());
+        println!("  current generation: g{}", index.current_generation());
         println!(
-            "  g{:<4} pins {:>3}{}",
-            g.number,
-            g.pins,
-            if g.current { "  (current)" } else { "" }
+            "  delta overlay     : {} unfolded insert(s)",
+            snap.delta_graphs()
         );
+        println!(
+            "  tombstones        : {} removed graph(s)",
+            snap.removed_count()
+        );
+        println!("  on-disk generations:");
+        for g in index.generations() {
+            println!(
+                "    g{:<4} pins {:>3}{}",
+                g.number,
+                g.pins,
+                if g.current { "  (current)" } else { "" }
+            );
+        }
+        pending |= snap.delta_graphs() > 0 || snap.removed_count() > 0;
     }
-    if snap.delta_graphs() > 0 || snap.removed_count() > 0 {
+    if pending {
         println!("run `tale-cli fold` to build these into a fresh generation");
     }
     Ok(())
 }
 
 /// Folds the in-memory delta and tombstone set into a new on-disk
-/// generation and atomically flips to it. Concurrent readers keep their
-/// pinned generation; the old one is deleted when its last pin drops.
+/// generation and atomically flips to it — every shard in turn on a
+/// sharded layout. Concurrent readers keep their pinned generation; the
+/// old one is deleted when its last pin drops.
 fn cmd_fold(args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_args(args)?;
     let [dir] = pos.as_slice() else {
         return Err(format!("fold needs <index-dir>\n{USAGE}"));
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
-    let tale = AnyDb::open(Path::new(dir), pool_pages)?;
-    let AnyDb::Single(t) = &tale else {
-        return Err("fold applies to the generational single-index layout only".into());
-    };
+    let mut tale = AnyDb::open(Path::new(dir), pool_pages)?;
     let start = std::time::Instant::now();
-    let report = t.fold().map_err(|e| e.to_string())?;
-    println!(
-        "folded {} insert(s) and {} removal(s) into g{} in {:.2}s",
-        report.folded_inserts,
-        report.folded_removes,
-        report.new_generation,
-        start.elapsed().as_secs_f64()
-    );
+    for (name, report) in tale.fold()? {
+        println!(
+            "{name}: folded {} insert(s) and {} removal(s) into g{}",
+            report.folded_inserts, report.folded_removes, report.new_generation
+        );
+    }
+    println!("done in {:.2}s", start.elapsed().as_secs_f64());
     Ok(())
 }
 

@@ -4,21 +4,19 @@
 //! A worker process owns exactly one shard of a database built by
 //! `ShardedTaleDatabase::build` (or `tale-cli build --shards N`): the
 //! shared `graphs.json` + `shards.json` at the root, and its own
-//! `shard-NNN/` NH-Index directory. Queries run the *complete* engine
-//! pipeline via `exec::run_batch` with a single reader — the N=1 case of
-//! the scatter/gather the in-process sharded database uses — so each
-//! worker's partials are ranked exactly as a local run would rank that
-//! shard's contribution. The frontend's re-rank of concatenated partials
-//! is then bit-identical to local execution (see `exec::rank_matches`).
+//! `shard-NNN/` generational NH-Index directory. Queries pin one MVCC
+//! snapshot and run the *complete* engine pipeline via `exec::run_batch`
+//! over its base and delta readers — the N=1 case of the scatter/gather
+//! the in-process sharded database uses — so each worker's partials are
+//! ranked exactly as a local run would rank that shard's contribution.
+//! The frontend's re-rank of concatenated partials is then bit-identical
+//! to local execution (see `exec::rank_matches`).
 //!
-//! Mutations are served at the worker level with the same journaling
-//! discipline as [`tale_shard::ShardedTaleDatabase::insert_graph`]:
-//! journal → `graphs.json` → WAL-protected index commit → manifest →
-//! journal clear. A `fold` rebuilds the shard's postings from its live
-//! graphs ([`tale_nhindex::NhIndex::build_subset`] into a temp dir +
-//! atomic rename swap) and re-applies the tombstone *markers* — dead
-//! graphs still hold ids in the shared database, so the markers persist
-//! while their postings are reclaimed, matching the MVCC fold semantics.
+//! Mutations are the shard crate's, not a copy of them: an insert is
+//! [`tale_shard::commit_insert`] (journal → `graphs.json` → `shards.json`
+//! → the shard's manifest flip), a remove is a tombstone in the shard's
+//! manifest, and a fold is the shard's generational fold — crash-safe at
+//! every I/O, with cache invalidation by epoch.
 
 use crate::wire::{
     ExplainRequest, FoldRequest, InsertRequest, QueryBatchRequest, RemoveRequest, WireExecStats,
@@ -29,10 +27,9 @@ use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
 use tale::engine::cache::{ResultCache, DEFAULT_CACHE_ENTRIES};
 use tale::engine::exec;
-use tale::journal::{MutationJournal, PendingMutation};
 use tale::BatchStats;
 use tale_graph::{Graph, GraphDb, GraphId};
-use tale_nhindex::{IndexReader, NhIndex, NhIndexConfig};
+use tale_nhindex::{GenerationalNhIndex, NhIndexConfig, Snapshot};
 use tale_shard::{vocab_fingerprint, ShardManifest};
 
 const DB_FILE: &str = "graphs.json";
@@ -60,26 +57,28 @@ impl Default for EngineConfig {
 
 struct EngineState {
     db: GraphDb,
-    index: NhIndex,
+    index: GenerationalNhIndex,
     manifest: ShardManifest,
 }
 
-/// One shard's database + index + result cache, behind an RwLock so
+/// One shard's database + index + result caches, behind an RwLock so
 /// concurrent connection handlers can query in parallel while mutations
 /// serialize.
 pub struct ShardEngine {
     root: PathBuf,
     shard: u32,
-    cfg: EngineConfig,
     state: RwLock<EngineState>,
-    cache: ResultCache,
+    /// `[base, delta]` caches of the shard's snapshot readers.
+    caches: [ResultCache; 2],
 }
 
 impl ShardEngine {
     /// Opens shard `shard` of the sharded database rooted at `root`
-    /// (the directory holding `graphs.json` and `shards.json`), running
-    /// the shard's own WAL recovery if needed.
+    /// (the directory holding `graphs.json` and `shards.json`), repairing
+    /// an insert a crash cut short first (a clean directory is left
+    /// untouched).
     pub fn open(root: &Path, shard: u32, cfg: EngineConfig) -> Result<ShardEngine> {
+        tale_shard::recover_root(root)?;
         let manifest = ShardManifest::load(root)?;
         if shard >= manifest.shard_count {
             return Err(ServerError::BadRequest(format!(
@@ -98,24 +97,25 @@ impl ShardEngine {
                 )));
             }
         }
-        let shard_dir = ShardManifest::shard_dir(root, shard);
-        let (index, _recovery) = NhIndex::open_with_recovery_io(
-            &shard_dir,
-            cfg.buffer_frames,
-            cfg.io_workers,
-            cfg.prefetch_pages,
-        )
-        .map_err(|source| tale_shard::ShardError::Shard { shard, source })?;
+        let config = NhIndexConfig {
+            buffer_frames: cfg.buffer_frames,
+            io_workers: cfg.io_workers,
+            prefetch_pages: cfg.prefetch_pages,
+            ..NhIndexConfig::default()
+        };
+        let (index, _swept) = tale_shard::open_shard(root, &manifest, &db, shard, &config, None)?;
         Ok(ShardEngine {
             root: root.to_owned(),
             shard,
-            cfg,
             state: RwLock::new(EngineState {
                 db,
                 index,
                 manifest,
             }),
-            cache: ResultCache::new(DEFAULT_CACHE_ENTRIES),
+            caches: [
+                ResultCache::new(DEFAULT_CACHE_ENTRIES),
+                ResultCache::new(DEFAULT_CACHE_ENTRIES),
+            ],
         })
     }
 
@@ -139,6 +139,17 @@ impl ShardEngine {
         vocab_fingerprint(&self.state.read().db)
     }
 
+    /// The shard's generational state, for operators and tests: current
+    /// on-disk generation, unfolded delta graphs, tombstones.
+    pub fn generation_state(&self) -> (u64, u32, usize) {
+        let snap = self.state.read().index.snapshot();
+        (
+            snap.base_generation(),
+            snap.delta_graphs(),
+            snap.removed_count(),
+        )
+    }
+
     /// Runs a wire batch through the full engine pipeline on this one
     /// shard and returns ranked, top-K-truncated partials.
     pub fn query_batch(
@@ -153,15 +164,16 @@ impl ShardEngine {
             .map(|w| w.to_query_graph(&st.db))
             .collect::<Result<_>>()?;
         let query_refs: Vec<&Graph> = queries.iter().collect();
-        let readers: [&dyn IndexReader; 1] = [&st.index];
-        let caches = [&self.cache];
-        let (outputs, batch) = exec::run_batch(
-            &st.db,
-            &readers,
-            opts.use_cache.then_some(&caches[..]),
-            &query_refs,
-            &opts,
-        )
+        let caches: Vec<&ResultCache> = self.caches.iter().collect();
+        let (outputs, batch) = Snapshot::with_readers(&[st.index.snapshot()], |readers| {
+            exec::run_batch(
+                &st.db,
+                readers,
+                opts.use_cache.then_some(&caches[..]),
+                &query_refs,
+                &opts,
+            )
+        })
         .map_err(tale_shard::ShardError::from)?;
         let stats = exec_stats_of(&batch);
         let results = outputs
@@ -178,13 +190,13 @@ impl ShardEngine {
         let opts = req.options.to_options()?;
         let st = self.state.read();
         let query = req.query.to_query_graph(&st.db)?;
-        let readers: [&dyn IndexReader; 1] = [&st.index];
-        Ok(tale::engine::plan::plan_report(&st.db, &readers, &query, &opts).render())
+        Ok(Snapshot::with_readers(&[st.index.snapshot()], |readers| {
+            tale::engine::plan::plan_report(&st.db, readers, &query, &opts).render()
+        }))
     }
 
-    /// Inserts a graph into this shard, journaled exactly like the
-    /// in-process sharded database: stage → `graphs.json` → WAL-protected
-    /// index commit → manifest rewrite → clear. Returns the new id.
+    /// Inserts a graph into this shard's delta overlay through the shard
+    /// crate's journaled sequence. Returns the new id.
     ///
     /// Only meaningful while this worker is the sole writer of the
     /// database root (the frontend enforces this by refusing to forward
@@ -194,32 +206,14 @@ impl ShardEngine {
         let st = &mut *st;
         let g = req.graph.to_inserted_graph(&mut st.db)?;
         let gid = st.db.insert(req.name.clone(), g);
-        if gid.idx() != st.manifest.assignment.len() {
-            return Err(ServerError::BadRequest(format!(
-                "insert of graph {} but manifest maps {} graphs",
-                gid.0,
-                st.manifest.assignment.len()
-            )));
-        }
-        let journal = MutationJournal::new(&self.root);
-        let stage = |st: &mut EngineState| -> tale_shard::Result<()> {
-            journal.stage(
-                &self.root.join(DB_FILE),
-                PendingMutation {
-                    pre_generation: st.index.generation(),
-                    shard: Some(self.shard),
-                },
-            )?;
-            tale_graph::io::save_json(&st.db, &self.root.join(DB_FILE))?;
-            st.index.insert_graph(&st.db, gid)?;
-            st.manifest.assignment.push(self.shard);
-            let fp = vocab_fingerprint(&st.db);
-            st.manifest.vocab_fingerprints = vec![fp; st.manifest.shard_count as usize];
-            st.manifest.save(&self.root)?;
-            journal.clear()?;
-            Ok(())
-        };
-        stage(st)?;
+        tale_shard::commit_insert(
+            &self.root,
+            &st.db,
+            &mut st.manifest,
+            &st.index,
+            self.shard,
+            gid,
+        )?;
         Ok(gid)
     }
 
@@ -227,8 +221,7 @@ impl ShardEngine {
     /// `Err` position semantics: `Ok(None)` = removed here, `Ok(Some(s))`
     /// = refused, shard `s` owns it (the caller reports the owner).
     pub fn remove(&self, req: &RemoveRequest) -> Result<Option<u32>> {
-        let mut st = self.state.write();
-        let st = &mut *st;
+        let st = self.state.write();
         let gid = GraphId(req.graph);
         match st.manifest.shard_of(gid) {
             None => Err(ServerError::BadRequest(format!(
@@ -238,85 +231,34 @@ impl ShardEngine {
             Some(s) if s != self.shard => Ok(Some(s)),
             Some(_) => {
                 st.index
-                    .remove_graph(gid, st.db.effective_vocab_size() as u64)
+                    .remove_graph(gid)
                     .map_err(|source| tale_shard::ShardError::Shard {
                         shard: self.shard,
                         source,
                     })?;
-                self.cache.evict_graph(gid);
                 Ok(None)
             }
         }
     }
 
-    /// Compacts this shard: rebuilds its postings from the live (not
-    /// tombstoned) graphs into a temp directory, swaps it in with atomic
-    /// renames, reopens, and re-applies the tombstone markers (the dead
-    /// graphs still hold ids in the shared database). Returns
-    /// `(live_graphs, tombstones_whose_postings_were_dropped)`.
+    /// Folds this shard's delta and tombstones into its next on-disk
+    /// generation. Returns `(live_graphs, tombstones_whose_postings_were_
+    /// dropped)`; the tombstones themselves persist (the dead graphs
+    /// still hold ids in the shared database).
     pub fn fold(&self, _req: &FoldRequest) -> Result<(u64, u64)> {
-        let mut st = self.state.write();
-        let st = &mut *st;
-        let owned = st.manifest.graphs_of(self.shard);
-        let (live, dead): (Vec<GraphId>, Vec<GraphId>) =
-            owned.into_iter().partition(|&g| !st.index.is_removed(g));
-        let config = NhIndexConfig {
-            sbit: st.index.scheme().sbit,
-            buffer_frames: self.cfg.buffer_frames,
-            parallel_build: true,
-            bloom_hashes: st.index.scheme().hashes,
-            use_edge_labels: st.index.edge_labels(),
-            io_workers: self.cfg.io_workers,
-            prefetch_pages: self.cfg.prefetch_pages,
-        };
-        let shard_dir = ShardManifest::shard_dir(&self.root, self.shard);
-        let tmp = shard_dir.with_extension("fold-tmp");
-        let old = shard_dir.with_extension("fold-old");
-        for leftover in [&tmp, &old] {
-            if leftover.exists() {
-                std::fs::remove_dir_all(leftover).map_err(tale_shard::ShardError::from)?;
-            }
-        }
-        let built = NhIndex::build_subset(&tmp, &st.db, &config, &live).map_err(|source| {
-            let _ = std::fs::remove_dir_all(&tmp);
-            tale_shard::ShardError::Shard {
+        let st = self.state.write();
+        let report = st
+            .index
+            .fold(&st.db)
+            .map_err(|source| tale_shard::ShardError::Shard {
                 shard: self.shard,
                 source,
-            }
-        })?;
-        drop(built); // close the freshly built files before the swap
-                     // Swap: old dir aside, new dir in. The open index's fds keep
-                     // working across the rename (same inodes); it is replaced below.
-        std::fs::rename(&shard_dir, &old).map_err(tale_shard::ShardError::from)?;
-        std::fs::rename(&tmp, &shard_dir).map_err(tale_shard::ShardError::from)?;
-        let (mut index, _recovery) = NhIndex::open_with_recovery_io(
-            &shard_dir,
-            self.cfg.buffer_frames,
-            self.cfg.io_workers,
-            self.cfg.prefetch_pages,
-        )
-        .map_err(|source| tale_shard::ShardError::Shard {
-            shard: self.shard,
-            source,
-        })?;
-        // Re-apply tombstone markers: their postings are gone, but the
-        // ids remain dead in the shared database (MVCC fold semantics —
-        // repeated folds keep reporting them until ids are compacted).
-        let vocab = st.db.effective_vocab_size() as u64;
-        for gid in &dead {
-            index
-                .remove_graph(*gid, vocab)
-                .map_err(|source| tale_shard::ShardError::Shard {
-                    shard: self.shard,
-                    source,
-                })?;
-        }
-        st.index = index; // drops the pre-fold index, closing old fds
-        std::fs::remove_dir_all(&old).map_err(tale_shard::ShardError::from)?;
-        // The rebuilt index restarts its generation counter, which could
-        // collide with keys cached under the old counter — drop them all.
-        self.cache.clear();
-        Ok((live.len() as u64, dead.len() as u64))
+            })?;
+        let owned = st.manifest.graphs_of(self.shard).len();
+        Ok((
+            (owned - report.folded_removes) as u64,
+            report.folded_removes as u64,
+        ))
     }
 }
 

@@ -162,7 +162,7 @@ pub fn write_frame(
     header[4..6].copy_from_slice(&PROTOCOL_VERSION.to_be_bytes());
     header[6..8].copy_from_slice(&kind.to_be_bytes());
     header[8..12].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    header[12..16].copy_from_slice(&tale_storage::wal::crc32(payload).to_be_bytes());
+    header[12..16].copy_from_slice(&tale_storage::page::crc32(payload).to_be_bytes());
     w.write_all(&header)?;
     w.write_all(payload)?;
     w.flush()?;
@@ -217,7 +217,7 @@ pub fn read_frame(
         }
         got += n;
     }
-    let actual = tale_storage::wal::crc32(&payload);
+    let actual = tale_storage::page::crc32(&payload);
     if actual != crc {
         return Err(WireError::Corrupt {
             expected: crc,
@@ -679,8 +679,9 @@ pub struct RemoveRequest {
     pub graph: u32,
 }
 
-/// Compact the serving shard: rebuild its index from the live (not
-/// tombstoned) graphs, dropping dead postings.
+/// Fold the serving shard: build its delta and its live (not
+/// tombstoned) graphs into the next on-disk generation, dropping dead
+/// postings.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FoldRequest {
     /// Reserved; must be `true` (guards against empty-bodied callers).
@@ -792,9 +793,9 @@ pub struct MutateResponse {
     pub owner: Option<u32>,
     /// For `Insert`: the id assigned to the new graph.
     pub graph: Option<u32>,
-    /// For `Fold`: live graphs rebuilt into the new index.
+    /// For `Fold`: live graphs built into the new generation.
     pub folded_graphs: Option<u64>,
-    /// For `Fold`: tombstones dropped by the rebuild.
+    /// For `Fold`: tombstones whose postings the fold dropped.
     pub dropped_tombstones: Option<u64>,
 }
 

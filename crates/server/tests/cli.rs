@@ -250,7 +250,8 @@ fn generations_inspects_and_fold_flips_to_a_new_generation() {
     assert!(ok);
     assert!(stdout.contains("complexB"), "{stdout}");
 
-    // sharded layouts mutate in place and have no generations
+    // a sharded layout is the same mechanism, once per shard: the add
+    // lands in the owning shard's delta, fold flips every shard
     let sharded = dir.path().join("sharded");
     let (ok, _, _) = run(&[
         "build",
@@ -260,9 +261,56 @@ fn generations_inspects_and_fold_flips_to_a_new_generation() {
         "2",
     ]);
     assert!(ok);
-    let (ok, _, stderr) = run(&["generations", sharded.to_str().unwrap()]);
-    assert!(!ok);
-    assert!(stderr.contains("no generational index"), "{stderr}");
+    let (ok, _, stderr) = run(&[
+        "add",
+        sharded.to_str().unwrap(),
+        more_path.to_str().unwrap(),
+    ]);
+    assert!(ok, "sharded add failed: {stderr}");
+    let (ok, stdout, stderr) = run(&["generations", sharded.to_str().unwrap()]);
+    assert!(ok, "sharded generations failed: {stderr}");
+    assert!(
+        stdout.contains("shard 0:") && stdout.contains("shard 1:"),
+        "{stdout}"
+    );
+    assert_eq!(
+        stdout.matches("current generation: g0").count(),
+        2,
+        "{stdout}"
+    );
+    assert_eq!(
+        stdout.matches("1 unfolded insert(s)").count(),
+        1,
+        "{stdout}"
+    );
+    assert_eq!(
+        stdout.matches("0 unfolded insert(s)").count(),
+        1,
+        "{stdout}"
+    );
+    let (ok, stdout, stderr) = run(&["fold", sharded.to_str().unwrap()]);
+    assert!(ok, "sharded fold failed: {stderr}");
+    assert_eq!(stdout.matches("into g1").count(), 2, "{stdout}");
+    assert_eq!(stdout.matches("folded 1 insert(s)").count(), 1, "{stdout}");
+    let (ok, stdout, _) = run(&["generations", sharded.to_str().unwrap()]);
+    assert!(ok);
+    assert_eq!(
+        stdout.matches("current generation: g1").count(),
+        2,
+        "{stdout}"
+    );
+    assert!(!stdout.contains("1 unfolded insert(s)"), "{stdout}");
+    let (ok, stdout, _) = run(&[
+        "query",
+        sharded.to_str().unwrap(),
+        q_path.to_str().unwrap(),
+        "--rho",
+        "0.0",
+        "--pimp",
+        "1.0",
+    ]);
+    assert!(ok);
+    assert!(stdout.contains("complexB"), "{stdout}");
 }
 
 #[test]
@@ -283,16 +331,38 @@ fn recover_runs_on_single_and_sharded_layouts() {
     ]);
     assert!(ok);
 
+    // one story on both layouts: the journal, then swept generations
     let (ok, stdout, stderr) = run(&["recover", single.to_str().unwrap()]);
     assert!(ok, "recover failed: {stderr}");
     assert!(stdout.contains("mutation journal: none"), "{stdout}");
+    assert!(
+        stdout.contains("index: 0 orphaned generation(s) swept"),
+        "{stdout}"
+    );
     assert!(stdout.contains("safe to serve"), "{stdout}");
 
     let (ok, stdout, stderr) = run(&["recover", sharded.to_str().unwrap()]);
     assert!(ok, "sharded recover failed: {stderr}");
-    assert!(stdout.contains("shard 0"), "{stdout}");
-    assert!(stdout.contains("shard 1"), "{stdout}");
+    assert!(stdout.contains("mutation journal: none"), "{stdout}");
+    assert!(
+        stdout.contains("shard 0: 0 orphaned generation(s) swept"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("shard 1: 0 orphaned generation(s) swept"),
+        "{stdout}"
+    );
     assert!(stdout.contains("safe to serve"), "{stdout}");
+
+    // an unfinished fold's directory is what recover sweeps
+    std::fs::create_dir_all(sharded.join("shard-001/gens/g1")).unwrap();
+    let (ok, stdout, stderr) = run(&["recover", sharded.to_str().unwrap()]);
+    assert!(ok, "sharded recover failed: {stderr}");
+    assert!(
+        stdout.contains("shard 1: 1 orphaned generation(s) swept"),
+        "{stdout}"
+    );
+    assert!(!sharded.join("shard-001/gens/g1").exists());
 }
 
 #[test]
@@ -368,7 +438,8 @@ fn sharded_build_roundtrip_matches_single_index() {
     assert!(stdout.contains("shard 0: ok"), "{stdout}");
     assert!(stdout.contains("shard 1: ok"), "{stdout}");
 
-    // explain renders one plan subtree per shard
+    // explain renders one plan subtree per reader: each shard's base
+    // generation, then its delta overlay
     let (ok, stdout, stderr) = run(&[
         "explain",
         sharded.to_str().unwrap(),
@@ -377,9 +448,9 @@ fn sharded_build_roundtrip_matches_single_index() {
         "1.0",
     ]);
     assert!(ok, "explain failed: {stderr}");
-    assert!(stdout.contains("scatter [shards=2"), "{stdout}");
+    assert!(stdout.contains("scatter [shards=4"), "{stdout}");
     assert!(stdout.contains("shard [shard=0"), "{stdout}");
-    assert!(stdout.contains("shard [shard=1"), "{stdout}");
+    assert!(stdout.contains("shard [shard=3"), "{stdout}");
 
     // add routes through the placement policy and stays queryable
     let more_path = dir.path().join("more.txt");

@@ -11,6 +11,9 @@
 //!   with backoff — once the worker is back on the same address.
 //! * **Saturation** — past the admission gate's limits, requests are
 //!   shed with an explicit `Overloaded`, visible in the shed counter.
+//! * **Served mutations** — insert, remove and fold through a worker land
+//!   in the same generational state, and answer identically, as the same
+//!   script applied in process; a restarted worker picks it all up.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -24,8 +27,9 @@ use tale_graph::{Graph, GraphDb};
 use tale_server::engine::{EngineConfig, ShardEngine};
 use tale_server::transport::{RemoteConfig, RemoteTransport, ShardTransport};
 use tale_server::wire::{
-    self, HelloResponse, QueryBatchRequest, QueryBatchResponse, Request, Response, WireExecStats,
-    WireGraph, WireMatch, WireOptions, PROTOCOL_VERSION,
+    self, FoldRequest, HelloResponse, InsertRequest, QueryBatchRequest, QueryBatchResponse,
+    RemoveRequest, Request, Response, WireExecStats, WireGraph, WireMatch, WireOptions,
+    PROTOCOL_VERSION,
 };
 use tale_server::worker::{serve, serve_shard, ServerHandle, WorkerConfig};
 use tale_server::{Frontend, FrontendConfig, GateConfig, ServerError};
@@ -331,4 +335,118 @@ fn saturation_sheds_with_explicit_overloaded() {
     assert!(shed >= 1, "past the gate, arrivals shed explicitly");
     let snap = frontend.counters().snapshot();
     assert_eq!(snap.requests_shed, shed as u64, "every shed is counted");
+}
+
+/// One request over its own connection to `addr`.
+fn call(addr: SocketAddr, req: &Request) -> Response {
+    let mut client = std::net::TcpStream::connect(addr).unwrap();
+    wire::write_request(&mut client, req).unwrap();
+    wire::read_response(&mut client).unwrap().unwrap().0
+}
+
+/// Insert, remove and fold through a single-shard worker, a query after
+/// each step and after a worker restart: every answer is bit-identical
+/// to an in-process `ShardedTaleDatabase` applying the same script, and
+/// the generational state (current gN, delta graphs, tombstones) is the
+/// same on both sides at every step.
+#[test]
+fn served_mutations_match_the_in_process_script() {
+    let (db, originals) = corpus(23, 5);
+    let params = TaleParams::default();
+    let mut rng = ChaCha8Rng::seed_from_u64(24);
+    let extra = gnm(&mut rng, 30, 60, LABELS);
+    let mut probes = originals.clone();
+    probes.push(extra.clone());
+    let opts = QueryOptions {
+        rho: 0.25,
+        p_imp: 0.25,
+        ..QueryOptions::default()
+    };
+
+    // the same build twice: one directory served, one driven in process
+    let served_dir = tempfile::tempdir().unwrap();
+    let local_dir = tempfile::tempdir().unwrap();
+    drop(
+        ShardedTaleDatabase::build(db.clone(), served_dir.path(), &params, 1, &HashPolicy).unwrap(),
+    );
+    let mut local =
+        ShardedTaleDatabase::build(db.clone(), local_dir.path(), &params, 1, &HashPolicy).unwrap();
+
+    let serve_engine = |addr: SocketAddr| {
+        let engine =
+            Arc::new(ShardEngine::open(served_dir.path(), 0, EngineConfig::default()).unwrap());
+        let handle = serve_shard(Arc::clone(&engine), addr, WorkerConfig::default()).unwrap();
+        (engine, handle)
+    };
+    let (mut engine, mut worker) = serve_engine("127.0.0.1:0".parse().unwrap());
+
+    let check =
+        |step: &str, engine: &ShardEngine, addr: SocketAddr, local: &ShardedTaleDatabase| {
+            let refs: Vec<&Graph> = probes.iter().collect();
+            let expected = local.query_batch(&refs, &opts).unwrap();
+            let req = Request::QueryBatch(wire_batch(local.db(), &probes, &opts));
+            match call(addr, &req) {
+                Response::QueryBatch(resp) => assert_bit_identical(&expected, &decode(&resp), step),
+                other => panic!("{step}: expected a batch response, got {other:?}"),
+            }
+            let snap = local.index().shards()[0].snapshot();
+            assert_eq!(
+                engine.generation_state(),
+                (
+                    snap.base_generation(),
+                    snap.delta_graphs(),
+                    snap.removed_count()
+                ),
+                "{step}: generational state diverged"
+            );
+        };
+    let applied = |step: &str, resp: Response| match resp {
+        Response::Mutate(m) => {
+            assert!(m.applied, "{step}: {m:?}");
+            m
+        }
+        other => panic!("{step}: expected a mutate response, got {other:?}"),
+    };
+    check("fresh", &engine, worker.addr(), &local);
+
+    // insert: lands in the delta overlay on both sides
+    let gid = local.insert_graph("late", extra.clone()).unwrap();
+    let m = applied(
+        "insert",
+        call(
+            worker.addr(),
+            &Request::Insert(InsertRequest {
+                name: "late".into(),
+                graph: WireGraph::from_graph(local.db(), &extra),
+            }),
+        ),
+    );
+    assert_eq!(m.graph, Some(gid.0));
+    assert_eq!(engine.generation_state(), (0, 1, 0));
+    check("after insert", &engine, worker.addr(), &local);
+
+    // remove: a tombstone, cached partials filtered at read time
+    local.remove_graph(tale_graph::GraphId(1)).unwrap();
+    applied(
+        "remove",
+        call(worker.addr(), &Request::Remove(RemoveRequest { graph: 1 })),
+    );
+    assert_eq!(engine.generation_state(), (0, 1, 1));
+    check("after remove", &engine, worker.addr(), &local);
+
+    // fold: g1, empty delta, tombstone kept
+    local.fold().unwrap();
+    let m = applied(
+        "fold",
+        call(worker.addr(), &Request::Fold(FoldRequest { confirm: true })),
+    );
+    assert_eq!((m.folded_graphs, m.dropped_tombstones), (Some(5), Some(1)));
+    assert_eq!(engine.generation_state(), (1, 0, 1));
+    check("after fold", &engine, worker.addr(), &local);
+
+    // restart the worker: everything above was durable
+    worker.shutdown();
+    drop((worker, engine));
+    (engine, worker) = serve_engine("127.0.0.1:0".parse().unwrap());
+    check("after restart", &engine, worker.addr(), &local);
 }

@@ -1,47 +1,27 @@
 //! [`ShardedTaleDatabase`]: the sharded counterpart of
 //! [`tale::TaleDatabase`].
 //!
-//! Owns the [`GraphDb`], a [`ShardedNhIndex`], and one
-//! [`ResultCache`] *per shard*. Queries scatter/gather through the same
-//! staged engine as the unsharded database (`tale::engine::exec`), so
-//! results are bit-identical to a single-index [`tale::TaleDatabase`]
-//! over the same graphs at any shard count and thread count. The
-//! per-shard caches make mutation-time invalidation scoped *and
-//! clear-free*: cache keys fold in each shard's mutation generation, so
-//! committing an in-place mutation to shard `S` simply moves `S` to a
-//! fresh key space — its old partials become unreachable and age out of
-//! the LRU — while every other shard's cached work keeps hitting.
+//! Owns the [`GraphDb`], a [`ShardedNhIndex`], and a `[base, delta]` pair
+//! of [`ResultCache`]s *per shard*. Queries pin one MVCC snapshot of every
+//! shard and scatter/gather through the same staged engine as the
+//! unsharded database (`tale::engine::exec`), so results are bit-identical
+//! to a single-index [`tale::TaleDatabase`] over the same graphs at any
+//! shard count and thread count. Mutations are the generational ones of
+//! the owning shard — its delta overlay, its tombstone set, its fold —
+//! and invalidation is by cache epoch, scoped *and clear-free*: an insert
+//! rolls only the owning shard's delta epoch, so that shard's base
+//! partials and every other shard's cached work keep hitting.
 
-use crate::index::{ShardBuildStats, ShardedNhIndex};
-use crate::manifest::{vocab_fingerprint, ShardManifest};
+use crate::index::{recover_root, ShardBuildStats, ShardedNhIndex, DB_FILE};
 use crate::policy::{HashPolicy, ShardPolicy};
-use crate::{Result, ShardError};
+use crate::Result;
 use std::path::Path;
 use tale::engine::cache::{CacheStats, ResultCache, DEFAULT_CACHE_ENTRIES};
 use tale::engine::exec;
-use tale::engine::stats::{BatchStats, QueryStats};
-use tale::journal::{MutationJournal, PendingMutation};
-use tale::{QueryMatch, QueryOptions, ScratchDir, TaleParams};
+use tale::engine::stats::{BatchStats, QueryStats, ShardStats};
+use tale::{DbRecovery, QueryMatch, QueryOptions, ScratchDir, TaleParams};
 use tale_graph::{Graph, GraphDb, GraphId};
-use tale_nhindex::{IndexReader, NhIndex, NhIndexConfig, RecoveryReport};
-
-const DB_FILE: &str = "graphs.json";
-
-/// What [`ShardedTaleDatabase::open_with_recovery`] found and repaired.
-#[derive(Debug, Clone, Default, serde::Serialize)]
-pub struct ShardedRecovery {
-    /// A `pending.json` marker was present (a multi-file mutation was in
-    /// flight at crash time).
-    pub journal_present: bool,
-    /// `graphs.json` was restored from its pre-mutation backup (the
-    /// routed shard never committed).
-    pub db_rolled_back: bool,
-    /// The routed shard committed but the crash beat the manifest save;
-    /// the missing assignment was re-appended and the manifest rewritten.
-    pub manifest_rolled_forward: bool,
-    /// Each shard's own WAL recovery outcome, in shard order.
-    pub shards: Vec<RecoveryReport>,
-}
+use tale_nhindex::{FoldReport, NhIndexConfig, Snapshot};
 
 fn config_of(params: &TaleParams) -> NhIndexConfig {
     NhIndexConfig {
@@ -60,12 +40,24 @@ fn config_of(params: &TaleParams) -> NhIndexConfig {
 pub struct ShardedTaleDatabase {
     db: GraphDb,
     index: ShardedNhIndex,
+    /// `[base, delta]` result caches per shard, flattened in reader order.
     caches: Vec<ResultCache>,
     // Keeps the scratch directory alive for in-temp builds.
     _scratch: Option<ScratchDir>,
 }
 
 impl ShardedTaleDatabase {
+    fn assemble(db: GraphDb, index: ShardedNhIndex, scratch: Option<ScratchDir>) -> Self {
+        ShardedTaleDatabase {
+            caches: (0..2 * index.shard_count())
+                .map(|_| ResultCache::new(DEFAULT_CACHE_ENTRIES))
+                .collect(),
+            db,
+            index,
+            _scratch: scratch,
+        }
+    }
+
     /// Builds a sharded NH-Index for `db` into `dir` and persists the
     /// graphs alongside it, so [`ShardedTaleDatabase::open`] can restore
     /// everything.
@@ -92,39 +84,16 @@ impl ShardedTaleDatabase {
         let (index, stats) =
             ShardedNhIndex::build_with_stats(dir, &db, &config_of(params), nshards, policy, 0)?;
         tale_graph::io::save_json(&db, &dir.join(DB_FILE))?;
-        Ok((
-            ShardedTaleDatabase {
-                caches: (0..index.shard_count())
-                    .map(|_| ResultCache::new(DEFAULT_CACHE_ENTRIES))
-                    .collect(),
-                db,
-                index,
-                _scratch: None,
-            },
-            stats,
-        ))
+        Ok((Self::assemble(db, index, None), stats))
     }
 
     /// Builds into a self-cleaning scratch directory with the default
     /// hash placement — convenient for experiments and tests.
     pub fn build_in_temp(db: GraphDb, params: &TaleParams, nshards: usize) -> Result<Self> {
         let scratch = ScratchDir::new("tale-shards")?;
-        let (index, _) = ShardedNhIndex::build_with_stats(
-            scratch.path(),
-            &db,
-            &config_of(params),
-            nshards,
-            &HashPolicy,
-            0,
-        )?;
-        Ok(ShardedTaleDatabase {
-            caches: (0..index.shard_count())
-                .map(|_| ResultCache::new(DEFAULT_CACHE_ENTRIES))
-                .collect(),
-            db,
-            index,
-            _scratch: Some(scratch),
-        })
+        let mut built = Self::build(db, scratch.path(), params, nshards, &HashPolicy)?;
+        built._scratch = Some(scratch);
+        Ok(built)
     }
 
     /// Reopens a database previously built with
@@ -135,120 +104,52 @@ impl ShardedTaleDatabase {
         Ok(Self::open_with_recovery(dir, buffer_frames)?.0)
     }
 
-    /// Like [`ShardedTaleDatabase::open`], also repairing any mutation
-    /// that a crash cut short and reporting what was done.
-    ///
-    /// The multi-file reconciliation runs *before* the shards are opened
-    /// (their own WAL rollback happens inside
-    /// [`ShardedNhIndex::open_with_recovery`]):
-    ///
-    /// * journal present and the routed shard's generation is still the
-    ///   recorded pre-mutation value → the shard never committed; restore
-    ///   `graphs.json` from the fsynced backup. The manifest was not yet
-    ///   touched (it is saved after the shard commit).
-    /// * journal present and the generation advanced → the shard
-    ///   committed, and the already-saved `graphs.json` is the post-insert
-    ///   state. If the crash beat the manifest save (one fewer assignment
-    ///   than graphs), roll the manifest *forward*: re-append the routed
-    ///   shard and recompute the vocabulary fingerprints — exactly what
-    ///   the interrupted [`ShardedNhIndex::insert_graph_routed`] would
-    ///   have written.
-    pub fn open_with_recovery(dir: &Path, buffer_frames: usize) -> Result<(Self, ShardedRecovery)> {
-        let journal = MutationJournal::new(dir);
-        let mut rec = ShardedRecovery::default();
-        if let Some(pending) = journal.load()? {
-            rec.journal_present = true;
-            let s = pending.shard.ok_or_else(|| {
-                ShardError::Manifest(
-                    "mutation journal lacks a shard (marker from an unsharded database?)".into(),
-                )
-            })?;
-            let post = NhIndex::peek_generation(&ShardManifest::shard_dir(dir, s))
-                .map_err(|source| ShardError::Shard { shard: s, source })?;
-            if post == pending.pre_generation {
-                rec.db_rolled_back = journal.roll_back_db(&dir.join(DB_FILE))?;
-            } else {
-                let db = tale_graph::io::load_json(&dir.join(DB_FILE))?;
-                let mut manifest = ShardManifest::load(dir)?;
-                if manifest.assignment.len() + 1 == db.len() {
-                    manifest.assignment.push(s);
-                    let fp = vocab_fingerprint(&db);
-                    manifest.vocab_fingerprints = vec![fp; manifest.shard_count as usize];
-                    manifest.save(dir)?;
-                    rec.manifest_rolled_forward = true;
-                }
-            }
-        }
-        // Clears the marker (if any) and sweeps an orphaned backup left by
-        // an interrupted clear; idempotent when there is nothing to do.
-        journal.clear()?;
+    /// Like [`ShardedTaleDatabase::open`], also repairing any insert that
+    /// a crash cut short and reporting what was done. The root is
+    /// reconciled first ([`recover_root`]: the owning shard's logical
+    /// counter moved ⇒ the insert committed, else `graphs.json` and
+    /// `shards.json` roll back), then every shard opens against the
+    /// recovered graphs, sweeping the generation directories of
+    /// unfinished folds.
+    pub fn open_with_recovery(dir: &Path, buffer_frames: usize) -> Result<(Self, DbRecovery)> {
+        let mut rec = recover_root(dir)?;
         let db = tale_graph::io::load_json(&dir.join(DB_FILE))?;
-        let (index, shards) = ShardedNhIndex::open_with_recovery(dir, buffer_frames, &db)?;
-        rec.shards = shards;
-        Ok((
-            ShardedTaleDatabase {
-                caches: (0..index.shard_count())
-                    .map(|_| ResultCache::new(DEFAULT_CACHE_ENTRIES))
-                    .collect(),
-                db,
-                index,
-                _scratch: None,
-            },
-            rec,
-        ))
+        let (index, swept) = ShardedNhIndex::open(dir, buffer_frames, &db)?;
+        rec.generations_swept = swept;
+        Ok((Self::assemble(db, index, None), rec))
     }
 
-    /// Adds a graph, routes it to a shard with the build policy, and
-    /// extends that shard's index incrementally. Returns the new graph's
-    /// id. No cache is cleared: the commit bumps the owning shard's
-    /// mutation generation, which the cache keys fold in, so that shard's
-    /// old partials become unreachable while every other shard's entries
+    /// Adds a graph and routes it to a shard with the build policy; it
+    /// lands in that shard's in-memory delta overlay (no on-disk index
+    /// structure is touched) and is immediately queryable. Returns the new
+    /// graph's id. No cache is cleared: only the owning shard's delta
+    /// epoch rolls, so its base partials and every other shard's entries
     /// keep hitting.
     ///
-    /// For a persistent database the whole multi-file mutation is
-    /// journaled: route first (to learn the owning shard), stage the
-    /// journal with that shard's pre-mutation generation, save the new
-    /// `graphs.json`, run the shard's WAL-protected index commit plus the
-    /// atomic manifest rewrite, then clear the journal. A crash at any
-    /// point recovers to a state bit-identical to before or after the
-    /// insert ([`ShardedTaleDatabase::open_with_recovery`]). After an
-    /// error, drop this handle and reopen.
+    /// The multi-file mutation is journaled ([`crate::commit_insert`]): a
+    /// crash at any point recovers to a state bit-identical to before or
+    /// after the insert ([`ShardedTaleDatabase::open_with_recovery`]).
+    /// After an error, drop this handle and reopen.
     pub fn insert_graph(&mut self, name: impl Into<String>, g: Graph) -> Result<GraphId> {
         let gid = self.db.insert(name, g);
-        let s;
-        if self._scratch.is_none() {
-            let dir = self.index.dir().to_owned();
-            s = self.index.route(&self.db, gid)?;
-            let journal = MutationJournal::new(&dir);
-            journal.stage(
-                &dir.join(DB_FILE),
-                PendingMutation {
-                    pre_generation: self.index.shards()[s as usize].generation(),
-                    shard: Some(s),
-                },
-            )?;
-            tale_graph::io::save_json(&self.db, &dir.join(DB_FILE))?;
-            self.index.insert_graph_routed(&self.db, gid, s)?;
-            journal.clear()?;
-        } else {
-            s = self.index.insert_graph(&self.db, gid)?;
-        }
-        // No clear: shard `s`'s generation advanced with the commit, so
-        // its stale partials are already unreachable under the new keys.
-        let _ = s;
+        self.index.insert_graph(&self.db, gid)?;
         Ok(gid)
     }
 
-    /// Logically removes a graph (tombstone in its owning shard). The
-    /// generation bump retires the owning shard's old cache keys;
-    /// [`ResultCache::evict_graph`] additionally frees the now-unreachable
-    /// entries that actually contain `id` instead of waiting for LRU aging.
+    /// Logically removes a graph (a tombstone in its owning shard). No
+    /// cache entry is evicted: removal only *deletes* matches, and the
+    /// engine filters cached partials through each snapshot's tombstone
+    /// set at read time.
     pub fn remove_graph(&mut self, id: GraphId) -> Result<()> {
-        let s = self
-            .index
-            .remove_graph(id, self.db.effective_vocab_size() as u64)?;
-        self.caches[s as usize].evict_graph(id);
+        self.index.remove_graph(id)?;
         Ok(())
+    }
+
+    /// Folds every shard's delta and tombstones into a fresh on-disk
+    /// generation (see [`ShardedNhIndex::fold`]), reclaiming the posting
+    /// space of removed graphs. One report per shard.
+    pub fn fold(&mut self) -> Result<Vec<FoldReport>> {
+        self.index.fold(&self.db)
     }
 
     /// Interns a node label name into the database vocabulary (for
@@ -277,40 +178,50 @@ impl ShardedTaleDatabase {
         self.index.size_bytes()
     }
 
+    /// Pins one snapshot per shard, in shard order.
+    fn snapshots(&self) -> Vec<Snapshot> {
+        self.index.shards().iter().map(|s| s.snapshot()).collect()
+    }
+
     fn run(
         &self,
         queries: &[&Graph],
         opts: &QueryOptions,
     ) -> Result<(Vec<Vec<QueryMatch>>, BatchStats)> {
-        let shard_refs: Vec<&dyn IndexReader> = self
-            .index
-            .shards()
-            .iter()
-            .map(|s| s as &dyn IndexReader)
+        let caches: Vec<&ResultCache> = self.caches.iter().collect();
+        let (outputs, mut batch) = Snapshot::with_readers(&self.snapshots(), |readers| {
+            exec::run_batch(
+                &self.db,
+                readers,
+                opts.use_cache.then_some(&caches[..]),
+                queries,
+                opts,
+            )
+        })?;
+        // The engine reports per reader; a shard's row is the sum of its
+        // base and delta readers'.
+        batch.shards = batch
+            .shards
+            .chunks(2)
+            .enumerate()
+            .map(|(s, pair)| ShardStats {
+                shard: s,
+                ..pair[0].merged(&pair[1])
+            })
             .collect();
-        let cache_refs: Vec<&ResultCache> = self.caches.iter().collect();
-        Ok(exec::run_batch(
-            &self.db,
-            &shard_refs,
-            opts.use_cache.then_some(&cache_refs[..]),
-            queries,
-            opts,
-        )?)
+        Ok((outputs, batch))
     }
 
     /// Describes — without executing — the plan the engine would choose
     /// for `query` under `opts`: probe order with row estimates, the
-    /// readahead budget, and per-shard feasibility and score bounds from
-    /// each shard's statistics. Render with
-    /// [`tale::PlanReport::render`] or serialize to JSON.
+    /// readahead budget, and per-reader (each shard's base generation,
+    /// then its delta) feasibility and score bounds from their
+    /// statistics. Render with [`tale::PlanReport::render`] or serialize
+    /// to JSON.
     pub fn explain(&self, query: &Graph, opts: &QueryOptions) -> tale::PlanReport {
-        let shard_refs: Vec<&dyn IndexReader> = self
-            .index
-            .shards()
-            .iter()
-            .map(|s| s as &dyn IndexReader)
-            .collect();
-        tale::engine::plan::plan_report(&self.db, &shard_refs, query, opts)
+        Snapshot::with_readers(&self.snapshots(), |readers| {
+            tale::engine::plan::plan_report(&self.db, readers, query, opts)
+        })
     }
 
     /// Runs an approximate subgraph query, scattered over the shards.
@@ -359,19 +270,16 @@ impl ShardedTaleDatabase {
         self.caches
             .iter()
             .map(ResultCache::stats)
-            .fold(CacheStats::default(), |a, b| CacheStats {
-                entries: a.entries + b.entries,
-                capacity: a.capacity + b.capacity,
-                hits: a.hits + b.hits,
-                misses: a.misses + b.misses,
-                insertions: a.insertions + b.insertions,
-                invalidations: a.invalidations + b.invalidations,
-            })
+            .fold(CacheStats::default(), CacheStats::merged)
     }
 
-    /// Result-cache counters per shard, in shard order.
+    /// Result-cache counters per shard (base + delta caches summed), in
+    /// shard order.
     pub fn shard_cache_stats(&self) -> Vec<CacheStats> {
-        self.caches.iter().map(ResultCache::stats).collect()
+        self.caches
+            .chunks(2)
+            .map(|pair| pair[0].stats().merged(pair[1].stats()))
+            .collect()
     }
 
     /// Drops every cached result on every shard.

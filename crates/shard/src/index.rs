@@ -1,29 +1,41 @@
-//! [`ShardedNhIndex`]: N independent NH-Index files behind one handle.
+//! [`ShardedNhIndex`]: N independent generational NH-Indexes behind one
+//! handle.
 //!
-//! Each shard is a complete, self-contained `tale-nhindex` directory
-//! (B+-tree, posting blobs, meta file) covering a disjoint subset of the
-//! database's graphs. All shards share one neighbor-array scheme — every
-//! [`NhIndex::build_subset`] call derives it from the *full* database
-//! vocabulary — which is what makes per-shard probe answers byte-equal to
-//! the matching slice of an unsharded probe (see `tale::engine::exec` for
-//! the full determinism argument).
+//! Each shard is a complete, self-contained
+//! [`GenerationalNhIndex`] directory (`mvcc.json` + `gens/gN/`) covering
+//! a disjoint subset of the database's graphs — its *members*, the
+//! shard's rows of `shards.json`. All shards share one neighbor-array
+//! scheme — every shard's generation 0 derives it from the *full*
+//! database vocabulary, and folds keep it — which is what makes per-shard
+//! probe answers byte-equal to the matching slice of an unsharded probe
+//! (see `tale::engine::exec` for the full determinism argument).
 //!
-//! Building fans one [`NhIndex::build_subset`] per shard across worker
-//! threads: each shard extracts, sorts, and bulk-loads in isolation, so
-//! the sort+merge step — serial in a single-file build even with
+//! Building fans one generation-0 build per shard across worker threads:
+//! each shard extracts, sorts, and bulk-loads in isolation, so the
+//! sort+merge step — serial in a single-file build even with
 //! `parallel_build` on — is itself partitioned N ways.
+//!
+//! Mutations are the generational ones, per shard: an insert lands in the
+//! owning shard's delta overlay ([`commit_insert`] journals it against
+//! `graphs.json` and `shards.json`), a removal is a tombstone in the
+//! owning shard's manifest, and a fold builds that shard's next
+//! generation. The owning shard's `mvcc.json` flip is the only index
+//! commit point.
 
-use crate::manifest::{
-    vocab_fingerprint, ShardManifest, ShardStatsSummary, MANIFEST_SCHEMA_VERSION,
-};
+use crate::manifest::{vocab_fingerprint, ShardManifest, MANIFEST_SCHEMA_VERSION};
 use crate::policy::{policy_by_name, ShardPolicy};
 use crate::{Result, ShardError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
+use tale::journal::{DbRecovery, MutationJournal, PendingMutation};
 use tale_graph::{GraphDb, GraphId};
-use tale_nhindex::{IntegrityReport, NhIndex, NhIndexConfig, ProbeCounters, RecoveryReport};
+use tale_nhindex::{
+    FoldReport, GenerationalNhIndex, IntegrityReport, MvccRecovery, NhIndexConfig, ProbeCounters,
+};
 use tale_storage::IoPool;
+
+pub(crate) const DB_FILE: &str = "graphs.json";
 
 /// Per-shard build timings and sizes, for observability and the E-SHARD
 /// experiment. Produced by [`ShardedNhIndex::build_with_stats`].
@@ -58,22 +70,122 @@ impl ShardBuildStats {
     }
 }
 
-/// Manifest-embedded digests of every shard's statistics (observability
-/// only — the planner reads the live per-shard statistics instead).
-fn summarize_shards(shards: &[NhIndex]) -> Vec<ShardStatsSummary> {
-    shards
-        .iter()
-        .map(|sh| match sh.statistics() {
-            Some(s) => ShardStatsSummary::from(s.as_ref()),
-            None => ShardStatsSummary::default(),
-        })
-        .collect()
+/// Repairs the root of a sharded directory after a crash, before any
+/// shard is opened: runs the mutation journal against the routed shard's
+/// persisted logical counter and, when the insert never committed, drops
+/// the extra row the interrupted [`commit_insert`] may already have
+/// appended to `shards.json`. A clean directory is left untouched.
+/// Returns the report with `generations_swept` still empty (the shards
+/// fill it in as they open).
+pub fn recover_root(root: &Path) -> Result<DbRecovery> {
+    let (journal_present, db_rolled_back) = MutationJournal::new(root).recover(|pending| {
+        let s = pending.shard.ok_or_else(|| {
+            std::io::Error::other(
+                "mutation journal lacks a shard (marker from an unsharded database?)",
+            )
+        })?;
+        Ok(GenerationalNhIndex::peek_logical(
+            &ShardManifest::shard_dir(root, s),
+        )?)
+    })?;
+    if db_rolled_back {
+        let db = tale_graph::io::load_json(&root.join(DB_FILE))?;
+        let mut manifest = ShardManifest::load(root)?;
+        if manifest.assignment.len() > db.len() {
+            manifest.assignment.truncate(db.len());
+            manifest.vocab_fingerprints =
+                vec![vocab_fingerprint(&db); manifest.shard_count as usize];
+            manifest.save(root)?;
+        }
+    }
+    Ok(DbRecovery {
+        journal_present,
+        db_rolled_back,
+        generations_swept: Vec::new(),
+    })
 }
 
-/// A partitioned NH-Index: one independent index file set per shard plus
-/// the [`ShardManifest`] mapping graphs to shards.
+/// Opens shard `s` of the layout rooted at `root` over its rows of
+/// `manifest`. A directory this build cannot read — the pre-generational
+/// layout (`nh.meta.json` at the shard's top level, no `mvcc.json`) or one
+/// carrying a stray write-ahead log — is a typed manifest error, never a
+/// misread; an index-layer failure is attributed to the shard.
+pub fn open_shard(
+    root: &Path,
+    manifest: &ShardManifest,
+    db: &GraphDb,
+    s: u32,
+    config: &NhIndexConfig,
+    io: Option<Arc<IoPool>>,
+) -> Result<(GenerationalNhIndex, MvccRecovery)> {
+    let dir = ShardManifest::shard_dir(root, s);
+    let problem = [tale_nhindex::LEGACY_WAL_FILE, "nh.meta.json"]
+        .into_iter()
+        .find(|f| dir.join(f).exists())
+        .map(|f| format!("found a stray {f}"))
+        .or_else(|| (!dir.join("mvcc.json").exists()).then(|| "no mvcc.json".to_owned()));
+    if let Some(problem) = problem {
+        return Err(ShardError::Manifest(format!(
+            "shard {s} is not a generational index directory ({problem}); \
+             rebuild with `tale-cli build --shards N`"
+        )));
+    }
+    GenerationalNhIndex::open_members(&dir, db, &manifest.graphs_of(s), config, io)
+        .map_err(|source| ShardError::Shard { shard: s, source })
+}
+
+/// The journaled sharded insert, written once for the in-process database
+/// and the served worker: `gid` — already appended to `db` — becomes a
+/// member of shard `s`, whose open index is `shard`.
+///
+/// Sequence: stage the journal with the shard's pre-insert logical
+/// counter → save `graphs.json` → save `shards.json` with the new row →
+/// flip the shard's `mvcc.json` (the commit point) → clear the journal. A
+/// crash anywhere recovers by the single rule of [`recover_root`]: the
+/// counter moved ⇒ committed, else everything rolls back. After an error
+/// the in-memory `manifest` and `db` are ahead of the disk: drop the
+/// handle and reopen.
+pub fn commit_insert(
+    root: &Path,
+    db: &GraphDb,
+    manifest: &mut ShardManifest,
+    shard: &GenerationalNhIndex,
+    s: u32,
+    gid: GraphId,
+) -> Result<()> {
+    if gid.idx() != manifest.assignment.len() {
+        return Err(ShardError::Manifest(format!(
+            "insert of graph {} but manifest maps {} graphs (ids are dense)",
+            gid.0,
+            manifest.assignment.len()
+        )));
+    }
+    let journal = MutationJournal::new(root);
+    journal.stage(
+        &root.join(DB_FILE),
+        PendingMutation {
+            pre_generation: shard.logical_generation(),
+            shard: Some(s),
+        },
+    )?;
+    tale_graph::io::save_json(db, &root.join(DB_FILE))?;
+    manifest.assignment.push(s);
+    // Inserting can grow the vocabulary; every shard keyed off the old
+    // one stays correct (bit positions only wrap), but the recorded
+    // fingerprints must match what `open` will recompute.
+    manifest.vocab_fingerprints = vec![vocab_fingerprint(db); manifest.shard_count as usize];
+    manifest.save(root)?;
+    shard
+        .insert_graph(db, gid)
+        .map_err(|source| ShardError::Shard { shard: s, source })?;
+    journal.clear()?;
+    Ok(())
+}
+
+/// A partitioned NH-Index: one independent generational index per shard
+/// plus the [`ShardManifest`] mapping graphs to shards.
 pub struct ShardedNhIndex {
-    shards: Vec<NhIndex>,
+    shards: Vec<GenerationalNhIndex>,
     manifest: ShardManifest,
     dir: PathBuf,
 }
@@ -94,8 +206,8 @@ impl ShardedNhIndex {
 
     /// Builds a sharded index and reports per-shard timings.
     ///
-    /// `policy.assign` splits the graphs; each shard then runs a full
-    /// [`NhIndex::build_subset`] in its own `shard-NNN/` directory, fanned
+    /// `policy.assign` splits the graphs; each shard then builds its
+    /// generation 0 in its own `shard-NNN/` directory (cleared first), fanned
     /// over `threads` workers (`0` = all cores). The manifest is written
     /// last, so a crash mid-build leaves no directory that
     /// [`ShardedNhIndex::open`] would accept.
@@ -136,47 +248,47 @@ impl ShardedNhIndex {
         // bulk-loads its own B+-tree — no cross-shard merge exists. With
         // more than one shard the shard-level fan-out already occupies the
         // workers, so each shard extracts serially inside its thread.
-        // Per-shard async read paths are disabled here and rebound below
-        // to ONE shared worker pool, so total I/O concurrency stays
-        // `config.io_workers`, not `shards × io_workers`.
+        // Every shard binds to ONE shared read-path worker pool, so total
+        // I/O concurrency stays `config.io_workers`, not
+        // `shards × io_workers` — for every generation a fold opens too.
         let sub_config = NhIndexConfig {
             parallel_build: config.parallel_build && nshards == 1,
-            io_workers: 0,
             ..config.clone()
         };
-        let built: Vec<tale_nhindex::Result<(NhIndex, f64)>> =
+        let io = (config.io_workers > 0).then(|| IoPool::new(config.io_workers));
+        let built: Vec<tale_nhindex::Result<(GenerationalNhIndex, f64)>> =
             tale_par::parallel_map(threads, nshards, |s| {
                 let t = Instant::now();
-                let idx = NhIndex::build_subset(
-                    &ShardManifest::shard_dir(dir, s as u32),
+                let shard_dir = ShardManifest::shard_dir(dir, s as u32);
+                if shard_dir.exists() {
+                    std::fs::remove_dir_all(&shard_dir)?;
+                }
+                let idx = GenerationalNhIndex::build_members(
+                    &shard_dir,
                     db,
-                    &sub_config,
                     &groups[s],
+                    &sub_config,
+                    io.clone(),
                 )?;
                 Ok((idx, t.elapsed().as_secs_f64()))
             });
         let mut shards = Vec::with_capacity(nshards);
         let mut per_shard_secs = Vec::with_capacity(nshards);
-        for r in built {
-            let (idx, secs) = r?;
+        for (s, r) in built.into_iter().enumerate() {
+            let (idx, secs) = r.map_err(|source| ShardError::Shard {
+                shard: s as u32,
+                source,
+            })?;
             shards.push(idx);
             per_shard_secs.push(secs);
         }
-        if config.io_workers > 0 {
-            let io = IoPool::new(config.io_workers);
-            for sh in &mut shards {
-                sh.attach_io(Arc::clone(&io), config.prefetch_pages);
-            }
-        }
 
-        let fp = vocab_fingerprint(db);
         let manifest = ShardManifest {
             schema_version: MANIFEST_SCHEMA_VERSION,
             shard_count: nshards as u32,
             policy: policy.name().to_owned(),
             assignment,
-            vocab_fingerprints: vec![fp; nshards],
-            shard_stats: summarize_shards(&shards),
+            vocab_fingerprints: vec![vocab_fingerprint(db); nshards],
         };
         manifest.save(dir)?;
 
@@ -199,26 +311,20 @@ impl ShardedNhIndex {
         ))
     }
 
-    /// Reopens a sharded index built by [`ShardedNhIndex::build`].
+    /// Reopens a sharded index built by [`ShardedNhIndex::build`], also
+    /// returning how many orphaned generation directories each shard
+    /// swept (in shard order).
     ///
-    /// `db` must be the same database the index was built against; each
-    /// shard's recorded vocabulary fingerprint is checked against it
-    /// (vocabulary drift would silently corrupt probe bitmaps, so it is an
-    /// error here). `buffer_frames` is the page budget *per shard*.
-    pub fn open(dir: &Path, buffer_frames: usize, db: &GraphDb) -> Result<Self> {
-        Ok(Self::open_with_recovery(dir, buffer_frames, db)?.0)
-    }
-
-    /// Like [`ShardedNhIndex::open`], but recovers each shard
-    /// independently and reports what each one's WAL recovery did (in
-    /// shard order). A shard that cannot be opened — even after its own
-    /// rollback — fails with [`ShardError::Shard`] naming it, so a
-    /// partial-shard failure is distinguishable from a bad manifest.
-    pub fn open_with_recovery(
-        dir: &Path,
-        buffer_frames: usize,
-        db: &GraphDb,
-    ) -> Result<(Self, Vec<RecoveryReport>)> {
+    /// `db` must be the same (recovered — see [`recover_root`]) database
+    /// the index was built against; each shard's recorded vocabulary
+    /// fingerprint is checked against it (vocabulary drift would silently
+    /// corrupt probe bitmaps, so it is an error here). `buffer_frames` is
+    /// the page budget *per shard*. A shard that cannot be opened fails
+    /// with [`ShardError::Shard`] naming it, so a partial-shard failure
+    /// is distinguishable from a bad manifest; shards whose
+    /// neighbor-array schemes disagree are refused (every probe signature
+    /// of a run is laid out for one scheme).
+    pub fn open(dir: &Path, buffer_frames: usize, db: &GraphDb) -> Result<(Self, Vec<usize>)> {
         let manifest = ShardManifest::load(dir)?;
         if manifest.assignment.len() != db.len() {
             return Err(ShardError::Manifest(format!(
@@ -235,24 +341,29 @@ impl ShardedNhIndex {
                 manifest.vocab_fingerprints[s]
             )));
         }
-        let mut shards = Vec::with_capacity(manifest.shard_count as usize);
-        let mut reports = Vec::with_capacity(manifest.shard_count as usize);
+        let config = NhIndexConfig {
+            buffer_frames,
+            ..NhIndexConfig::default()
+        };
+        // One shared worker pool for every shard's read path.
+        let io = IoPool::new(config.io_workers);
+        let mut shards: Vec<GenerationalNhIndex> =
+            Vec::with_capacity(manifest.shard_count as usize);
+        let mut swept = Vec::with_capacity(manifest.shard_count as usize);
         for s in 0..manifest.shard_count {
-            // Open with prefetching off; all shards are bound to one
-            // shared worker pool below.
-            let (idx, report) = NhIndex::open_with_recovery_io(
-                &ShardManifest::shard_dir(dir, s),
-                buffer_frames,
-                0,
-                0,
-            )
-            .map_err(|source| ShardError::Shard { shard: s, source })?;
+            let (idx, rec) = open_shard(dir, &manifest, db, s, &config, Some(Arc::clone(&io)))?;
+            if let Some(first) = shards.first() {
+                if idx.scheme() != first.scheme() {
+                    return Err(ShardError::Manifest(format!(
+                        "shard {s} uses neighbor-array scheme {:?} but shard 0 uses {:?}; \
+                         rebuild with `tale-cli build --shards N`",
+                        idx.scheme(),
+                        first.scheme()
+                    )));
+                }
+            }
             shards.push(idx);
-            reports.push(report);
-        }
-        let io = IoPool::new(tale_nhindex::DEFAULT_IO_WORKERS);
-        for sh in &mut shards {
-            sh.attach_io(Arc::clone(&io), tale_nhindex::DEFAULT_PREFETCH_PAGES);
+            swept.push(rec.swept.len());
         }
         Ok((
             ShardedNhIndex {
@@ -260,12 +371,12 @@ impl ShardedNhIndex {
                 manifest,
                 dir: dir.to_owned(),
             },
-            reports,
+            swept,
         ))
     }
 
-    /// Deep integrity check of every shard: page checksums, B+-tree key
-    /// ordering, and posting decodability ([`NhIndex::verify`]). Returns
+    /// Deep integrity check of every shard's current generation: page
+    /// checksums, B+-tree key ordering, and posting decodability. Returns
     /// one report per shard, in shard order; an I/O failure while sweeping
     /// a shard is attributed to it via [`ShardError::Shard`].
     pub fn verify(&self) -> Result<Vec<IntegrityReport>> {
@@ -281,9 +392,9 @@ impl ShardedNhIndex {
             .collect()
     }
 
-    /// The shards, in shard order. Each is a full [`NhIndex`]; the query
-    /// engine scatters over exactly this slice.
-    pub fn shards(&self) -> &[NhIndex] {
+    /// The shards, in shard order. The query engine pins one snapshot of
+    /// each and scatters over their base and delta readers.
+    pub fn shards(&self) -> &[GenerationalNhIndex] {
         &self.shards
     }
 
@@ -308,66 +419,65 @@ impl ShardedNhIndex {
         self.manifest.shard_of(gid)
     }
 
-    /// Where the build policy would place a newly inserted graph, without
-    /// mutating anything. `gid` must be the id just returned by
-    /// [`GraphDb::insert`] on `db` (dense append). Exposed separately from
-    /// [`ShardedNhIndex::insert_graph`] so a journaling caller can record
-    /// the owning shard's pre-mutation generation before the insert runs.
-    pub fn route(&self, db: &GraphDb, gid: GraphId) -> Result<u32> {
-        if gid.idx() != self.manifest.assignment.len() {
-            return Err(ShardError::Manifest(format!(
-                "insert of graph {} but manifest maps {} graphs (ids are dense)",
-                gid.0,
-                self.manifest.assignment.len()
-            )));
-        }
+    /// Where the build policy places a newly inserted graph. `gid` must
+    /// be the id just returned by [`GraphDb::insert`] on `db` (dense
+    /// append).
+    fn route(&self, db: &GraphDb, gid: GraphId) -> Result<u32> {
         let policy = policy_by_name(&self.manifest.policy).ok_or_else(|| {
             ShardError::Manifest(format!("unknown routing policy {:?}", self.manifest.policy))
         })?;
-        let loads: Vec<u64> = self.shards.iter().map(NhIndex::node_count).collect();
+        let loads: Vec<u64> = self
+            .shards
+            .iter()
+            .map(GenerationalNhIndex::node_count)
+            .collect();
         Ok(policy.route(db, gid, &loads))
     }
 
-    /// Incrementally indexes a newly inserted graph, routing it with the
-    /// build policy and updating the manifest. `gid` must be the id just
-    /// returned by [`GraphDb::insert`] on `db` (dense append). Returns the
-    /// owning shard, so callers can scope cache invalidation to it.
+    /// Indexes a newly inserted graph: routes it with the build policy
+    /// and runs the journaled [`commit_insert`] against the owning shard.
+    /// `gid` must be the id just returned by [`GraphDb::insert`] on `db`.
+    /// Returns the owning shard.
     pub fn insert_graph(&mut self, db: &GraphDb, gid: GraphId) -> Result<u32> {
         let s = self.route(db, gid)?;
-        self.insert_graph_routed(db, gid, s)?;
+        commit_insert(
+            &self.dir,
+            db,
+            &mut self.manifest,
+            &self.shards[s as usize],
+            s,
+            gid,
+        )?;
         Ok(s)
     }
 
-    /// Indexes `gid` into the already-chosen shard `s` (from
-    /// [`ShardedNhIndex::route`]) and persists the updated manifest.
-    ///
-    /// Crash ordering: the shard's own WAL transaction commits first (its
-    /// generation bump), then the manifest is rewritten atomically. A
-    /// crash in the window between the two leaves a committed shard with a
-    /// short manifest; [`crate::ShardedTaleDatabase::open_with_recovery`]
-    /// detects that from the mutation journal and rolls the manifest
-    /// *forward*.
-    pub fn insert_graph_routed(&mut self, db: &GraphDb, gid: GraphId, s: u32) -> Result<()> {
-        self.shards[s as usize].insert_graph(db, gid)?;
-        self.manifest.assignment.push(s);
-        // Inserting can grow the vocabulary; every shard keyed off the old
-        // one stays correct (bit positions only wrap), but the recorded
-        // fingerprints must match what `open` will recompute.
-        let fp = vocab_fingerprint(db);
-        self.manifest.vocab_fingerprints = vec![fp; self.shards.len()];
-        self.manifest.shard_stats = summarize_shards(&self.shards);
-        self.manifest.save(&self.dir)?;
-        Ok(())
-    }
-
-    /// Logically removes a graph (tombstone in its owning shard). Returns
-    /// the owning shard, so callers can scope cache eviction to it.
-    pub fn remove_graph(&mut self, gid: GraphId, vocab_size: u64) -> Result<u32> {
+    /// Logically removes a graph (a tombstone in its owning shard's
+    /// manifest). Returns the owning shard.
+    pub fn remove_graph(&self, gid: GraphId) -> Result<u32> {
         let s = self.shard_of(gid).ok_or_else(|| {
             ShardError::Manifest(format!("graph {} is not in the shard map", gid.0))
         })?;
-        self.shards[s as usize].remove_graph(gid, vocab_size)?;
+        self.shards[s as usize]
+            .remove_graph(gid)
+            .map_err(|source| ShardError::Shard { shard: s, source })?;
         Ok(s)
+    }
+
+    /// Folds every shard's delta and tombstones into its next on-disk
+    /// generation, one shard at a time. Each shard commits on its own
+    /// manifest flip, so a crash mid-way leaves some shards folded and
+    /// the rest not — both answer identically.
+    pub fn fold(&self, db: &GraphDb) -> Result<Vec<FoldReport>> {
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(s, sh)| {
+                sh.fold(db).map_err(|source| ShardError::Shard {
+                    shard: s as u32,
+                    source,
+                })
+            })
+            .collect()
     }
 
     /// Whether `gid` has been tombstoned (unknown ids read as removed).
@@ -396,7 +506,7 @@ impl ShardedNhIndex {
     pub fn pool_stats(&self) -> tale_storage::PoolStats {
         self.shards
             .iter()
-            .map(NhIndex::pool_stats)
+            .map(GenerationalNhIndex::pool_stats)
             .fold(tale_storage::PoolStats::default(), |a, b| a.merged(b))
     }
 
@@ -404,24 +514,31 @@ impl ShardedNhIndex {
     pub fn prefetch_stats(&self) -> tale_storage::PrefetchStats {
         self.shards
             .iter()
-            .map(NhIndex::prefetch_stats)
+            .map(GenerationalNhIndex::prefetch_stats)
             .fold(tale_storage::PrefetchStats::default(), |a, b| a.merged(b))
     }
 
-    /// Total on-disk footprint over all shards, in bytes.
+    /// Total on-disk footprint over all shards' current generations, in
+    /// bytes.
     pub fn size_bytes(&self) -> u64 {
-        self.shards.iter().map(NhIndex::size_bytes).sum()
+        self.shards
+            .iter()
+            .map(GenerationalNhIndex::size_bytes)
+            .sum()
     }
 
-    /// Total indexed nodes over all shards.
+    /// Total indexed nodes over all shards (base + delta).
     pub fn node_count(&self) -> u64 {
-        self.shards.iter().map(NhIndex::node_count).sum()
+        self.shards
+            .iter()
+            .map(GenerationalNhIndex::node_count)
+            .sum()
     }
 
-    /// Total B+-tree keys over all shards (shards index disjoint graph
+    /// Total composite keys over all shards (shards index disjoint graph
     /// sets but can share key values, so this can exceed the single-index
     /// key count).
     pub fn key_count(&self) -> u64 {
-        self.shards.iter().map(NhIndex::key_count).sum()
+        self.shards.iter().map(GenerationalNhIndex::key_count).sum()
     }
 }

@@ -16,9 +16,12 @@
 //!   sharded output is bit-identical to the single-index answer at any
 //!   shard count and any thread count ([`ShardedTaleDatabase::query`];
 //!   the determinism argument lives in `tale::engine::exec`);
-//! * **mutate** — [`ShardedTaleDatabase::insert_graph`] and
-//!   [`ShardedTaleDatabase::remove_graph`] route to the owning shard and
-//!   invalidate only that shard's slice of the result cache;
+//! * **mutate** — [`ShardedTaleDatabase::insert_graph`],
+//!   [`ShardedTaleDatabase::remove_graph`] and
+//!   [`ShardedTaleDatabase::fold`] route to the owning shard's
+//!   generational index (delta overlay, tombstones, manifest flip — the
+//!   same mechanism as the single index) and retire only that shard's
+//!   slice of the result cache;
 //! * **observe** — per-shard probe/posting/row traffic, buffer-pool
 //!   deltas, wall clocks, and the skew ratio surface through
 //!   [`tale::BatchStats::shards`] (see [`tale::ShardStats`]).
@@ -28,19 +31,16 @@
 //! or label-clustered ([`LabelClusteredPolicy`] — the one that lets the
 //! cost-based planner prove whole shards prunable for a query). The shard
 //! map is persisted in a `shards.json` manifest ([`ShardManifest`]) next
-//! to the `shard-NNN/` index directories, along with per-shard statistics
-//! summaries ([`ShardStatsSummary`]) for `tale-cli stats`.
+//! to the `shard-NNN/` index directories.
 
 mod database;
 mod index;
 mod manifest;
 mod policy;
 
-pub use database::{ShardedRecovery, ShardedTaleDatabase};
-pub use index::{ShardBuildStats, ShardedNhIndex};
-pub use manifest::{
-    vocab_fingerprint, ShardManifest, ShardStatsSummary, MANIFEST_FILE, MANIFEST_SCHEMA_VERSION,
-};
+pub use database::ShardedTaleDatabase;
+pub use index::{commit_insert, open_shard, recover_root, ShardBuildStats, ShardedNhIndex};
+pub use manifest::{vocab_fingerprint, ShardManifest, MANIFEST_FILE, MANIFEST_SCHEMA_VERSION};
 pub use policy::{
     policy_by_name, HashPolicy, LabelClusteredPolicy, ShardPolicy, SizeBalancedPolicy,
 };
@@ -52,11 +52,9 @@ pub enum ShardError {
     Tale(tale::TaleError),
     /// Index-layer failure in one shard.
     Index(tale_nhindex::NhError),
-    /// Index-layer failure attributed to a specific shard — produced by
-    /// [`ShardedNhIndex::open_with_recovery`] so a partial-shard failure
-    /// (one corrupt `shard-NNN/` among healthy siblings) is diagnosable.
-    ///
-    /// [`ShardedNhIndex::open_with_recovery`]: crate::ShardedNhIndex::open_with_recovery
+    /// Index-layer failure attributed to a specific shard, so a
+    /// partial-shard failure (one corrupt `shard-NNN/` among healthy
+    /// siblings) is diagnosable.
     Shard {
         /// The shard whose index failed.
         shard: u32,

@@ -6,7 +6,9 @@
 //! index-dir/
 //!   shards.json      <- this manifest
 //!   graphs.json      <- the graph database (same format as unsharded)
-//!   shard-000/       <- a complete, self-contained NH-Index
+//!   shard-000/       <- a complete generational NH-Index:
+//!     mvcc.json      <-   its manifest (the shard's one commit point)
+//!     gens/g0/       <-   its current immutable generation
 //!   shard-001/
 //!   ...
 //! ```
@@ -25,13 +27,15 @@ use crate::{Result, ShardError};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use tale_graph::{GraphDb, GraphId};
-use tale_nhindex::IndexStatistics;
 
 /// Manifest file name inside a sharded index directory.
 pub const MANIFEST_FILE: &str = "shards.json";
 
 /// Current manifest schema version (bumped on incompatible change).
-pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
+/// Version 1 described shards that were plain NH-Index directories
+/// mutated in place under a write-ahead log; version 2 shards are
+/// generational (`mvcc.json` + `gens/`).
+pub const MANIFEST_SCHEMA_VERSION: u32 = 2;
 
 /// The persisted shard map (see the module docs for the directory layout).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -49,62 +53,6 @@ pub struct ShardManifest {
     /// Per-shard fingerprint of the vocabulary (node + edge + group map)
     /// the shard's index was built or last extended against.
     pub vocab_fingerprints: Vec<u64>,
-    /// Per-shard statistics summaries, refreshed whenever the manifest is
-    /// rewritten. **Observability only** (`tale-cli stats`, dashboards):
-    /// manifests recovered by journal roll-forward can carry summaries one
-    /// mutation behind, so the planner reads each shard's live
-    /// `nh.stats.json` instead — the manifest copy may *under*estimate,
-    /// which would be the unsafe direction for pruning. Absent in
-    /// pre-statistics manifests (`serde` default: empty).
-    #[serde(default)]
-    pub shard_stats: Vec<ShardStatsSummary>,
-}
-
-/// A compact, human-oriented digest of one shard's [`IndexStatistics`],
-/// embedded in the manifest for `tale-cli stats` and the E-PLAN
-/// experiment. Never used for planning decisions (see
-/// [`ShardManifest::shard_stats`]).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ShardStatsSummary {
-    /// Whether the shard exposed statistics at the last manifest write
-    /// (false for indexes built before the statistics subsystem).
-    pub present: bool,
-    /// Graphs indexed (including later-tombstoned ones).
-    pub graphs: u64,
-    /// Nodes indexed.
-    pub nodes: u64,
-    /// Distinct B+-tree keys.
-    pub keys: u64,
-    /// Distinct effective labels with at least one node.
-    pub labels: usize,
-    /// Largest node degree in the shard.
-    pub max_degree: u32,
-    /// Median posting-list length (rows per key).
-    pub posting_p50: u64,
-    /// 90th-percentile posting-list length.
-    pub posting_p90: u64,
-    /// 99th-percentile posting-list length.
-    pub posting_p99: u64,
-    /// Inserts merged since the last exact rebuild of the statistics
-    /// (build/fold) — the staleness generation: 0 means exact.
-    pub stale_inserts: u64,
-}
-
-impl From<&IndexStatistics> for ShardStatsSummary {
-    fn from(s: &IndexStatistics) -> Self {
-        ShardStatsSummary {
-            present: true,
-            graphs: s.graph_count,
-            nodes: s.node_count,
-            keys: s.key_count,
-            labels: s.labels.len(),
-            max_degree: s.max_degree,
-            posting_p50: s.posting_rows.p50,
-            posting_p90: s.posting_rows.p90,
-            posting_p99: s.posting_rows.p99,
-            stale_inserts: s.stale_inserts,
-        }
-    }
 }
 
 impl ShardManifest {
@@ -147,7 +95,8 @@ impl ShardManifest {
             serde_json::from_str(&raw).map_err(|e| ShardError::Manifest(format!("parse: {e}")))?;
         if m.schema_version != MANIFEST_SCHEMA_VERSION {
             return Err(ShardError::Manifest(format!(
-                "schema version {} (this build reads {})",
+                "schema version {} (this build reads {}); \
+                 rebuild with `tale-cli build --shards N`",
                 m.schema_version, MANIFEST_SCHEMA_VERSION
             )));
         }
@@ -221,7 +170,6 @@ mod tests {
             policy: "hash".into(),
             assignment: vec![2, 0, 1, 2, 0],
             vocab_fingerprints: vec![7, 7, 7],
-            shard_stats: Vec::new(),
         };
         m.save(dir.path()).unwrap();
         assert!(ShardManifest::exists(dir.path()));
@@ -248,7 +196,6 @@ mod tests {
             policy: "hash".into(),
             assignment: vec![0, 1],
             vocab_fingerprints: vec![1, 2],
-            shard_stats: Vec::new(),
         };
         m.save(dir.path()).unwrap();
         assert!(ShardManifest::load(dir.path()).is_err()); // bad version
@@ -266,23 +213,6 @@ mod tests {
         m.vocab_fingerprints = vec![1, 2];
         m.save(dir.path()).unwrap();
         assert!(ShardManifest::load(dir.path()).is_ok());
-    }
-
-    #[test]
-    fn pre_statistics_manifest_loads_with_empty_summaries() {
-        // a manifest written before the statistics subsystem has no
-        // `shard_stats` key; serde's default must accept it
-        let dir = tempfile::tempdir().unwrap();
-        let json = r#"{
-            "schema_version": 1,
-            "shard_count": 2,
-            "policy": "hash",
-            "assignment": [0, 1],
-            "vocab_fingerprints": [3, 3]
-        }"#;
-        std::fs::write(dir.path().join(MANIFEST_FILE), json).unwrap();
-        let m = ShardManifest::load(dir.path()).unwrap();
-        assert!(m.shard_stats.is_empty());
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Sharded crash-torture harness: every gated I/O operation of a sharded
-//! insert — journal staging, the `graphs.json` save, the owning shard's
-//! WAL transaction, and the atomic `shards.json` rewrite — is failed in
-//! turn, process death is simulated by dropping the handle with the fault
-//! still tripped, and the reopened database must answer queries
-//! bit-identically to either the pre-insert or the post-insert state.
+//! insert (journal staging, the `graphs.json` save, the atomic
+//! `shards.json` rewrite, the owning shard's `mvcc.json` flip), remove
+//! (one manifest flip) and fold (a generation build per shard, then its
+//! flip) is failed in turn, process death is simulated by dropping the
+//! handle with the fault still tripped, and the reopened database must
+//! answer queries bit-identically to either the pre-mutation or the
+//! post-mutation state — with the journal cleared, orphaned generations
+//! swept, every shard passing `verify`, and no write-ahead log anywhere.
 //!
 //! The fault shim is thread-local, so these tests are safe under the
 //! default parallel test runner.
@@ -14,8 +17,8 @@ use tale_graph::{Graph, GraphDb, GraphId, NodeId};
 use tale_shard::{HashPolicy, ShardError, ShardedTaleDatabase};
 use tale_storage::faults;
 
-/// Tiny per-shard pool so mutations overflow it and exercise eviction
-/// write-backs (which must WAL-protect their pages) mid-transaction.
+/// Tiny per-shard pool so generation builds overflow it and exercise
+/// eviction write-backs.
 fn params() -> TaleParams {
     TaleParams {
         buffer_frames: 8,
@@ -99,69 +102,102 @@ fn copy_tree(src: &Path, dst: &Path) {
     }
 }
 
-#[test]
-fn torture_sharded_insert_graph() {
-    let (db, graphs, fodder) = small_db();
-    let scratch = tempfile::tempdir().unwrap();
-    let pre = scratch.path().join("pre");
-    let sharded = ShardedTaleDatabase::build(db, &pre, &params(), 2, &HashPolicy).unwrap();
-    let mut queries = graphs.clone();
-    queries.push(fodder.clone());
-    let pre_len = sharded.db().len();
-    let pre_answers = answers(&sharded, &queries);
-    drop(sharded);
+/// Every file under `dir`, as paths relative to it.
+fn files_under(dir: &Path) -> Vec<String> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if entry.file_type().unwrap().is_dir() {
+            out.extend(
+                files_under(&entry.path())
+                    .into_iter()
+                    .map(|f| format!("{name}/{f}")),
+            );
+        } else {
+            out.push(name);
+        }
+    }
+    out.sort();
+    out
+}
 
-    // Reference post state: clean insert on a copy.
-    let post_dir = scratch.path().join("post");
-    copy_tree(&pre, &post_dir);
-    let mut post = ShardedTaleDatabase::open(&post_dir, params().buffer_frames).unwrap();
-    post.insert_graph("late", fodder.clone()).unwrap();
-    let post_answers = answers(&post, &queries);
+/// What a mutation may move besides the answers: graph count, graph 0's
+/// tombstone, and each shard's (current generation, logical counter).
+fn state(sharded: &ShardedTaleDatabase) -> Vec<u64> {
+    let mut out = vec![
+        sharded.db().len() as u64,
+        u64::from(sharded.index().is_removed(GraphId(0))),
+    ];
+    for sh in sharded.index().shards() {
+        out.push(sh.current_generation());
+        out.push(sh.logical_generation());
+    }
+    out
+}
+
+/// Runs `mutate` against a copy of `pre` failing the `i`-th gated I/O
+/// operation for every `i`, and asserts the recovered database is
+/// query-identical to the pre state (not committed) or the post state
+/// (committed). Returns the number of fault points swept.
+fn sweep(
+    pre: &Path,
+    scratch: &Path,
+    queries: &[Graph],
+    mutate: impl Fn(&mut ShardedTaleDatabase) -> tale_shard::Result<()>,
+) -> u64 {
+    let frames = params().buffer_frames;
+    let reference = ShardedTaleDatabase::open(pre, frames).unwrap();
+    let (pre_answers, pre_state) = (answers(&reference, queries), state(&reference));
+    drop(reference);
+
+    // Reference post state: the clean mutation on a copy.
+    let post_dir = scratch.join("post");
+    copy_tree(pre, &post_dir);
+    let mut post = ShardedTaleDatabase::open(&post_dir, frames).unwrap();
+    mutate(&mut post).unwrap();
+    let (post_answers, post_state) = (answers(&post, queries), state(&post));
     drop(post);
+    assert_ne!(pre_state, post_state, "the mutation changed nothing");
 
-    // Measuring run: how many gated I/O operations does the insert make?
-    let count_dir = scratch.path().join("count");
-    copy_tree(&pre, &count_dir);
-    let mut counted = ShardedTaleDatabase::open(&count_dir, params().buffer_frames).unwrap();
+    // Measuring run: how many gated I/O operations does it make?
+    let count_dir = scratch.join("count");
+    copy_tree(pre, &count_dir);
+    let mut counted = ShardedTaleDatabase::open(&count_dir, frames).unwrap();
     faults::arm_counting();
-    counted.insert_graph("late", fodder.clone()).unwrap();
+    mutate(&mut counted).unwrap();
     let n = faults::disarm();
     drop(counted);
-    // journal + graphs.json + shard WAL/pages + manifest: many gates
-    assert!(n >= 8, "suspiciously few fault points: {n}");
+    assert!(n > 0, "the mutation made no gated I/O");
 
     for i in 0..n {
-        let work = scratch.path().join(format!("fault-{i}"));
-        copy_tree(&pre, &work);
-        let mut sharded = ShardedTaleDatabase::open(&work, params().buffer_frames).unwrap();
+        let work = scratch.join(format!("fault-{i}"));
+        copy_tree(pre, &work);
+        let mut sharded = ShardedTaleDatabase::open(&work, frames).unwrap();
         faults::arm(i);
-        let res = sharded.insert_graph("late", fodder.clone());
-        drop(sharded); // Drop flush also fails: the process is "dead"
+        let res = mutate(&mut sharded);
+        drop(sharded); // the process is "dead"
         faults::disarm();
         assert!(res.is_err(), "fault {i} of {n} did not surface");
 
-        let (recovered, rec) =
-            ShardedTaleDatabase::open_with_recovery(&work, params().buffer_frames).unwrap();
-        assert!(
-            !(rec.db_rolled_back && rec.manifest_rolled_forward),
-            "fault {i}: recovery both rolled back and rolled forward"
-        );
-        let got = answers(&recovered, &queries);
-        if recovered.db().len() == pre_len + 1 {
-            assert_eq!(
-                got, post_answers,
-                "fault {i} of {n}: committed state differs from clean insert"
+        let (recovered, _) = ShardedTaleDatabase::open_with_recovery(&work, frames).unwrap();
+        let (got, landed) = (answers(&recovered, queries), state(&recovered));
+        // Each component landed before or after, never elsewhere; a
+        // multi-shard fold commits shard by shard, so components may mix
+        // — but then both sides answer identically.
+        for (k, v) in landed.iter().enumerate() {
+            assert!(
+                *v == pre_state[k] || *v == post_state[k],
+                "fault {i} of {n}: state component {k} is {v}"
             );
+        }
+        if pre_answers == post_answers {
+            assert_eq!(got, pre_answers, "fault {i} of {n}: answers moved");
+        } else if landed == post_state {
+            assert_eq!(got, post_answers, "fault {i} of {n}: committed state");
         } else {
-            assert_eq!(
-                recovered.db().len(),
-                pre_len,
-                "fault {i}: graph count corrupt"
-            );
-            assert_eq!(
-                got, pre_answers,
-                "fault {i} of {n}: rolled-back state differs from pre-op"
-            );
+            assert_eq!(landed, pre_state, "fault {i} of {n}: hybrid state");
+            assert_eq!(got, pre_answers, "fault {i} of {n}: rolled-back state");
         }
         for (s, report) in recovered.index().verify().unwrap().iter().enumerate() {
             assert!(
@@ -170,66 +206,123 @@ fn torture_sharded_insert_graph() {
                 report.errors
             );
         }
+        let gens: Vec<u64> = recovered
+            .index()
+            .shards()
+            .iter()
+            .map(|sh| sh.current_generation())
+            .collect();
         drop(recovered);
+        // One recovery story: nothing of the journal, of an unfinished
+        // fold, or of a write-ahead log is left behind.
+        let left = files_under(&work);
+        assert!(
+            !left.iter().any(|f| f == "pending.json"
+                || f == "graphs.json.pre"
+                || f.ends_with(tale_nhindex::LEGACY_WAL_FILE)),
+            "fault {i} of {n}: leftovers {left:?}"
+        );
+        for (s, g) in gens.iter().enumerate() {
+            let dirs: Vec<&String> = left
+                .iter()
+                .filter(|f| f.starts_with(&format!("shard-{s:03}/gens/")))
+                .collect();
+            assert!(
+                dirs.iter()
+                    .all(|f| f.starts_with(&format!("shard-{s:03}/gens/g{g}/"))),
+                "fault {i} of {n}: shard {s} kept an orphaned generation: {dirs:?}"
+            );
+        }
         std::fs::remove_dir_all(&work).unwrap();
     }
+    n
+}
+
+/// The pre state every sweep starts from: two shards built over the six
+/// member graphs, plus (for remove and fold) one unfolded insert.
+fn build_pre(dir: &Path, with_insert: bool) -> (Vec<Graph>, Graph) {
+    let (db, graphs, fodder) = small_db();
+    let mut sharded = ShardedTaleDatabase::build(db, dir, &params(), 2, &HashPolicy).unwrap();
+    if with_insert {
+        sharded.insert_graph("early", fodder.clone()).unwrap();
+    }
+    let mut queries = graphs;
+    queries.push(fodder.clone());
+    (queries, fodder)
+}
+
+#[test]
+fn torture_sharded_insert_graph() {
+    let scratch = tempfile::tempdir().unwrap();
+    let pre = scratch.path().join("pre");
+    let (queries, fodder) = build_pre(&pre, false);
+    let n = sweep(&pre, scratch.path(), &queries, |s| {
+        s.insert_graph("late", fodder.clone()).map(drop)
+    });
+    // journal + graphs.json + shards.json + the shard's manifest flip
+    assert!(n >= 8, "suspiciously few fault points: {n}");
 }
 
 #[test]
 fn torture_sharded_remove_graph() {
-    // Removal tombstones only the owning shard's index (no journal, no
-    // graphs.json or manifest change), so the shard's own WAL covers it.
-    let (db, graphs, _) = small_db();
+    // Removal is one manifest flip in the owning shard: no journal, no
+    // graphs.json or shards.json change.
     let scratch = tempfile::tempdir().unwrap();
     let pre = scratch.path().join("pre");
-    let sharded = ShardedTaleDatabase::build(db, &pre, &params(), 2, &HashPolicy).unwrap();
-    let pre_answers = answers(&sharded, &graphs);
+    let (queries, _) = build_pre(&pre, true);
+    sweep(&pre, scratch.path(), &queries, |s| {
+        s.remove_graph(GraphId(0))
+    });
+}
+
+#[test]
+fn torture_sharded_fold() {
+    // A fold with real work in it: an unfolded insert and a tombstone.
+    let scratch = tempfile::tempdir().unwrap();
+    let pre = scratch.path().join("pre");
+    let (queries, _) = build_pre(&pre, true);
+    let mut sharded = ShardedTaleDatabase::open(&pre, params().buffer_frames).unwrap();
+    sharded.remove_graph(GraphId(1)).unwrap();
     drop(sharded);
+    let n = sweep(&pre, scratch.path(), &queries, |s| s.fold().map(drop));
+    assert!(n >= 6, "suspiciously few fold fault points: {n}");
+}
 
-    let post_dir = scratch.path().join("post");
-    copy_tree(&pre, &post_dir);
-    let mut post = ShardedTaleDatabase::open(&post_dir, params().buffer_frames).unwrap();
-    post.remove_graph(GraphId(0)).unwrap();
-    let post_answers = answers(&post, &graphs);
-    drop(post);
-
-    let count_dir = scratch.path().join("count");
-    copy_tree(&pre, &count_dir);
-    let mut counted = ShardedTaleDatabase::open(&count_dir, params().buffer_frames).unwrap();
-    faults::arm_counting();
-    counted.remove_graph(GraphId(0)).unwrap();
-    let n = faults::disarm();
-    drop(counted);
-    assert!(n > 0, "removal made no gated I/O");
-
-    for i in 0..n {
-        let work = scratch.path().join(format!("fault-{i}"));
-        copy_tree(&pre, &work);
-        let mut sharded = ShardedTaleDatabase::open(&work, params().buffer_frames).unwrap();
-        faults::arm(i);
-        let res = sharded.remove_graph(GraphId(0));
-        drop(sharded);
-        faults::disarm();
-        assert!(res.is_err(), "fault {i} of {n} did not surface");
-
-        let (recovered, _) =
-            ShardedTaleDatabase::open_with_recovery(&work, params().buffer_frames).unwrap();
-        let got = answers(&recovered, &graphs);
-        let removed = recovered.index().is_removed(GraphId(0));
-        if removed {
-            assert_eq!(
-                got, post_answers,
-                "fault {i} of {n}: committed removal differs"
-            );
-        } else {
-            assert_eq!(
-                got, pre_answers,
-                "fault {i} of {n}: rolled-back removal differs"
+/// No build, insert, remove or fold ever creates a write-ahead log: the
+/// directory holds the two manifests' worth of JSON, the graph store and
+/// each generation's five files — nothing else.
+#[test]
+fn no_mutation_leaves_a_wal_or_a_journal() {
+    let dir = tempfile::tempdir().unwrap();
+    let (_, fodder) = build_pre(dir.path(), false);
+    let mut sharded = ShardedTaleDatabase::open(dir.path(), params().buffer_frames).unwrap();
+    let check = |step: &str| {
+        let files = files_under(dir.path());
+        for f in &files {
+            let name = f.rsplit('/').next().unwrap();
+            assert!(
+                [
+                    "graphs.json",
+                    "shards.json",
+                    "mvcc.json",
+                    "nh.btree",
+                    "nh.blobs",
+                    "nh.meta.json",
+                    "nh.stats.json",
+                    "nh.lpf"
+                ]
+                .contains(&name),
+                "after {step}: unexpected file {f}"
             );
         }
-        drop(recovered);
-        std::fs::remove_dir_all(&work).unwrap();
-    }
+    };
+    check("build");
+    let gid = sharded.insert_graph("late", fodder).unwrap();
+    check("insert");
+    sharded.remove_graph(gid).unwrap();
+    check("remove");
+    sharded.fold().unwrap();
+    check("fold");
 }
 
 #[test]
@@ -239,7 +332,7 @@ fn partial_shard_failure_names_the_shard() {
     let sharded = ShardedTaleDatabase::build(db, dir.path(), &params(), 3, &HashPolicy).unwrap();
     drop(sharded);
     // destroy one shard's meta file; its siblings stay healthy
-    std::fs::remove_file(dir.path().join("shard-001").join("nh.meta.json")).unwrap();
+    std::fs::remove_file(dir.path().join("shard-001/gens/g0/nh.meta.json")).unwrap();
     let err = match ShardedTaleDatabase::open(dir.path(), params().buffer_frames) {
         Ok(_) => panic!("open served a database with a destroyed shard"),
         Err(e) => e,
@@ -260,7 +353,7 @@ fn sharded_verify_attributes_bit_flips() {
     drop(sharded);
 
     // flip one payload byte in the middle of shard 0's B+-tree file
-    let bt = dir.path().join("shard-000").join("nh.btree");
+    let bt = dir.path().join("shard-000/gens/g0/nh.btree");
     let mut bytes = std::fs::read(&bt).unwrap();
     let victim = bytes.len() / 2;
     bytes[victim] ^= 0x40;
@@ -270,4 +363,65 @@ fn sharded_verify_attributes_bit_flips() {
     let reports = sharded.index().verify().unwrap();
     assert!(!reports[0].is_ok(), "bit flip in shard 0 not detected");
     assert!(reports[1].is_ok(), "healthy shard 1 flagged");
+}
+
+/// A pre-generational layout, or anything that looks like one, is
+/// refused with a typed manifest error that says how to fix it — never
+/// misread, never a panic.
+#[test]
+fn pre_generational_layouts_are_refused_with_a_rebuild_hint() {
+    let expect_refusal =
+        |dir: &Path, what: &str| match ShardedTaleDatabase::open(dir, params().buffer_frames) {
+            Err(ShardError::Manifest(m)) => {
+                assert!(
+                    m.contains("rebuild with `tale-cli build --shards N`"),
+                    "{what}: {m}"
+                )
+            }
+            Err(other) => panic!("{what}: expected a manifest error, got: {other}"),
+            Ok(_) => panic!("{what}: open served a directory it cannot read"),
+        };
+    let build = || {
+        let (db, _, _) = small_db();
+        let dir = tempfile::tempdir().unwrap();
+        drop(ShardedTaleDatabase::build(db, dir.path(), &params(), 2, &HashPolicy).unwrap());
+        dir
+    };
+
+    // shards.json written by the in-place/WAL build
+    let dir = build();
+    let path = dir.path().join("shards.json");
+    let manifest = std::fs::read_to_string(&path).unwrap();
+    assert!(manifest.contains("\"schema_version\": 2"));
+    std::fs::write(
+        &path,
+        manifest.replace("\"schema_version\": 2", "\"schema_version\": 1"),
+    )
+    .unwrap();
+    expect_refusal(dir.path(), "schema version 1");
+
+    // a shard directory holding a bare NH-Index (no mvcc.json)
+    let dir = build();
+    let shard = dir.path().join("shard-001");
+    for f in ["nh.btree", "nh.blobs", "nh.meta.json"] {
+        std::fs::rename(shard.join("gens/g0").join(f), shard.join(f)).unwrap();
+    }
+    std::fs::remove_file(shard.join("mvcc.json")).unwrap();
+    expect_refusal(dir.path(), "top-level nh.meta.json");
+
+    // a stray write-ahead log next to a healthy generational shard
+    let dir = build();
+    std::fs::write(
+        dir.path()
+            .join("shard-000")
+            .join(tale_nhindex::LEGACY_WAL_FILE),
+        b"",
+    )
+    .unwrap();
+    expect_refusal(dir.path(), "stray write-ahead log");
+
+    // and the advice works: a rebuild over the refused directory opens
+    let (db, _, _) = small_db();
+    drop(ShardedTaleDatabase::build(db, dir.path(), &params(), 2, &HashPolicy).unwrap());
+    ShardedTaleDatabase::open(dir.path(), params().buffer_frames).unwrap();
 }

@@ -85,8 +85,8 @@ impl BlobStore {
         self.pool.pool_stats()
     }
 
-    /// The disk manager under the store's buffer pool (the owner attaches
-    /// the WAL and takes transaction baselines through this).
+    /// The disk manager under the store's buffer pool (integrity sweeps
+    /// read every page through this).
     pub fn disk(&self) -> &Arc<crate::disk::DiskManager> {
         self.pool.disk()
     }

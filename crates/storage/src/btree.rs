@@ -7,11 +7,10 @@
 //! [`BTree::range`]. Values are opaque `u64`s; the NH-Index stores
 //! [`crate::BlobRef`]s to second-level postings there.
 //!
-//! Keys are unique (inserting an existing key replaces its value), which
-//! matches the index's one-posting-per-distinct-key layout. Read-mostly
-//! usage is expected, so [`BTree::bulk_load`] packs leaves at 100% fill;
-//! incremental [`BTree::insert`] with node splits is also provided for
-//! growing databases.
+//! Keys are unique, which matches the index's one-posting-per-distinct-key
+//! layout. A tree is written once by [`BTree::bulk_load`] (leaves packed
+//! at 100% fill) and read-only afterwards: growing databases build new
+//! index generations instead of updating a tree in place.
 
 use crate::buffer::BufferPool;
 use crate::page::{PageId, PAGE_SIZE};
@@ -178,8 +177,7 @@ impl Node {
 /// std::fs::create_dir_all(&dir).unwrap();
 /// let dm = Arc::new(DiskManager::create(&dir.join("t.db")).unwrap());
 /// let pool = Arc::new(BufferPool::new(dm, 64));
-/// let mut tree = BTree::create(pool).unwrap();
-/// tree.insert(CompositeKey::new(1, 4, 2), 99).unwrap();
+/// let tree = BTree::bulk_load(pool, &[(CompositeKey::new(1, 4, 2), 99)]).unwrap();
 /// assert_eq!(tree.get(CompositeKey::new(1, 4, 2)).unwrap(), Some(99));
 /// // range scan: every entry for label 1 with degree >= 4
 /// let hits = tree
@@ -231,12 +229,6 @@ impl BTree {
         Node::decode(guard.page().payload())
     }
 
-    fn write_node(&self, id: PageId, node: &Node) -> Result<()> {
-        let mut guard = self.pool.fetch_mut(id)?;
-        node.encode(guard.page_mut().payload_mut());
-        Ok(())
-    }
-
     /// Exact lookup.
     pub fn get(&self, key: CompositeKey) -> Result<Option<u64>> {
         let mut id = self.root;
@@ -266,90 +258,6 @@ impl BTree {
             leftmost
         } else {
             entries[idx - 1].1
-        }
-    }
-
-    /// Inserts `key → value`, replacing any existing value for `key`.
-    pub fn insert(&mut self, key: CompositeKey, value: u64) -> Result<()> {
-        if let Some((sep, right)) = self.insert_rec(self.root, key, value)? {
-            // root split: grow a new root
-            let (new_root, mut guard) = self.pool.new_page()?;
-            Node::Internal {
-                leftmost: self.root,
-                entries: vec![(sep, right)],
-            }
-            .encode(guard.page_mut().payload_mut());
-            drop(guard);
-            self.root = new_root;
-            self.height += 1;
-        }
-        Ok(())
-    }
-
-    fn insert_rec(
-        &self,
-        id: PageId,
-        key: CompositeKey,
-        value: u64,
-    ) -> Result<Option<(CompositeKey, PageId)>> {
-        match self.read_node(id)? {
-            Node::Leaf { mut entries, next } => {
-                match entries.binary_search_by_key(&key, |&(k, _)| k) {
-                    Ok(i) => entries[i].1 = value,
-                    Err(i) => entries.insert(i, (key, value)),
-                }
-                if entries.len() <= LEAF_CAP {
-                    self.write_node(id, &Node::Leaf { entries, next })?;
-                    return Ok(None);
-                }
-                // split
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries[0].0;
-                let (right_id, mut rg) = self.pool.new_page()?;
-                Node::Leaf {
-                    entries: right_entries,
-                    next,
-                }
-                .encode(rg.page_mut().payload_mut());
-                drop(rg);
-                self.write_node(
-                    id,
-                    &Node::Leaf {
-                        entries,
-                        next: Some(right_id),
-                    },
-                )?;
-                Ok(Some((sep, right_id)))
-            }
-            Node::Internal {
-                leftmost,
-                mut entries,
-            } => {
-                let child = Self::child_for(&entries, leftmost, key);
-                let Some((sep, right)) = self.insert_rec(child, key, value)? else {
-                    return Ok(None);
-                };
-                let idx = entries.partition_point(|&(k, _)| k <= sep);
-                entries.insert(idx, (sep, right));
-                if entries.len() <= INT_CAP {
-                    self.write_node(id, &Node::Internal { leftmost, entries })?;
-                    return Ok(None);
-                }
-                // split internal: middle key moves up
-                let mid = entries.len() / 2;
-                let mut right_entries = entries.split_off(mid);
-                let (up_key, right_leftmost) = right_entries.remove(0);
-                let (right_id, mut rg) = self.pool.new_page()?;
-                Node::Internal {
-                    leftmost: right_leftmost,
-                    entries: right_entries,
-                }
-                .encode(rg.page_mut().payload_mut());
-                drop(rg);
-                self.write_node(id, &Node::Internal { leftmost, entries })?;
-                Ok(Some((up_key, right_id)))
-            }
         }
     }
 
@@ -449,7 +357,8 @@ impl BTree {
 
     /// Bulk-loads a tree from `pairs`, which must be sorted by key with no
     /// duplicates. Leaves are packed full (read-optimized); internal levels
-    /// are built bottom-up. Much faster than repeated [`BTree::insert`].
+    /// are built bottom-up. The only way entries enter a tree: index
+    /// generations are built once and never updated in place.
     pub fn bulk_load(pool: Arc<BufferPool>, pairs: &[(CompositeKey, u64)]) -> Result<Self> {
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
@@ -639,9 +548,6 @@ mod tests {
     use super::*;
     use crate::buffer::BufferPool;
     use crate::disk::DiskManager;
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn make_pool(frames: usize) -> (tempfile::TempDir, Arc<BufferPool>) {
         let d = tempfile::tempdir().unwrap();
@@ -653,30 +559,19 @@ mod tests {
         CompositeKey::new(i / 100, (i / 10) % 10, i % 10)
     }
 
+    fn pairs(n: u32) -> Vec<(CompositeKey, u64)> {
+        (0..n).map(|i| (key(i), i as u64)).collect()
+    }
+
     #[test]
     fn verify_accepts_built_trees_and_counts_entries() {
         let (_d, pool) = make_pool(64);
-        let pairs: Vec<(CompositeKey, u64)> = (0..5000u32).map(|i| (key(i), i as u64)).collect();
-        let mut sorted = pairs.clone();
-        sorted.sort();
-        sorted.dedup_by_key(|p| p.0);
+        let sorted = pairs(5000);
         let t = BTree::bulk_load(Arc::clone(&pool), &sorted).unwrap();
         let c = t.verify().unwrap();
         assert_eq!(c.entries as usize, sorted.len());
         assert!(c.pages > 1);
         assert_eq!(c.height, t.height());
-
-        // verify also holds for insert-built trees
-        let (_d2, pool2) = make_pool(64);
-        let mut t2 = BTree::create(pool2).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let mut shuffled = sorted.clone();
-        shuffled.shuffle(&mut rng);
-        for (k, v) in &shuffled {
-            t2.insert(*k, *v).unwrap();
-        }
-        let c2 = t2.verify().unwrap();
-        assert_eq!(c2.entries as usize, sorted.len());
     }
 
     #[test]
@@ -705,62 +600,18 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_small() {
-        let (_d, pool) = make_pool(16);
-        let mut t = BTree::create(pool).unwrap();
-        for i in 0..100u32 {
-            t.insert(key(i), i as u64).unwrap();
-        }
-        for i in 0..100u32 {
-            assert_eq!(t.get(key(i)).unwrap(), Some(i as u64), "key {i}");
-        }
-        assert_eq!(t.get(key(100)).unwrap(), None);
-        assert_eq!(t.len().unwrap(), 100);
-    }
-
-    #[test]
-    fn insert_replaces_existing() {
-        let (_d, pool) = make_pool(16);
-        let mut t = BTree::create(pool).unwrap();
-        t.insert(key(1), 10).unwrap();
-        t.insert(key(1), 20).unwrap();
-        assert_eq!(t.get(key(1)).unwrap(), Some(20));
-        assert_eq!(t.len().unwrap(), 1);
-    }
-
-    #[test]
-    fn insert_many_splits_random_order() {
-        let (_d, pool) = make_pool(64);
-        let mut t = BTree::create(pool).unwrap();
-        let n = 5000u32;
-        let mut order: Vec<u32> = (0..n).collect();
-        order.shuffle(&mut ChaCha8Rng::seed_from_u64(1));
-        for &i in &order {
-            t.insert(key(i), i as u64 * 3).unwrap();
-        }
-        assert!(t.height() > 1, "tree should have split");
-        for i in (0..n).step_by(37) {
-            assert_eq!(t.get(key(i)).unwrap(), Some(i as u64 * 3));
-        }
-        assert_eq!(t.len().unwrap(), n as usize);
-        // range returns sorted keys
-        let all = t.range(CompositeKey::MIN, CompositeKey::MAX).unwrap();
-        assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
     fn range_scan_bounds() {
         let (_d, pool) = make_pool(32);
-        let mut t = BTree::create(pool).unwrap();
+        let mut entries = Vec::new();
         for label in 0..5u32 {
             for deg in 0..20u32 {
-                t.insert(
+                entries.push((
                     CompositeKey::new(label, deg, deg / 2),
                     (label * 100 + deg) as u64,
-                )
-                .unwrap();
+                ));
             }
         }
+        let t = BTree::bulk_load(pool, &entries).unwrap();
         // all entries for label 2 with degree >= 15
         let lo = CompositeKey::new(2, 15, 0);
         let hi = CompositeKey::new(2, u32::MAX, u32::MAX);
@@ -774,10 +625,7 @@ mod tests {
     #[test]
     fn range_with_early_stop() {
         let (_d, pool) = make_pool(32);
-        let mut t = BTree::create(pool).unwrap();
-        for i in 0..1000u32 {
-            t.insert(key(i), i as u64).unwrap();
-        }
+        let t = BTree::bulk_load(pool, &pairs(1000)).unwrap();
         let mut seen = 0;
         t.range_with(CompositeKey::MIN, CompositeKey::MAX, |_, _| {
             seen += 1;
@@ -788,16 +636,19 @@ mod tests {
     }
 
     #[test]
-    fn bulk_load_matches_inserts() {
+    fn bulk_load_get_and_range() {
         let (_d, pool) = make_pool(64);
-        let pairs: Vec<(CompositeKey, u64)> = (0..3000u32).map(|i| (key(i), i as u64)).collect();
-        let t = BTree::bulk_load(Arc::clone(&pool), &pairs).unwrap();
+        let t = BTree::bulk_load(Arc::clone(&pool), &pairs(3000)).unwrap();
+        assert!(t.height() > 1, "3000 entries span several leaves");
         assert_eq!(t.len().unwrap(), 3000);
         for i in (0..3000u32).step_by(61) {
             assert_eq!(t.get(key(i)).unwrap(), Some(i as u64));
         }
+        assert_eq!(t.get(key(3000)).unwrap(), None);
         let got = t.range(key(500), key(520)).unwrap();
         assert_eq!(got.len(), 21);
+        let all = t.range(CompositeKey::MIN, CompositeKey::MAX).unwrap();
+        assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
@@ -811,19 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_after_bulk_load() {
-        let (_d, pool) = make_pool(64);
-        let pairs: Vec<(CompositeKey, u64)> =
-            (0..1000u32).map(|i| (key(i * 2), i as u64)).collect();
-        let mut t = BTree::bulk_load(pool, &pairs).unwrap();
-        for i in 0..1000u32 {
-            t.insert(key(i * 2 + 1), 7777 + i as u64).unwrap();
-        }
-        assert_eq!(t.len().unwrap(), 2000);
-        assert_eq!(t.get(key(3)).unwrap(), Some(7778));
-    }
-
-    #[test]
     fn reopen_via_root_pointer() {
         let d = tempfile::tempdir().unwrap();
         let path = d.path().join("bt.db");
@@ -831,10 +669,7 @@ mod tests {
         {
             let dm = Arc::new(DiskManager::create(&path).unwrap());
             let pool = Arc::new(BufferPool::new(dm, 32));
-            let mut t = BTree::create(Arc::clone(&pool)).unwrap();
-            for i in 0..2000u32 {
-                t.insert(key(i), i as u64).unwrap();
-            }
+            let t = BTree::bulk_load(Arc::clone(&pool), &pairs(2000)).unwrap();
             root = t.root();
             height = t.height();
             pool.flush_all().unwrap();
@@ -848,13 +683,10 @@ mod tests {
 
     #[test]
     fn works_with_tiny_buffer_pool() {
-        // 4 frames force constant eviction during splits: exercises
+        // 4 frames force constant eviction during the load: exercises
         // write-back correctness under memory pressure.
         let (_d, pool) = make_pool(4);
-        let mut t = BTree::create(pool).unwrap();
-        for i in 0..2000u32 {
-            t.insert(key(i), i as u64).unwrap();
-        }
+        let t = BTree::bulk_load(pool, &pairs(2000)).unwrap();
         for i in (0..2000u32).step_by(97) {
             assert_eq!(t.get(key(i)).unwrap(), Some(i as u64));
         }

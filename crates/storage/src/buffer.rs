@@ -468,17 +468,6 @@ impl BufferPool {
         }
     }
 
-    /// Drops every staged and in-flight prefetched page image. Call on a
-    /// generation flip: the per-page invalidation hooks only cover writes
-    /// issued through *this* pool, while a fold rewrites the underlying
-    /// file wholesale — anything the staging area holds may belong to the
-    /// previous generation. A no-op without an attached prefetcher.
-    pub fn invalidate_prefetched(&self) {
-        if let Some(pf) = &*self.prefetcher.read() {
-            pf.invalidate_all();
-        }
-    }
-
     /// Readahead counters (zeros without an attached prefetcher).
     pub fn prefetch_stats(&self) -> PrefetchStats {
         self.prefetcher
@@ -592,14 +581,6 @@ impl BufferPool {
     /// Writes all dirty frames back to disk, performing every write
     /// outside the pool mutex so concurrent fetches keep flowing during a
     /// checkpoint.
-    ///
-    /// When a WAL is attached, the before-images of every dirty page are
-    /// logged first in one pass, so the write-ahead barrier inside the
-    /// first `write_page` syncs them all with a single fsync (group
-    /// fsync) instead of one per page. The prelog pass happens outside
-    /// the lock too; images are idempotent (first-image-wins), so a frame
-    /// that gets evicted or re-dirtied between snapshot and write-back
-    /// stays crash-consistent.
     pub fn flush_all(&self) -> Result<()> {
         let dirty: Vec<(usize, PageId)> = {
             let inner = self.lock_inner();
@@ -613,9 +594,6 @@ impl BufferPool {
                 .map(|i| (i, inner.meta[i].page_id.expect("dirty frame has a page")))
                 .collect()
         };
-        for (_, id) in &dirty {
-            self.disk.prelog_for_wal(*id)?;
-        }
         for (f, id) in dirty {
             let mut inner = self.lock_inner();
             // Revalidate: the frame may have been evicted (write-back

@@ -5,22 +5,14 @@
 //! by a mutex (positional I/O via `read_exact_at`/`write_all_at` on Unix
 //! would avoid it, but a mutex keeps this portable and the buffer pool
 //! already batches accesses).
-//!
-//! When a [`Wal`] is attached ([`DiskManager::attach_wal`]), every
-//! overwrite of a pre-transaction page first appends the page's
-//! before-image to the log and fsyncs it — write-ahead in the literal
-//! sense. Without an attached log (bulk build, read-only use) the hook is
-//! a `None` check and writes behave exactly as before.
 
 use crate::page::{Page, PageId, PAGE_SIZE};
-use crate::wal::Wal;
 use crate::{Result, StorageError};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Debug-build guard for the pool's no-I/O-under-lock invariant: every
 /// page read or write must happen with the calling thread holding *no*
@@ -44,8 +36,6 @@ pub struct DiskManager {
     /// Table III and Fig. 8 report.
     reads: AtomicU64,
     writes: AtomicU64,
-    /// Optional write-ahead log + this file's tag within it.
-    wal: Mutex<Option<(Arc<Wal>, u8)>>,
 }
 
 impl DiskManager {
@@ -63,7 +53,6 @@ impl DiskManager {
             next_page: AtomicU64::new(0),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            wal: Mutex::new(None),
         })
     }
 
@@ -77,21 +66,12 @@ impl DiskManager {
             next_page: AtomicU64::new(len / PAGE_SIZE as u64),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            wal: Mutex::new(None),
         })
-    }
-
-    /// Attaches a write-ahead log; `file_tag` identifies this file within
-    /// it (0 = B+-tree, 1 = blobs by NH-Index convention). Subsequent
-    /// writes to pages that predate the log's open transaction are
-    /// preceded by a durable before-image.
-    pub fn attach_wal(&self, wal: Arc<Wal>, file_tag: u8) {
-        *self.wal.lock() = Some((wal, file_tag));
     }
 
     /// Current file length in whole pages (what has actually been
     /// persisted, as opposed to [`DiskManager::page_count`], which counts
-    /// allocations). This is the WAL baseline at transaction begin.
+    /// allocations).
     pub fn pages_on_disk(&self) -> Result<u64> {
         Ok(self.file.lock().metadata()?.len() / PAGE_SIZE as u64)
     }
@@ -130,7 +110,13 @@ impl DiskManager {
         if id.0 >= self.page_count() {
             return Err(StorageError::PageOutOfRange(id));
         }
-        let page = Page::from_raw(self.read_raw(id)?);
+        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
+        {
+            let mut f = self.file.lock();
+            f.seek(SeekFrom::Start(id.offset()))?;
+            f.read_exact(&mut buf)?;
+        }
+        let page = Page::from_raw(buf.try_into().expect("buffer is PAGE_SIZE bytes"));
         self.reads.fetch_add(1, Ordering::Relaxed);
         if !page.verify_for(id) {
             return Err(StorageError::Corrupt(id));
@@ -138,50 +124,11 @@ impl DiskManager {
         Ok(page)
     }
 
-    /// Reads a raw page image without checksum verification (WAL
-    /// before-images must capture the bytes exactly as they are, even if
-    /// torn). Does not bump the read counter.
-    pub fn read_raw(&self, id: PageId) -> Result<Box<[u8; PAGE_SIZE]>> {
-        assert_unlocked("read_raw");
-        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        {
-            let mut f = self.file.lock();
-            f.seek(SeekFrom::Start(id.offset()))?;
-            f.read_exact(&mut buf)?;
-        }
-        Ok(buf.try_into().unwrap())
-    }
-
-    /// Logs the before-image of `id` to the attached WAL if the open
-    /// transaction still needs it. Called by the buffer pool ahead of a
-    /// batch flush so one [`Wal::sync`] barrier covers every image (group
-    /// fsync); [`DiskManager::write_page`] also calls it, which makes
-    /// dirty-page *eviction* safe — an evicted page's image is logged
-    /// before the frame is dropped.
-    pub fn prelog_for_wal(&self, id: PageId) -> Result<()> {
-        let hook = self.wal.lock().clone();
-        if let Some((wal, tag)) = hook {
-            if wal.needs_image(tag, id.0) {
-                let raw = self.read_raw(id)?;
-                wal.log_image(tag, id.0, &raw)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Seals and writes a page. With a WAL attached and a transaction
-    /// open, the page's before-image is made durable first.
+    /// Seals and writes a page.
     pub fn write_page(&self, id: PageId, page: &mut Page) -> Result<()> {
         assert_unlocked("write_page");
         if id.0 >= self.page_count() {
             return Err(StorageError::PageOutOfRange(id));
-        }
-        self.prelog_for_wal(id)?;
-        if let Some((wal, _)) = &*self.wal.lock() {
-            // Write-ahead barrier: no data page is overwritten until the
-            // images logged so far are on disk. A no-op when nothing new
-            // was appended, so batch flushes pay one fsync.
-            wal.sync()?;
         }
         crate::fault_check("disk.write_page")?;
         page.seal_for(id);

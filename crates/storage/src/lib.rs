@@ -25,26 +25,19 @@
 //!   serializing on pool misses.
 //! * [`wah`]: word-aligned-hybrid bitmap compression for the posting
 //!   bit columns (the classic bitmap-index storage optimization).
-//! * [`wal`]: a physical (before-image) write-ahead log bracketing index
-//!   mutations, so `insert_graph` / `remove_graph` survive mid-write
-//!   failure. Bulk build stays unprotected on purpose — it is
-//!   rebuild-on-failure, matching the paper's read-only usage — and the
-//!   read path never touches the log.
 //! * [`atomic`]: write-temp + fsync + rename whole-file persistence for
-//!   manifests and reports.
+//!   manifests and reports — the commit primitive of every index
+//!   mutation (page files are bulk-built once and never rewritten, so
+//!   there is no write-ahead log).
 //! * `faults` (behind the `failpoints` cargo feature): a fault-injection
 //!   shim that fails the Nth I/O operation, driving the crash-torture
 //!   harness. Compiled out of release builds.
 //!
-//! This crate itself provides no versioning: pages are mutated in place
-//! under a single writer. MVCC lives one layer up — `tale-nhindex` builds
-//! immutable index *generations* out of these primitives (one page-file
-//! set per generation, committed by an atomic manifest flip) so readers
-//! pin a generation and never observe a writer. The only storage-level
-//! concession to that design is [`Prefetcher::invalidate_all`] /
-//! [`BufferPool::invalidate_prefetched`]: a generation flip rewrites
-//! files outside any pool's write path, so staged read-ahead images must
-//! be dropped wholesale on commit.
+//! This crate itself provides no versioning. MVCC lives one layer up —
+//! `tale-nhindex` builds immutable index *generations* out of these
+//! primitives (one page-file set and one buffer pool per generation,
+//! committed by an atomic manifest flip) so readers pin a generation and
+//! never observe a writer.
 
 pub mod atomic;
 pub mod blob;
@@ -56,7 +49,6 @@ pub mod faults;
 pub mod page;
 pub mod readpath;
 pub mod wah;
-pub mod wal;
 
 pub use blob::{BlobRef, BlobStore};
 pub use btree::{BTree, CompositeKey, TreeCheck};
@@ -66,7 +58,6 @@ pub use page::{PageId, PAGE_SIZE};
 pub use readpath::{
     DiskReadBackend, IoPool, LatencyBackend, PrefetchStats, Prefetcher, ReadBackend,
 };
-pub use wal::Wal;
 
 /// Fault-injection gate, called before every real I/O side effect on the
 /// mutation path. With the `failpoints` feature off this is a no-op the
@@ -99,8 +90,6 @@ pub enum StorageError {
     BadBlobRef,
     /// B+-tree structural invariant violated (indicates a bug).
     TreeInvariant(&'static str),
-    /// Write-ahead-log protocol violation or unrecoverable log state.
-    Wal(String),
 }
 
 impl std::fmt::Display for StorageError {
@@ -112,7 +101,6 @@ impl std::fmt::Display for StorageError {
             StorageError::PoolExhausted => write!(f, "buffer pool exhausted (all frames pinned)"),
             StorageError::BadBlobRef => write!(f, "blob reference out of bounds"),
             StorageError::TreeInvariant(m) => write!(f, "btree invariant violated: {m}"),
-            StorageError::Wal(m) => write!(f, "wal: {m}"),
         }
     }
 }

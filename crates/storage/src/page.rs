@@ -86,7 +86,7 @@ impl Page {
 
 /// FNV-1a 64-bit over the page id followed by the payload. Fast, good
 /// enough for torn-write detection (we are not defending against
-/// adversarial corruption; the WAL uses CRC-32 for its records).
+/// adversarial corruption; wire frames use [`crc32`]).
 pub fn checksum(page_id: u64, data: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf29ce484222325;
     const PRIME: u64 = 0x100000001b3;
@@ -105,6 +105,38 @@ pub fn checksum(page_id: u64, data: &[u8]) -> u64 {
         h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven — the frame
+/// checksum of the `tale-server` wire protocol.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in data {
+        c = (c >> 8) ^ CRC_TABLE[((c ^ b as u32) & 0xFF) as usize];
+    }
+    !c
+}
+
+const CRC_TABLE: [u32; 256] = make_crc_table();
+
+const fn make_crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
 }
 
 #[cfg(test)]
@@ -156,6 +188,12 @@ mod tests {
         b[63] = 1;
         assert_ne!(checksum(0, &a), checksum(0, &b));
         assert_ne!(checksum(0, &a), checksum(1, &a));
+    }
+
+    #[test]
+    fn crc32_known_vector() {
+        // the standard CRC-32 check value
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -315,18 +315,6 @@ impl Prefetcher {
     pub fn invalidate(&self, id: PageId) {
         self.staged.lock().remove(&id);
     }
-
-    /// Drops *every* staged and in-flight entry. Called on a generation
-    /// flip: the per-page `invalidate` hook only fires when *this* pool
-    /// dirties a page, but a fold (or any external rewrite of the
-    /// underlying file) changes page contents without going through the
-    /// pool's write path, so whatever the staging area holds may describe
-    /// the previous generation. Workers whose reads are still in flight
-    /// find their `Pending` entry gone and discard the result, exactly as
-    /// with per-page invalidation.
-    pub fn invalidate_all(&self) {
-        self.staged.lock().clear();
-    }
 }
 
 #[cfg(test)]
@@ -411,74 +399,6 @@ mod tests {
             pf.take(PageId(0)).is_none(),
             "invalidated entry never served"
         );
-    }
-
-    /// A generation flip rewrites page files outside the pool's write
-    /// path. `invalidate_all` must drop staged disk images so a reader of
-    /// the new generation can never be served bytes of the old one.
-    #[test]
-    fn invalidate_all_discards_stale_generation_images() {
-        let d = tempfile::tempdir().unwrap();
-        let path = d.path().join("p.db");
-        let dm = Arc::new(DiskManager::create(&path).unwrap());
-        let id = dm.allocate();
-        let mut page = Page::zeroed();
-        page.payload_mut()[0] = 0x01; // old-generation content
-        dm.write_page(id, &mut page).unwrap();
-        dm.sync().unwrap();
-
-        let io = IoPool::new(1);
-        let backend = Arc::new(CountingBackend {
-            disk: Arc::clone(&dm),
-            reads: AtomicUsize::new(0),
-            delay: Duration::ZERO,
-        });
-        let pf = Prefetcher::new(io, Arc::clone(&backend) as Arc<dyn ReadBackend>, 4);
-
-        // Control: a staged image is takeable and carries the old bytes —
-        // this is exactly the staleness danger if it survived a fold.
-        pf.request(&[id]);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let staged = loop {
-            if let Some(p) = pf.take(id) {
-                break p;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "prefetch never landed"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        assert_eq!(staged.payload()[0], 0x01);
-
-        // Stage the old image again and give the worker time to publish.
-        pf.request(&[id]);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while backend.reads.load(Ordering::SeqCst) < 2 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "second read never ran"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-
-        // "Fold commits": rewrite the page through an independent handle —
-        // this pool never sees a dirty-page write, so only the
-        // generation-flip hook can invalidate the staged image.
-        let dm2 = DiskManager::open(&path).unwrap();
-        let mut newer = Page::zeroed();
-        newer.payload_mut()[0] = 0x02; // new-generation content
-        dm2.write_page(id, &mut newer).unwrap();
-        dm2.sync().unwrap();
-
-        pf.invalidate_all();
-        assert!(
-            pf.take(id).is_none(),
-            "stale staged image survived invalidate_all"
-        );
-        // The demand path now reads the new generation's bytes.
-        assert_eq!(dm.read_page(id).unwrap().payload()[0], 0x02);
     }
 
     #[test]

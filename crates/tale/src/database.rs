@@ -19,7 +19,7 @@ use crate::Result;
 use parking_lot::{Mutex, RwLock};
 use std::path::Path;
 use std::sync::Arc;
-use tale_nhindex::{FoldReport, GenerationalNhIndex, IndexReader, NhIndexConfig};
+use tale_nhindex::{FoldReport, GenerationalNhIndex, NhIndexConfig, Snapshot};
 
 use tale_graph::{Graph, GraphDb, GraphId};
 
@@ -44,10 +44,9 @@ pub struct TaleDatabase {
     index: GenerationalNhIndex,
     /// Serializes mutations; never touched by queries.
     writer: Mutex<()>,
-    /// Pre-rank partials derived from the base generation.
-    cache: ResultCache,
-    /// Pre-rank partials derived from the delta overlay.
-    delta_cache: ResultCache,
+    /// Pre-rank partials derived from the base generation and from the
+    /// delta overlay — one cache per reader of a pinned snapshot.
+    caches: [ResultCache; 2],
     // Keeps the scratch directory alive for in-temp builds.
     _scratch: Option<ScratchDir>,
 }
@@ -70,8 +69,10 @@ impl TaleDatabase {
             db: RwLock::new(Arc::new(db)),
             index,
             writer: Mutex::new(()),
-            cache: ResultCache::new(DEFAULT_CACHE_ENTRIES),
-            delta_cache: ResultCache::new(DEFAULT_CACHE_ENTRIES),
+            caches: [
+                ResultCache::new(DEFAULT_CACHE_ENTRIES),
+                ResultCache::new(DEFAULT_CACHE_ENTRIES),
+            ],
             _scratch: scratch,
         }
     }
@@ -106,21 +107,18 @@ impl TaleDatabase {
     /// The multi-file journal reconciles `graphs.json` against the
     /// persisted logical mutation counter ([`crate::journal`]), then the
     /// generational index opens against the recovered graph store —
-    /// running the current generation's (always-empty) WAL recovery,
-    /// sweeping orphaned generation directories from unfinished folds,
-    /// and re-deriving the in-memory delta overlay — so the pair can
-    /// never be served out of sync.
+    /// sweeping orphaned generation directories from unfinished folds and
+    /// re-deriving the in-memory delta overlay — so the pair can never be
+    /// served out of sync.
     pub fn open_with_recovery(dir: &Path, buffer_frames: usize) -> Result<(Self, DbRecovery)> {
-        let logical = GenerationalNhIndex::peek_logical(dir)?;
-        let journal = MutationJournal::new(dir);
-        let (journal_present, db_rolled_back) = journal.recover(logical)?;
+        let (journal_present, db_rolled_back) =
+            MutationJournal::new(dir).recover(|_| Ok(GenerationalNhIndex::peek_logical(dir)?))?;
         let db = tale_graph::io::load_json(&dir.join(DB_FILE))?;
         let (index, mvcc) = GenerationalNhIndex::open(dir, &db, buffer_frames)?;
         let report = DbRecovery {
-            index: mvcc.index,
             journal_present,
             db_rolled_back,
-            generations_swept: mvcc.swept.len(),
+            generations_swept: vec![mvcc.swept.len()],
         };
         Ok((Self::assemble(db, index, None), report))
     }
@@ -286,17 +284,16 @@ impl TaleDatabase {
         // every graph the snapshot can answer with.
         let snap = self.index.snapshot();
         let db = self.db.read().clone();
-        let base = snap.base_reader();
-        let delta = snap.delta_reader();
-        let shards: [&dyn IndexReader; 2] = [&base, &delta];
-        let caches = [&self.cache, &self.delta_cache];
-        exec::run_batch(
-            &db,
-            &shards,
-            opts.use_cache.then_some(&caches[..]),
-            queries,
-            opts,
-        )
+        let caches: Vec<&ResultCache> = self.caches.iter().collect();
+        Snapshot::with_readers(&[snap], |readers| {
+            exec::run_batch(
+                &db,
+                readers,
+                opts.use_cache.then_some(&caches[..]),
+                queries,
+                opts,
+            )
+        })
     }
 
     /// Describes — without executing — the plan the engine would choose
@@ -307,10 +304,9 @@ impl TaleDatabase {
     pub fn explain(&self, query: &Graph, opts: &QueryOptions) -> crate::PlanReport {
         let snap = self.index.snapshot();
         let db = self.db.read().clone();
-        let base = snap.base_reader();
-        let delta = snap.delta_reader();
-        let shards: [&dyn IndexReader; 2] = [&base, &delta];
-        crate::engine::plan::plan_report(&db, &shards, query, opts)
+        Snapshot::with_readers(&[snap], |readers| {
+            crate::engine::plan::plan_report(&db, readers, query, opts)
+        })
     }
 
     /// Runs an approximate subgraph query (the full §V pipeline, staged
@@ -362,30 +358,22 @@ impl TaleDatabase {
     /// (hits, misses, insertions). Each query consults both caches — one
     /// per index reader — so a single fully-cached query counts two hits.
     pub fn result_cache_stats(&self) -> CacheStats {
-        let b = self.cache.stats();
-        let d = self.delta_cache.stats();
-        CacheStats {
-            entries: b.entries + d.entries,
-            capacity: b.capacity + d.capacity,
-            hits: b.hits + d.hits,
-            misses: b.misses + d.misses,
-            insertions: b.insertions + d.insertions,
-            invalidations: b.invalidations + d.invalidations,
-        }
+        self.caches[0].stats().merged(self.caches[1].stats())
     }
 
     /// Counter snapshot of the base-generation cache alone (whose entries
     /// are the ones that survive inserts).
     pub fn base_cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.caches[0].stats()
     }
 
     /// Drops every cached result. No mutation path does this anymore —
     /// invalidation is generation-keyed — but explicit maintenance may
     /// still want a cold cache.
     pub fn clear_result_cache(&self) {
-        self.cache.clear();
-        self.delta_cache.clear();
+        for c in &self.caches {
+            c.clear();
+        }
     }
 }
 

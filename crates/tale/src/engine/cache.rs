@@ -47,9 +47,10 @@
 //! its key and stays warm, which is the fix for the old
 //! "insert wholesale-clears the cache" bug (proven by the probe-counter
 //! test: a repeat query after an insert still answers with zero disk
-//! probes). [`ResultCache::evict_graph`] remains available for in-place
-//! removals on the sharded path: entries that never matched the removed
-//! graph stay exactly correct and resident.
+//! probes). A removal keeps every epoch: it can only *delete* matches, so
+//! the engine filters cached lists through the reader's
+//! [`is_visible`](tale_nhindex::IndexReader::is_visible) at read time and
+//! every entry stays resident and exactly correct.
 //!
 //! [`cache_generation`]: tale_nhindex::IndexReader::cache_generation
 //!
@@ -202,6 +203,20 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
+impl CacheStats {
+    /// Field-wise sum: the counters of two caches taken together.
+    pub fn merged(self, other: CacheStats) -> CacheStats {
+        CacheStats {
+            entries: self.entries + other.entries,
+            capacity: self.capacity + other.capacity,
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            insertions: self.insertions + other.insertions,
+            invalidations: self.invalidations + other.invalidations,
+        }
+    }
+}
+
 /// LRU result cache keyed by `(canonical signature, options fingerprint)`
 /// with exact-query verification, holding one shard's pre-rank partial
 /// match lists. Interior-mutable and thread-safe so concurrent queries
@@ -289,23 +304,6 @@ impl ResultCache {
         let mut inner = self.inner.lock().expect("result cache poisoned");
         inner.map.clear();
         inner.invalidations += 1;
-    }
-
-    /// Drops only the entries whose stored partial list contains `graph` —
-    /// the remove-side invalidation. Removing a graph can only delete its
-    /// own matches, so an entry that never matched it is still exactly
-    /// correct and stays resident. Returns how many entries were evicted.
-    pub fn evict_graph(&self, graph: tale_graph::GraphId) -> usize {
-        let mut inner = self.inner.lock().expect("result cache poisoned");
-        let before = inner.map.len();
-        inner
-            .map
-            .retain(|_, e| e.results.iter().all(|m| m.graph != graph));
-        let evicted = before - inner.map.len();
-        if evicted > 0 {
-            inner.invalidations += 1;
-        }
-        evicted
     }
 
     /// Counter snapshot.

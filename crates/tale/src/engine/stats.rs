@@ -164,6 +164,36 @@ pub struct ShardStats {
     pub wall_secs: f64,
 }
 
+impl ShardStats {
+    /// Field-wise sum of two readers' rows (keeping `self.shard`) — how a
+    /// sharded database folds each shard's base and delta readers into
+    /// one per-shard row.
+    pub fn merged(&self, other: &ShardStats) -> ShardStats {
+        ShardStats {
+            shard: self.shard,
+            uniques_executed: self.uniques_executed + other.uniques_executed,
+            probes: self.probes + other.probes,
+            keys_scanned: self.keys_scanned + other.keys_scanned,
+            postings_fetched: self.postings_fetched + other.postings_fetched,
+            postings_filtered: self.postings_filtered + other.postings_filtered,
+            rows_examined: self.rows_examined + other.rows_examined,
+            candidates: self.candidates + other.candidates,
+            match_items: self.match_items + other.match_items,
+            matches: self.matches + other.matches,
+            pruned_uniques: self.pruned_uniques + other.pruned_uniques,
+            pool: PoolDelta {
+                hits: self.pool.hits + other.pool.hits,
+                coalesced: self.pool.coalesced + other.pool.coalesced,
+                misses: self.pool.misses + other.pool.misses,
+                prefetched: self.pool.prefetched + other.pool.prefetched,
+            },
+            probe_secs: self.probe_secs + other.probe_secs,
+            match_secs: self.match_secs + other.match_secs,
+            wall_secs: self.wall_secs + other.wall_secs,
+        }
+    }
+}
+
 /// What one batch cost end to end, plus per-query breakdowns.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct BatchStats {

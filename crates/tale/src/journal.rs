@@ -1,32 +1,33 @@
 //! Multi-file mutation journal.
 //!
-//! A persistent [`crate::TaleDatabase`] keeps two durable artifacts that
-//! must stay consistent: the graph store (`graphs.json`) and the NH-Index.
-//! Each is individually crash-safe (atomic rename; WAL), but a crash
-//! *between* their commit points could otherwise leave an index that
-//! references a graph the store lacks, or vice versa — a corrupted-but-
-//! served state no single-file mechanism can see.
+//! A persistent database keeps durable artifacts that must stay
+//! consistent: the graph store (`graphs.json`), the NH-Index, and — in the
+//! sharded layout — the shard map (`shards.json`). Each is individually
+//! crash-safe (an atomic rename), but a crash *between* their commit
+//! points could otherwise leave an index that references a graph the
+//! store lacks, or vice versa — a corrupted-but-served state no
+//! single-file mechanism can see.
 //!
 //! The journal closes that window. Before a graph insert touches anything
 //! durable it *stages*: the current `graphs.json` is copied to a fsynced
-//! backup and a `pending.json` marker recording the index's pre-mutation
-//! generation is atomically written. Then the new `graphs.json` is saved,
-//! the index mutation commits (the atomic manifest write bumping the
-//! logical counter for the generational index; a WAL transaction for the
-//! sharded in-place path), and the journal is cleared. Recovery on open
-//! keys off that generation counter — the *last* commit point in the
-//! sequence:
+//! backup and a `pending.json` marker recording the owning index's
+//! pre-mutation logical counter is atomically written. Then the new
+//! `graphs.json` is saved (and, when sharded, the new `shards.json`), the
+//! index mutation commits — the atomic `mvcc.json` write bumping the
+//! logical counter, the one index commit point in the codebase — and the
+//! journal is cleared. Recovery on open keys off that counter, the *last*
+//! commit point in the sequence, with one rule for both layouts:
 //!
-//! * generation unchanged → the index mutation never committed (its WAL
-//!   already rolled the page files back); restore `graphs.json` from the
+//! * counter unchanged → the index mutation never committed (and never
+//!   touched an existing index file); restore `graphs.json` from the
 //!   backup. Everything is bit-identical to the pre-insert state.
-//! * generation advanced → the index committed; the already-saved
+//! * counter advanced → the index committed; the already-saved
 //!   `graphs.json` is exactly the post-insert state. Discard the backup.
 //!
-//! Graph removals tombstone only the index and never touch `graphs.json`,
-//! so they need no journal. Clearing is crash-safe too: the marker is
-//! deleted before the backup, and a stale backup without a marker is
-//! swept harmlessly on the next open.
+//! Graph removals and folds change only the index manifest and never
+//! touch `graphs.json`, so they need no journal. Clearing is crash-safe
+//! too: the marker is deleted before the backup, and a stale backup
+//! without a marker is swept harmlessly on the next open.
 
 use crate::Result;
 use serde::{Deserialize, Serialize};
@@ -40,33 +41,31 @@ pub const DB_BACKUP_FILE: &str = "graphs.json.pre";
 /// Contents of the `pending.json` marker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PendingMutation {
-    /// Index generation observed *before* the mutation began — the
-    /// *logical* mutation counter for the generational single-index
-    /// database, the shard's in-place generation for sharded databases.
-    /// Recovery compares it to the reopened index's counter to decide
-    /// whether the mutation committed.
+    /// The owning index's *logical* mutation counter observed *before*
+    /// the mutation began. Recovery compares it to the persisted counter
+    /// to decide whether the mutation committed.
     pub pre_generation: u64,
     /// For sharded databases: the shard the mutation routed to (whose
-    /// generation `pre_generation` refers to). `None` for the single-index
+    /// counter `pre_generation` refers to). `None` for the single-index
     /// database.
     #[serde(default)]
     pub shard: Option<u32>,
 }
 
-/// What [`crate::TaleDatabase::open_with_recovery`] found and repaired.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+/// What opening a database directory found and repaired — the one
+/// recovery story of both layouts ([`crate::TaleDatabase::open_with_recovery`]
+/// and its sharded counterpart).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct DbRecovery {
-    /// The current generation's own WAL recovery outcome (always a no-op
-    /// transaction-wise — generations are immutable once built).
-    pub index: tale_nhindex::RecoveryReport,
     /// A `pending.json` marker was present (a multi-file mutation was in
     /// flight at crash time).
     pub journal_present: bool,
     /// `graphs.json` was restored from its pre-mutation backup.
     pub db_rolled_back: bool,
     /// Orphaned generation directories swept from `gens/` — unfinished
-    /// folds, or retired generations whose GC never ran.
-    pub generations_swept: usize,
+    /// folds, or retired generations whose GC never ran — per index: one
+    /// entry for the single index, one per shard when sharded.
+    pub generations_swept: Vec<usize>,
 }
 
 /// Handle to the journal files of one database directory.
@@ -92,9 +91,7 @@ impl MutationJournal {
 
     /// Stages a mutation: backs up `db_file` (fsynced) and atomically
     /// writes the marker. After this returns, a crash at any later point
-    /// is recoverable by [`MutationJournal::recover`] (or by the sharded
-    /// layer's own reconciliation built on [`MutationJournal::load`] /
-    /// [`MutationJournal::roll_back_db`]).
+    /// is recoverable by [`MutationJournal::recover`].
     pub fn stage(&self, db_file: &Path, marker: PendingMutation) -> Result<()> {
         std::fs::copy(db_file, self.backup())?;
         let f = std::fs::File::open(self.backup())?;
@@ -106,7 +103,7 @@ impl MutationJournal {
     }
 
     /// Reads the marker, if present.
-    pub fn load(&self) -> Result<Option<PendingMutation>> {
+    fn load(&self) -> Result<Option<PendingMutation>> {
         let marker = self.marker();
         if !marker.exists() {
             return Ok(None);
@@ -119,7 +116,7 @@ impl MutationJournal {
 
     /// Restores `db_file` from the staged backup (atomic rename). Returns
     /// whether a backup existed to restore.
-    pub fn roll_back_db(&self, db_file: &Path) -> Result<bool> {
+    fn roll_back_db(&self, db_file: &Path) -> Result<bool> {
         if !self.backup().exists() {
             return Ok(false);
         }
@@ -139,10 +136,15 @@ impl MutationJournal {
         Ok(())
     }
 
-    /// Repairs the directory after a crash. `post_generation` is the index
-    /// generation *after* its own WAL recovery ran. Returns whether a
-    /// journal was present and whether `graphs.json` was rolled back.
-    pub fn recover(&self, post_generation: u64) -> Result<(bool, bool)> {
+    /// Repairs the directory after a crash. `post_generation` reads the
+    /// persisted logical counter of the index the pending mutation
+    /// belongs to (it names the shard, if any); it is only called when a
+    /// marker is present. Returns whether a journal was present and
+    /// whether `graphs.json` was rolled back.
+    pub fn recover(
+        &self,
+        post_generation: impl FnOnce(&PendingMutation) -> Result<u64>,
+    ) -> Result<(bool, bool)> {
         let Some(pending) = self.load()? else {
             // No mutation in flight; sweep a stale backup if the previous
             // clear() died between its two deletes.
@@ -150,7 +152,7 @@ impl MutationJournal {
             return Ok((false, false));
         };
         let mut db_rolled_back = false;
-        if post_generation == pending.pre_generation {
+        if post_generation(&pending)? == pending.pre_generation {
             // Index mutation never committed: put the pre-mutation
             // graphs.json back (rename is atomic; the backup was fsynced
             // at stage time).
@@ -189,7 +191,7 @@ mod tests {
         .unwrap();
         std::fs::write(&db_file, b"new").unwrap(); // the mutation's save
                                                    // crash; index recovery left generation at 7 → roll back
-        let (present, rolled) = j.recover(7).unwrap();
+        let (present, rolled) = j.recover(|_| Ok(7)).unwrap();
         assert!(present && rolled);
         assert_eq!(std::fs::read(&db_file).unwrap(), b"old");
         assert!(!d.path().join(JOURNAL_FILE).exists());
@@ -212,7 +214,7 @@ mod tests {
         .unwrap();
         std::fs::write(&db_file, b"new").unwrap();
         // index committed (generation 8) → keep the new file
-        let (present, rolled) = j.recover(8).unwrap();
+        let (present, rolled) = j.recover(|_| Ok(8)).unwrap();
         assert!(present && !rolled);
         assert_eq!(std::fs::read(&db_file).unwrap(), b"new");
         assert!(!d.path().join(DB_BACKUP_FILE).exists());
@@ -223,7 +225,7 @@ mod tests {
         let d = tempfile::tempdir().unwrap();
         std::fs::write(d.path().join(DB_BACKUP_FILE), b"stale").unwrap();
         let j = MutationJournal::new(d.path());
-        let (present, rolled) = j.recover(0).unwrap();
+        let (present, rolled) = j.recover(|_| Ok(0)).unwrap();
         assert!(!present && !rolled);
         assert!(!d.path().join(DB_BACKUP_FILE).exists());
     }

@@ -144,8 +144,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The disk B+-tree behaves exactly like a BTreeMap model under
-    /// arbitrary insert sequences (with overwrites) and range scans.
+    /// A bulk-loaded disk B+-tree answers point lookups and range scans
+    /// exactly like the BTreeMap model it was loaded from.
     #[test]
     fn btree_matches_model(
         ops in prop::collection::vec(((0u32..6, 0u32..40, 0u32..6), any::<u64>()), 1..300),
@@ -155,13 +155,12 @@ proptest! {
         let dir = tempfile::tempdir().unwrap();
         let dm = Arc::new(DiskManager::create(&dir.path().join("t.db")).unwrap());
         let pool = Arc::new(BufferPool::new(dm, 16)); // tiny pool: force eviction
-        let mut tree = BTree::create(pool).unwrap();
-        let mut model: BTreeMap<CompositeKey, u64> = BTreeMap::new();
-        for ((a, b, c), v) in ops {
-            let k = CompositeKey::new(a, b, c);
-            tree.insert(k, v).unwrap();
-            model.insert(k, v);
-        }
+        let model: BTreeMap<CompositeKey, u64> = ops
+            .into_iter()
+            .map(|((a, b, c), v)| (CompositeKey::new(a, b, c), v))
+            .collect();
+        let pairs: Vec<(CompositeKey, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+        let tree = BTree::bulk_load(pool, &pairs).unwrap();
         // point lookups
         for (k, v) in &model {
             prop_assert_eq!(tree.get(*k).unwrap(), Some(*v));
