@@ -16,6 +16,7 @@ use crate::labels::{LabelInterner, NodeLabel};
 use crate::{GraphError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Identifier of a graph within a [`GraphDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -40,6 +41,53 @@ pub struct GraphDb {
     /// their own dense space starting at 0.
     group_of_label: Option<Vec<u32>>,
     group_count: u32,
+    /// Per-graph [`LabelBuckets`], each built on first use. Derived data:
+    /// never serialized, sized on first use (so a deserialized or fresh db
+    /// starts empty), and reset whenever effective labels change.
+    #[serde(skip)]
+    buckets: OnceLock<Vec<OnceLock<LabelBuckets>>>,
+}
+
+/// One graph's nodes grouped by effective label — the label-pruned
+/// candidate lists of a (query node, graph) pair, independent of the query.
+#[derive(Debug, Clone)]
+pub struct LabelBuckets {
+    /// Distinct effective labels, ascending.
+    labels: Vec<u32>,
+    /// `nodes[starts[i]..starts[i + 1]]` carry `labels[i]`.
+    starts: Vec<usize>,
+    /// Nodes grouped by label, ascending node id within a group.
+    nodes: Vec<NodeId>,
+}
+
+impl LabelBuckets {
+    /// Groups `g`'s nodes by `label_of`.
+    fn build(g: &Graph, label_of: impl Fn(NodeId) -> u32) -> Self {
+        let mut keyed: Vec<(u32, NodeId)> = g.nodes().map(|n| (label_of(n), n)).collect();
+        keyed.sort_unstable();
+        let mut b = LabelBuckets {
+            labels: Vec::new(),
+            starts: Vec::new(),
+            nodes: Vec::with_capacity(keyed.len()),
+        };
+        for (i, &(label, n)) in keyed.iter().enumerate() {
+            if b.labels.last() != Some(&label) {
+                b.labels.push(label);
+                b.starts.push(i);
+            }
+            b.nodes.push(n);
+        }
+        b.starts.push(keyed.len());
+        b
+    }
+
+    /// The nodes whose effective label is `label`, ascending.
+    pub fn nodes(&self, label: u32) -> &[NodeId] {
+        match self.labels.binary_search(&label) {
+            Ok(i) => &self.nodes[self.starts[i]..self.starts[i + 1]],
+            Err(_) => &[],
+        }
+    }
 }
 
 impl GraphDb {
@@ -73,6 +121,9 @@ impl GraphDb {
         let id = GraphId(self.graphs.len() as u32);
         self.graphs.push(g);
         self.names.push(name.into());
+        if let Some(buckets) = self.buckets.get_mut() {
+            buckets.push(OnceLock::new());
+        }
         id
     }
 
@@ -149,6 +200,7 @@ impl GraphDb {
         }
         self.group_count = groups.iter().copied().max().map_or(0, |m| m + 1);
         self.group_of_label = Some(groups);
+        self.buckets = OnceLock::new();
         Ok(())
     }
 
@@ -185,6 +237,7 @@ impl GraphDb {
         }
         self.group_count = next;
         self.group_of_label = Some(groups);
+        self.buckets = OnceLock::new();
         Ok(())
     }
 
@@ -216,6 +269,18 @@ impl GraphDb {
             Some(map) => map[raw as usize],
             None => raw,
         }
+    }
+
+    /// `graph`'s nodes grouped by [`effective_label`](Self::effective_label),
+    /// built on the first call for that graph and shared by every later
+    /// one (including concurrent ones).
+    pub fn label_buckets(&self, graph: GraphId) -> &LabelBuckets {
+        let slots = self
+            .buckets
+            .get_or_init(|| (0..self.graphs.len()).map(|_| OnceLock::new()).collect());
+        slots[graph.idx()].get_or_init(|| {
+            LabelBuckets::build(self.graph(graph), |n| self.effective_label(graph, n))
+        })
     }
 
     /// Maps a raw label to its effective (group) label. Raw labels outside
@@ -316,6 +381,84 @@ mod tests {
         db.intern_node_label("x");
         let err = db.set_group_by_names(&[("missing".into(), "g".into())]);
         assert!(err.is_err());
+    }
+
+    /// `label_buckets` must equal grouping every node by its effective
+    /// label, node ids ascending within a label.
+    fn assert_buckets_naive(db: &GraphDb) {
+        for (id, _, g) in db.iter() {
+            let mut naive: HashMap<u32, Vec<NodeId>> = HashMap::new();
+            for n in g.nodes() {
+                naive.entry(db.effective_label(id, n)).or_default().push(n);
+            }
+            let b = db.label_buckets(id);
+            for (label, nodes) in &naive {
+                assert_eq!(
+                    b.nodes(*label),
+                    nodes.as_slice(),
+                    "graph {id:?} label {label}"
+                );
+            }
+            let total: usize = naive.keys().map(|&l| b.nodes(l).len()).sum();
+            assert_eq!(total, g.node_count());
+            assert!(b.nodes(u32::MAX).is_empty());
+        }
+    }
+
+    #[test]
+    fn label_buckets_equal_naive_grouping() {
+        use crate::generate::gnm;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let mut db = GraphDb::new();
+        for l in 0..6 {
+            db.intern_node_label(&format!("L{l}"));
+        }
+        for i in 0..4 {
+            db.insert(format!("g{i}"), gnm(&mut rng, 30 + 10 * i, 60, 6));
+        }
+        assert_buckets_naive(&db);
+        // an insert after the table exists gets its own buckets
+        db.insert("late", gnm(&mut rng, 25, 40, 6));
+        assert_buckets_naive(&db);
+        // a group map changes effective labels: every graph is regrouped
+        db.set_group(vec![0, 0, 1, 1, 2, 2]).unwrap();
+        assert_buckets_naive(&db);
+        db.set_group_by_names(&[("L0".into(), "x".into()), ("L5".into(), "x".into())])
+            .unwrap();
+        assert_buckets_naive(&db);
+        db.insert("after-groups", gnm(&mut rng, 20, 30, 6));
+        assert_buckets_naive(&db);
+        // a clone carries equal buckets
+        assert_buckets_naive(&db.clone());
+    }
+
+    #[test]
+    fn label_buckets_are_not_serialized() {
+        use crate::io::{load_json, save_json};
+        let dir = tempfile::tempdir().unwrap();
+        let (path, path2) = (
+            dir.path().join("graphs.json"),
+            dir.path().join("again.json"),
+        );
+        let (db, id) = tiny_db();
+        save_json(&db, &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        assert_eq!(db.label_buckets(id).nodes(0), &[NodeId(0)]);
+        save_json(&db, &path).unwrap();
+        assert_eq!(
+            before,
+            std::fs::read(&path).unwrap(),
+            "buckets reached the json"
+        );
+        let back = load_json(&path).unwrap();
+        assert_buckets_naive(&back);
+        save_json(&back, &path2).unwrap();
+        assert_eq!(
+            before,
+            std::fs::read(&path2).unwrap(),
+            "round trip not byte-identical"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod neighborhood;
 pub mod stats;
 pub mod wl;
 
-pub use db::{GraphDb, GraphId};
+pub use db::{GraphDb, GraphId, LabelBuckets};
 pub use graph::{Direction, EdgeId, Graph, NodeId};
 pub use labels::{EdgeLabel, LabelInterner, NodeLabel};
 pub use neighborhood::NeighborhoodStats;

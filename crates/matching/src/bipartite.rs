@@ -4,9 +4,10 @@
 //! (using node match scores as weights) from the LEDA-R 3.2 library" to
 //! turn many-to-many index hits into one-to-one anchor matches. LEDA is
 //! proprietary, so [`max_weight_matching`] is a from-scratch Kuhn–Munkres
-//! (Hungarian) implementation: O(n³) over the padded square matrix,
-//! maximizing total weight, leaving vertices unmatched rather than pairing
-//! them through absent (weight-less) edges.
+//! (Hungarian) implementation: O(n³) over the padded square matrix of each
+//! connected component of the candidate graph, maximizing total weight,
+//! leaving vertices unmatched rather than pairing them through absent
+//! (weight-less) edges.
 //!
 //! [`greedy_matching`] is the obvious cheaper alternative (sort edges by
 //! weight, take greedily); the `anchor_assignment` ablation bench compares
@@ -22,6 +23,14 @@ pub type WeightedEdge = (usize, usize, f64);
 /// Only pairs connected by an input edge are ever matched; total weight is
 /// maximal over all matchings.
 ///
+/// The candidate graph is solved one connected component at a time, and
+/// each component only over the vertices that carry an edge: the optimum
+/// of a disjoint union is the union of per-component optima, and the
+/// Kuhn–Munkres core is O(n³) in its padded square size. Edge-less
+/// vertices — e.g. query nodes without a single index hit — therefore cost
+/// nothing, however many of them `n_left` / `n_right` count. Which of
+/// several equal-weight optima comes back depends only on the edges.
+///
 /// ```
 /// use tale_matching::bipartite::max_weight_matching;
 /// // two query nodes, two candidates; the crossed assignment wins 2.5 > 2.0
@@ -33,15 +42,11 @@ pub fn max_weight_matching(
     n_right: usize,
     edges: &[WeightedEdge],
 ) -> Vec<Option<usize>> {
-    if n_left == 0 || n_right == 0 || edges.is_empty() {
-        return vec![None; n_left];
+    let mut result = vec![None; n_left];
+    if edges.is_empty() {
+        return result;
     }
-    // The candidate graph is typically a disjoint union of small blocks:
-    // an edge only ever joins a query node to candidates sharing its
-    // effective label (or ortholog group). The optimum of a disjoint union
-    // is the union of per-component optima, and the Hungarian core is
-    // O(n³) in the padded square size — so decompose first, turning one
-    // big cubic solve into many tiny ones.
+    // Union-find over left ids `0..n_left` and right ids `n_left..`.
     let mut uf: Vec<usize> = (0..n_left + n_right).collect();
     fn find(uf: &mut [usize], x: usize) -> usize {
         let mut root = x;
@@ -60,47 +65,50 @@ pub fn max_weight_matching(
         let (a, b) = (find(&mut uf, l), find(&mut uf, n_left + r));
         uf[a] = b;
     }
-    let mut comp_edges: std::collections::HashMap<usize, Vec<WeightedEdge>> =
-        std::collections::HashMap::new();
-    for &(l, r, w) in edges {
-        let root = find(&mut uf, l);
-        comp_edges.entry(root).or_default().push((l, r, w));
-    }
-    if comp_edges.len() > 1 {
-        let mut result = vec![None; n_left];
-        let mut roots: Vec<usize> = comp_edges.keys().copied().collect();
-        roots.sort_unstable();
-        for root in roots {
-            let ce = &comp_edges[&root];
-            // local dense ids, in ascending global order for determinism
-            let mut lefts: Vec<usize> = ce.iter().map(|e| e.0).collect();
-            let mut rights: Vec<usize> = ce.iter().map(|e| e.1).collect();
-            lefts.sort_unstable();
-            lefts.dedup();
-            rights.sort_unstable();
-            rights.dedup();
-            let local: Vec<WeightedEdge> = ce
-                .iter()
-                .map(|&(l, r, w)| {
-                    (
-                        lefts.binary_search(&l).unwrap(),
-                        rights.binary_search(&r).unwrap(),
-                        w,
-                    )
-                })
-                .collect();
-            for (li, m) in hungarian_dense(lefts.len(), rights.len(), &local)
-                .into_iter()
-                .enumerate()
-            {
-                if let Some(ri) = m {
-                    result[lefts[li]] = Some(rights[ri]);
-                }
+    // Edges grouped by component (stable within a component).
+    let mut by_comp: Vec<(usize, usize)> = edges
+        .iter()
+        .enumerate()
+        .map(|(i, &(l, _, _))| (find(&mut uf, l), i))
+        .collect();
+    by_comp.sort_unstable();
+    let mut lefts: Vec<usize> = Vec::new();
+    let mut rights: Vec<usize> = Vec::new();
+    let mut local: Vec<WeightedEdge> = Vec::new();
+    let mut start = 0;
+    while start < by_comp.len() {
+        let root = by_comp[start].0;
+        let end = start + by_comp[start..].iter().take_while(|c| c.0 == root).count();
+        let comp = &by_comp[start..end];
+        start = end;
+        // local dense ids, in ascending global order for determinism
+        lefts.clear();
+        rights.clear();
+        lefts.extend(comp.iter().map(|&(_, i)| edges[i].0));
+        rights.extend(comp.iter().map(|&(_, i)| edges[i].1));
+        lefts.sort_unstable();
+        lefts.dedup();
+        rights.sort_unstable();
+        rights.dedup();
+        local.clear();
+        local.extend(comp.iter().map(|&(_, i)| {
+            let (l, r, w) = edges[i];
+            (
+                lefts.binary_search(&l).unwrap(),
+                rights.binary_search(&r).unwrap(),
+                w,
+            )
+        }));
+        for (li, m) in hungarian_dense(lefts.len(), rights.len(), &local)
+            .into_iter()
+            .enumerate()
+        {
+            if let Some(ri) = m {
+                result[lefts[li]] = Some(rights[ri]);
             }
         }
-        return result;
     }
-    hungarian_dense(n_left, n_right, edges)
+    result
 }
 
 /// The Kuhn–Munkres core on one (dense-ish) instance.
@@ -410,6 +418,73 @@ mod tests {
             assert!(
                 (got - want).abs() < 1e-6,
                 "trial {trial}: got {got}, optimal {want}, edges {edges:?}"
+            );
+        }
+    }
+
+    /// Isolated rows and columns — query nodes without a hit, db nodes
+    /// nobody hit — are invisible to the solve: appended or interleaved
+    /// anywhere, they leave the real rows' assignment as it was, and that
+    /// assignment stays optimal.
+    #[test]
+    fn isolated_vertices_do_not_change_the_assignment() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        // `n` real ids spread over `n + extra` slots, order preserved.
+        fn spread(rng: &mut rand_chacha::ChaCha8Rng, n: usize, extra: usize) -> Vec<usize> {
+            let mut real = vec![true; n];
+            real.extend(std::iter::repeat(false).take(extra));
+            for i in (1..real.len()).rev() {
+                real.swap(i, rng.gen_range(0..=i));
+            }
+            real.iter()
+                .enumerate()
+                .filter_map(|(slot, &r)| r.then_some(slot))
+                .collect()
+        }
+        for trial in 0..80 {
+            let nl = rng.gen_range(1..7);
+            let nr = rng.gen_range(1..7);
+            let ne = rng.gen_range(1..nl * nr + 1);
+            let edges: Vec<WeightedEdge> = (0..ne)
+                .map(|_| {
+                    (
+                        rng.gen_range(0..nl),
+                        rng.gen_range(0..nr),
+                        // coarse weights: plenty of ties
+                        rng.gen_range(0..4) as f64 / 2.0,
+                    )
+                })
+                .collect();
+            let base = max_weight_matching(nl, nr, &edges);
+            let (xl, xr) = (rng.gen_range(0..120), rng.gen_range(0..120));
+            let appended = rng.gen_bool(0.5);
+            let (lmap, rmap) = if appended {
+                ((0..nl).collect(), (0..nr).collect())
+            } else {
+                (spread(&mut rng, nl, xl), spread(&mut rng, nr, xr))
+            };
+            let padded: Vec<WeightedEdge> = edges
+                .iter()
+                .map(|&(l, r, w)| (lmap[l], rmap[r], w))
+                .collect();
+            let m = max_weight_matching(nl + xl, nr + xr, &padded);
+            assert_valid(&m, nr + xr);
+            for (l, &slot) in lmap.iter().enumerate() {
+                assert_eq!(
+                    m[slot],
+                    base[l].map(|r| rmap[r]),
+                    "trial {trial} (appended {appended}): row {l} moved, edges {edges:?}"
+                );
+            }
+            assert!((0..nl + xl)
+                .filter(|slot| !lmap.contains(slot))
+                .all(|slot| m[slot].is_none()));
+            let got = matching_weight(&padded, &m);
+            let want = brute_force(nl, nr, &edges);
+            assert!(
+                (got - want).abs() < 1e-6,
+                "trial {trial}: got {got}, optimal {want}"
             );
         }
     }

@@ -227,9 +227,10 @@ pub fn candidate_quality(
 /// Reusable [`candidate_quality`] evaluator for one `(query, target)` pair:
 /// per-node neighborhood statistics are memoized across calls, which matters
 /// when scoring many candidate pairs (e.g. residual re-anchoring scans every
-/// unmatched query node against its label-mates). The cached statistics
-/// assume the same graphs, label closures and `match_edge_labels` setting on
-/// every call.
+/// unmatched query node against its label-mates) and across growths of the
+/// same pair ([`grow_match_with`]). The cached statistics assume the same
+/// graphs, label closures and `match_edge_labels` setting on every call;
+/// they depend on nothing else, so sharing a scorer never changes a result.
 pub struct CandidateScorer {
     qc: StatsCache,
     tc: StatsCache,
@@ -267,6 +268,18 @@ fn candidate_quality_cached(
     if (input.q_label)(nq) != (input.t_label)(nt) {
         return None; // IV.1
     }
+    same_label_quality(input, config, nq, nt, qc, tc)
+}
+
+/// [`candidate_quality_cached`] for a pair already known to pass IV.1.
+fn same_label_quality(
+    input: &GrowInput<'_>,
+    config: &GrowConfig,
+    nq: NodeId,
+    nt: NodeId,
+    qc: &mut StatsCache,
+    tc: &mut StatsCache,
+) -> Option<f64> {
     let q_deg = input.query.degree(nq) as u32;
     let t_deg = input.target.degree(nt) as u32;
     let nbmiss = (config.rho.max(0.0) * q_deg as f64).floor() as u32;
@@ -373,9 +386,21 @@ impl GrowState {
 /// Anchors must reference valid nodes; conflicting anchors (duplicate query
 /// or target nodes) are resolved in favor of higher quality.
 pub fn grow_match(input: &GrowInput<'_>, config: &GrowConfig, anchors: &[Anchor]) -> GraphMatch {
+    grow_match_with(input, config, anchors, &mut CandidateScorer::new(input))
+}
+
+/// [`grow_match`] drawing node statistics from `scorer`, so that repeated
+/// growths of one `(query, target)` pair — and candidate scans between
+/// them — compute each node's statistics once. The result equals
+/// [`grow_match`]'s.
+pub fn grow_match_with(
+    input: &GrowInput<'_>,
+    config: &GrowConfig,
+    anchors: &[Anchor],
+    scorer: &mut CandidateScorer,
+) -> GraphMatch {
     let mut st = GrowState::new(input.query.node_count(), input.target.node_count());
-    let mut qc = StatsCache::new(input.query.node_count());
-    let mut tc = StatsCache::new(input.target.node_count());
+    let CandidateScorer { qc, tc } = scorer;
 
     // Line 1: seed the priority queue (dedup anchors best-first).
     let mut seeds: Vec<&Anchor> = anchors.iter().collect();
@@ -411,15 +436,7 @@ pub fn grow_match(input: &GrowInput<'_>, config: &GrowConfig, anchors: &[Anchor]
             target: entry.target,
             quality: entry.quality,
         });
-        examine_nodes_nearby(
-            input,
-            config,
-            entry.query,
-            entry.target,
-            &mut st,
-            &mut qc,
-            &mut tc,
-        );
+        examine_nodes_nearby(input, config, entry.query, entry.target, &mut st, qc, tc);
     }
     result
 }
@@ -520,22 +537,29 @@ fn match_nodes(
     qc: &mut StatsCache,
     tc: &mut StatsCache,
 ) {
-    let mut available: Vec<NodeId> = st_nodes
+    // Effective labels are looked up once per node, so the IV.1 test that
+    // rejects most pairs is one integer compare.
+    let mut available: Vec<(NodeId, u32)> = st_nodes
         .iter()
         .copied()
         .filter(|t| st.t_matched[t.idx()].is_none() && !st.t_queued[t.idx()])
+        .map(|t| (t, (input.t_label)(t)))
         .collect();
     for &q in sq {
         if st.q_matched[q.idx()].is_some() {
             continue;
         }
+        let q_label = (input.q_label)(q);
         // Best mapping of q among the available target nodes: Eq. IV.5
         // quality first, conserved-edge fraction as the tie-breaker
         // (distinguishes paralogs with identical local statistics), node
         // id last for determinism.
         let mut best: Option<(NodeId, f64, f64)> = None;
-        for &t in &available {
-            if let Some(w) = candidate_quality_cached(input, config, q, t, qc, tc) {
+        for &(t, t_label) in &available {
+            if t_label != q_label {
+                continue; // IV.1
+            }
+            if let Some(w) = same_label_quality(input, config, q, t, qc, tc) {
                 let bonus = conservation_bonus(input, st, q, t);
                 let better = match best {
                     None => true,
@@ -552,7 +576,7 @@ fn match_nodes(
         match st.q_queued[q.idx()] {
             None => {
                 st.push(q, t, w, bonus);
-                available.retain(|&x| x != t);
+                available.retain(|&(x, _)| x != t);
             }
             // Algorithm 4's "is a better node match": quality first, then
             // conserved-edge fraction — so a queued anchor whose quality
@@ -569,7 +593,7 @@ fn match_nodes(
                 let old_b = conservation_bonus(input, st, q, old_t);
                 if w > old_w || (w == old_w && bonus > old_b) {
                     st.replace(q, t, w, bonus);
-                    available.retain(|&x| x != t);
+                    available.retain(|&(x, _)| x != t);
                 }
             }
         }
@@ -864,6 +888,59 @@ mod tests {
         };
         let w = candidate_quality(&input, &loose, qc, tc).unwrap();
         assert!(w > 0.0 && w < 2.0);
+    }
+
+    /// One scorer shared by a sequence of growths and candidate scans (as
+    /// the residual re-anchoring loop uses it) answers exactly like a fresh
+    /// scorer per call.
+    #[test]
+    fn shared_scorer_equals_fresh_scorers() {
+        use rand::{Rng, SeedableRng};
+        use tale_graph::generate::{gnm, mutate, MutationRates};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        for trial in 0..40 {
+            let labels = rng.gen_range(2..6);
+            let n = rng.gen_range(8..40);
+            let m = n + rng.gen_range(0..2 * n);
+            let q = gnm(&mut rng, n, m, labels);
+            let (t, _) = mutate(&mut rng, &q, &MutationRates::mild(), labels);
+            let ql = raw_label(&q);
+            let tl = raw_label(&t);
+            let input = GrowInput {
+                query: &q,
+                target: &t,
+                q_label: &ql,
+                t_label: &tl,
+            };
+            let cfg = GrowConfig {
+                rho: [0.0, 0.25, 0.5][trial % 3],
+                hops: 1 + (trial % 3) as u8,
+                match_edge_labels: false,
+            };
+            let mut shared = CandidateScorer::new(&input);
+            for round in 0..4 {
+                let k = rng.gen_range(1..4);
+                let anchors: Vec<Anchor> = (0..k)
+                    .map(|_| Anchor {
+                        query: NodeId(rng.gen_range(0..q.node_count() as u32)),
+                        target: NodeId(rng.gen_range(0..t.node_count() as u32)),
+                        quality: rng.gen_range(0..5) as f64 / 2.0,
+                    })
+                    .collect();
+                let fresh = grow_match(&input, &cfg, &anchors);
+                let reused = grow_match_with(&input, &cfg, &anchors, &mut shared);
+                assert_eq!(fresh.pairs, reused.pairs, "trial {trial} round {round}");
+                // a candidate scan between growths, as re-anchoring does
+                for _ in 0..10 {
+                    let nq = NodeId(rng.gen_range(0..q.node_count() as u32));
+                    let nt = NodeId(rng.gen_range(0..t.node_count() as u32));
+                    assert_eq!(
+                        shared.quality(&input, &cfg, nq, nt),
+                        candidate_quality(&input, &cfg, nq, nt)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,5 +21,5 @@ pub mod grow;
 pub mod similarity;
 
 pub use bipartite::{greedy_matching, max_weight_matching};
-pub use grow::{grow_match, Anchor, GraphMatch, GrowConfig, MatchPair};
+pub use grow::{grow_match, grow_match_with, Anchor, GraphMatch, GrowConfig, MatchPair};
 pub use similarity::{CTreeStyle, MatchContext, MatchedNodesEdges, QualitySum, SimilarityModel};

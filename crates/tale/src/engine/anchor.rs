@@ -82,8 +82,17 @@ pub(crate) fn resolve_anchors(
 /// greedily apply single reassignments (to an unused candidate of no lower
 /// quality) and pairwise target swaps (of no lower summed quality) while
 /// they strictly increase the number of query edges conserved between
-/// anchored pairs. Each accepted move raises that integer count, so the
-/// loop terminates; fixed iteration order keeps it deterministic.
+/// anchored pairs (and into `fixed` pairs).
+///
+/// A move is judged on that *global* count. A single move changes only
+/// the moved node's edges, so its local count is the global change. A pair
+/// move's two local counts each include the query edges between the two
+/// moved nodes, so those are subtracted from both the before and the after
+/// sum; judged on the plain local sums, a move could trade one conserved
+/// edge elsewhere for a double-counted edge between the pair, and two such
+/// moves could undo each other forever. Each accepted move thus raises an
+/// integer bounded by the query's edge count, so the loop terminates;
+/// fixed iteration order keeps it deterministic.
 fn refine_assignment(
     query: &Graph,
     target: &Graph,
@@ -165,6 +174,23 @@ fn refine_assignment(
                 })
                 .count()
     };
+    // Query edges between `li` (mapped to `ri`) and `lj` (mapped to `rj`)
+    // conserved in the target: the share of `conserved(li, ri)` that
+    // `conserved(lj, rj)` counts as well.
+    let mutual = |li: usize, ri: usize, lj: usize, rj: usize| -> usize {
+        let (ti, tj) = (NodeId(right_nodes[ri]), NodeId(right_nodes[rj]));
+        adj[li]
+            .iter()
+            .filter(|&&(l, out)| {
+                l == lj
+                    && if out {
+                        target.has_edge(ti, tj)
+                    } else {
+                        target.has_edge(tj, ti)
+                    }
+            })
+            .count()
+    };
     const EPS: f64 = 1e-9;
     loop {
         let mut improved = false;
@@ -223,10 +249,12 @@ fn refine_assignment(
                     }
                     let before = *before.get_or_insert_with(|| {
                         conserved(assignment, li, ri) + conserved(assignment, lj, rj)
+                            - mutual(li, ri, lj, rj)
                     });
                     assignment[li] = Some(rj);
                     assignment[lj] = Some(fb);
-                    let after = conserved(assignment, li, rj) + conserved(assignment, lj, fb);
+                    let after = conserved(assignment, li, rj) + conserved(assignment, lj, fb)
+                        - mutual(li, rj, lj, fb);
                     if after > before {
                         owner[ri] = None;
                         owner[rj] = Some(li);

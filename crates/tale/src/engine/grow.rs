@@ -10,9 +10,8 @@
 use crate::engine::anchor::resolve_anchors;
 use crate::params::QueryOptions;
 use crate::result::QueryMatch;
-use std::collections::HashMap;
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
-use tale_matching::grow::{grow_match, Anchor, CandidateScorer, GrowConfig, GrowInput};
+use tale_matching::grow::{grow_match_with, Anchor, CandidateScorer, GrowConfig, GrowInput};
 use tale_matching::similarity::MatchContext;
 
 /// Matches one query against one candidate graph. `hits` is the graph's
@@ -45,7 +44,10 @@ pub(crate) fn match_one_graph(
         hops: opts.hops,
         match_edge_labels: opts.match_edge_labels,
     };
-    let mut m = grow_match(&input, &grow_cfg, &anchors);
+    // One scorer for every growth and residual scan of this pair: node
+    // statistics are computed once per call, not once per round.
+    let mut scorer = CandidateScorer::new(&input);
+    let mut m = grow_match_with(&input, &grow_cfg, &anchors, &mut scorer);
     if m.pairs.is_empty() {
         return None;
     }
@@ -55,12 +57,9 @@ pub(crate) fn match_one_graph(
     // counterparts. Re-anchor the residue directly — evaluate the
     // index conditions exactly against still-unmatched db nodes,
     // resolve one-to-one with the committed pairs as conservation
-    // evidence — and grow again until a fixpoint.
-    let mut by_label: HashMap<u32, Vec<NodeId>> = HashMap::new();
-    for t in target.nodes() {
-        by_label.entry(t_label(t)).or_default().push(t);
-    }
-    let mut scorer = CandidateScorer::new(&input);
+    // evidence — and grow again until a fixpoint. Candidates come from
+    // the db's per-graph label buckets, built once per graph.
+    let buckets = db.label_buckets(graph_id);
     loop {
         let mut t_taken = vec![false; target.node_count()];
         let mut q_taken = vec![false; query.node_count()];
@@ -74,10 +73,7 @@ pub(crate) fn match_one_graph(
         }
         let mut rhits: Vec<(usize, u32, f64)> = Vec::new();
         for (qi, &q) in residual.iter().enumerate() {
-            let Some(cands) = by_label.get(&q_label(q)) else {
-                continue;
-            };
-            for &t in cands {
+            for &t in buckets.nodes(q_label(q)) {
                 if t_taken[t.idx()] {
                     continue;
                 }
@@ -104,7 +100,7 @@ pub(crate) fn match_one_graph(
             })
             .collect();
         seeds.extend(extra);
-        let grown = grow_match(&input, &grow_cfg, &seeds);
+        let grown = grow_match_with(&input, &grow_cfg, &seeds, &mut scorer);
         if grown.matched_nodes() <= m.matched_nodes() {
             break;
         }
