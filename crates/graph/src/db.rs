@@ -13,6 +13,7 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::labels::{LabelInterner, NodeLabel};
+use crate::neighborhood::SignatureTable;
 use crate::{GraphError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -41,11 +42,19 @@ pub struct GraphDb {
     /// their own dense space starting at 0.
     group_of_label: Option<Vec<u32>>,
     group_count: u32,
-    /// Per-graph [`LabelBuckets`], each built on first use. Derived data:
-    /// never serialized, sized on first use (so a deserialized or fresh db
-    /// starts empty), and reset whenever effective labels change.
+    /// Per-graph derived tables, each built on first use. Never
+    /// serialized, sized on first use (so a deserialized or fresh db starts
+    /// empty), and reset whenever effective labels change.
     #[serde(skip)]
-    buckets: OnceLock<Vec<OnceLock<LabelBuckets>>>,
+    derived: OnceLock<Vec<Derived>>,
+}
+
+/// One graph's derived tables: pure functions of the graph and the
+/// effective labeling.
+#[derive(Debug, Clone, Default)]
+struct Derived {
+    buckets: OnceLock<LabelBuckets>,
+    signatures: OnceLock<SignatureTable>,
 }
 
 /// One graph's nodes grouped by effective label — the label-pruned
@@ -121,8 +130,8 @@ impl GraphDb {
         let id = GraphId(self.graphs.len() as u32);
         self.graphs.push(g);
         self.names.push(name.into());
-        if let Some(buckets) = self.buckets.get_mut() {
-            buckets.push(OnceLock::new());
+        if let Some(derived) = self.derived.get_mut() {
+            derived.push(Derived::default());
         }
         id
     }
@@ -200,7 +209,7 @@ impl GraphDb {
         }
         self.group_count = groups.iter().copied().max().map_or(0, |m| m + 1);
         self.group_of_label = Some(groups);
-        self.buckets = OnceLock::new();
+        self.derived = OnceLock::new();
         Ok(())
     }
 
@@ -237,7 +246,7 @@ impl GraphDb {
         }
         self.group_count = next;
         self.group_of_label = Some(groups);
-        self.buckets = OnceLock::new();
+        self.derived = OnceLock::new();
         Ok(())
     }
 
@@ -275,12 +284,24 @@ impl GraphDb {
     /// built on the first call for that graph and shared by every later
     /// one (including concurrent ones).
     pub fn label_buckets(&self, graph: GraphId) -> &LabelBuckets {
-        let slots = self
-            .buckets
-            .get_or_init(|| (0..self.graphs.len()).map(|_| OnceLock::new()).collect());
-        slots[graph.idx()].get_or_init(|| {
+        self.derived(graph).buckets.get_or_init(|| {
             LabelBuckets::build(self.graph(graph), |n| self.effective_label(graph, n))
         })
+    }
+
+    /// `graph`'s [`SignatureTable`] under
+    /// [`effective_label`](Self::effective_label), built and shared like
+    /// [`label_buckets`](Self::label_buckets).
+    pub fn signatures(&self, graph: GraphId) -> &SignatureTable {
+        self.derived(graph).signatures.get_or_init(|| {
+            SignatureTable::build(self.graph(graph), |n| self.effective_label(graph, n))
+        })
+    }
+
+    fn derived(&self, graph: GraphId) -> &Derived {
+        &self
+            .derived
+            .get_or_init(|| vec![Derived::default(); self.graphs.len()])[graph.idx()]
     }
 
     /// Maps a raw label to its effective (group) label. Raw labels outside
@@ -384,9 +405,27 @@ mod tests {
     }
 
     /// `label_buckets` must equal grouping every node by its effective
-    /// label, node ids ascending within a label.
+    /// label, node ids ascending within a label, and `signatures` must
+    /// equal each node's neighbor connection and folded neighbor labels
+    /// counted pair by pair.
     fn assert_buckets_naive(db: &GraphDb) {
         for (id, _, g) in db.iter() {
+            let sigs = db.signatures(id);
+            for n in g.nodes() {
+                let nbs: Vec<NodeId> = g.neighbors(n).collect();
+                let mut nbc = 0;
+                let mut mask = 0u64;
+                for &a in &nbs {
+                    mask |= 1 << (db.effective_label(id, a) % 64);
+                    nbc += nbs.iter().filter(|&&b| g.has_edge(a, b)).count();
+                }
+                if !g.is_directed() {
+                    nbc /= 2;
+                }
+                let sig = sigs.get(n);
+                assert_eq!(sig.nb_connection as usize, nbc, "graph {id:?} node {n:?}");
+                assert_eq!(sig.label_mask, mask, "graph {id:?} node {n:?}");
+            }
             let mut naive: HashMap<u32, Vec<NodeId>> = HashMap::new();
             for n in g.nodes() {
                 naive.entry(db.effective_label(id, n)).or_default().push(n);
@@ -408,7 +447,7 @@ mod tests {
     #[test]
     fn label_buckets_equal_naive_grouping() {
         use crate::generate::gnm;
-        use rand::SeedableRng;
+        use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
         let mut db = GraphDb::new();
         for l in 0..6 {
@@ -418,8 +457,19 @@ mod tests {
             db.insert(format!("g{i}"), gnm(&mut rng, 30 + 10 * i, 60, 6));
         }
         assert_buckets_naive(&db);
-        // an insert after the table exists gets its own buckets
+        // an insert after the tables exist gets its own slot
         db.insert("late", gnm(&mut rng, 25, 40, 6));
+        assert_buckets_naive(&db);
+        // directed: the neighborhood is the out-neighbor set
+        let mut d = Graph::new_directed();
+        for i in 0..20 {
+            d.add_node(NodeLabel(i % 6));
+        }
+        for _ in 0..60 {
+            let (u, v) = (rng.gen_range(0..20), rng.gen_range(0..20));
+            let _ = d.add_edge(NodeId(u), NodeId(v)); // self loops, repeats
+        }
+        db.insert("directed", d);
         assert_buckets_naive(&db);
         // a group map changes effective labels: every graph is regrouped
         db.set_group(vec![0, 0, 1, 1, 2, 2]).unwrap();
@@ -429,7 +479,7 @@ mod tests {
         assert_buckets_naive(&db);
         db.insert("after-groups", gnm(&mut rng, 20, 30, 6));
         assert_buckets_naive(&db);
-        // a clone carries equal buckets
+        // a clone carries equal tables
         assert_buckets_naive(&db.clone());
     }
 
@@ -445,11 +495,12 @@ mod tests {
         save_json(&db, &path).unwrap();
         let before = std::fs::read(&path).unwrap();
         assert_eq!(db.label_buckets(id).nodes(0), &[NodeId(0)]);
+        assert_eq!(db.signatures(id).get(NodeId(0)).label_mask, 1 << 1);
         save_json(&db, &path).unwrap();
         assert_eq!(
             before,
             std::fs::read(&path).unwrap(),
-            "buckets reached the json"
+            "derived tables reached the json"
         );
         let back = load_json(&path).unwrap();
         assert_buckets_naive(&back);

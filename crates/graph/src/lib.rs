@@ -33,7 +33,7 @@ pub mod wl;
 pub use db::{GraphDb, GraphId, LabelBuckets};
 pub use graph::{Direction, EdgeId, Graph, NodeId};
 pub use labels::{EdgeLabel, LabelInterner, NodeLabel};
-pub use neighborhood::NeighborhoodStats;
+pub use neighborhood::{NeighborhoodStats, NodeSignature, SignatureTable};
 
 /// Convenience result alias used across the workspace.
 pub type Result<T> = std::result::Result<T, GraphError>;

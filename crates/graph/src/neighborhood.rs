@@ -4,7 +4,9 @@
 //! its neighbors." Three properties characterize it: the node's degree, the
 //! *neighbor connection* (edge count among the neighbors), and the labels of
 //! the neighbors. [`NeighborhoodStats`] computes all three in one pass so
-//! index construction touches each adjacency list once.
+//! index construction touches each adjacency list once. [`SignatureTable`]
+//! keeps the part the matcher's exact checks read per candidate pair, once
+//! per graph.
 
 use crate::db::GraphDb;
 use crate::graph::{Graph, NodeId};
@@ -46,6 +48,44 @@ impl NeighborhoodStats {
             neighbor_labels,
             label: label_of(node),
         }
+    }
+}
+
+/// The per-node part of a neighborhood that exact condition checks read
+/// for every candidate pair: the neighbor connection and a one-word fold of
+/// the neighbor label set — §IV-C's neighbor array with `64` slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeSignature {
+    /// Edges among the neighbors ([`Graph::neighbor_connection`]).
+    pub nb_connection: u32,
+    /// Bit `label % 64` set for each neighbor's effective label.
+    pub label_mask: u64,
+}
+
+/// Every node's [`NodeSignature`], indexed by node id.
+#[derive(Debug, Clone)]
+pub struct SignatureTable {
+    sigs: Vec<NodeSignature>,
+}
+
+impl SignatureTable {
+    /// Computes the signature of each of `g`'s nodes under `label_of`.
+    pub fn build(g: &Graph, label_of: impl Fn(NodeId) -> u32) -> Self {
+        SignatureTable {
+            sigs: g
+                .nodes()
+                .map(|n| NodeSignature {
+                    nb_connection: g.neighbor_connection(n) as u32,
+                    label_mask: g.neighbors(n).fold(0, |m, nb| m | 1 << (label_of(nb) % 64)),
+                })
+                .collect(),
+        }
+    }
+
+    /// The signature of `n`.
+    #[inline]
+    pub fn get(&self, n: NodeId) -> NodeSignature {
+        self.sigs[n.idx()]
     }
 }
 

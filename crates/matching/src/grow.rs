@@ -10,15 +10,20 @@
 //! match appears.
 //!
 //! "Satisfiable" follows the index conditions (IV.1–IV.4) evaluated
-//! exactly on the two graphs (no bitmaps needed here): same effective
-//! label, degree and neighbor-connection within the `ρ` budgets, and
-//! neighbor-label misses within `nbmiss`. Match quality is Eq. IV.5.
+//! exactly on the two graphs: same effective label, degree and
+//! neighbor-connection within the `ρ` budgets, and neighbor-label misses
+//! within `nbmiss`. Match quality is Eq. IV.5. [`CandidateScorer`] makes
+//! each test a lookup in per-graph [`SignatureTable`]s, filters IV.3 with a
+//! 64-bit neighbor-label mask popcount before verifying it exactly, and
+//! builds the sorted neighbor-label lists of the exact check only for the
+//! nodes of pairs that survive the mask.
 
 use serde::Serialize;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tale_graph::neighborhood::node_match_quality;
-use tale_graph::{Graph, NodeId};
+use tale_graph::{Graph, NodeId, SignatureTable};
 
 /// An anchor match produced by step 1 (index probe + bipartite matching).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,35 +154,24 @@ impl PartialOrd for QueueEntry {
     }
 }
 
-/// Per-node neighborhood statistics, memoized for the duration of one
-/// growth: neighbor connection is O(Σ neighbor degrees) to compute and
-/// `MatchNodes` evaluates the same nodes against many candidates, so a
-/// lazy cache turns the growth phase's hot path into table lookups.
-struct StatsCache {
-    nbc: Vec<Option<u32>>,
-    labels: Vec<Option<Box<[u64]>>>,
-}
+/// Sorted, deduplicated neighbor (label[, edge label]) lists of one graph,
+/// each built the first time a pair involving its node survives every
+/// cheaper test.
+struct LabelLists(Vec<Option<Box<[u64]>>>);
 
-impl StatsCache {
+impl LabelLists {
     fn new(n: usize) -> Self {
-        StatsCache {
-            nbc: vec![None; n],
-            labels: vec![None; n],
-        }
+        LabelLists(vec![None; n])
     }
 
-    fn nbc(&mut self, g: &Graph, n: NodeId) -> u32 {
-        *self.nbc[n.idx()].get_or_insert_with(|| g.neighbor_connection(n) as u32)
-    }
-
-    fn labels(
+    fn get(
         &mut self,
         g: &Graph,
         label_of: &dyn Fn(NodeId) -> u32,
         n: NodeId,
         with_edges: bool,
     ) -> &[u64] {
-        self.labels[n.idx()].get_or_insert_with(|| {
+        self.0[n.idx()].get_or_insert_with(|| {
             let mut v: Vec<u64> = if with_edges {
                 g.neighbor_edges(n)
                     .map(|(nb, eid)| {
@@ -212,36 +206,66 @@ fn sorted_misses(q: &[u64], t: &[u64]) -> u32 {
 
 /// Evaluates whether mapping `nq → nt` is satisfiable under the `ρ` budget
 /// and, if so, its quality — the exact-graph analogue of the index probe
-/// conditions IV.1–IV.4 plus Eq. IV.5.
+/// conditions IV.1–IV.4 plus Eq. IV.5. Builds both graphs' signature
+/// tables for one pair; score many pairs through one [`CandidateScorer`].
 pub fn candidate_quality(
     input: &GrowInput<'_>,
     config: &GrowConfig,
     nq: NodeId,
     nt: NodeId,
 ) -> Option<f64> {
-    let mut qc = StatsCache::new(input.query.node_count());
-    let mut tc = StatsCache::new(input.target.node_count());
-    candidate_quality_cached(input, config, nq, nt, &mut qc, &mut tc)
+    CandidateScorer::new(input).quality(input, config, nq, nt)
 }
 
-/// Reusable [`candidate_quality`] evaluator for one `(query, target)` pair:
-/// per-node neighborhood statistics are memoized across calls, which matters
-/// when scoring many candidate pairs (e.g. residual re-anchoring scans every
-/// unmatched query node against its label-mates) and across growths of the
-/// same pair ([`grow_match_with`]). The cached statistics assume the same
-/// graphs, label closures and `match_edge_labels` setting on every call;
-/// they depend on nothing else, so sharing a scorer never changes a result.
-pub struct CandidateScorer {
-    qc: StatsCache,
-    tc: StatsCache,
+/// Reusable [`candidate_quality`] evaluator for one `(query, target)` pair.
+///
+/// Per-pair tests are lookups in the two graphs' [`SignatureTable`]s: IV.2
+/// on degrees, IV.4 on neighbor connections, then IV.3 first as a popcount
+/// over the folded neighbor-label masks and only for survivors exactly, on
+/// sorted neighbor-label lists memoized per node. The tables are borrowed
+/// when the caller keeps them (a database graph's, a query's for a whole
+/// batch) and built by [`CandidateScorer::new`] otherwise. Everything
+/// cached assumes the same graphs, label closures and `match_edge_labels`
+/// setting on every call and depends on nothing else, so sharing a scorer
+/// never changes a result.
+pub struct CandidateScorer<'a> {
+    q_sigs: Cow<'a, SignatureTable>,
+    t_sigs: Cow<'a, SignatureTable>,
+    q_labels: LabelLists,
+    t_labels: LabelLists,
 }
 
-impl CandidateScorer {
-    /// A scorer sized for `input`'s two graphs.
+impl<'a> CandidateScorer<'a> {
+    /// A scorer for `input`'s two graphs, building their signature tables.
     pub fn new(input: &GrowInput<'_>) -> Self {
+        Self::from_tables(
+            input,
+            Cow::Owned(SignatureTable::build(input.query, input.q_label)),
+            Cow::Owned(SignatureTable::build(input.target, input.t_label)),
+        )
+    }
+
+    /// A scorer over prebuilt tables: `q_sigs` / `t_sigs` must be
+    /// [`SignatureTable::build`] of `input`'s query / target under its
+    /// `q_label` / `t_label`.
+    pub fn with_signatures(
+        input: &GrowInput<'_>,
+        q_sigs: &'a SignatureTable,
+        t_sigs: &'a SignatureTable,
+    ) -> Self {
+        Self::from_tables(input, Cow::Borrowed(q_sigs), Cow::Borrowed(t_sigs))
+    }
+
+    fn from_tables(
+        input: &GrowInput<'_>,
+        q_sigs: Cow<'a, SignatureTable>,
+        t_sigs: Cow<'a, SignatureTable>,
+    ) -> Self {
         CandidateScorer {
-            qc: StatsCache::new(input.query.node_count()),
-            tc: StatsCache::new(input.target.node_count()),
+            q_sigs,
+            t_sigs,
+            q_labels: LabelLists::new(input.query.node_count()),
+            t_labels: LabelLists::new(input.target.node_count()),
         }
     }
 
@@ -253,83 +277,60 @@ impl CandidateScorer {
         nq: NodeId,
         nt: NodeId,
     ) -> Option<f64> {
-        candidate_quality_cached(input, config, nq, nt, &mut self.qc, &mut self.tc)
+        if (input.q_label)(nq) != (input.t_label)(nt) {
+            return None; // IV.1
+        }
+        self.same_label_quality(input, config, nq, nt)
     }
-}
 
-fn candidate_quality_cached(
-    input: &GrowInput<'_>,
-    config: &GrowConfig,
-    nq: NodeId,
-    nt: NodeId,
-    qc: &mut StatsCache,
-    tc: &mut StatsCache,
-) -> Option<f64> {
-    if (input.q_label)(nq) != (input.t_label)(nt) {
-        return None; // IV.1
+    /// [`quality`](Self::quality) for a pair already known to pass IV.1.
+    fn same_label_quality(
+        &mut self,
+        input: &GrowInput<'_>,
+        config: &GrowConfig,
+        nq: NodeId,
+        nt: NodeId,
+    ) -> Option<f64> {
+        let q_deg = input.query.degree(nq) as u32;
+        let t_deg = input.target.degree(nt) as u32;
+        let nbmiss = (config.rho.max(0.0) * q_deg as f64).floor() as u32;
+        let nbmiss = nbmiss.min(q_deg);
+        if t_deg + nbmiss < q_deg {
+            return None; // IV.2
+        }
+        let (qs, ts) = (self.q_sigs.get(nq), self.t_sigs.get(nt));
+        let nbcmiss = nbmiss * nbmiss.saturating_sub(1) / 2 + (q_deg - nbmiss) * nbmiss;
+        if ts.nb_connection + nbcmiss < qs.nb_connection {
+            return None; // IV.4
+        }
+        // IV.3 filter: a mask bit the target lacks names a neighbor label
+        // no target neighbor carries, so at least one query neighbor label
+        // (or label, edge label pair) is missing per such bit — the
+        // popcount never exceeds the exact miss count below.
+        if (qs.label_mask & !ts.label_mask).count_ones() > nbmiss {
+            return None;
+        }
+        // IV.3 verified exactly on neighbor (label[, edge label]) sets.
+        let with_edges = config.match_edge_labels;
+        let q_labels = self
+            .q_labels
+            .get(input.query, input.q_label, nq, with_edges);
+        let t_labels = self
+            .t_labels
+            .get(input.target, input.t_label, nt, with_edges);
+        let label_misses = sorted_misses(q_labels, t_labels);
+        if label_misses > nbmiss {
+            return None;
+        }
+        let nb_miss = label_misses.max(q_deg.saturating_sub(t_deg));
+        let nbc_miss = qs.nb_connection.saturating_sub(ts.nb_connection);
+        Some(node_match_quality(
+            q_deg,
+            qs.nb_connection,
+            nb_miss,
+            nbc_miss,
+        ))
     }
-    same_label_quality(input, config, nq, nt, qc, tc)
-}
-
-/// [`candidate_quality_cached`] for a pair already known to pass IV.1.
-fn same_label_quality(
-    input: &GrowInput<'_>,
-    config: &GrowConfig,
-    nq: NodeId,
-    nt: NodeId,
-    qc: &mut StatsCache,
-    tc: &mut StatsCache,
-) -> Option<f64> {
-    let q_deg = input.query.degree(nq) as u32;
-    let t_deg = input.target.degree(nt) as u32;
-    let nbmiss = (config.rho.max(0.0) * q_deg as f64).floor() as u32;
-    let nbmiss = nbmiss.min(q_deg);
-    if t_deg + nbmiss < q_deg {
-        return None; // IV.2
-    }
-    let q_nbc = qc.nbc(input.query, nq);
-    let t_nbc = tc.nbc(input.target, nt);
-    let nbcmiss = nbmiss * nbmiss.saturating_sub(1) / 2 + (q_deg - nbmiss) * nbmiss;
-    if t_nbc + nbcmiss < q_nbc {
-        return None; // IV.4
-    }
-    // IV.3 evaluated exactly on neighbor (label[, edge label]) sets.
-    // Borrow-split: take the query list out, compare, put it back.
-    let with_edges = config.match_edge_labels;
-    let q_labels = qc.labels[nq.idx()].take().unwrap_or_else(|| {
-        let mut v: Vec<u64> = if with_edges {
-            input
-                .query
-                .neighbor_edges(nq)
-                .map(|(nb, eid)| {
-                    (((input.q_label)(nb) as u64) << 32)
-                        | input
-                            .query
-                            .edge_label(eid)
-                            .map(|l| l.0 as u64 + 1)
-                            .unwrap_or(0)
-                })
-                .collect()
-        } else {
-            input
-                .query
-                .neighbors(nq)
-                .map(|nb| (input.q_label)(nb) as u64)
-                .collect()
-        };
-        v.sort_unstable();
-        v.dedup();
-        v.into_boxed_slice()
-    });
-    let t_labels = tc.labels(input.target, input.t_label, nt, with_edges);
-    let label_misses = sorted_misses(&q_labels, t_labels);
-    qc.labels[nq.idx()] = Some(q_labels);
-    if label_misses > nbmiss {
-        return None;
-    }
-    let nb_miss = label_misses.max(q_deg.saturating_sub(t_deg));
-    let nbc_miss = q_nbc.saturating_sub(t_nbc);
-    Some(node_match_quality(q_deg, q_nbc, nb_miss, nbc_miss))
 }
 
 struct GrowState {
@@ -389,18 +390,17 @@ pub fn grow_match(input: &GrowInput<'_>, config: &GrowConfig, anchors: &[Anchor]
     grow_match_with(input, config, anchors, &mut CandidateScorer::new(input))
 }
 
-/// [`grow_match`] drawing node statistics from `scorer`, so that repeated
-/// growths of one `(query, target)` pair — and candidate scans between
-/// them — compute each node's statistics once. The result equals
+/// [`grow_match`] scoring through `scorer`, so that repeated growths of
+/// one `(query, target)` pair — and candidate scans between them — share
+/// its signature tables and label lists. The result equals
 /// [`grow_match`]'s.
 pub fn grow_match_with(
     input: &GrowInput<'_>,
     config: &GrowConfig,
     anchors: &[Anchor],
-    scorer: &mut CandidateScorer,
+    scorer: &mut CandidateScorer<'_>,
 ) -> GraphMatch {
     let mut st = GrowState::new(input.query.node_count(), input.target.node_count());
-    let CandidateScorer { qc, tc } = scorer;
 
     // Line 1: seed the priority queue (dedup anchors best-first).
     let mut seeds: Vec<&Anchor> = anchors.iter().collect();
@@ -436,21 +436,19 @@ pub fn grow_match_with(
             target: entry.target,
             quality: entry.quality,
         });
-        examine_nodes_nearby(input, config, entry.query, entry.target, &mut st, qc, tc);
+        examine_nodes_nearby(input, config, entry.query, entry.target, &mut st, scorer);
     }
     result
 }
 
 /// Algorithm 3 (`ExamineNodesNearBy`).
-#[allow(clippy::too_many_arguments)]
 fn examine_nodes_nearby(
     input: &GrowInput<'_>,
     config: &GrowConfig,
     nq: NodeId,
     nt: NodeId,
     st: &mut GrowState,
-    qc: &mut StatsCache,
-    tc: &mut StatsCache,
+    scorer: &mut CandidateScorer<'_>,
 ) {
     // NB1q/NB2q: query nodes 1 / 2 hops out without committed matches.
     // The frontier is over the underlying undirected graph (upstream and
@@ -470,7 +468,7 @@ fn examine_nodes_nearby(
         .filter(|n| st.t_matched[n.idx()].is_none() && !st.t_queued[n.idx()])
         .collect();
     if config.hops < 2 {
-        match_nodes(input, config, &nb1q, &nb1t, st, qc, tc);
+        match_nodes(input, config, &nb1q, &nb1t, st, scorer);
         return;
     }
     // Frontier past 1 hop: exactly the 2-hop ring at the paper's default
@@ -488,9 +486,9 @@ fn examine_nodes_nearby(
         .filter(|n| st.t_matched[n.idx()].is_none() && !st.t_queued[n.idx()])
         .collect();
     // The paper's three pairings (lines 5–7): 1×1, 1×2, 2×1.
-    match_nodes(input, config, &nb1q, &nb1t, st, qc, tc);
-    match_nodes(input, config, &nb1q, &nb2t, st, qc, tc);
-    match_nodes(input, config, &nb2q, &nb1t, st, qc, tc);
+    match_nodes(input, config, &nb1q, &nb1t, st, scorer);
+    match_nodes(input, config, &nb1q, &nb2t, st, scorer);
+    match_nodes(input, config, &nb2q, &nb1t, st, scorer);
 }
 
 /// Conserved-edge bonus: among `q`'s already-committed neighbors, the
@@ -527,15 +525,13 @@ fn conservation_bonus(input: &GrowInput<'_>, st: &GrowState, q: NodeId, t: NodeI
 }
 
 /// Algorithm 4 (`MatchNodes`).
-#[allow(clippy::too_many_arguments)]
 fn match_nodes(
     input: &GrowInput<'_>,
     config: &GrowConfig,
     sq: &[NodeId],
     st_nodes: &[NodeId],
     st: &mut GrowState,
-    qc: &mut StatsCache,
-    tc: &mut StatsCache,
+    scorer: &mut CandidateScorer<'_>,
 ) {
     // Effective labels are looked up once per node, so the IV.1 test that
     // rejects most pairs is one integer compare.
@@ -559,7 +555,7 @@ fn match_nodes(
             if t_label != q_label {
                 continue; // IV.1
             }
-            if let Some(w) = same_label_quality(input, config, q, t, qc, tc) {
+            if let Some(w) = scorer.same_label_quality(input, config, q, t) {
                 let bonus = conservation_bonus(input, st, q, t);
                 let better = match best {
                     None => true,
@@ -890,20 +886,126 @@ mod tests {
         assert!(w > 0.0 && w < 2.0);
     }
 
+    /// IV.1–IV.4 and Eq. IV.5 straight from the definitions — no tables,
+    /// no mask, no memo — plus the exact IV.3 miss count.
+    fn naive_quality(
+        input: &GrowInput<'_>,
+        cfg: &GrowConfig,
+        nq: NodeId,
+        nt: NodeId,
+    ) -> (Option<f64>, u32) {
+        use std::collections::BTreeSet;
+        let keys = |g: &Graph, label_of: &dyn Fn(NodeId) -> u32, n: NodeId| {
+            g.neighbor_edges(n)
+                .map(|(nb, e)| {
+                    let el = g.edge_label(e).filter(|_| cfg.match_edge_labels);
+                    (label_of(nb), el.map(|l| l.0))
+                })
+                .collect::<BTreeSet<_>>()
+        };
+        let tk = keys(input.target, input.t_label, nt);
+        let misses = keys(input.query, input.q_label, nq)
+            .iter()
+            .filter(|k| !tk.contains(k))
+            .count() as u32;
+        let (q_deg, t_deg) = (
+            input.query.degree(nq) as u32,
+            input.target.degree(nt) as u32,
+        );
+        let (q_nbc, t_nbc) = (
+            input.query.neighbor_connection(nq) as u32,
+            input.target.neighbor_connection(nt) as u32,
+        );
+        let nbmiss = ((cfg.rho * q_deg as f64).floor() as u32).min(q_deg);
+        let nbcmiss = nbmiss * nbmiss.saturating_sub(1) / 2 + (q_deg - nbmiss) * nbmiss;
+        let ok = (input.q_label)(nq) == (input.t_label)(nt) // IV.1
+            && t_deg + nbmiss >= q_deg // IV.2
+            && misses <= nbmiss // IV.3
+            && t_nbc + nbcmiss >= q_nbc; // IV.4
+        let w = ok.then(|| {
+            node_match_quality(
+                q_deg,
+                q_nbc,
+                misses.max(q_deg.saturating_sub(t_deg)),
+                q_nbc.saturating_sub(t_nbc),
+            )
+        });
+        (w, misses)
+    }
+
+    /// A random query over `labels` node labels (a few nodes carry a label
+    /// no target node has) and a noisy copy of it as the target: labels
+    /// flipped, edges dropped and added, plus extra target nodes. Edges
+    /// carry one of three edge labels or none.
+    fn random_pair(rng: &mut impl rand::Rng, labels: u32) -> (Graph, Graph) {
+        use tale_graph::labels::EdgeLabel;
+        let n = rng.gen_range(8..40);
+        let mut q = Graph::new_undirected();
+        let mut t = Graph::new_undirected();
+        for _ in 0..n {
+            let l = rng.gen_range(0..labels);
+            let ql = if rng.gen_bool(0.05) { labels + l } else { l };
+            q.add_node(NodeLabel(ql));
+            let tl = if rng.gen_bool(0.1) {
+                rng.gen_range(0..labels)
+            } else {
+                l
+            };
+            t.add_node(NodeLabel(tl));
+        }
+        for _ in 0..rng.gen_range(0..n / 2) {
+            t.add_node(NodeLabel(rng.gen_range(0..labels)));
+        }
+        let edge_label = |draw: u32| draw.checked_sub(1).map(EdgeLabel);
+        let add = |g: &mut Graph, u: u32, v: u32, l: Option<EdgeLabel>| {
+            // self loops and repeats are rejected; skip them
+            let _ = match l {
+                Some(l) => g.add_edge_labeled(NodeId(u), NodeId(v), l),
+                None => g.add_edge(NodeId(u), NodeId(v)),
+            };
+        };
+        for _ in 0..n + rng.gen_range(0..2 * n) {
+            let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            let l = edge_label(rng.gen_range(0..4));
+            if rng.gen_bool(0.9) {
+                add(&mut q, u, v, l);
+            }
+            if rng.gen_bool(0.9) {
+                let l = if rng.gen_bool(0.9) {
+                    l
+                } else {
+                    edge_label(rng.gen_range(0..4))
+                };
+                add(&mut t, u, v, l);
+            }
+        }
+        for _ in 0..rng.gen_range(0..n) {
+            let tn = t.node_count() as u32;
+            let (u, v) = (rng.gen_range(0..tn), rng.gen_range(0..tn));
+            let l = edge_label(rng.gen_range(0..4));
+            add(&mut t, u, v, l);
+        }
+        (q, t)
+    }
+
     /// One scorer shared by a sequence of growths and candidate scans (as
     /// the residual re-anchoring loop uses it) answers exactly like a fresh
-    /// scorer per call.
+    /// scorer per call, and every scorer answers exactly like the naive
+    /// definitions — across ρ, both IV.3 modes, alphabets wider than the
+    /// 64-bit mask (folded bits collide) and query labels outside the
+    /// target's vocabulary. The mask popcount never exceeds the exact miss
+    /// count, so it never rejects a pair the exact check accepts.
     #[test]
     fn shared_scorer_equals_fresh_scorers() {
         use rand::{Rng, SeedableRng};
-        use tale_graph::generate::{gnm, mutate, MutationRates};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        for trial in 0..40 {
-            let labels = rng.gen_range(2..6);
-            let n = rng.gen_range(8..40);
-            let m = n + rng.gen_range(0..2 * n);
-            let q = gnm(&mut rng, n, m, labels);
-            let (t, _) = mutate(&mut rng, &q, &MutationRates::mild(), labels);
+        for trial in 0..60 {
+            let labels = if trial % 2 == 0 {
+                rng.gen_range(2..6)
+            } else {
+                rng.gen_range(65..130)
+            };
+            let (q, t) = random_pair(&mut rng, labels);
             let ql = raw_label(&q);
             let tl = raw_label(&t);
             let input = GrowInput {
@@ -915,7 +1017,7 @@ mod tests {
             let cfg = GrowConfig {
                 rho: [0.0, 0.25, 0.5][trial % 3],
                 hops: 1 + (trial % 3) as u8,
-                match_edge_labels: false,
+                match_edge_labels: trial % 4 >= 2,
             };
             let mut shared = CandidateScorer::new(&input);
             for round in 0..4 {
@@ -938,6 +1040,21 @@ mod tests {
                         shared.quality(&input, &cfg, nq, nt),
                         candidate_quality(&input, &cfg, nq, nt)
                     );
+                }
+            }
+            let (q_sigs, t_sigs) = (
+                SignatureTable::build(&q, &ql),
+                SignatureTable::build(&t, &tl),
+            );
+            let mut borrowed = CandidateScorer::with_signatures(&input, &q_sigs, &t_sigs);
+            for nq in q.nodes() {
+                for nt in t.nodes() {
+                    let (naive, misses) = naive_quality(&input, &cfg, nq, nt);
+                    let ctx = format!("trial {trial} pair {nq:?}->{nt:?}");
+                    assert_eq!(shared.quality(&input, &cfg, nq, nt), naive, "{ctx}");
+                    assert_eq!(borrowed.quality(&input, &cfg, nq, nt), naive, "{ctx}");
+                    let masked = q_sigs.get(nq).label_mask & !t_sigs.get(nt).label_mask;
+                    assert!(masked.count_ones() <= misses, "{ctx}");
                 }
             }
         }

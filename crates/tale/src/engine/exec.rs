@@ -61,7 +61,7 @@ use crate::params::{PlanMode, QueryOptions};
 use crate::result::QueryMatch;
 use crate::Result;
 use std::time::Instant;
-use tale_graph::{Graph, GraphDb};
+use tale_graph::{Graph, GraphDb, SignatureTable};
 use tale_nhindex::IndexReader;
 
 /// Per-unique-query index traffic, summed over the shards the query
@@ -131,6 +131,14 @@ fn exec_shard(
     // order and items are (unique, sorted gid), so the per-query
     // gather below is byte-identical to a serial per-query loop.
     let t = Instant::now();
+    // Each query's signature table, shared by all of its match tasks.
+    let q_sigs: Vec<SignatureTable> = sel
+        .iter()
+        .map(|&u| {
+            let q = queries[uniques[u]];
+            SignatureTable::build(q, |n| db.effective_of_raw(q.label(n)))
+        })
+        .collect();
     let mut items: Vec<(usize, u32)> = Vec::new();
     for (lu, p) in probed.per_query.iter().enumerate() {
         let mut gids: Vec<u32> = p.per_graph.keys().copied().collect();
@@ -144,6 +152,7 @@ fn exec_shard(
             grow::match_one_graph(
                 db,
                 queries[qi],
+                &q_sigs[lu],
                 &plans[qi].important,
                 gid,
                 &probed.per_query[lu].per_graph[&gid],
