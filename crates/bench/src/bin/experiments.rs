@@ -623,18 +623,20 @@ fn crash() {
     println!("\n## E-CRASH — crash-safety torture sweep\n");
     println!("every gated I/O operation of every durable mutation is failed in");
     println!("turn; the reopened index must answer queries bit-identically to the");
-    println!("pre-mutation or post-mutation state — never anything in between\n");
-    println!("| mutation | fault points | rolled back | committed | bit-identical |");
-    println!("|---|---|---|---|---|");
+    println!("pre-mutation or post-mutation state — never anything in between;");
+    println!("an in-place compaction may instead be refused with a typed rebuild error\n");
+    println!("| mutation | fault points | rolled back | committed | refused | bit-identical |");
+    println!("|---|---|---|---|---|---|");
     let rows = tale_bench::experiments::crash::run_crash();
     let mut failed = false;
     for r in &rows {
         println!(
-            "| {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} |",
             r.mutation,
             r.fault_points,
             r.rolled_back,
             r.committed,
+            r.refused,
             if r.identical { "yes" } else { "NO" }
         );
         failed |= !r.identical;

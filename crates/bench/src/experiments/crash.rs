@@ -11,15 +11,18 @@
 //! corrupted-but-served state — fails the row.
 //!
 //! Sweeps cover insert, remove and fold on both layouts — the single
-//! generational database (journal + `graphs.json` + the `mvcc.json` flip;
-//! a fold builds a whole generation first) and the sharded one (the same,
-//! per shard, plus the `shards.json` rewrite on insert). Only built with
+//! generational database (an insert appends one record to the graph log,
+//! its commit point, then flips `mvcc.json`; a fold builds a whole
+//! generation first) and the sharded one (the same, per shard) — plus
+//! the in-place compaction of the single database, which may instead
+//! leave a directory open refuses with a typed "rebuild" error (its old
+//! manifest goes first, its new one last). Only built with
 //! `--features failpoints`.
 
 use std::path::Path;
-use tale::{QueryOptions, TaleDatabase, TaleParams};
+use tale::{QueryOptions, TaleDatabase, TaleError, TaleParams};
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
-use tale_shard::{HashPolicy, ShardedTaleDatabase};
+use tale_shard::{HashPolicy, ShardError, ShardedTaleDatabase};
 use tale_storage::faults;
 
 /// One mutation kind's sweep outcome.
@@ -34,8 +37,11 @@ pub struct CrashRow {
     pub rolled_back: u64,
     /// Recoveries that completed to the post-mutation state.
     pub committed: u64,
+    /// Reopens refused with a typed "rebuild" error: a compaction that
+    /// stopped between removing the old manifest and writing the new one.
+    pub refused: u64,
     /// Every recovery was bit-identical to pre or post and passed the
-    /// deep integrity check.
+    /// deep integrity check, or (compaction only) was refused as above.
     pub identical: bool,
 }
 
@@ -100,18 +106,36 @@ fn copy_tree(src: &Path, dst: &Path) {
 /// whose bit-identity the sweep checks.
 type Answers = Vec<Vec<(GraphId, u64, usize)>>;
 
+/// What reopening a crashed directory gave.
+enum Reopened<D> {
+    Served(D),
+    /// Refused with the typed "rebuild" error.
+    Refused,
+    Failed,
+}
+
 /// The two database layouts behind one sweep.
 trait Layout: Sized {
     /// Opens `dir` through the layout's crash-recovery path.
-    fn recover(dir: &Path) -> Option<Self>;
+    fn reopen(dir: &Path) -> Reopened<Self>;
+    fn recover(dir: &Path) -> Option<Self> {
+        match Self::reopen(dir) {
+            Reopened::Served(d) => Some(d),
+            _ => None,
+        }
+    }
     fn query(&self, q: &Graph) -> Vec<tale::QueryMatch>;
     /// Deep integrity check of every index file.
     fn clean(&self) -> bool;
 }
 
 impl Layout for TaleDatabase {
-    fn recover(dir: &Path) -> Option<Self> {
-        TaleDatabase::open(dir, params().buffer_frames).ok()
+    fn reopen(dir: &Path) -> Reopened<Self> {
+        match TaleDatabase::open(dir, params().buffer_frames) {
+            Ok(d) => Reopened::Served(d),
+            Err(TaleError::Rebuild { .. }) => Reopened::Refused,
+            Err(_) => Reopened::Failed,
+        }
     }
     fn query(&self, q: &Graph) -> Vec<tale::QueryMatch> {
         TaleDatabase::query(self, q, &opts()).unwrap()
@@ -122,8 +146,12 @@ impl Layout for TaleDatabase {
 }
 
 impl Layout for ShardedTaleDatabase {
-    fn recover(dir: &Path) -> Option<Self> {
-        ShardedTaleDatabase::open(dir, params().buffer_frames).ok()
+    fn reopen(dir: &Path) -> Reopened<Self> {
+        match ShardedTaleDatabase::open(dir, params().buffer_frames) {
+            Ok(d) => Reopened::Served(d),
+            Err(ShardError::Tale(TaleError::Rebuild { .. })) => Reopened::Refused,
+            Err(_) => Reopened::Failed,
+        }
     }
     fn query(&self, q: &Graph) -> Vec<tale::QueryMatch> {
         ShardedTaleDatabase::query(self, q, &opts()).unwrap()
@@ -147,14 +175,17 @@ fn answers<D: Layout>(db: &D, queries: &[Graph]) -> Answers {
         .collect()
 }
 
-/// Sweeps one mutation over all its fault points. `mutate` returns
-/// whether the mutation succeeded.
+/// Sweeps one mutation over all its fault points. `mutate` consumes the
+/// open database (dropping it is the process exit) and returns whether
+/// the mutation succeeded; the post state is what reopens after a clean
+/// run. A typed "rebuild" refusal passes only when `may_refuse`.
 fn sweep<D: Layout>(
     pre: &Path,
     scratch: &Path,
     queries: &[Graph],
     name: &str,
-    mutate: impl Fn(&mut D) -> bool,
+    may_refuse: bool,
+    mutate: impl Fn(D) -> bool,
 ) -> CrashRow {
     let pre_db = D::recover(pre).unwrap();
     let pre_answers = answers(&pre_db, queries);
@@ -162,19 +193,19 @@ fn sweep<D: Layout>(
 
     let post_dir = scratch.join("post");
     copy_tree(pre, &post_dir);
-    let mut post = D::recover(&post_dir).unwrap();
-    assert!(mutate(&mut post), "{name}: the clean mutation failed");
-    let post_answers = answers(&post, queries);
-    drop(post);
+    assert!(
+        mutate(D::recover(&post_dir).unwrap()),
+        "{name}: the clean mutation failed"
+    );
+    let post_answers = answers(&D::recover(&post_dir).unwrap(), queries);
     std::fs::remove_dir_all(&post_dir).unwrap();
 
     let count_dir = scratch.join("count");
     copy_tree(pre, &count_dir);
-    let mut counted = D::recover(&count_dir).unwrap();
+    let counted = D::recover(&count_dir).unwrap();
     faults::arm_counting();
-    assert!(mutate(&mut counted), "{name}: the counted mutation failed");
+    assert!(mutate(counted), "{name}: the counted mutation failed");
     let n = faults::disarm();
-    drop(counted);
     std::fs::remove_dir_all(&count_dir).unwrap();
 
     let mut row = CrashRow {
@@ -182,19 +213,28 @@ fn sweep<D: Layout>(
         fault_points: n,
         rolled_back: 0,
         committed: 0,
+        refused: 0,
         identical: true,
     };
     for i in 0..n {
         let work = scratch.join(format!("fault-{i}"));
         copy_tree(pre, &work);
-        let mut db = D::recover(&work).unwrap();
+        let db = D::recover(&work).unwrap();
         faults::arm(i);
-        let crashed = !mutate(&mut db);
-        drop(db);
+        let crashed = !mutate(db);
         faults::disarm();
-        let Some(recovered) = D::recover(&work) else {
-            row.identical = false;
-            continue;
+        let recovered = match D::reopen(&work) {
+            Reopened::Served(d) => d,
+            Reopened::Refused => {
+                row.refused += 1;
+                row.identical &= may_refuse && crashed;
+                std::fs::remove_dir_all(&work).unwrap();
+                continue;
+            }
+            Reopened::Failed => {
+                row.identical = false;
+                continue;
+            }
         };
         let got = answers(&recovered, queries);
         let clean = recovered.clean();
@@ -214,8 +254,9 @@ fn sweep<D: Layout>(
 }
 
 /// Runs the full crash-safety sweep: insert, remove and fold on the
-/// single generational database and on a two-shard one. Returns one row
-/// per mutation; `identical` must be true on every row.
+/// single generational database and on a two-shard one, and the single
+/// database's in-place compaction. Returns one row per mutation;
+/// `identical` must be true on every row.
 pub fn run_crash() -> Vec<CrashRow> {
     let (db, graphs, fodder) = corpus();
     let mut queries = graphs;
@@ -237,21 +278,32 @@ pub fn run_crash() -> Vec<CrashRow> {
             dir,
             &queries,
             "single insert_graph",
-            |d: &mut TaleDatabase| d.insert_graph("late", fodder.clone()).is_ok(),
+            false,
+            |d: TaleDatabase| d.insert_graph("late", fodder.clone()).is_ok(),
         ));
         rows.push(sweep(
             &pre,
             dir,
             &queries,
             "single remove_graph",
-            |d: &mut TaleDatabase| d.remove_graph(GraphId(0)).is_ok(),
+            false,
+            |d: TaleDatabase| d.remove_graph(GraphId(0)).is_ok(),
         ));
         rows.push(sweep(
             &pre,
             dir,
             &queries,
             "single fold",
-            |d: &mut TaleDatabase| d.fold().is_ok(),
+            false,
+            |d: TaleDatabase| d.fold().is_ok(),
+        ));
+        rows.push(sweep(
+            &pre,
+            dir,
+            &queries,
+            "single compact",
+            true,
+            |d: TaleDatabase| d.compact(&params()).is_ok(),
         ));
     }
     {
@@ -268,21 +320,24 @@ pub fn run_crash() -> Vec<CrashRow> {
             dir,
             &queries,
             "sharded insert_graph",
-            |d: &mut ShardedTaleDatabase| d.insert_graph("late", fodder.clone()).is_ok(),
+            false,
+            |mut d: ShardedTaleDatabase| d.insert_graph("late", fodder.clone()).is_ok(),
         ));
         rows.push(sweep(
             &pre,
             dir,
             &queries,
             "sharded remove_graph",
-            |d: &mut ShardedTaleDatabase| d.remove_graph(GraphId(0)).is_ok(),
+            false,
+            |mut d: ShardedTaleDatabase| d.remove_graph(GraphId(0)).is_ok(),
         ));
         rows.push(sweep(
             &pre,
             dir,
             &queries,
             "sharded fold",
-            |d: &mut ShardedTaleDatabase| d.fold().is_ok(),
+            false,
+            |mut d: ShardedTaleDatabase| d.fold().is_ok(),
         ));
     }
     rows

@@ -17,7 +17,7 @@ use crate::neighborhood::SignatureTable;
 use crate::{GraphError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a graph within a [`GraphDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -32,21 +32,29 @@ impl GraphId {
 }
 
 /// A named collection of graphs with shared label vocabularies.
+///
+/// Graphs, names, vocabularies and each graph's derived tables sit behind
+/// `Arc`s, so a clone — the next version a writer prepares — costs one
+/// pointer copy per graph and keeps every table already built. Graphs
+/// never change once inserted; a vocabulary is copied only when a clone
+/// interns a new label.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GraphDb {
-    graphs: Vec<Graph>,
-    names: Vec<String>,
-    node_labels: LabelInterner,
-    edge_labels: LabelInterner,
+    graphs: Vec<Arc<Graph>>,
+    names: Vec<Arc<str>>,
+    node_labels: Arc<LabelInterner>,
+    edge_labels: Arc<LabelInterner>,
     /// Optional node-label → group-label map (§IV-E). Group labels live in
     /// their own dense space starting at 0.
     group_of_label: Option<Vec<u32>>,
     group_count: u32,
     /// Per-graph derived tables, each built on first use. Never
     /// serialized, sized on first use (so a deserialized or fresh db starts
-    /// empty), and reset whenever effective labels change.
+    /// empty), and reset whenever effective labels change. Interning a
+    /// label or inserting a graph changes no existing graph's effective
+    /// labels, so versions share these slots.
     #[serde(skip)]
-    derived: OnceLock<Vec<Derived>>,
+    derived: OnceLock<Vec<Arc<Derived>>>,
 }
 
 /// One graph's derived tables: pure functions of the graph and the
@@ -107,12 +115,12 @@ impl GraphDb {
 
     /// Interns a node label string, usable across all graphs in the db.
     pub fn intern_node_label(&mut self, name: &str) -> NodeLabel {
-        NodeLabel(self.node_labels.intern(name))
+        NodeLabel(intern_shared(&mut self.node_labels, name))
     }
 
     /// Interns an edge label string.
     pub fn intern_edge_label(&mut self, name: &str) -> crate::labels::EdgeLabel {
-        crate::labels::EdgeLabel(self.edge_labels.intern(name))
+        crate::labels::EdgeLabel(intern_shared(&mut self.edge_labels, name))
     }
 
     /// Node-label vocabulary (`Σv`).
@@ -127,13 +135,23 @@ impl GraphDb {
 
     /// Inserts a graph under `name`, returning its id.
     pub fn insert(&mut self, name: impl Into<String>, g: Graph) -> GraphId {
+        self.insert_shared(name.into().into(), Arc::new(g))
+    }
+
+    pub(crate) fn insert_shared(&mut self, name: Arc<str>, g: Arc<Graph>) -> GraphId {
         let id = GraphId(self.graphs.len() as u32);
         self.graphs.push(g);
-        self.names.push(name.into());
+        self.names.push(name);
         if let Some(derived) = self.derived.get_mut() {
-            derived.push(Derived::default());
+            derived.push(Arc::default());
         }
         id
+    }
+
+    /// The shared handle of a graph (cheap to clone; the graph itself is
+    /// never copied). Panics if out of range.
+    pub(crate) fn shared(&self, id: GraphId) -> (&Arc<str>, &Arc<Graph>) {
+        (&self.names[id.idx()], &self.graphs[id.idx()])
     }
 
     /// Number of graphs.
@@ -156,6 +174,7 @@ impl GraphDb {
     pub fn try_graph(&self, id: GraphId) -> Result<&Graph> {
         self.graphs
             .get(id.idx())
+            .map(|g| &**g)
             .ok_or(GraphError::GraphOutOfBounds(id))
     }
 
@@ -168,7 +187,7 @@ impl GraphDb {
     pub fn find_by_name(&self, name: &str) -> Option<GraphId> {
         self.names
             .iter()
-            .position(|n| n == name)
+            .position(|n| &**n == name)
             .map(|i| GraphId(i as u32))
     }
 
@@ -178,18 +197,18 @@ impl GraphDb {
             .iter()
             .zip(self.names.iter())
             .enumerate()
-            .map(|(i, (g, n))| (GraphId(i as u32), n.as_str(), g))
+            .map(|(i, (g, n))| (GraphId(i as u32), &**n, &**g))
     }
 
     /// Total node count across all graphs — the NH-Index has exactly this
     /// many indexing units (§IV-A's linear-size claim).
     pub fn total_nodes(&self) -> usize {
-        self.graphs.iter().map(Graph::node_count).sum()
+        self.graphs.iter().map(|g| g.node_count()).sum()
     }
 
     /// Total edge count across all graphs.
     pub fn total_edges(&self) -> usize {
-        self.graphs.iter().map(Graph::edge_count).sum()
+        self.graphs.iter().map(|g| g.edge_count()).sum()
     }
 
     /// Installs the §IV-E group-label map: `groups[label] = group id`.
@@ -301,7 +320,7 @@ impl GraphDb {
     fn derived(&self, graph: GraphId) -> &Derived {
         &self
             .derived
-            .get_or_init(|| vec![Derived::default(); self.graphs.len()])[graph.idx()]
+            .get_or_init(|| (0..self.graphs.len()).map(|_| Arc::default()).collect())[graph.idx()]
     }
 
     /// Maps a raw label to its effective (group) label. Raw labels outside
@@ -316,6 +335,18 @@ impl GraphDb {
                 .unwrap_or(self.group_count.saturating_add(raw.0)),
             None => raw.0,
         }
+    }
+}
+
+/// Interns into a vocabulary that other versions may share, copying it
+/// only when it is shared and the label is new.
+fn intern_shared(vocab: &mut Arc<LabelInterner>, name: &str) -> u32 {
+    if let Some(own) = Arc::get_mut(vocab) {
+        return own.intern(name);
+    }
+    match vocab.get(name) {
+        Some(id) => id,
+        None => Arc::make_mut(vocab).intern(name),
     }
 }
 
@@ -510,6 +541,25 @@ mod tests {
             std::fs::read(&path2).unwrap(),
             "round trip not byte-identical"
         );
+    }
+
+    #[test]
+    fn versions_share_graphs_and_built_tables() {
+        let (mut db, id) = tiny_db();
+        let built = db.signatures(id) as *const SignatureTable;
+        let mut next = db.clone();
+        let late = next.insert("late", Graph::new_undirected());
+        next.intern_node_label("C");
+        assert!(std::ptr::eq(db.graph(id), next.graph(id)), "graph copied");
+        assert!(std::ptr::eq(next.signatures(id), built), "table rebuilt");
+        assert!(next.label_buckets(late).nodes(0).is_empty());
+        assert_eq!(db.node_vocab().len(), 2, "intern reached the older version");
+        // effective labels change only in the version that changes them
+        next.set_group(vec![0, 0, 0]).unwrap();
+        assert!(!std::ptr::eq(next.signatures(id), built));
+        assert!(std::ptr::eq(db.signatures(id), built));
+        db.insert("other", Graph::new_undirected());
+        assert!(std::ptr::eq(db.signatures(id), built));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Graph database persistence.
 //!
-//! Two formats:
+//! Three formats:
 //! * **JSON** via serde — lossless round trip of a whole [`GraphDb`]
 //!   including vocabularies and group maps.
+//! * A [`GraphRecord`] per inserted graph — what a database's append-only
+//!   graph log holds after its JSON base.
 //! * A **line-oriented text format** for human-editable fixtures, one block
 //!   per graph:
 //!
@@ -12,11 +14,13 @@
 //!   e <u> <v> [edge-label]        # one line per edge
 //!   ```
 
-use crate::db::GraphDb;
+use crate::db::{GraphDb, GraphId};
 use crate::graph::{Direction, Graph, NodeId};
 use crate::{GraphError, Result};
+use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Serializes a [`GraphDb`] as JSON to `w`.
 pub fn write_json<W: Write>(db: &GraphDb, w: W) -> Result<()> {
@@ -44,6 +48,89 @@ pub fn save_json(db: &GraphDb, path: &Path) -> Result<()> {
 /// Loads a JSON db from `path`.
 pub fn load_json(path: &Path) -> Result<GraphDb> {
     read_json(std::fs::File::open(path)?)
+}
+
+/// One inserted graph as the graph log stores it: enough to replay the
+/// insert onto the database as it stood before — the graph, its name, the
+/// labels interned since the previous record, and (sharded layout) the
+/// shard that owns it.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct GraphRecord {
+    /// Name the graph was inserted under.
+    pub name: Arc<str>,
+    /// The graph itself.
+    pub graph: Arc<Graph>,
+    /// Node labels interned since the previous record, in id order.
+    pub node_labels: Vec<String>,
+    /// Edge labels interned since the previous record, in id order.
+    pub edge_labels: Vec<String>,
+    /// The owning shard, in the sharded layout.
+    #[serde(default)]
+    pub shard: Option<u32>,
+}
+
+impl GraphRecord {
+    /// The record of graph `gid` of `db`, carrying every label past the
+    /// first `vocab.0` node and `vocab.1` edge labels. The graph is shared,
+    /// not copied.
+    pub fn of(db: &GraphDb, gid: GraphId, vocab: (usize, usize), shard: Option<u32>) -> Self {
+        let (name, graph) = db.shared(gid);
+        let since = |v: &crate::LabelInterner, from: usize| {
+            v.iter()
+                .skip(from)
+                .map(|(_, n)| n.to_owned())
+                .collect::<Vec<_>>()
+        };
+        GraphRecord {
+            name: Arc::clone(name),
+            graph: Arc::clone(graph),
+            node_labels: since(db.node_vocab(), vocab.0),
+            edge_labels: since(db.edge_vocab(), vocab.1),
+            shard,
+        }
+    }
+
+    /// The record's bytes (JSON).
+    pub fn encode(&self) -> Vec<u8> {
+        serde_json::to_string(self)
+            .expect("records serialize")
+            .into_bytes()
+    }
+
+    /// Parses bytes written by [`GraphRecord::encode`].
+    pub fn decode(bytes: &[u8]) -> Result<Self> {
+        let text = std::str::from_utf8(bytes).map_err(|e| GraphError::Parse {
+            line: 0,
+            msg: format!("graph record is not UTF-8: {e}"),
+        })?;
+        Ok(serde_json::from_str(text)?)
+    }
+
+    /// Replays the insert onto `db`: interns the record's labels, each of
+    /// which must be new there (so it gets back the id it had), then
+    /// inserts the graph. Returns its id.
+    pub fn apply(self, db: &mut GraphDb) -> Result<GraphId> {
+        let stale = |kind: &str, name: &str| GraphError::Parse {
+            line: 0,
+            msg: format!(
+                "graph record {:?} re-interns {kind} label {name:?}",
+                self.name
+            ),
+        };
+        for name in &self.node_labels {
+            let fresh = db.node_vocab().len() as u32;
+            if db.intern_node_label(name).0 != fresh {
+                return Err(stale("node", name));
+            }
+        }
+        for name in &self.edge_labels {
+            let fresh = db.edge_vocab().len() as u32;
+            if db.intern_edge_label(name).0 != fresh {
+                return Err(stale("edge", name));
+            }
+        }
+        Ok(db.insert_shared(self.name, self.graph))
+    }
 }
 
 /// Writes the text format described in the module docs.
@@ -243,6 +330,38 @@ mod tests {
         let src = "# fixture\n\ngraph g\nv A\nv B\n\ne 0 1\n";
         let db = read_text(src.as_bytes()).unwrap();
         assert_eq!(db.graph(crate::GraphId(0)).edge_count(), 1);
+    }
+
+    #[test]
+    fn record_replays_an_insert_with_its_new_labels() {
+        let mut db = sample_db();
+        let base = db.clone();
+        let vocab = (db.node_vocab().len(), db.edge_vocab().len());
+        let fresh = db.intern_node_label("SER");
+        let weak = db.intern_edge_label("weak");
+        let mut g = Graph::new_undirected();
+        let a = g.add_node(fresh);
+        let b = g.add_node(NodeLabel(0));
+        g.add_edge_labeled(a, b, weak).unwrap();
+        let gid = db.insert("g2", g);
+
+        let rec = GraphRecord::of(&db, gid, vocab, Some(3));
+        assert_eq!(rec.node_labels, vec!["SER".to_owned()]);
+        assert_eq!(rec.edge_labels, vec!["weak".to_owned()]);
+        let back = GraphRecord::decode(&rec.encode()).unwrap();
+        assert_eq!(back.shard, Some(3));
+        let mut replayed = base.clone();
+        assert_eq!(back.clone().apply(&mut replayed).unwrap(), gid);
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        write_json(&db, &mut x).unwrap();
+        write_json(&replayed, &mut y).unwrap();
+        assert_eq!(x, y, "replay differs from the live insert");
+
+        // a label the database already holds would get another id: refused
+        let mut clash = base;
+        clash.intern_node_label("SER");
+        assert!(back.apply(&mut clash).is_err());
+        assert!(GraphRecord::decode(b"{\"name\":1}").is_err());
     }
 
     #[test]

@@ -480,20 +480,21 @@ impl NhIndex {
         edge_labels: bool,
         out: &mut Vec<Unit>,
     ) {
-        let graph_id = tale_graph::GraphId(gid);
+        // = `db.effective_label(GraphId(gid), n)`, on the graph in hand
+        let label_of = |n: NodeId| db.effective_of_raw(g.label(n));
         for n in g.nodes() {
             let degree = g.degree(n) as u32;
             let nbc = g.neighbor_connection(n) as u32;
-            let label = db.effective_label(graph_id, n);
+            let label = label_of(n);
             let array = if edge_labels {
                 scheme.array_of_pairs(g.neighbor_edges(n).map(|(nb, eid)| {
                     (
-                        db.effective_label(graph_id, nb),
+                        label_of(nb),
                         g.edge_label(eid).map(|l| l.0 + 1).unwrap_or(0),
                     )
                 }))
             } else {
-                scheme.array_of(g.neighbors(n).map(|nb| db.effective_label(graph_id, nb)))
+                scheme.array_of(g.neighbors(n).map(label_of))
             };
             out.push(Unit {
                 key: CompositeKey::new(label, degree, nbc),

@@ -53,7 +53,9 @@ pub use index::{
     IntegrityReport, NhIndex, NhIndexConfig, NodeCandidate, ProbeCounters, ProbeStats,
     QuerySignature, DEFAULT_IO_WORKERS, DEFAULT_PREFETCH_PAGES, LEGACY_WAL_FILE,
 };
-pub use mvcc::{FoldReport, GenerationInfo, GenerationalNhIndex, MvccRecovery, Snapshot};
+pub use mvcc::{
+    FoldReport, GenerationInfo, GenerationalNhIndex, MvccRecovery, Snapshot, MVCC_FILE,
+};
 pub use posting::{NodeRef, Posting};
 pub use quality::node_match_quality;
 pub use reader::IndexReader;

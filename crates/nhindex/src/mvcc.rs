@@ -44,11 +44,12 @@
 //!
 //! The manifest is written with [`tale_storage::atomic::write_atomic`] —
 //! the same gated commit point the crash-torture harness drives. A
-//! mutation's only durable step *is* the manifest write (`graphs.json`
-//! durability is the caller's job, sequenced by its mutation journal), so
-//! a crash mid-fold leaves either the old manifest (generation `N`, delta
-//! re-derived on open) or the new one (generation `N+1`, empty delta) —
-//! never a hybrid. Orphaned generation directories from unfinished folds
+//! mutation's only durable step here *is* the manifest write; the graphs
+//! themselves are the caller's store, whose insert commits before this
+//! index hears of it (so an insert's flip decides nothing: open derives
+//! the delta from the store). A crash mid-fold leaves either the old
+//! manifest (generation `N`, delta re-derived on open) or the new one
+//! (generation `N+1`, empty delta) — never a hybrid. Orphaned generation directories from unfinished folds
 //! are swept on open.
 //!
 //! ## Cache epochs
@@ -85,7 +86,8 @@ use std::sync::{Arc, Weak};
 use tale_graph::{GraphDb, GraphId};
 use tale_storage::IoPool;
 
-const MVCC_FILE: &str = "mvcc.json";
+/// The manifest file of a generational index directory.
+pub const MVCC_FILE: &str = "mvcc.json";
 const GENS_DIR: &str = "gens";
 const SCHEMA_VERSION: u32 = 1;
 
@@ -96,9 +98,9 @@ struct MvccManifest {
     schema_version: u32,
     /// Number of the current on-disk generation (`gens/g{current}`).
     current: u64,
-    /// Logical mutation counter: bumped by every committed insert/remove,
+    /// Logical mutation counter: bumped by every insert/remove flip,
     /// unchanged by a fold (a fold changes representation, not contents).
-    /// The mutation journal records it as the pre-mutation generation.
+    /// It is reported, never used to decide recovery.
     logical: u64,
     /// Members with an id below `base_len` are covered by the on-disk
     /// generation; members at or above it are the delta (re-derived on
@@ -578,13 +580,6 @@ impl GenerationalNhIndex {
         }
     }
 
-    /// Reads the persisted logical mutation counter without opening the
-    /// index — the mutation journal compares it against a pending
-    /// mutation's pre-generation to decide rollback.
-    pub fn peek_logical(dir: &Path) -> Result<u64> {
-        Ok(Self::read_manifest(dir)?.logical)
-    }
-
     /// Reopens an index covering every graph of `db`, with
     /// `buffer_frames` pool frames per page file and a private default
     /// read path (see [`GenerationalNhIndex::open_members`]).
@@ -605,8 +600,10 @@ impl GenerationalNhIndex {
     /// are replaced by what the generation was built with. `io` is a
     /// worker pool to share with other indexes.
     ///
-    /// `db` must be the *recovered* graph database: run the mutation
-    /// journal against [`GenerationalNhIndex::peek_logical`] first.
+    /// `db` must be the graph database as its store reopened (base plus
+    /// replayed log): every member it holds past `base_len` — committed
+    /// inserts, including any whose manifest flip a crash cut off — is in
+    /// the delta.
     pub fn open_members(
         dir: &Path,
         db: &GraphDb,
@@ -846,7 +843,9 @@ impl GenerationalNhIndex {
         Ok(report)
     }
 
-    /// The logical mutation counter (journal commit point).
+    /// The logical mutation counter: committed inserts and removals of
+    /// this index (an insert's count can lag its graph-log commit by the
+    /// flip a crash cut off).
     pub fn logical_generation(&self) -> u64 {
         self.state.read().logical
     }

@@ -968,10 +968,11 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Explicit crash recovery: opens the directory, repairing any mutation a
-/// crash cut short, and reports what was done — the one story both
-/// layouts share: a journaled insert committed or was rolled back whole,
-/// and the generation directories of unfinished folds were swept.
+/// Explicit crash recovery: opens the directory, repairing what a crash
+/// left behind, and reports what was done — the one story both layouts
+/// share: the graph log's inserts were replayed (an insert a crash cut
+/// short is a torn final record, truncated), and the generation
+/// directories of unfinished folds were swept.
 /// Opening with any other subcommand performs the same repairs silently;
 /// this one shows them.
 fn cmd_recover(args: &[String]) -> Result<(), String> {
@@ -991,12 +992,8 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
     }
     .map_err(|e| e.to_string())?;
     println!(
-        "mutation journal: {}",
-        match (rec.journal_present, rec.db_rolled_back) {
-            (false, _) => "none",
-            (true, true) => "present — insert rolled back (graphs.json restored)",
-            (true, false) => "present — insert had committed; marker cleared",
-        }
+        "graph log: {} insert(s) replayed, {} torn-tail byte(s) truncated",
+        rec.log_records, rec.log_torn_bytes
     );
     for (i, n) in rec.generations_swept.iter().enumerate() {
         let who = if sharded {

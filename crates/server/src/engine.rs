@@ -3,8 +3,9 @@
 //!
 //! A worker process owns exactly one shard of a database built by
 //! `ShardedTaleDatabase::build` (or `tale-cli build --shards N`): the
-//! shared `graphs.json` + `shards.json` at the root, and its own
-//! `shard-NNN/` generational NH-Index directory. Queries pin one MVCC
+//! shared graph store (`graphs.json` + `graphs.log`) and `shards.json` at
+//! the root, and its own `shard-NNN/` generational NH-Index directory.
+//! Queries pin one MVCC
 //! snapshot and run the *complete* engine pipeline via `exec::run_batch`
 //! over its base and delta readers — the N=1 case of the scatter/gather
 //! the in-process sharded database uses — so each worker's partials are
@@ -13,10 +14,11 @@
 //! to local execution (see `exec::rank_matches`).
 //!
 //! Mutations are the shard crate's, not a copy of them: an insert is
-//! [`tale_shard::commit_insert`] (journal → `graphs.json` → `shards.json`
-//! → the shard's manifest flip), a remove is a tombstone in the shard's
-//! manifest, and a fold is the shard's generational fold — crash-safe at
-//! every I/O, with cache invalidation by epoch.
+//! [`tale_shard::commit_insert`] (one record appended to the root's graph
+//! log — the commit point — then the shard's delta and manifest flip), a
+//! remove is a tombstone in the shard's manifest, and a fold is the
+//! shard's generational fold — crash-safe at every I/O, with cache
+//! invalidation by epoch.
 
 use crate::wire::{
     ExplainRequest, FoldRequest, InsertRequest, QueryBatchRequest, RemoveRequest, WireExecStats,
@@ -24,15 +26,14 @@ use crate::wire::{
 };
 use crate::{Result, ServerError};
 use parking_lot::RwLock;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use tale::engine::cache::{ResultCache, DEFAULT_CACHE_ENTRIES};
 use tale::engine::exec;
+use tale::store::GraphLog;
 use tale::BatchStats;
 use tale_graph::{Graph, GraphDb, GraphId};
 use tale_nhindex::{GenerationalNhIndex, NhIndexConfig, Snapshot};
 use tale_shard::{vocab_fingerprint, ShardManifest};
-
-const DB_FILE: &str = "graphs.json";
 
 /// Page-cache / I/O sizing for a worker's index.
 #[derive(Debug, Clone, Copy)]
@@ -57,6 +58,7 @@ impl Default for EngineConfig {
 
 struct EngineState {
     db: GraphDb,
+    log: GraphLog,
     index: GenerationalNhIndex,
     manifest: ShardManifest,
 }
@@ -65,7 +67,6 @@ struct EngineState {
 /// concurrent connection handlers can query in parallel while mutations
 /// serialize.
 pub struct ShardEngine {
-    root: PathBuf,
     shard: u32,
     state: RwLock<EngineState>,
     /// `[base, delta]` caches of the shard's snapshot readers.
@@ -74,28 +75,17 @@ pub struct ShardEngine {
 
 impl ShardEngine {
     /// Opens shard `shard` of the sharded database rooted at `root`
-    /// (the directory holding `graphs.json` and `shards.json`), repairing
-    /// an insert a crash cut short first (a clean directory is left
-    /// untouched).
+    /// (the directory holding the graph store and `shards.json`) through
+    /// [`tale_shard::load_root`]: the base graphs checked against the
+    /// recorded vocabulary, then the graph log replayed (a torn final
+    /// record, an insert a crash cut short, is truncated).
     pub fn open(root: &Path, shard: u32, cfg: EngineConfig) -> Result<ShardEngine> {
-        tale_shard::recover_root(root)?;
-        let manifest = ShardManifest::load(root)?;
+        let (db, manifest, log, _) = tale_shard::load_root(root)?;
         if shard >= manifest.shard_count {
             return Err(ServerError::BadRequest(format!(
                 "shard {shard} out of range: manifest has {} shards",
                 manifest.shard_count
             )));
-        }
-        let db: GraphDb =
-            tale_graph::io::load_json(&root.join(DB_FILE)).map_err(tale_shard::ShardError::from)?;
-        let fp = vocab_fingerprint(&db);
-        if let Some(&recorded) = manifest.vocab_fingerprints.get(shard as usize) {
-            if recorded != fp {
-                return Err(ServerError::Handshake(format!(
-                    "vocabulary fingerprint mismatch: graphs.json has {fp:#018x}, \
-                     manifest recorded {recorded:#018x} for shard {shard}"
-                )));
-            }
         }
         let config = NhIndexConfig {
             buffer_frames: cfg.buffer_frames,
@@ -105,10 +95,10 @@ impl ShardEngine {
         };
         let (index, _swept) = tale_shard::open_shard(root, &manifest, &db, shard, &config, None)?;
         Ok(ShardEngine {
-            root: root.to_owned(),
             shard,
             state: RwLock::new(EngineState {
                 db,
+                log,
                 index,
                 manifest,
             }),
@@ -196,7 +186,8 @@ impl ShardEngine {
     }
 
     /// Inserts a graph into this shard's delta overlay through the shard
-    /// crate's journaled sequence. Returns the new id.
+    /// crate's commit sequence ([`tale_shard::commit_insert`]). Returns
+    /// the new id.
     ///
     /// Only meaningful while this worker is the sole writer of the
     /// database root (the frontend enforces this by refusing to forward
@@ -207,7 +198,7 @@ impl ShardEngine {
         let g = req.graph.to_inserted_graph(&mut st.db)?;
         let gid = st.db.insert(req.name.clone(), g);
         tale_shard::commit_insert(
-            &self.root,
+            &mut st.log,
             &st.db,
             &mut st.manifest,
             &st.index,

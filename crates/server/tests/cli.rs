@@ -331,10 +331,13 @@ fn recover_runs_on_single_and_sharded_layouts() {
     ]);
     assert!(ok);
 
-    // one story on both layouts: the journal, then swept generations
+    // one story on both layouts: the graph log, then swept generations
     let (ok, stdout, stderr) = run(&["recover", single.to_str().unwrap()]);
     assert!(ok, "recover failed: {stderr}");
-    assert!(stdout.contains("mutation journal: none"), "{stdout}");
+    assert!(
+        stdout.contains("graph log: 0 insert(s) replayed, 0 torn-tail byte(s) truncated"),
+        "{stdout}"
+    );
     assert!(
         stdout.contains("index: 0 orphaned generation(s) swept"),
         "{stdout}"
@@ -343,7 +346,10 @@ fn recover_runs_on_single_and_sharded_layouts() {
 
     let (ok, stdout, stderr) = run(&["recover", sharded.to_str().unwrap()]);
     assert!(ok, "sharded recover failed: {stderr}");
-    assert!(stdout.contains("mutation journal: none"), "{stdout}");
+    assert!(
+        stdout.contains("graph log: 0 insert(s) replayed, 0 torn-tail byte(s) truncated"),
+        "{stdout}"
+    );
     assert!(
         stdout.contains("shard 0: 0 orphaned generation(s) swept"),
         "{stdout}"

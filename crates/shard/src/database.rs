@@ -12,13 +12,15 @@
 //! rolls only the owning shard's delta epoch, so that shard's base
 //! partials and every other shard's cached work keep hitting.
 
-use crate::index::{recover_root, ShardBuildStats, ShardedNhIndex, DB_FILE};
+use crate::index::{load_root, ShardBuildStats, ShardedNhIndex};
+use crate::manifest::MANIFEST_FILE;
 use crate::policy::{HashPolicy, ShardPolicy};
 use crate::Result;
 use std::path::Path;
 use tale::engine::cache::{CacheStats, ResultCache, DEFAULT_CACHE_ENTRIES};
 use tale::engine::exec;
 use tale::engine::stats::{BatchStats, QueryStats, ShardStats};
+use tale::store::{self, GraphLog};
 use tale::{DbRecovery, QueryMatch, QueryOptions, ScratchDir, TaleParams};
 use tale_graph::{Graph, GraphDb, GraphId};
 use tale_nhindex::{FoldReport, NhIndexConfig, Snapshot};
@@ -39,6 +41,8 @@ fn config_of(params: &TaleParams) -> NhIndexConfig {
 /// for approximate subgraph queries.
 pub struct ShardedTaleDatabase {
     db: GraphDb,
+    /// The root's graph log: every insert commits through it.
+    log: GraphLog,
     index: ShardedNhIndex,
     /// `[base, delta]` result caches per shard, flattened in reader order.
     caches: Vec<ResultCache>,
@@ -47,12 +51,18 @@ pub struct ShardedTaleDatabase {
 }
 
 impl ShardedTaleDatabase {
-    fn assemble(db: GraphDb, index: ShardedNhIndex, scratch: Option<ScratchDir>) -> Self {
+    fn assemble(
+        db: GraphDb,
+        log: GraphLog,
+        index: ShardedNhIndex,
+        scratch: Option<ScratchDir>,
+    ) -> Self {
         ShardedTaleDatabase {
             caches: (0..2 * index.shard_count())
                 .map(|_| ResultCache::new(DEFAULT_CACHE_ENTRIES))
                 .collect(),
             db,
+            log,
             index,
             _scratch: scratch,
         }
@@ -73,6 +83,11 @@ impl ShardedTaleDatabase {
 
     /// Like [`ShardedTaleDatabase::build`], also reporting per-shard
     /// build timings ([`ShardBuildStats`]).
+    ///
+    /// Over an existing database the old `shards.json` goes first, then
+    /// the new graph store (`graphs.json` and an empty log), then the
+    /// shards, with the new `shards.json` last: a crash in between leaves
+    /// a directory open refuses rather than one pairing old and new files.
     pub fn build_with_stats(
         db: GraphDb,
         dir: &Path,
@@ -81,10 +96,11 @@ impl ShardedTaleDatabase {
         policy: &dyn ShardPolicy,
     ) -> Result<(Self, ShardBuildStats)> {
         std::fs::create_dir_all(dir)?;
+        store::unpublish(dir, MANIFEST_FILE)?;
+        let log = GraphLog::create(dir, &db)?;
         let (index, stats) =
             ShardedNhIndex::build_with_stats(dir, &db, &config_of(params), nshards, policy, 0)?;
-        tale_graph::io::save_json(&db, &dir.join(DB_FILE))?;
-        Ok((Self::assemble(db, index, None), stats))
+        Ok((Self::assemble(db, log, index, None), stats))
     }
 
     /// Builds into a self-cleaning scratch directory with the default
@@ -104,19 +120,21 @@ impl ShardedTaleDatabase {
         Ok(Self::open_with_recovery(dir, buffer_frames)?.0)
     }
 
-    /// Like [`ShardedTaleDatabase::open`], also repairing any insert that
-    /// a crash cut short and reporting what was done. The root is
-    /// reconciled first ([`recover_root`]: the owning shard's logical
-    /// counter moved ⇒ the insert committed, else `graphs.json` and
-    /// `shards.json` roll back), then every shard opens against the
-    /// recovered graphs, sweeping the generation directories of
-    /// unfinished folds.
+    /// Like [`ShardedTaleDatabase::open`], also reporting what a crash
+    /// left behind and was repaired. The root's graph store loads first
+    /// ([`load_root`]: the base, the vocabulary check, then the log
+    /// replayed with a torn final record truncated), then every shard
+    /// opens against it, re-deriving its delta and sweeping the
+    /// generation directories of unfinished folds.
     pub fn open_with_recovery(dir: &Path, buffer_frames: usize) -> Result<(Self, DbRecovery)> {
-        let mut rec = recover_root(dir)?;
-        let db = tale_graph::io::load_json(&dir.join(DB_FILE))?;
-        let (index, swept) = ShardedNhIndex::open(dir, buffer_frames, &db)?;
-        rec.generations_swept = swept;
-        Ok((Self::assemble(db, index, None), rec))
+        let (db, manifest, log, replayed) = load_root(dir)?;
+        let (index, swept) = ShardedNhIndex::open_manifest(dir, buffer_frames, &db, manifest)?;
+        let rec = DbRecovery {
+            log_records: replayed.shards.len(),
+            log_torn_bytes: replayed.torn_bytes,
+            generations_swept: swept,
+        };
+        Ok((Self::assemble(db, log, index, None), rec))
     }
 
     /// Adds a graph and routes it to a shard with the build policy; it
@@ -126,13 +144,14 @@ impl ShardedTaleDatabase {
     /// epoch rolls, so its base partials and every other shard's entries
     /// keep hitting.
     ///
-    /// The multi-file mutation is journaled ([`crate::commit_insert`]): a
-    /// crash at any point recovers to a state bit-identical to before or
-    /// after the insert ([`ShardedTaleDatabase::open_with_recovery`]).
-    /// After an error, drop this handle and reopen.
+    /// The insert commits as one record in the graph log
+    /// ([`crate::commit_insert`]): a crash at any point recovers to a
+    /// state bit-identical to before or after the insert
+    /// ([`ShardedTaleDatabase::open_with_recovery`]). After an error, drop
+    /// this handle and reopen.
     pub fn insert_graph(&mut self, name: impl Into<String>, g: Graph) -> Result<GraphId> {
         let gid = self.db.insert(name, g);
-        self.index.insert_graph(&self.db, gid)?;
+        self.index.insert_graph(&mut self.log, &self.db, gid)?;
         Ok(gid)
     }
 
@@ -399,6 +418,39 @@ mod tests {
     }
 
     #[test]
+    fn an_interned_label_survives_reopen_with_its_id() {
+        let (db, graphs) = small_db();
+        let dir = tempfile::tempdir().unwrap();
+        let opts = QueryOptions {
+            p_imp: 0.5,
+            ..Default::default()
+        };
+        let params = TaleParams::default();
+        let mut sharded =
+            ShardedTaleDatabase::build(db, dir.path(), &params, 2, &HashPolicy).unwrap();
+        let fresh = sharded.intern_node_label("FRESH");
+        let mut g = graphs[0].clone();
+        let extra = g.add_node(fresh);
+        g.add_edge(tale_graph::NodeId(0), extra).unwrap();
+        let gid = sharded.insert_graph("with-fresh", g.clone()).unwrap();
+        let owner = sharded.index().shard_of(gid);
+        let want = sharded.query(&g, &opts).unwrap();
+        drop(sharded);
+        for _ in 0..2 {
+            let (back, rec) = ShardedTaleDatabase::open_with_recovery(dir.path(), 256).unwrap();
+            assert_eq!(rec.log_records, 1);
+            assert_eq!(back.db().node_vocab().get("FRESH"), Some(fresh.0));
+            assert_eq!(back.db().graph(gid).label(extra), fresh);
+            assert_eq!(back.index().shard_of(gid), owner);
+            let got = back.query(&g, &opts).unwrap();
+            assert_eq!(got.len(), want.len());
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!((a.graph, a.score.to_bits()), (b.graph, b.score.to_bits()));
+            }
+        }
+    }
+
+    #[test]
     fn persist_reopen_and_fingerprint_guard() {
         let (db, graphs) = small_db();
         let dir = tempfile::tempdir().unwrap();
@@ -420,9 +472,10 @@ mod tests {
         // swap graphs.json for one whose vocabulary drifted (an extra
         // interned label): open must refuse rather than serve wrong
         // bitmaps
-        let mut drifted = tale_graph::io::load_json(&dir.path().join(DB_FILE)).unwrap();
+        let base = dir.path().join(store::DB_FILE);
+        let mut drifted = tale_graph::io::load_json(&base).unwrap();
         drifted.intern_node_label("ZZZ-drift");
-        tale_graph::io::save_json(&drifted, &dir.path().join(DB_FILE)).unwrap();
+        tale_graph::io::save_json(&drifted, &base).unwrap();
         assert!(ShardedTaleDatabase::open(dir.path(), 256).is_err());
     }
 }

@@ -15,27 +15,24 @@
 //! sort+merge step — serial in a single-file build even with
 //! `parallel_build` on — is itself partitioned N ways.
 //!
-//! Mutations are the generational ones, per shard: an insert lands in the
-//! owning shard's delta overlay ([`commit_insert`] journals it against
-//! `graphs.json` and `shards.json`), a removal is a tombstone in the
+//! Mutations are the generational ones, per shard: an insert commits as
+//! one record in the root's graph log and lands in the owning shard's
+//! delta overlay ([`commit_insert`]), a removal is a tombstone in the
 //! owning shard's manifest, and a fold builds that shard's next
-//! generation. The owning shard's `mvcc.json` flip is the only index
-//! commit point.
+//! generation, committed by that shard's `mvcc.json` flip.
 
-use crate::manifest::{vocab_fingerprint, ShardManifest, MANIFEST_SCHEMA_VERSION};
+use crate::manifest::{vocab_fingerprint, ShardManifest, MANIFEST_FILE, MANIFEST_SCHEMA_VERSION};
 use crate::policy::{policy_by_name, ShardPolicy};
 use crate::{Result, ShardError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
-use tale::journal::{DbRecovery, MutationJournal, PendingMutation};
+use tale::store::{self, GraphLog, Replayed};
 use tale_graph::{GraphDb, GraphId};
 use tale_nhindex::{
     FoldReport, GenerationalNhIndex, IntegrityReport, MvccRecovery, NhIndexConfig, ProbeCounters,
 };
 use tale_storage::IoPool;
-
-pub(crate) const DB_FILE: &str = "graphs.json";
 
 /// Per-shard build timings and sizes, for observability and the E-SHARD
 /// experiment. Produced by [`ShardedNhIndex::build_with_stats`].
@@ -70,39 +67,45 @@ impl ShardBuildStats {
     }
 }
 
-/// Repairs the root of a sharded directory after a crash, before any
-/// shard is opened: runs the mutation journal against the routed shard's
-/// persisted logical counter and, when the insert never committed, drops
-/// the extra row the interrupted [`commit_insert`] may already have
-/// appended to `shards.json`. A clean directory is left untouched.
-/// Returns the report with `generations_swept` still empty (the shards
-/// fill it in as they open).
-pub fn recover_root(root: &Path) -> Result<DbRecovery> {
-    let (journal_present, db_rolled_back) = MutationJournal::new(root).recover(|pending| {
-        let s = pending.shard.ok_or_else(|| {
-            std::io::Error::other(
-                "mutation journal lacks a shard (marker from an unsharded database?)",
-            )
-        })?;
-        Ok(GenerationalNhIndex::peek_logical(
-            &ShardManifest::shard_dir(root, s),
-        )?)
-    })?;
-    if db_rolled_back {
-        let db = tale_graph::io::load_json(&root.join(DB_FILE))?;
-        let mut manifest = ShardManifest::load(root)?;
-        if manifest.assignment.len() > db.len() {
-            manifest.assignment.truncate(db.len());
-            manifest.vocab_fingerprints =
-                vec![vocab_fingerprint(&db); manifest.shard_count as usize];
-            manifest.save(root)?;
+/// Loads a sharded root's graph store and shard map, ready to open
+/// shards against: refuses a root without `shards.json`, checks every
+/// shard's recorded vocabulary fingerprint against the *base*
+/// `graphs.json` (the vocabulary the shards were built against; labels
+/// interned by later inserts travel in the log), then replays
+/// `graphs.log`, appending each record's shard to the assignment. Shared
+/// by the in-process database and the served worker.
+pub fn load_root(root: &Path) -> Result<(GraphDb, ShardManifest, GraphLog, Replayed)> {
+    store::require(root, MANIFEST_FILE)?;
+    let mut manifest = ShardManifest::load(root)?;
+    let mut db = store::load_base(root)?;
+    check_vocabulary(&manifest, &db)?;
+    let (log, replayed) = GraphLog::replay(root, &mut db)?;
+    for (i, s) in replayed.shards.iter().enumerate() {
+        match *s {
+            Some(s) if s < manifest.shard_count => manifest.assignment.push(s),
+            other => {
+                return Err(ShardError::Manifest(format!(
+                    "graph log record {i} names shard {other:?} of {}",
+                    manifest.shard_count
+                )))
+            }
         }
     }
-    Ok(DbRecovery {
-        journal_present,
-        db_rolled_back,
-        generations_swept: Vec::new(),
-    })
+    Ok((db, manifest, log, replayed))
+}
+
+/// Refuses `db` unless every shard was built against its vocabulary:
+/// vocabulary drift would silently corrupt probe bitmaps.
+fn check_vocabulary(manifest: &ShardManifest, db: &GraphDb) -> Result<()> {
+    let fp = vocab_fingerprint(db);
+    match manifest.vocab_fingerprints.iter().position(|&f| f != fp) {
+        None => Ok(()),
+        Some(s) => Err(ShardError::Manifest(format!(
+            "shard {s} was built against a different vocabulary \
+             (fingerprint {:#018x}, database has {fp:#018x})",
+            manifest.vocab_fingerprints[s]
+        ))),
+    }
 }
 
 /// Opens shard `s` of the layout rooted at `root` over its rows of
@@ -134,19 +137,18 @@ pub fn open_shard(
         .map_err(|source| ShardError::Shard { shard: s, source })
 }
 
-/// The journaled sharded insert, written once for the in-process database
-/// and the served worker: `gid` — already appended to `db` — becomes a
-/// member of shard `s`, whose open index is `shard`.
+/// The sharded insert, written once for the in-process database and the
+/// served worker: `gid` — already appended to `db` — becomes a member of
+/// shard `s`, whose open index is `shard`.
 ///
-/// Sequence: stage the journal with the shard's pre-insert logical
-/// counter → save `graphs.json` → save `shards.json` with the new row →
-/// flip the shard's `mvcc.json` (the commit point) → clear the journal. A
-/// crash anywhere recovers by the single rule of [`recover_root`]: the
-/// counter moved ⇒ committed, else everything rolls back. After an error
-/// the in-memory `manifest` and `db` are ahead of the disk: drop the
-/// handle and reopen.
+/// Sequence: append the graph's record, naming `s`, to the graph log (the
+/// commit point) → add the row to the in-memory `manifest` → the shard's
+/// delta and `mvcc.json` flip. `shards.json` is not rewritten: open
+/// rebuilds the assignment from its rows plus the records' shards
+/// ([`load_root`]). After an error the in-memory `manifest` and `db` may
+/// be ahead of the disk: drop the handle and reopen.
 pub fn commit_insert(
-    root: &Path,
+    log: &mut GraphLog,
     db: &GraphDb,
     manifest: &mut ShardManifest,
     shard: &GenerationalNhIndex,
@@ -160,26 +162,11 @@ pub fn commit_insert(
             manifest.assignment.len()
         )));
     }
-    let journal = MutationJournal::new(root);
-    journal.stage(
-        &root.join(DB_FILE),
-        PendingMutation {
-            pre_generation: shard.logical_generation(),
-            shard: Some(s),
-        },
-    )?;
-    tale_graph::io::save_json(db, &root.join(DB_FILE))?;
+    log.append(db, gid, Some(s))?;
     manifest.assignment.push(s);
-    // Inserting can grow the vocabulary; every shard keyed off the old
-    // one stays correct (bit positions only wrap), but the recorded
-    // fingerprints must match what `open` will recompute.
-    manifest.vocab_fingerprints = vec![vocab_fingerprint(db); manifest.shard_count as usize];
-    manifest.save(root)?;
     shard
         .insert_graph(db, gid)
-        .map_err(|source| ShardError::Shard { shard: s, source })?;
-    journal.clear()?;
-    Ok(())
+        .map_err(|source| ShardError::Shard { shard: s, source })
 }
 
 /// A partitioned NH-Index: one independent generational index per shard
@@ -311,34 +298,39 @@ impl ShardedNhIndex {
         ))
     }
 
-    /// Reopens a sharded index built by [`ShardedNhIndex::build`], also
-    /// returning how many orphaned generation directories each shard
-    /// swept (in shard order).
+    /// Reopens a sharded index built by [`ShardedNhIndex::build`] over
+    /// the rows of its `shards.json`, also returning how many orphaned
+    /// generation directories each shard swept (in shard order).
     ///
-    /// `db` must be the same (recovered — see [`recover_root`]) database
-    /// the index was built against; each shard's recorded vocabulary
-    /// fingerprint is checked against it (vocabulary drift would silently
-    /// corrupt probe bitmaps, so it is an error here). `buffer_frames` is
-    /// the page budget *per shard*. A shard that cannot be opened fails
-    /// with [`ShardError::Shard`] naming it, so a partial-shard failure
-    /// is distinguishable from a bad manifest; shards whose
-    /// neighbor-array schemes disagree are refused (every probe signature
-    /// of a run is laid out for one scheme).
+    /// `db` must be the database the index was built against; each
+    /// shard's recorded vocabulary fingerprint is checked against it
+    /// (vocabulary drift would silently corrupt probe bitmaps, so it is an
+    /// error here). A database directory with inserts in its graph log
+    /// opens through [`load_root`] and [`ShardedNhIndex::open_manifest`]
+    /// instead.
     pub fn open(dir: &Path, buffer_frames: usize, db: &GraphDb) -> Result<(Self, Vec<usize>)> {
         let manifest = ShardManifest::load(dir)?;
+        check_vocabulary(&manifest, db)?;
+        Self::open_manifest(dir, buffer_frames, db, manifest)
+    }
+
+    /// Opens every shard of `dir` over the assignment of `manifest`.
+    /// `buffer_frames` is the page budget *per shard*. A shard that cannot
+    /// be opened fails with [`ShardError::Shard`] naming it, so a
+    /// partial-shard failure is distinguishable from a bad manifest;
+    /// shards whose neighbor-array schemes disagree are refused (every
+    /// probe signature of a run is laid out for one scheme).
+    pub fn open_manifest(
+        dir: &Path,
+        buffer_frames: usize,
+        db: &GraphDb,
+        manifest: ShardManifest,
+    ) -> Result<(Self, Vec<usize>)> {
         if manifest.assignment.len() != db.len() {
             return Err(ShardError::Manifest(format!(
                 "manifest maps {} graphs, database has {}",
                 manifest.assignment.len(),
                 db.len()
-            )));
-        }
-        let fp = vocab_fingerprint(db);
-        if let Some(s) = manifest.vocab_fingerprints.iter().position(|&f| f != fp) {
-            return Err(ShardError::Manifest(format!(
-                "shard {s} was built against a different vocabulary \
-                 (fingerprint {:#018x}, database has {fp:#018x})",
-                manifest.vocab_fingerprints[s]
             )));
         }
         let config = NhIndexConfig {
@@ -435,13 +427,13 @@ impl ShardedNhIndex {
     }
 
     /// Indexes a newly inserted graph: routes it with the build policy
-    /// and runs the journaled [`commit_insert`] against the owning shard.
+    /// and runs [`commit_insert`] through `log` against the owning shard.
     /// `gid` must be the id just returned by [`GraphDb::insert`] on `db`.
     /// Returns the owning shard.
-    pub fn insert_graph(&mut self, db: &GraphDb, gid: GraphId) -> Result<u32> {
+    pub fn insert_graph(&mut self, log: &mut GraphLog, db: &GraphDb, gid: GraphId) -> Result<u32> {
         let s = self.route(db, gid)?;
         commit_insert(
-            &self.dir,
+            log,
             db,
             &mut self.manifest,
             &self.shards[s as usize],

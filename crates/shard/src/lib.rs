@@ -39,7 +39,7 @@ mod manifest;
 mod policy;
 
 pub use database::ShardedTaleDatabase;
-pub use index::{commit_insert, open_shard, recover_root, ShardBuildStats, ShardedNhIndex};
+pub use index::{commit_insert, load_root, open_shard, ShardBuildStats, ShardedNhIndex};
 pub use manifest::{vocab_fingerprint, ShardManifest, MANIFEST_FILE, MANIFEST_SCHEMA_VERSION};
 pub use policy::{
     policy_by_name, HashPolicy, LabelClusteredPolicy, ShardPolicy, SizeBalancedPolicy,

@@ -5,7 +5,8 @@
 //! ```text
 //! index-dir/
 //!   shards.json      <- this manifest
-//!   graphs.json      <- the graph database (same format as unsharded)
+//!   graphs.json      <- the graph database's base (same as unsharded)
+//!   graphs.log       <- one record per insert since, naming its shard
 //!   shard-000/       <- a complete generational NH-Index:
 //!     mvcc.json      <-   its manifest (the shard's one commit point)
 //!     gens/g0/       <-   its current immutable generation
@@ -13,15 +14,17 @@
 //!   ...
 //! ```
 //!
-//! The manifest is the ground truth for placement: `assignment[gid]`
-//! names the one shard whose index carries that graph's postings. It also
-//! records a per-shard fingerprint of the vocabulary each shard was built
-//! (or last extended) against; [`ShardedNhIndex::open`] refuses to serve
-//! queries when a fingerprint disagrees with the reloaded database, which
-//! catches a `graphs.json` swapped or edited behind the index's back —
-//! the sharded analogue of the single-index vocabulary drift hazard.
+//! The manifest is the ground truth for placement as of the build:
+//! `assignment[gid]` names the one shard whose index carries that graph's
+//! postings, and graphs inserted since take their shard from their
+//! graph-log record. It also records a per-shard fingerprint of the
+//! vocabulary each shard was built against; open ([`load_root`]) refuses
+//! to serve queries when a fingerprint disagrees with the reloaded base
+//! `graphs.json`, which catches a `graphs.json` swapped or edited behind
+//! the index's back — the sharded analogue of the single-index
+//! vocabulary drift hazard.
 //!
-//! [`ShardedNhIndex::open`]: crate::ShardedNhIndex::open
+//! [`load_root`]: crate::load_root
 
 use crate::{Result, ShardError};
 use serde::{Deserialize, Serialize};
@@ -48,10 +51,12 @@ pub struct ShardManifest {
     /// ([`crate::ShardPolicy::name`]); resolved again for routing late
     /// inserts.
     pub policy: String,
-    /// `assignment[gid]` = owning shard, indexed by [`GraphId::idx`].
+    /// `assignment[gid]` = owning shard, indexed by [`GraphId::idx`]. On
+    /// disk it covers the graphs of the build; an open database appends
+    /// the shards of the graph log's records in memory.
     pub assignment: Vec<u32>,
     /// Per-shard fingerprint of the vocabulary (node + edge + group map)
-    /// the shard's index was built or last extended against.
+    /// the shard's index was built against: the base `graphs.json`'s.
     pub vocab_fingerprints: Vec<u64>,
 }
 

@@ -1,12 +1,12 @@
 //! Sharded crash-torture harness: every gated I/O operation of a sharded
-//! insert (journal staging, the `graphs.json` save, the atomic
-//! `shards.json` rewrite, the owning shard's `mvcc.json` flip), remove
-//! (one manifest flip) and fold (a generation build per shard, then its
-//! flip) is failed in turn, process death is simulated by dropping the
-//! handle with the fault still tripped, and the reopened database must
-//! answer queries bit-identically to either the pre-mutation or the
-//! post-mutation state — with the journal cleared, orphaned generations
-//! swept, every shard passing `verify`, and no write-ahead log anywhere.
+//! insert (the graph-log append and its fsync, then the owning shard's
+//! `mvcc.json` flip), remove (one manifest flip) and fold (a generation
+//! build per shard, then its flip) is failed in turn, process death is
+//! simulated by dropping the handle with the fault still tripped, and the
+//! reopened database must answer queries bit-identically to either the
+//! pre-mutation or the post-mutation state — with orphaned generations
+//! swept, every shard passing `verify`, and no journal or write-ahead log
+//! anywhere.
 //!
 //! The fault shim is thread-local, so these tests are safe under the
 //! default parallel test runner.
@@ -122,18 +122,24 @@ fn files_under(dir: &Path) -> Vec<String> {
     out
 }
 
-/// What a mutation may move besides the answers: graph count, graph 0's
-/// tombstone, and each shard's (current generation, logical counter).
-fn state(sharded: &ShardedTaleDatabase) -> Vec<u64> {
-    let mut out = vec![
+/// What a mutation may move besides the answers. First the components
+/// whose commit points decide whether it happened: graph count (the graph
+/// log), graph 0's tombstone and each shard's current generation (its
+/// `mvcc.json`). Then each shard's logical counter, which an insert's
+/// `mvcc.json` flip still bumps after the log commit, so after a crash
+/// between the two it may lag a committed insert — but it too must land
+/// on the pre or the post value.
+fn state(sharded: &ShardedTaleDatabase) -> (Vec<u64>, Vec<u64>) {
+    let mut deciding = vec![
         sharded.db().len() as u64,
         u64::from(sharded.index().is_removed(GraphId(0))),
     ];
+    let mut logical = Vec::new();
     for sh in sharded.index().shards() {
-        out.push(sh.current_generation());
-        out.push(sh.logical_generation());
+        deciding.push(sh.current_generation());
+        logical.push(sh.logical_generation());
     }
-    out
+    (deciding, logical)
 }
 
 /// Runs `mutate` against a copy of `pre` failing the `i`-th gated I/O
@@ -181,22 +187,29 @@ fn sweep(
         assert!(res.is_err(), "fault {i} of {n} did not surface");
 
         let (recovered, _) = ShardedTaleDatabase::open_with_recovery(&work, frames).unwrap();
-        let (got, landed) = (answers(&recovered, queries), state(&recovered));
+        let (got, (landed, logical)) = (answers(&recovered, queries), state(&recovered));
         // Each component landed before or after, never elsewhere; a
         // multi-shard fold commits shard by shard, so components may mix
         // — but then both sides answer identically.
         for (k, v) in landed.iter().enumerate() {
             assert!(
-                *v == pre_state[k] || *v == post_state[k],
+                *v == pre_state.0[k] || *v == post_state.0[k],
                 "fault {i} of {n}: state component {k} is {v}"
+            );
+        }
+        for (k, v) in logical.iter().enumerate() {
+            assert!(
+                *v == pre_state.1[k] || *v == post_state.1[k],
+                "fault {i} of {n}: shard {k}'s logical counter is {v}"
             );
         }
         if pre_answers == post_answers {
             assert_eq!(got, pre_answers, "fault {i} of {n}: answers moved");
-        } else if landed == post_state {
+        } else if landed == post_state.0 {
             assert_eq!(got, post_answers, "fault {i} of {n}: committed state");
         } else {
-            assert_eq!(landed, pre_state, "fault {i} of {n}: hybrid state");
+            assert_eq!(landed, pre_state.0, "fault {i} of {n}: hybrid state");
+            assert_eq!(logical, pre_state.1, "fault {i} of {n}: hybrid counters");
             assert_eq!(got, pre_answers, "fault {i} of {n}: rolled-back state");
         }
         for (s, report) in recovered.index().verify().unwrap().iter().enumerate() {
@@ -213,7 +226,7 @@ fn sweep(
             .map(|sh| sh.current_generation())
             .collect();
         drop(recovered);
-        // One recovery story: nothing of the journal, of an unfinished
+        // One recovery story: nothing of a journal, of an unfinished
         // fold, or of a write-ahead log is left behind.
         let left = files_under(&work);
         assert!(
@@ -256,11 +269,21 @@ fn torture_sharded_insert_graph() {
     let scratch = tempfile::tempdir().unwrap();
     let pre = scratch.path().join("pre");
     let (queries, fodder) = build_pre(&pre, false);
+    let before = |f: &str| std::fs::read(pre.join(f)).unwrap();
+    let (graphs, shards) = (before("graphs.json"), before("shards.json"));
     let n = sweep(&pre, scratch.path(), &queries, |s| {
         s.insert_graph("late", fodder.clone()).map(drop)
     });
-    // journal + graphs.json + shards.json + the shard's manifest flip
-    assert!(n >= 8, "suspiciously few fault points: {n}");
+    // The insert's gated I/O, in order:
+    //   1. log.append     — open graphs.log and write the framed record
+    //   2. log.sync       — fsync it: the commit point
+    //   3. atomic.write   — the owning shard's new mvcc.json, fsynced
+    //   4. atomic.rename  — renamed over the old one
+    assert_eq!(n, 4, "the insert's gated I/O changed");
+    // and it wrote neither graphs.json nor shards.json
+    let post = scratch.path().join("post");
+    assert_eq!(std::fs::read(post.join("graphs.json")).unwrap(), graphs);
+    assert_eq!(std::fs::read(post.join("shards.json")).unwrap(), shards);
 }
 
 #[test]
@@ -288,9 +311,10 @@ fn torture_sharded_fold() {
     assert!(n >= 6, "suspiciously few fold fault points: {n}");
 }
 
-/// No build, insert, remove or fold ever creates a write-ahead log: the
-/// directory holds the two manifests' worth of JSON, the graph store and
-/// each generation's five files — nothing else.
+/// No build, insert, remove or fold ever creates a write-ahead log or a
+/// journal: the directory holds the two manifests' worth of JSON, the
+/// graph store (base and log) and each generation's five files — nothing
+/// else.
 #[test]
 fn no_mutation_leaves_a_wal_or_a_journal() {
     let dir = tempfile::tempdir().unwrap();
@@ -303,6 +327,7 @@ fn no_mutation_leaves_a_wal_or_a_journal() {
             assert!(
                 [
                     "graphs.json",
+                    "graphs.log",
                     "shards.json",
                     "mvcc.json",
                     "nh.btree",
@@ -314,11 +339,26 @@ fn no_mutation_leaves_a_wal_or_a_journal() {
                 .contains(&name),
                 "after {step}: unexpected file {f}"
             );
+            assert!(
+                !["pending.json", "graphs.json.pre"].contains(&name),
+                "after {step}: a journal file {f}"
+            );
         }
     };
     check("build");
+    let vocab = (
+        sharded.db().node_vocab().len(),
+        sharded.db().edge_vocab().len(),
+    );
     let gid = sharded.insert_graph("late", fodder).unwrap();
     check("insert");
+    // the insert's one durable write to the graph store: exactly its record
+    let owner = sharded.index().shard_of(gid);
+    let record = tale_graph::io::GraphRecord::of(sharded.db(), gid, vocab, owner);
+    assert_eq!(
+        std::fs::read(dir.path().join("graphs.log")).unwrap(),
+        tale_storage::log::frame(&record.encode())
+    );
     sharded.remove_graph(gid).unwrap();
     check("remove");
     sharded.fold().unwrap();

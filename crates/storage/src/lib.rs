@@ -29,6 +29,9 @@
 //!   manifests and reports — the commit primitive of every index
 //!   mutation (page files are bulk-built once and never rewritten, so
 //!   there is no write-ahead log).
+//! * [`log`]: an append-only log of CRC-framed records, one fsynced
+//!   append per commit, whose reader truncates a torn final record and
+//!   refuses corruption before it.
 //! * `faults` (behind the `failpoints` cargo feature): a fault-injection
 //!   shim that fails the Nth I/O operation, driving the crash-torture
 //!   harness. Compiled out of release builds.
@@ -46,6 +49,7 @@ pub mod buffer;
 pub mod disk;
 #[cfg(feature = "failpoints")]
 pub mod faults;
+pub mod log;
 pub mod page;
 pub mod readpath;
 pub mod wah;
@@ -86,6 +90,12 @@ pub enum StorageError {
     PageOutOfRange(PageId),
     /// Buffer pool has no evictable frame (all pinned).
     PoolExhausted,
+    /// A log record failed its check with a whole record after it: damage
+    /// to committed data, not a torn append (see [`log`]).
+    CorruptRecord {
+        /// Byte offset of the damaged record's frame.
+        offset: u64,
+    },
     /// A blob reference pointed outside the store.
     BadBlobRef,
     /// B+-tree structural invariant violated (indicates a bug).
@@ -99,6 +109,9 @@ impl std::fmt::Display for StorageError {
             StorageError::Corrupt(p) => write!(f, "corrupt page {}", p.0),
             StorageError::PageOutOfRange(p) => write!(f, "page {} out of range", p.0),
             StorageError::PoolExhausted => write!(f, "buffer pool exhausted (all frames pinned)"),
+            StorageError::CorruptRecord { offset } => {
+                write!(f, "corrupt log record at byte {offset}")
+            }
             StorageError::BadBlobRef => write!(f, "blob reference out of bounds"),
             StorageError::TreeInvariant(m) => write!(f, "btree invariant violated: {m}"),
         }

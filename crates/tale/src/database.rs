@@ -11,19 +11,17 @@
 use crate::engine::cache::{CacheStats, ResultCache, DEFAULT_CACHE_ENTRIES};
 use crate::engine::exec;
 use crate::engine::stats::{BatchStats, QueryStats};
-use crate::journal::{DbRecovery, MutationJournal};
 use crate::params::{QueryOptions, TaleParams};
 use crate::result::QueryMatch;
 use crate::scratch::ScratchDir;
+use crate::store::{self, DbRecovery, GraphLog};
 use crate::Result;
 use parking_lot::{Mutex, RwLock};
 use std::path::Path;
 use std::sync::Arc;
-use tale_nhindex::{FoldReport, GenerationalNhIndex, NhIndexConfig, Snapshot};
+use tale_nhindex::{FoldReport, GenerationalNhIndex, NhIndexConfig, Snapshot, MVCC_FILE};
 
 use tale_graph::{Graph, GraphDb, GraphId};
-
-pub(crate) const DB_FILE: &str = "graphs.json";
 
 /// An indexed graph database ready for approximate subgraph queries.
 ///
@@ -42,8 +40,10 @@ pub struct TaleDatabase {
     /// snapshot's graphs always exist in the db the reader sees.
     db: RwLock<Arc<GraphDb>>,
     index: GenerationalNhIndex,
-    /// Serializes mutations; never touched by queries.
-    writer: Mutex<()>,
+    /// Serializes mutations and holds the graph log they commit through
+    /// (`None` for in-temp databases, which persist no graphs); never
+    /// touched by queries.
+    writer: Mutex<Option<GraphLog>>,
     /// Pre-rank partials derived from the base generation and from the
     /// delta overlay — one cache per reader of a pinned snapshot.
     caches: [ResultCache; 2],
@@ -64,11 +64,16 @@ fn config_of(params: &TaleParams) -> NhIndexConfig {
 }
 
 impl TaleDatabase {
-    fn assemble(db: GraphDb, index: GenerationalNhIndex, scratch: Option<ScratchDir>) -> Self {
+    fn assemble(
+        db: GraphDb,
+        index: GenerationalNhIndex,
+        log: Option<GraphLog>,
+        scratch: Option<ScratchDir>,
+    ) -> Self {
         TaleDatabase {
             db: RwLock::new(Arc::new(db)),
             index,
-            writer: Mutex::new(()),
+            writer: Mutex::new(log),
             caches: [
                 ResultCache::new(DEFAULT_CACHE_ENTRIES),
                 ResultCache::new(DEFAULT_CACHE_ENTRIES),
@@ -80,11 +85,18 @@ impl TaleDatabase {
     /// Builds generation 0 of the NH-Index for `db` into `dir` and
     /// persists the graphs alongside it, so [`TaleDatabase::open`] can
     /// restore everything.
+    ///
+    /// Over an existing database the order keeps a crash from pairing old
+    /// and new files: the old `mvcc.json` goes first, then the new graph
+    /// store (`graphs.json` and an empty log) is written, and the new
+    /// index's manifest last. Until it is, open refuses the directory
+    /// with [`TaleError::Rebuild`](crate::TaleError::Rebuild).
     pub fn build(db: GraphDb, dir: &Path, params: &TaleParams) -> Result<Self> {
         std::fs::create_dir_all(dir)?;
+        store::unpublish(dir, MVCC_FILE)?;
+        let log = GraphLog::create(dir, &db)?;
         let index = GenerationalNhIndex::build(dir, &db, &config_of(params))?;
-        tale_graph::io::save_json(&db, &dir.join(DB_FILE))?;
-        Ok(Self::assemble(db, index, None))
+        Ok(Self::assemble(db, index, Some(log), None))
     }
 
     /// Builds into a self-cleaning scratch directory — convenient for
@@ -93,7 +105,7 @@ impl TaleDatabase {
     pub fn build_in_temp(db: GraphDb, params: &TaleParams) -> Result<Self> {
         let scratch = ScratchDir::new("tale-index")?;
         let index = GenerationalNhIndex::build(scratch.path(), &db, &config_of(params))?;
-        Ok(Self::assemble(db, index, Some(scratch)))
+        Ok(Self::assemble(db, index, None, Some(scratch)))
     }
 
     /// Reopens a database previously built with [`TaleDatabase::build`],
@@ -103,24 +115,23 @@ impl TaleDatabase {
         Ok(Self::open_with_recovery(dir, buffer_frames)?.0)
     }
 
-    /// Reopens a database, repairing any mutation interrupted by a crash.
-    /// The multi-file journal reconciles `graphs.json` against the
-    /// persisted logical mutation counter ([`crate::journal`]), then the
-    /// generational index opens against the recovered graph store —
-    /// sweeping orphaned generation directories from unfinished folds and
-    /// re-deriving the in-memory delta overlay — so the pair can never be
-    /// served out of sync.
+    /// Reopens a database, repairing what a crash left behind: the graph
+    /// store loads its base and replays its log ([`crate::store`]:
+    /// truncating a torn final record), then the generational index opens
+    /// against it — sweeping orphaned generation directories from
+    /// unfinished folds and re-deriving the in-memory delta overlay from
+    /// the store — so the pair can never be served out of sync.
     pub fn open_with_recovery(dir: &Path, buffer_frames: usize) -> Result<(Self, DbRecovery)> {
-        let (journal_present, db_rolled_back) =
-            MutationJournal::new(dir).recover(|_| Ok(GenerationalNhIndex::peek_logical(dir)?))?;
-        let db = tale_graph::io::load_json(&dir.join(DB_FILE))?;
+        store::require(dir, MVCC_FILE)?;
+        let mut db = store::load_base(dir)?;
+        let (log, replayed) = GraphLog::replay(dir, &mut db)?;
         let (index, mvcc) = GenerationalNhIndex::open(dir, &db, buffer_frames)?;
         let report = DbRecovery {
-            journal_present,
-            db_rolled_back,
+            log_records: replayed.shards.len(),
+            log_torn_bytes: replayed.torn_bytes,
             generations_swept: vec![mvcc.swept.len()],
         };
-        Ok((Self::assemble(db, index, None), report))
+        Ok((Self::assemble(db, index, Some(log), None), report))
     }
 
     /// Adds a graph to the database — the growing-database scenario the
@@ -135,39 +146,24 @@ impl TaleDatabase {
     /// valid **and reachable** — inserting cannot change what the
     /// immutable base answers, so only the delta's cache epoch rolls.
     ///
-    /// For on-disk databases ([`TaleDatabase::build`]), the persisted
-    /// graph set is updated too, so [`TaleDatabase::open`] sees the new
-    /// graph after this call returns. The update is journaled
-    /// ([`crate::journal`]): a crash anywhere inside this call leaves the
-    /// directory recoverable to a consistent state — either both
-    /// `graphs.json` and the index manifest reflect the insert, or
-    /// neither does. After an error, drop this handle and reopen.
+    /// For on-disk databases ([`TaleDatabase::build`]), the insert
+    /// commits by appending one record to the graph log
+    /// ([`crate::store`]) — its only durable write besides the index's
+    /// `mvcc.json` flip, and the same cost whatever the database size.
+    /// A crash before the record is durable leaves the insert undone; at
+    /// or after it, done (open re-derives the index's delta from the
+    /// store). After an error, drop this handle and reopen.
     pub fn insert_graph(&self, name: impl Into<String>, g: Graph) -> Result<GraphId> {
-        let _w = self.writer.lock();
+        let mut log = self.writer.lock();
         let mut next = (**self.db.read()).clone();
         let gid = next.insert(name, g);
-        let next = Arc::new(next);
-        if self._scratch.is_none() {
-            // persistent build: stage → save graphs.json → publish the db
-            // → commit the index manifest (the overall commit point) →
-            // clear the journal
-            let dir = self.index.dir().to_owned();
-            let journal = MutationJournal::new(&dir);
-            journal.stage(
-                &dir.join(DB_FILE),
-                crate::journal::PendingMutation {
-                    pre_generation: self.index.logical_generation(),
-                    shard: None,
-                },
-            )?;
-            tale_graph::io::save_json(&next, &dir.join(DB_FILE))?;
-            *self.db.write() = Arc::clone(&next);
-            self.index.insert_graph(&next, gid)?;
-            journal.clear()?;
-        } else {
-            *self.db.write() = Arc::clone(&next);
-            self.index.insert_graph(&next, gid)?;
+        // append (the commit point) → publish the db → index the graph
+        if let Some(log) = log.as_mut() {
+            log.append(&next, gid, None)?;
         }
+        let next = Arc::new(next);
+        *self.db.write() = Arc::clone(&next);
+        self.index.insert_graph(&next, gid)?;
         Ok(gid)
     }
 

@@ -39,7 +39,9 @@ pub(crate) fn match_one_graph(
         return None;
     }
     let q_label = |n: NodeId| db.effective_of_raw(query.label(n));
-    let t_label = |n: NodeId| db.effective_label(graph_id, n);
+    // = `db.effective_label(graph_id, n)`, without looking the graph up
+    // again on every call of the growth loops
+    let t_label = |n: NodeId| db.effective_of_raw(target.label(n));
     let input = GrowInput {
         query,
         target,

@@ -36,19 +36,19 @@
 
 mod database;
 pub mod engine;
-pub mod journal;
 mod params;
 mod result;
 mod scratch;
+pub mod store;
 
 pub use database::TaleDatabase;
 pub use engine::cache::{options_fingerprint, CacheStats, DEFAULT_CACHE_ENTRIES, PLAN_VERSION};
 pub use engine::plan::{canonical_signature, PlanNode, PlanReport, ProbeReport, ShardPlan};
 pub use engine::stats::{BatchStats, PoolDelta, QueryStats, ShardStats, StageTimes};
-pub use journal::DbRecovery;
 pub use params::{PlanMode, QueryOptions, TaleParams};
 pub use result::QueryMatch;
 pub use scratch::ScratchDir;
+pub use store::DbRecovery;
 pub use tale_graph::centrality::ImportanceMeasure;
 pub use tale_matching::similarity::{CTreeStyle, MatchedNodesEdges, QualitySum, SimilarityModel};
 
@@ -61,6 +61,23 @@ pub enum TaleError {
     Graph(tale_graph::GraphError),
     /// Filesystem failure.
     Io(std::io::Error),
+    /// The directory cannot be opened as it stands — a build or
+    /// compaction stopped before its index manifest was written, or an
+    /// older build left a file this one cannot act on. Names the file;
+    /// rebuilding the directory fixes it.
+    Rebuild {
+        /// The missing or unexpected file.
+        file: String,
+        /// What is wrong with it.
+        problem: String,
+    },
+    /// The graph log (`graphs.log`) holds a damaged record with a whole
+    /// record after it: committed data is corrupt, so open refuses rather
+    /// than drop the inserts behind it.
+    CorruptLog {
+        /// Byte offset of the damaged record.
+        offset: u64,
+    },
 }
 
 impl std::fmt::Display for TaleError {
@@ -69,6 +86,14 @@ impl std::fmt::Display for TaleError {
             TaleError::Index(e) => write!(f, "index: {e}"),
             TaleError::Graph(e) => write!(f, "graph: {e}"),
             TaleError::Io(e) => write!(f, "io: {e}"),
+            TaleError::Rebuild { file, problem } => write!(
+                f,
+                "{file}: {problem}; rebuild the directory with `tale-cli build`"
+            ),
+            TaleError::CorruptLog { offset } => write!(
+                f,
+                "graphs.log: corrupt record at byte {offset} with committed records after it"
+            ),
         }
     }
 }
@@ -79,6 +104,7 @@ impl std::error::Error for TaleError {
             TaleError::Index(e) => Some(e),
             TaleError::Graph(e) => Some(e),
             TaleError::Io(e) => Some(e),
+            TaleError::Rebuild { .. } | TaleError::CorruptLog { .. } => None,
         }
     }
 }
