@@ -73,17 +73,6 @@ pub fn paper_measures() -> Vec<(&'static str, ImportanceMeasure)> {
     ]
 }
 
-/// Extended panel for the centrality ablation bench.
-pub fn extended_measures() -> Vec<(&'static str, ImportanceMeasure)> {
-    vec![
-        ("degree", ImportanceMeasure::Degree),
-        ("closeness", ImportanceMeasure::Closeness),
-        ("betweenness", ImportanceMeasure::Betweenness),
-        ("eigenvector", ImportanceMeasure::Eigenvector),
-        ("random", ImportanceMeasure::Random(7)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

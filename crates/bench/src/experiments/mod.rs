@@ -3,21 +3,13 @@
 
 pub mod ablation;
 pub mod alg1;
-pub mod chaos;
-pub mod cold;
 #[cfg(feature = "failpoints")]
 pub mod crash;
 pub mod fig5;
 pub mod fig789;
 pub mod kegg;
-pub mod mvcc;
 pub mod pimp;
-pub mod plan;
-pub mod probe;
 pub mod saga;
-pub mod serve;
-pub mod shard;
-pub mod speedup;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -1,9 +1,10 @@
 //! Experiment harness: one module per table/figure of the paper's
-//! evaluation section (§IV-D and §VI), shared between the `experiments`
-//! binary and the criterion benches.
+//! evaluation section (§IV-D and §VI), run by the `experiments` binary,
+//! plus the crash-safety sweep behind `--features failpoints`. The
+//! performance ledger is the separate `perf` binary (`src/bin/perf/`).
 //!
 //! Every experiment takes a [`Scale`] so the same code runs both as a
-//! quick smoke (CI, `cargo bench`) and at the paper's full sizes
+//! quick smoke (the unit tests, CI) and at the paper's full sizes
 //! (`TALE_SCALE=1.0 experiments all`). Absolute numbers differ from the
 //! paper (synthetic data, our storage engine, different hardware); the
 //! harness reports the *shape* — who wins, rough factors, growth trends —
@@ -17,10 +18,7 @@ pub use experiments::fig5::{run_fig5, Fig5Report};
 pub use experiments::fig789::{run_fig789, Fig789Row};
 pub use experiments::kegg::{run_kegg, KeggExpReport};
 pub use experiments::pimp::{run_pimp, PimpRow};
-pub use experiments::plan::{run_plan, PlanExpReport};
-pub use experiments::probe::{run_probe, ProbeExpReport};
 pub use experiments::saga::{run_saga, SagaRow};
-pub use experiments::serve::{run_serve, ServeReport};
 pub use experiments::table1::{run_table1, Table1Row};
 pub use experiments::table2::{run_table2, Table2Row};
 pub use experiments::table3::{run_table3_fig6, Fig6Cell, Table3Fig6Report, Table3Row};

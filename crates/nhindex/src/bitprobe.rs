@@ -17,9 +17,8 @@
 //!
 //! The paper's complexity: `O(Sbit × log(ρ·d))` bitwise vector operations.
 //! [`probe_naive`] is the baseline §IV-D simulates against (a per-row,
-//! per-bit scan), reported there as 2×–12× slower; `cargo bench -p
-//! tale-bench --bench bitprobe` and `experiments probe` regenerate that
-//! comparison.
+//! per-bit scan), reported there as 2×–12× slower; `experiments alg1`
+//! regenerates that comparison.
 //!
 //! ## Kernels and dispatch
 //!

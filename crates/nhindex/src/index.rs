@@ -1020,15 +1020,6 @@ impl NhIndex {
             .attach_prefetcher(Arc::clone(&io), staging_pages);
         self.io = Some(io);
     }
-
-    /// Adds a fixed per-read delay to both page files' read backends —
-    /// benchmark-only, modeling a device with seek latency when the index
-    /// files are page-cache-hot (see the E-COLD harness). Probe answers
-    /// are unaffected; only read timing changes.
-    pub fn simulate_read_latency(&self, delay: std::time::Duration) {
-        self.bt_pool.simulate_read_latency(delay);
-        self.blobs.pool().simulate_read_latency(delay);
-    }
 }
 
 #[cfg(test)]
@@ -1389,6 +1380,7 @@ mod tests {
         assert_eq!(hits_off, hits);
         assert_eq!(stats_off.postings_filtered, 0);
         assert!(stats_off.postings_fetched > 0);
+        assert!(stats.rows_examined <= stats_off.rows_examined);
 
         // lifetime counters carried the skip
         idx.set_filter_enabled(true);

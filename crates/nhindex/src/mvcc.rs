@@ -928,12 +928,6 @@ impl GenerationalNhIndex {
         self.state.read().base.index.verify()
     }
 
-    /// Injects synthetic read latency into the current generation's page
-    /// files (cold-cache experiments).
-    pub fn simulate_read_latency(&self, latency: std::time::Duration) {
-        self.state.read().base.index.simulate_read_latency(latency);
-    }
-
     /// Combined probe counters of the current base and delta.
     pub fn counters(&self) -> ProbeCounters {
         let state = self.state.read().clone();

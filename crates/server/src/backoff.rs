@@ -60,11 +60,6 @@ impl Jitter {
         lo + self.next_u64() % (hi - lo + 1)
     }
 
-    /// Bernoulli draw with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64 <= p
-    }
-
     /// Next decorrelated-jitter delay: uniform in `[base, prev * 3]`,
     /// capped at `cap`.
     pub fn decorrelated(&mut self, base: Duration, prev: Duration, cap: Duration) -> Duration {

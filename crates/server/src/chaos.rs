@@ -6,9 +6,8 @@
 //! and injects the failure modes machines actually produce: refused
 //! connections, black holes, slow links, connections killed mid-frame,
 //! truncated responses, and flipped bits. Faults are scripted — a FIFO
-//! of per-connection [`Fault`]s for the test sweep, or a seeded random
-//! plan at a fixed rate for the `experiments chaos` availability run —
-//! so every chaos schedule is reproducible.
+//! of per-connection [`Fault`]s — so every chaos schedule is
+//! reproducible.
 //!
 //! The contract under test: a client behind the fault-tolerance layer
 //! either gets an answer **bit-identical** to in-process execution, a
@@ -17,7 +16,6 @@
 //! ([`crate::wire::WireError::Corrupt`]), because a flipped JSON digit
 //! would otherwise parse fine and merge a wrong score silently.
 
-use crate::backoff::Jitter;
 use crate::counters::ServerCounters;
 use crate::transport::ShardTransport;
 use crate::wire::{ReplicaHealthInfo, Request, Response};
@@ -53,51 +51,16 @@ pub enum Fault {
     CorruptResponseByte(usize),
 }
 
-struct Plan {
-    /// Scripted faults, one per accepted connection, FIFO.
-    queue: VecDeque<Fault>,
-    /// Fallback when the queue is empty: `Some((rate, rng))` injects a
-    /// random fault on that fraction of connections.
-    random: Option<(f64, Jitter)>,
-}
-
-impl Plan {
-    fn next(&mut self) -> Fault {
-        if let Some(f) = self.queue.pop_front() {
-            return f;
-        }
-        if let Some((rate, rng)) = self.random.as_mut() {
-            if rng.chance(*rate) {
-                return random_fault(rng);
-            }
-        }
-        Fault::None
-    }
-}
-
-/// Uniform draw over the fault palette (black holes included — they are
-/// the expensive tail that hedging exists for).
-fn random_fault(rng: &mut Jitter) -> Fault {
-    match rng.range(0, 5) {
-        0 => Fault::Refuse,
-        1 => Fault::BlackHole,
-        2 => Fault::Delay(Duration::from_millis(rng.range(20, 120))),
-        3 => Fault::KillAfterRequestBytes(rng.range(1, 48) as usize),
-        4 => Fault::TruncateResponseAfter(rng.range(1, 48) as usize),
-        _ => Fault::CorruptResponseByte(rng.range(0, 512) as usize),
-    }
-}
-
 /// A TCP proxy that forwards client connections to `upstream`, applying
 /// one scripted [`Fault`] per connection. Dropping it severs every
 /// proxied connection and stops the accept loop.
 pub struct ChaosProxy {
     addr: SocketAddr,
-    plan: Arc<Mutex<Plan>>,
+    /// Scripted faults, one per accepted connection, FIFO.
+    plan: Arc<Mutex<VecDeque<Fault>>>,
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<(u64, TcpStream)>>>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    connections: Arc<AtomicU64>,
     faults_injected: Arc<AtomicU64>,
 }
 
@@ -107,20 +70,15 @@ impl ChaosProxy {
     pub fn new(upstream: SocketAddr) -> std::io::Result<ChaosProxy> {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
         let addr = listener.local_addr()?;
-        let plan = Arc::new(Mutex::new(Plan {
-            queue: VecDeque::new(),
-            random: None,
-        }));
+        let plan = Arc::new(Mutex::new(VecDeque::new()));
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<(u64, TcpStream)>>> = Arc::new(Mutex::new(Vec::new()));
-        let connections = Arc::new(AtomicU64::new(0));
         let faults_injected = Arc::new(AtomicU64::new(0));
 
         let accept = {
             let plan = Arc::clone(&plan);
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
-            let connections = Arc::clone(&connections);
             let faults_injected = Arc::clone(&faults_injected);
             std::thread::spawn(move || {
                 let mut next_id = 0u64;
@@ -132,8 +90,7 @@ impl ChaosProxy {
                         Ok(c) => c,
                         Err(_) => continue,
                     };
-                    connections.fetch_add(1, Ordering::Relaxed);
-                    let fault = plan.lock().next();
+                    let fault = plan.lock().pop_front().unwrap_or(Fault::None);
                     if fault != Fault::None {
                         faults_injected.fetch_add(1, Ordering::Relaxed);
                     }
@@ -161,7 +118,6 @@ impl ChaosProxy {
             stop,
             conns,
             accept_thread: Some(accept),
-            connections,
             faults_injected,
         })
     }
@@ -171,21 +127,10 @@ impl ChaosProxy {
         self.addr
     }
 
-    /// Scripts `fault` for the next accepted connection (FIFO; scripted
-    /// faults run before the random plan).
+    /// Scripts `fault` for the next accepted connection (FIFO; a
+    /// connection with no scripted fault is forwarded faithfully).
     pub fn enqueue(&self, fault: Fault) {
-        self.plan.lock().queue.push_back(fault);
-    }
-
-    /// Arms the random plan: each connection not covered by the script
-    /// draws a fault with probability `rate`, reproducibly from `seed`.
-    pub fn set_random(&self, rate: f64, seed: u64) {
-        self.plan.lock().random = Some((rate, Jitter::from_seed(seed)));
-    }
-
-    /// Connections accepted so far.
-    pub fn connections(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
+        self.plan.lock().push_back(fault);
     }
 
     /// Connections that drew a non-`None` fault.

@@ -3,8 +3,8 @@
 //! One [`ServerCounters`] instance lives for the life of a serving
 //! process (worker or frontend); connection handlers bump it with
 //! relaxed atomics. The `stats` endpoint returns a
-//! [`ServerStatsSnapshot`], which also lands in `BENCH_serve.json` and
-//! is what `tale-cli server-stats` pretty-prints.
+//! [`ServerStatsSnapshot`], which is what `tale-cli server-stats`
+//! pretty-prints.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -210,7 +210,7 @@ impl ServerCounters {
 }
 
 /// Serializable point-in-time view of [`ServerCounters`] — the payload
-/// of the `stats` endpoint and the `server` block of `BENCH_serve.json`.
+/// of the `stats` endpoint.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ServerStatsSnapshot {
     /// Seconds the server has been up.

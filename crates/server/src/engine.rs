@@ -196,16 +196,15 @@ impl ShardEngine {
         let mut st = self.state.write();
         let st = &mut *st;
         let g = req.graph.to_inserted_graph(&mut st.db)?;
-        let gid = st.db.insert(req.name.clone(), g);
-        tale_shard::commit_insert(
+        let (shard, index) = (self.shard, &st.index);
+        Ok(tale_shard::commit_insert(
             &mut st.log,
-            &st.db,
+            &mut st.db,
             &mut st.manifest,
-            &st.index,
-            self.shard,
-            gid,
-        )?;
-        Ok(gid)
+            req.name.clone(),
+            g,
+            |_, _| Ok((shard, index)),
+        )?)
     }
 
     /// Tombstones a graph this shard owns. Returns the owning shard in

@@ -28,8 +28,7 @@
 //!   hedging. Mutations go to the primary exactly once.
 //! * [`chaos`] — fault injection: a deterministic [`FaultyTransport`]
 //!   and a TCP [`ChaosProxy`] (refuse/black-hole/delay/kill-mid-frame/
-//!   truncate/corrupt) driving the chaos test sweep and
-//!   `experiments chaos`.
+//!   truncate/corrupt) driving the chaos test sweep.
 //! * [`frontend`] — `tale-server frontend`: fans a client batch out to
 //!   one transport per shard, re-ranks the per-shard partials through
 //!   the engine's own comparator (`exec::rank_matches`), and applies

@@ -28,8 +28,8 @@ use tale_server::engine::{EngineConfig, ShardEngine};
 use tale_server::transport::{RemoteConfig, RemoteTransport, ShardTransport};
 use tale_server::wire::{
     self, FoldRequest, HelloResponse, InsertRequest, QueryBatchRequest, QueryBatchResponse,
-    RemoveRequest, Request, Response, WireExecStats, WireGraph, WireMatch, WireOptions,
-    PROTOCOL_VERSION,
+    RemoveRequest, Request, Response, StatsRequest, WireExecStats, WireGraph, WireMatch,
+    WireOptions, PROTOCOL_VERSION,
 };
 use tale_server::worker::{serve, serve_shard, ServerHandle, WorkerConfig};
 use tale_server::{Frontend, FrontendConfig, GateConfig, ServerError};
@@ -182,6 +182,23 @@ fn remote_execution_is_bit_identical_to_in_process() {
                 &format!("shards={nshards} via client socket"),
             ),
             other => panic!("expected a batch response, got {other:?}"),
+        }
+
+        // Each server's counters over the wire: the stats endpoint
+        // answers and counts this fetch, the queries and the bytes.
+        let servers = handles.iter().map(|h| ("worker", h.addr()));
+        for (i, (role, addr)) in servers.chain([("frontend", served.addr())]).enumerate() {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            let req = Request::Stats(StatsRequest { reserved: false });
+            wire::write_request(&mut stream, &req).unwrap();
+            let s = match wire::read_response(&mut stream).unwrap() {
+                Some((Response::Stats(s), _)) => s.server,
+                other => panic!("expected stats, got {other:?}"),
+            };
+            let ctx = format!("shards={nshards} {role} {i}");
+            assert!(s.requests_query >= 1, "{ctx} served no queries");
+            assert_eq!(s.requests_stats, 1, "{ctx}: stats endpoint");
+            assert!(s.bytes_in > 0 && s.bytes_out > 0, "{ctx}: byte counters");
         }
     }
 }

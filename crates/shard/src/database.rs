@@ -147,12 +147,12 @@ impl ShardedTaleDatabase {
     /// The insert commits as one record in the graph log
     /// ([`crate::commit_insert`]): a crash at any point recovers to a
     /// state bit-identical to before or after the insert
-    /// ([`ShardedTaleDatabase::open_with_recovery`]). After an error, drop
-    /// this handle and reopen.
+    /// ([`ShardedTaleDatabase::open_with_recovery`]). An insert that fails
+    /// before that record is durable leaves this handle unchanged; after
+    /// any other error, drop this handle and reopen.
     pub fn insert_graph(&mut self, name: impl Into<String>, g: Graph) -> Result<GraphId> {
-        let gid = self.db.insert(name, g);
-        self.index.insert_graph(&mut self.log, &self.db, gid)?;
-        Ok(gid)
+        self.index
+            .insert_graph(&mut self.log, &mut self.db, name, g)
     }
 
     /// Logically removes a graph (a tombstone in its owning shard). No

@@ -28,14 +28,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 use tale::store::{self, GraphLog, Replayed};
-use tale_graph::{GraphDb, GraphId};
+use tale_graph::{Graph, GraphDb, GraphId};
 use tale_nhindex::{
     FoldReport, GenerationalNhIndex, IntegrityReport, MvccRecovery, NhIndexConfig, ProbeCounters,
 };
 use tale_storage::IoPool;
 
-/// Per-shard build timings and sizes, for observability and the E-SHARD
-/// experiment. Produced by [`ShardedNhIndex::build_with_stats`].
+/// Per-shard build timings and sizes, for observability. Produced by
+/// [`ShardedNhIndex::build_with_stats`].
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct ShardBuildStats {
     /// Wall-clock seconds each shard spent in its own
@@ -138,23 +138,28 @@ pub fn open_shard(
 }
 
 /// The sharded insert, written once for the in-process database and the
-/// served worker: `gid` — already appended to `db` — becomes a member of
-/// shard `s`, whose open index is `shard`.
+/// served worker: `g` becomes graph `gid` of `db` and a member of the
+/// shard that `place` names, given the new graph in a copy of `db`,
+/// together with that shard's open index. Returns `gid`.
 ///
-/// Sequence: append the graph's record, naming `s`, to the graph log (the
-/// commit point) → add the row to the in-memory `manifest` → the shard's
-/// delta and `mvcc.json` flip. `shards.json` is not rewritten: open
-/// rebuilds the assignment from its rows plus the records' shards
-/// ([`load_root`]). After an error the in-memory `manifest` and `db` may
-/// be ahead of the disk: drop the handle and reopen.
-pub fn commit_insert(
+/// Sequence, as in `TaleDatabase::insert_graph`: insert into a copy of
+/// `db` → append the graph's record, naming its shard, to the graph log
+/// (the commit point) → publish the copy as `db` and add the row to the
+/// in-memory `manifest` → the shard's delta and `mvcc.json` flip. A
+/// failure before the commit point leaves `db` and `manifest` as they
+/// were, so the next insert proceeds; after an error past it, drop the
+/// handle and reopen. `shards.json` is not rewritten: open rebuilds the
+/// assignment from its rows plus the records' shards ([`load_root`]).
+pub fn commit_insert<'a>(
     log: &mut GraphLog,
-    db: &GraphDb,
+    db: &mut GraphDb,
     manifest: &mut ShardManifest,
-    shard: &GenerationalNhIndex,
-    s: u32,
-    gid: GraphId,
-) -> Result<()> {
+    name: impl Into<String>,
+    g: Graph,
+    place: impl FnOnce(&GraphDb, GraphId) -> Result<(u32, &'a GenerationalNhIndex)>,
+) -> Result<GraphId> {
+    let mut next = db.clone();
+    let gid = next.insert(name, g);
     if gid.idx() != manifest.assignment.len() {
         return Err(ShardError::Manifest(format!(
             "insert of graph {} but manifest maps {} graphs (ids are dense)",
@@ -162,11 +167,14 @@ pub fn commit_insert(
             manifest.assignment.len()
         )));
     }
-    log.append(db, gid, Some(s))?;
+    let (s, shard) = place(&next, gid)?;
+    log.append(&next, gid, Some(s))?;
+    *db = next;
     manifest.assignment.push(s);
     shard
         .insert_graph(db, gid)
-        .map_err(|source| ShardError::Shard { shard: s, source })
+        .map_err(|source| ShardError::Shard { shard: s, source })?;
+    Ok(gid)
 }
 
 /// A partitioned NH-Index: one independent generational index per shard
@@ -411,36 +419,25 @@ impl ShardedNhIndex {
         self.manifest.shard_of(gid)
     }
 
-    /// Where the build policy places a newly inserted graph. `gid` must
-    /// be the id just returned by [`GraphDb::insert`] on `db` (dense
-    /// append).
-    fn route(&self, db: &GraphDb, gid: GraphId) -> Result<u32> {
+    /// Inserts `g` into `db` and indexes it: routes it with the build
+    /// policy and runs [`commit_insert`] through `log` against the owning
+    /// shard. Returns the new graph's id.
+    pub fn insert_graph(
+        &mut self,
+        log: &mut GraphLog,
+        db: &mut GraphDb,
+        name: impl Into<String>,
+        g: Graph,
+    ) -> Result<GraphId> {
         let policy = policy_by_name(&self.manifest.policy).ok_or_else(|| {
             ShardError::Manifest(format!("unknown routing policy {:?}", self.manifest.policy))
         })?;
-        let loads: Vec<u64> = self
-            .shards
-            .iter()
-            .map(GenerationalNhIndex::node_count)
-            .collect();
-        Ok(policy.route(db, gid, &loads))
-    }
-
-    /// Indexes a newly inserted graph: routes it with the build policy
-    /// and runs [`commit_insert`] through `log` against the owning shard.
-    /// `gid` must be the id just returned by [`GraphDb::insert`] on `db`.
-    /// Returns the owning shard.
-    pub fn insert_graph(&mut self, log: &mut GraphLog, db: &GraphDb, gid: GraphId) -> Result<u32> {
-        let s = self.route(db, gid)?;
-        commit_insert(
-            log,
-            db,
-            &mut self.manifest,
-            &self.shards[s as usize],
-            s,
-            gid,
-        )?;
-        Ok(s)
+        let shards = &self.shards;
+        commit_insert(log, db, &mut self.manifest, name, g, |db, gid| {
+            let loads: Vec<u64> = shards.iter().map(GenerationalNhIndex::node_count).collect();
+            let s = policy.route(db, gid, &loads);
+            Ok((s, &shards[s as usize]))
+        })
     }
 
     /// Logically removes a graph (a tombstone in its owning shard's

@@ -73,7 +73,7 @@ fn pool_sizes(pages: usize) -> [usize; 3] {
 /// reference. Also exercises the singular `query` path per pool size.
 #[test]
 fn cold_identity_across_pool_sizes_threads_and_layouts() {
-    let (db, originals) = corpus(61, 8);
+    let (db, originals) = corpus(61, 16);
     let params = TaleParams::default();
     let queries: Vec<&Graph> = originals.iter().collect();
 
@@ -92,6 +92,7 @@ fn cold_identity_across_pool_sizes_threads_and_layouts() {
             .unwrap()
     };
 
+    let mut readahead_issued = 0;
     for &frames in &pool_sizes(pages) {
         for &threads in THREAD_COUNTS {
             let opts = base_opts().with_threads(threads);
@@ -103,6 +104,14 @@ fn cold_identity_across_pool_sizes_threads_and_layouts() {
                 &got,
                 &format!("single frames={frames} threads={threads}"),
             );
+            let pool = cold.index().pool_stats();
+            assert!(
+                pool.misses + pool.prefetched > 0,
+                "frames={frames} threads={threads}: a cold pass read nothing from disk"
+            );
+            if frames < pages {
+                readahead_issued += cold.index().prefetch_stats().issued;
+            }
             // the singular path takes the same cold pool
             let one = cold.query(queries[0], &opts).unwrap();
             assert_bit_identical(
@@ -120,6 +129,8 @@ fn cold_identity_across_pool_sizes_threads_and_layouts() {
             );
         }
     }
+    // the batched probe path issues readahead on a constrained pool
+    assert!(readahead_issued > 0, "no constrained pool issued readahead");
 }
 
 /// Hammers a 1-frame pool: every fetch evicts, every descent re-reads,

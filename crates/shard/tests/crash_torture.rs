@@ -286,6 +286,30 @@ fn torture_sharded_insert_graph() {
     assert_eq!(std::fs::read(post.join("shards.json")).unwrap(), shards);
 }
 
+/// A failed insert leaves the open handle as it was: the next insert
+/// succeeds and takes the id a reopen of the pre state would give it.
+#[test]
+fn failed_insert_does_not_block_the_next() {
+    let dir = tempfile::tempdir().unwrap();
+    let (queries, fodder) = build_pre(dir.path(), false);
+    let mut sharded = ShardedTaleDatabase::open(dir.path(), params().buffer_frames).unwrap();
+    let before = sharded.db().len();
+    faults::arm(0); // log.append: the insert fails before its commit point
+    let failed = sharded.insert_graph("lost", queries[0].clone());
+    faults::disarm();
+    assert!(failed.is_err(), "the armed fault did not surface");
+    assert_eq!(sharded.db().len(), before, "a failed insert grew the db");
+
+    let gid = sharded.insert_graph("late", fodder).unwrap();
+    assert_eq!(gid, GraphId(before as u32), "the next insert's id");
+    let got = answers(&sharded, &queries);
+    drop(sharded);
+    let reopened = ShardedTaleDatabase::open(dir.path(), params().buffer_frames).unwrap();
+    assert_eq!(reopened.db().len(), before + 1);
+    assert_eq!(reopened.db().name(gid), "late");
+    assert_eq!(answers(&reopened, &queries), got);
+}
+
 #[test]
 fn torture_sharded_remove_graph() {
     // Removal is one manifest flip in the owning shard: no journal, no

@@ -234,8 +234,8 @@ fn shard_pruning_is_safe_on_skewed_clustered_placement() {
         let reference = single
             .query_batch(&query_refs, &opts.clone().with_plan(PlanMode::Fixed))
             .unwrap();
-        let fixed = sharded
-            .query_batch(&query_refs, &opts.clone().with_plan(PlanMode::Fixed))
+        let (fixed, fixed_stats) = sharded
+            .query_batch_with_stats(&query_refs, &opts.clone().with_plan(PlanMode::Fixed))
             .unwrap();
         let (cost, stats) = sharded
             .query_batch_with_stats(&query_refs, &opts.clone().with_plan(PlanMode::Cost))
@@ -253,6 +253,24 @@ fn shard_pruning_is_safe_on_skewed_clustered_placement() {
         assert!(
             stats.shards_pruned > 0,
             "k={k}: clustered placement never pruned — the safety claim went untested"
+        );
+        assert_eq!(fixed_stats.shards_pruned, 0, "k={k}: the fixed pass pruned");
+        assert_eq!(
+            fixed_stats.probes_reordered, 0,
+            "k={k}: the fixed pass reordered"
+        );
+        assert!(stats.probes_reordered > 0, "k={k}: no probe was reordered");
+        assert!(
+            stats.probes_issued < fixed_stats.probes_issued,
+            "k={k}: planning must issue fewer probes ({} vs {} fixed)",
+            stats.probes_issued,
+            fixed_stats.probes_issued
+        );
+        let fetched =
+            |s: &tale::BatchStats| -> u64 { s.shards.iter().map(|sh| sh.postings_fetched).sum() };
+        assert!(
+            fetched(&stats) <= fetched(&fixed_stats),
+            "k={k}: postings fetched"
         );
     }
 }

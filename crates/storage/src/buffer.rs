@@ -427,27 +427,6 @@ impl BufferPool {
         *self.prefetcher.write() = Some(Arc::new(Prefetcher::new(io, backend, capacity)));
     }
 
-    /// Wraps the current read backend — and the attached prefetcher's
-    /// capture of it, if any — with a fixed per-read delay (see
-    /// [`crate::readpath::LatencyBackend`]). Benchmark-only: models a
-    /// device with seek latency on page-cache-hot test files. Resets
-    /// prefetch counters (the prefetcher is re-attached).
-    pub fn simulate_read_latency(&self, delay: Duration) {
-        let wrapped: Arc<dyn ReadBackend> = Arc::new(crate::readpath::LatencyBackend::new(
-            self.read_backend(),
-            delay,
-        ));
-        self.set_read_backend(wrapped);
-        let reattach = self
-            .prefetcher
-            .read()
-            .as_ref()
-            .map(|p| (Arc::clone(p.io()), p.capacity()));
-        if let Some((io, cap)) = reattach {
-            self.attach_prefetcher(io, cap);
-        }
-    }
-
     /// Queues async readahead for the non-resident pages of `ids`. A
     /// no-op without an attached prefetcher; always a hint, never
     /// required for correctness.

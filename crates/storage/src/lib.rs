@@ -59,9 +59,7 @@ pub use btree::{BTree, CompositeKey, TreeCheck};
 pub use buffer::{BufferPool, PageGuard, PageGuardMut, PoolStats};
 pub use disk::DiskManager;
 pub use page::{PageId, PAGE_SIZE};
-pub use readpath::{
-    DiskReadBackend, IoPool, LatencyBackend, PrefetchStats, Prefetcher, ReadBackend,
-};
+pub use readpath::{DiskReadBackend, IoPool, PrefetchStats, Prefetcher, ReadBackend};
 
 /// Fault-injection gate, called before every real I/O side effect on the
 /// mutation path. With the `failpoints` feature off this is a no-op the

@@ -64,31 +64,6 @@ impl ReadBackend for DiskReadBackend {
     }
 }
 
-/// Decorates any backend with a fixed per-read sleep — a stand-in for a
-/// storage device with real seek latency. Benchmarks on tempfile-backed
-/// indexes read from the OS page cache in microseconds, which hides the
-/// I/O-wait overlap the async read path exists to create; wrapping the
-/// backend restores a disk-like cost model without touching correctness
-/// (the bytes still come from the real file).
-pub struct LatencyBackend {
-    inner: Arc<dyn ReadBackend>,
-    delay: std::time::Duration,
-}
-
-impl LatencyBackend {
-    /// Wraps `inner`, sleeping `delay` before every read.
-    pub fn new(inner: Arc<dyn ReadBackend>, delay: std::time::Duration) -> Self {
-        LatencyBackend { inner, delay }
-    }
-}
-
-impl ReadBackend for LatencyBackend {
-    fn read_page(&self, id: PageId) -> Result<Page> {
-        std::thread::sleep(self.delay);
-        self.inner.read_page(id)
-    }
-}
-
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A small pool of OS threads that execute read jobs. One `IoPool` is
@@ -228,16 +203,6 @@ impl Prefetcher {
             capacity: capacity.max(1),
             counters: Arc::new(Counters::default()),
         }
-    }
-
-    /// The worker pool this prefetcher submits reads to.
-    pub fn io(&self) -> &Arc<IoPool> {
-        &self.io
-    }
-
-    /// Staging capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Counter snapshot.

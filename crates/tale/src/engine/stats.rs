@@ -3,8 +3,8 @@
 //! Every query (and every batch) reports what each pipeline stage did and
 //! cost: probe counts against the disk index, postings scanned, the
 //! buffer-pool hit rate underneath, and per-stage wall clocks. The CLI
-//! surfaces these via `tale-cli query --stats`; the bench harness records
-//! them in `BENCH_speedup.json`.
+//! surfaces these via `tale-cli query --stats`; the performance ledger
+//! (`perf`) reads its per-layer metrics from them.
 
 use serde::Serialize;
 use tale_storage::PoolStats;
