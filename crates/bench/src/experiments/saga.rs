@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn saga_cost_grows_faster_with_query_size() {
-        let rows = run_saga(7, Scale(0.02), &[15, 60, 180]);
+        let rows = run_saga(7, Scale(0.01), &[15, 60, 120]);
         assert_eq!(rows.len(), 3);
         // fragment workload grows superlinearly
         assert!(rows[2].query_fragments > 8 * rows[0].query_fragments);

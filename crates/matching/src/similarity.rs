@@ -39,60 +39,17 @@ impl MatchContext<'_> {
     }
 }
 
-/// Statistics-derived inputs for bounding the best score any match
-/// against some set of target graphs could reach — without growing a
-/// single match. The planner fills this from per-shard index statistics:
-///
-/// * `max_pairs` comes from the label-equality invariant of match growth
-///   (a query node only ever pairs with an equal-effective-label target
-///   node), so per target graph at most
-///   `Σ_label min(query count, shard count)` pairs can form — and the
-///   shard-wide label counts upper-bound any single graph's.
-/// * `min_target_size` is the smallest `|Vt|+|Et|` over the targets
-///   (needed by size-normalized models, where a *small* denominator
-///   maximizes the score).
-#[derive(Debug, Clone, Copy)]
-pub struct BoundContext {
-    /// Query node count.
-    pub query_nodes: usize,
-    /// Query edge count.
-    pub query_edges: usize,
-    /// Upper bound on matched pairs against any single target graph.
-    pub max_pairs: usize,
-    /// Lower bound on any target graph's `node + edge` count, if known.
-    pub min_target_size: Option<usize>,
-}
-
 /// Scores a completed graph match; higher = more similar.
 pub trait SimilarityModel: Send + Sync {
     /// Human-readable model name (for experiment output).
     fn name(&self) -> &'static str;
     /// The score.
     fn score(&self, ctx: &MatchContext<'_>) -> f64;
-    /// An upper bound on [`score`](SimilarityModel::score) over every
-    /// match the bound context describes, or `None` when the model cannot
-    /// bound itself (the planner then never prunes on its behalf).
-    /// Soundness requirement: for every reachable match `m`,
-    /// `score(m) ≤ score_upper_bound(b)` whenever `b` conservatively
-    /// describes `m`'s target set — overestimating the bound is safe,
-    /// underestimating loses results.
-    fn score_upper_bound(&self, b: &BoundContext) -> Option<f64> {
-        let _ = b;
-        None
-    }
 }
 
 /// `score = matched nodes + matched edges` — the conserved-component size.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MatchedNodesEdges;
-
-/// Upper bound on `matched nodes + matched edges` given at most `p`
-/// matched pairs: every matched edge joins two matched query nodes, so
-/// matched edges ≤ min(|Eq|, p·(p−1)/2).
-fn conserved_size_bound(b: &BoundContext) -> usize {
-    let p = b.max_pairs.min(b.query_nodes);
-    p + b.query_edges.min(p.saturating_sub(1) * p / 2)
-}
 
 impl SimilarityModel for MatchedNodesEdges {
     fn name(&self) -> &'static str {
@@ -100,9 +57,6 @@ impl SimilarityModel for MatchedNodesEdges {
     }
     fn score(&self, ctx: &MatchContext<'_>) -> f64 {
         (ctx.matched_nodes() + ctx.matched_edges()) as f64
-    }
-    fn score_upper_bound(&self, b: &BoundContext) -> Option<f64> {
-        Some(conserved_size_bound(b) as f64)
     }
 }
 
@@ -116,10 +70,6 @@ impl SimilarityModel for QualitySum {
     }
     fn score(&self, ctx: &MatchContext<'_>) -> f64 {
         ctx.m.quality_sum()
-    }
-    /// Each pair's node-match quality (Eq. IV.5) lies in `[0, 2]`.
-    fn score_upper_bound(&self, b: &BoundContext) -> Option<f64> {
-        Some(2.0 * b.max_pairs.min(b.query_nodes) as f64)
     }
 }
 
@@ -142,19 +92,6 @@ impl SimilarityModel for CTreeStyle {
             return 0.0;
         }
         2.0 * (ctx.matched_nodes() + ctx.matched_edges()) as f64 / (q + t) as f64
-    }
-    /// `2s/(q+t)` with conserved size `s` is increasing in `s` and
-    /// decreasing in `t`, and any target contains its own matched image
-    /// (`t ≥ s`), so the maximum is `2B/(q + max(t_min, B))` with `B` the
-    /// conserved-size bound.
-    fn score_upper_bound(&self, b: &BoundContext) -> Option<f64> {
-        let q = b.query_nodes + b.query_edges;
-        let s = conserved_size_bound(b);
-        let denom = q + b.min_target_size.unwrap_or(0).max(s);
-        if denom == 0 {
-            return Some(0.0);
-        }
-        Some(2.0 * s as f64 / denom as f64)
     }
 }
 
@@ -249,62 +186,6 @@ mod tests {
         };
         assert_eq!(CTreeStyle.score(&ctx), 0.0);
         assert_eq!(MatchedNodesEdges.score(&ctx), 0.0);
-    }
-
-    #[test]
-    fn upper_bounds_dominate_actual_scores() {
-        let q = path(4);
-        let t = path(4);
-        for n in 0..=4usize {
-            let m = identity_match(n);
-            let ctx = MatchContext {
-                query: &q,
-                target: &t,
-                m: &m,
-            };
-            // a bound context that conservatively describes this target
-            let b = BoundContext {
-                query_nodes: 4,
-                query_edges: 3,
-                max_pairs: n, // growth matched exactly n pairs here
-                min_target_size: Some(7),
-            };
-            assert!(
-                MatchedNodesEdges.score_upper_bound(&b).unwrap() >= MatchedNodesEdges.score(&ctx)
-            );
-            assert!(QualitySum.score_upper_bound(&b).unwrap() >= QualitySum.score(&ctx));
-            assert!(CTreeStyle.score_upper_bound(&b).unwrap() >= CTreeStyle.score(&ctx));
-            // unknown target size only loosens the normalized bound
-            let loose = BoundContext {
-                min_target_size: None,
-                ..b
-            };
-            assert!(
-                CTreeStyle.score_upper_bound(&loose).unwrap()
-                    >= CTreeStyle.score_upper_bound(&b).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn bound_handles_degenerate_inputs() {
-        let empty = BoundContext {
-            query_nodes: 0,
-            query_edges: 0,
-            max_pairs: 0,
-            min_target_size: None,
-        };
-        assert_eq!(CTreeStyle.score_upper_bound(&empty), Some(0.0));
-        assert_eq!(MatchedNodesEdges.score_upper_bound(&empty), Some(0.0));
-        // max_pairs larger than the query clamps to the query size
-        let clamped = BoundContext {
-            query_nodes: 2,
-            query_edges: 1,
-            max_pairs: 100,
-            min_target_size: None,
-        };
-        assert_eq!(QualitySum.score_upper_bound(&clamped), Some(4.0));
-        assert_eq!(MatchedNodesEdges.score_upper_bound(&clamped), Some(3.0));
     }
 
     #[test]

@@ -195,12 +195,6 @@ impl IndexStatistics {
         let rows = self.estimate_rows(label, deg_min);
         (l.keys * rows).div_ceil(l.nodes)
     }
-
-    /// Units carrying `label` — the per-graph cap the score bound uses
-    /// (any single graph holds at most this many nodes of the label).
-    pub fn label_nodes(&self, label: u32) -> u64 {
-        self.label(label).map(|l| l.nodes).unwrap_or(0)
-    }
 }
 
 #[derive(Default)]
@@ -307,9 +301,6 @@ mod tests {
         assert_eq!(s.max_degree, 3);
         assert_eq!(s.min_graph_size, Some(6));
         assert_eq!(s.labels.len(), 2);
-        assert_eq!(s.label_nodes(0), 3);
-        assert_eq!(s.label_nodes(1), 3);
-        assert_eq!(s.label_nodes(9), 0);
     }
 
     #[test]

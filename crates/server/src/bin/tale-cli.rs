@@ -677,7 +677,7 @@ fn parse_plan_mode(v: &str) -> Result<PlanMode, String> {
 
 /// Prints the plan tree the engine would execute for one query — probe
 /// order with selectivity estimates, readahead budget, and per-shard
-/// feasibility / score bounds — without running it.
+/// feasibility — without running it.
 fn cmd_explain(args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_args(args)?;
     let [dir, query_path] = pos.as_slice() else {

@@ -424,7 +424,9 @@ pub struct WireOptions {
     pub match_edge_labels: bool,
     /// Keep only the best K matches.
     pub top_k: Option<u64>,
-    /// Worker threads (`0` = one per core).
+    /// Worker threads (`0` = one per core). The receiving host clamps it
+    /// to its own core count, so a request cannot make a worker start
+    /// more threads than it has cores.
     pub threads: u64,
     /// Consult the per-shard result caches.
     pub use_cache: bool,
@@ -505,7 +507,7 @@ impl WireOptions {
             greedy_anchors: self.greedy_anchors,
             match_edge_labels: self.match_edge_labels,
             top_k: self.top_k.map(|k| k as usize),
-            threads: self.threads as usize,
+            threads: self.threads.min(tale_par::effective_threads(0) as u64) as usize,
             use_cache: self.use_cache,
             similarity,
             plan,
@@ -1001,7 +1003,7 @@ mod tests {
         assert_eq!(decoded.rho.to_bits(), opts.rho.to_bits());
         assert_eq!(decoded.p_imp.to_bits(), opts.p_imp.to_bits());
         assert_eq!(decoded.top_k, Some(5));
-        assert_eq!(decoded.threads, 3);
+        assert_eq!(decoded.threads, 3.min(tale_par::effective_threads(0)));
         assert_eq!(decoded.plan, tale::PlanMode::Fixed);
         assert_eq!(decoded.similarity.name(), opts.similarity.name());
         // the engine's cache/options fingerprint must agree across hosts
@@ -1009,5 +1011,19 @@ mod tests {
             tale::options_fingerprint(&decoded),
             tale::options_fingerprint(&opts)
         );
+    }
+
+    #[test]
+    fn remote_thread_count_is_clamped_to_local_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut wire = WireOptions::from_options(&tale::QueryOptions::default());
+        wire.threads = u64::MAX;
+        let json = serde_json::to_string(&wire).unwrap();
+        let back: WireOptions = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.threads, u64::MAX);
+        assert!(back.to_options().unwrap().threads <= cores);
+        // 0 still means one per core
+        wire.threads = 0;
+        assert_eq!(wire.to_options().unwrap().threads, 0);
     }
 }

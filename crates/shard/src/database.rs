@@ -234,8 +234,7 @@ impl ShardedTaleDatabase {
     /// Describes — without executing — the plan the engine would choose
     /// for `query` under `opts`: probe order with row estimates, the
     /// readahead budget, and per-reader (each shard's base generation,
-    /// then its delta) feasibility and score bounds from their
-    /// statistics. Render with [`tale::PlanReport::render`] or serialize
+    /// then its delta) feasibility from their statistics. Render with [`tale::PlanReport::render`] or serialize
     /// to JSON.
     pub fn explain(&self, query: &Graph, opts: &QueryOptions) -> tale::PlanReport {
         Snapshot::with_readers(&self.snapshots(), |readers| {

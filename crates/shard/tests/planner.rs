@@ -9,9 +9,9 @@
 //! * after inserts, removals, and a fold (statistics go stale in exactly
 //!   the ways the conservatism argument in `tale::engine::plan` permits);
 //! * under proptest over random corpora and shard counts;
-//! * on the skewed label-clustered placement where shard pruning
-//!   actually fires — the cell where an unsound bound would first
-//!   corrupt a top-K answer.
+//! * on the skewed label-clustered placement where the infeasibility
+//!   prune fires on most (query, shard) cells — the cell where an
+//!   unsound feasibility proof would first drop a match.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -59,8 +59,8 @@ fn assert_bit_identical(a: &[Vec<QueryMatch>], b: &[Vec<QueryMatch>], ctx: &str)
     }
 }
 
-/// Top-K on so the threshold prune is reachable; Pimp raised so most
-/// queries probe more than one node (reordering is reachable too).
+/// Top-K on, as every served workload runs; Pimp raised so most queries
+/// probe more than one node (so reordering is reachable).
 fn base_opts() -> QueryOptions {
     QueryOptions {
         rho: 0.25,
@@ -179,10 +179,11 @@ fn planned_identity_after_insert_and_remove_sharded() {
 }
 
 /// The placement where pruning actually fires: label domains with
-/// private vocabularies, clustered placement, top-K workload. The cost
-/// pass must (a) agree bit-for-bit with the fixed pass AND with the
-/// unsharded single index, and (b) demonstrably prune — otherwise this
-/// test guards nothing.
+/// private vocabularies, clustered placement, top-K and unbounded
+/// workloads. The cost pass must (a) agree bit-for-bit with the fixed
+/// pass AND with the unsharded single index, and (b) prune exactly the
+/// (query, reader) cells its plan proves infeasible — at least one, or
+/// this test guards nothing.
 #[test]
 fn shard_pruning_is_safe_on_skewed_clustered_placement() {
     const DOMAINS: usize = 5;
@@ -229,40 +230,61 @@ fn shard_pruning_is_safe_on_skewed_clustered_placement() {
     .unwrap();
     let sharded = ShardedTaleDatabase::open(shard_dir.path(), 4096).unwrap();
 
-    for k in [1usize, 3, 8] {
-        let opts = base_opts().with_cache(false).with_top_k(k);
+    for k in [Some(1usize), Some(3), Some(8), None] {
+        let opts = QueryOptions {
+            top_k: k,
+            ..base_opts().with_cache(false)
+        };
         let reference = single
             .query_batch(&query_refs, &opts.clone().with_plan(PlanMode::Fixed))
             .unwrap();
         let (fixed, fixed_stats) = sharded
             .query_batch_with_stats(&query_refs, &opts.clone().with_plan(PlanMode::Fixed))
             .unwrap();
+        let cost_opts = opts.clone().with_plan(PlanMode::Cost);
         let (cost, stats) = sharded
-            .query_batch_with_stats(&query_refs, &opts.clone().with_plan(PlanMode::Cost))
+            .query_batch_with_stats(&query_refs, &cost_opts)
             .unwrap();
         assert_bit_identical(
             &reference,
             &fixed,
-            &format!("k={k} single vs sharded fixed"),
+            &format!("k={k:?} single vs sharded fixed"),
         );
         assert_bit_identical(
             &reference,
             &cost,
-            &format!("k={k} single vs sharded planned"),
+            &format!("k={k:?} single vs sharded planned"),
+        );
+        // Each cell the plan proves infeasible is skipped exactly once
+        // (the cache is off), and no other cell is.
+        let infeasible: u64 = query_refs
+            .iter()
+            .flat_map(|q| sharded.explain(q, &cost_opts).shards)
+            .filter(|sp| sp.has_stats && sp.feasible_probes == 0)
+            .count() as u64;
+        assert_eq!(
+            stats.shards_pruned, infeasible,
+            "k={k:?}: pruned cells vs cells the plan proves infeasible"
         );
         assert!(
             stats.shards_pruned > 0,
-            "k={k}: clustered placement never pruned — the safety claim went untested"
+            "k={k:?}: clustered placement never pruned — the safety claim went untested"
         );
-        assert_eq!(fixed_stats.shards_pruned, 0, "k={k}: the fixed pass pruned");
+        assert_eq!(
+            fixed_stats.shards_pruned, 0,
+            "k={k:?}: the fixed pass pruned"
+        );
         assert_eq!(
             fixed_stats.probes_reordered, 0,
-            "k={k}: the fixed pass reordered"
+            "k={k:?}: the fixed pass reordered"
         );
-        assert!(stats.probes_reordered > 0, "k={k}: no probe was reordered");
+        assert!(
+            stats.probes_reordered > 0,
+            "k={k:?}: no probe was reordered"
+        );
         assert!(
             stats.probes_issued < fixed_stats.probes_issued,
-            "k={k}: planning must issue fewer probes ({} vs {} fixed)",
+            "k={k:?}: planning must issue fewer probes ({} vs {} fixed)",
             stats.probes_issued,
             fixed_stats.probes_issued
         );
@@ -270,7 +292,7 @@ fn shard_pruning_is_safe_on_skewed_clustered_placement() {
             |s: &tale::BatchStats| -> u64 { s.shards.iter().map(|sh| sh.postings_fetched).sum() };
         assert!(
             fetched(&stats) <= fetched(&fixed_stats),
-            "k={k}: postings fetched"
+            "k={k:?}: postings fetched"
         );
     }
 }

@@ -294,7 +294,7 @@ impl TaleDatabase {
 
     /// Describes — without executing — the plan the engine would choose
     /// for `query` under `opts`: probe order with row estimates, the
-    /// readahead budget, and per-reader feasibility and score bounds.
+    /// readahead budget, and per-reader feasibility.
     /// Render with [`PlanReport::render`](crate::PlanReport::render) or
     /// serialize to JSON.
     pub fn explain(&self, query: &Graph, opts: &QueryOptions) -> crate::PlanReport {

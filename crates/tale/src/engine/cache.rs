@@ -169,7 +169,7 @@ pub fn options_fingerprint(opts: &QueryOptions) -> u64 {
 
 /// Version of the planning logic covered by [`options_fingerprint`].
 /// Bump on any change to how plans are chosen or executed.
-pub const PLAN_VERSION: u64 = 1;
+pub const PLAN_VERSION: u64 = 2;
 
 struct Entry {
     repr: QueryRepr,

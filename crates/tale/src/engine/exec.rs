@@ -1,7 +1,7 @@
 //! The exec stage: consumes each query's [`QueryPlan`] and orchestrates
-//! cache → probe → anchor/grow → rank for a whole batch, scattering work
-//! across index shards and worker threads and gathering with a
-//! deterministic index-ordered merge.
+//! cache → probe → anchor/grow → rank for a whole batch, visiting the
+//! index shards in order, fanning each shard's work over the worker
+//! threads, and gathering with a deterministic index-ordered merge.
 //!
 //! Batch semantics are exact: the output of [`run_batch`] is bit-identical
 //! to running each query alone through the same pipeline, at every thread
@@ -26,30 +26,15 @@
 //! ## Why cost planning cannot change results
 //!
 //! In [`PlanMode::Cost`] the executor may skip a `(unique query, shard)`
-//! execution entirely, substituting an empty partial list. Both prunes
-//! carry a proof:
-//!
-//! * **Infeasible shards.** A probe's range scan only visits keys with
-//!   the signature's label and degree ≥ its IV.2 lower bound; the shard's
-//!   statistics track the exact per-label max degree (they only ever
-//!   overestimate — see `tale_nhindex::stats`). If no probe signature is
-//!   feasible, every probe answers empty, no match task is ever spawned,
-//!   and the shard's partial is empty by construction.
-//! * **Top-K threshold.** Shards are visited sequentially in descending
-//!   score-bound order. A shard is skipped for a query only once the
-//!   query has gathered ≥ K results and the shard's score bound — an
-//!   upper bound on *any* score it could contribute, from the
-//!   label-equality matched-pairs bound (`SimilarityModel::score_upper_bound`)
-//!   — is **strictly** below the K-th score seen so far. The K-th score
-//!   of a subset never exceeds the K-th score of the full multiset, so
-//!   every skipped match would have sorted strictly below rank K and been
-//!   truncated; strictness keeps equal-score candidates (which could win
-//!   the graph-id tiebreak) alive.
-//!
-//! An infeasible prune's empty list is the shard's *true* pre-rank
-//! partial, so it is written to the result cache like an executed one. A
-//! threshold prune's is not (the shard could hold sub-threshold matches),
-//! so threshold-pruned partials are **never** cached.
+//! execution entirely, substituting an empty partial list, when the shard
+//! is **infeasible**: a probe's range scan only visits keys with the
+//! signature's label and degree ≥ its IV.2 lower bound, and the shard's
+//! statistics track the exact per-label max degree (they only ever
+//! overestimate — see `tale_nhindex::stats`). If no probe signature is
+//! feasible, every probe answers empty, no match task is ever spawned,
+//! and the shard's partial is empty by construction. That empty list is
+//! the shard's *true* pre-rank partial, so it is written to the result
+//! cache like an executed one.
 //!
 //! [`PlanMode::Cost`]: crate::params::PlanMode::Cost
 
@@ -79,8 +64,7 @@ struct UniqueTraffic {
     candidate_graphs: usize,
 }
 
-/// One shard's contribution to the batch, computed inside the scatter
-/// phase on that shard's thread(s).
+/// One shard's contribution to the batch.
 struct ShardOutcome {
     /// The unique slots this shard actually executed (cache misses minus
     /// planner prunes), in ascending order.
@@ -94,8 +78,8 @@ struct ShardOutcome {
     stats: ShardStats,
 }
 
-/// Probes + grows one shard's selected uniques — the scatter body, shared
-/// by the parallel (fixed-shape) and sequential (top-K threshold) paths.
+/// Probes + grows one shard's selected uniques, fanning the probes and
+/// the per-graph match tasks over `opts.threads` workers.
 #[allow(clippy::too_many_arguments)]
 fn exec_shard(
     db: &GraphDb,
@@ -106,8 +90,8 @@ fn exec_shard(
     plans: &[QueryPlan],
     queries: &[&Graph],
     opts: &QueryOptions,
-    inner_threads: usize,
 ) -> Result<ShardOutcome> {
+    let threads = tale_par::effective_threads(opts.threads);
     let t_shard = Instant::now();
     let counters_before = index.counters();
     let pool_before = index.pool_stats();
@@ -123,7 +107,7 @@ fn exec_shard(
         None
     };
     let t = Instant::now();
-    let probed = probe::run_probe(index, &shard_plans, opts.rho, inner_threads, prefetch_cap)?;
+    let probed = probe::run_probe(index, &shard_plans, opts.rho, threads, prefetch_cap)?;
     let probe_secs = t.elapsed().as_secs_f64();
 
     // Match: anchor + grow per (query, candidate graph), flattened
@@ -145,20 +129,19 @@ fn exec_shard(
         gids.sort_unstable();
         items.extend(gids.into_iter().map(|g| (lu, g)));
     }
-    let matched: Vec<Option<QueryMatch>> =
-        tale_par::parallel_map(inner_threads, items.len(), |i| {
-            let (lu, gid) = items[i];
-            let qi = uniques[sel[lu]];
-            grow::match_one_graph(
-                db,
-                queries[qi],
-                &q_sigs[lu],
-                &plans[qi].important,
-                gid,
-                &probed.per_query[lu].per_graph[&gid],
-                opts,
-            )
-        });
+    let matched: Vec<Option<QueryMatch>> = tale_par::parallel_map(threads, items.len(), |i| {
+        let (lu, gid) = items[i];
+        let qi = uniques[sel[lu]];
+        grow::match_one_graph(
+            db,
+            queries[qi],
+            &q_sigs[lu],
+            &plans[qi].important,
+            gid,
+            &probed.per_query[lu].per_graph[&gid],
+            opts,
+        )
+    });
     let match_secs = t.elapsed().as_secs_f64();
     let match_items = items.len();
     let mut out: Vec<Vec<QueryMatch>> = vec![Vec::new(); sel.len()];
@@ -266,8 +249,8 @@ pub fn run_batch(
     let cost = opts.plan == PlanMode::Cost;
 
     // Plan: importance + signatures + canonical signature, plus — in cost
-    // mode — probe order, readahead budget, and per-shard feasibility and
-    // score bounds from the readers' statistics.
+    // mode — probe order, readahead budget, and per-shard feasibility from
+    // the readers' statistics.
     let t = Instant::now();
     let plans: Vec<QueryPlan> = tale_par::parallel_map(threads, queries.len(), |i| {
         plan_query(db, shards, queries[i], opts)
@@ -323,11 +306,11 @@ pub fn run_batch(
         .map(|p| p.iter().all(Option::is_some))
         .collect();
 
-    // Planner prune #1 — infeasible shards: statistics prove every probe
-    // of this unique answers empty on this shard, so its partial is
-    // empty without probing (see the module doc for the proof). Unlike a
-    // threshold prune, the empty list here *is* the shard's true pre-rank
-    // partial, so it may be cached — repeat queries then fully hit.
+    // Planner prune — infeasible shards: statistics prove every probe of
+    // this unique answers empty on this shard, so its partial is empty
+    // without probing (see the module doc for the proof). The empty list
+    // *is* the shard's true pre-rank partial, so it is cached — repeat
+    // queries then fully hit.
     let mut pruned: Vec<Vec<bool>> = uniques.iter().map(|_| vec![false; nshards]).collect();
     let mut shards_pruned = 0u64;
     if cost {
@@ -349,134 +332,22 @@ pub fn run_batch(
         }
     }
 
-    // Scatter: each shard probes + grows the uniques that missed its
-    // cache, on its own slice of the thread budget. Per-shard traffic is
-    // exact — a shard's index is only touched by its own execution here.
-    let need: Vec<Vec<usize>> = (0..nshards)
-        .map(|s| {
-            (0..uniques.len())
-                .filter(|&u| partials[u][s].is_none())
-                .collect()
-        })
-        .collect();
-
-    // Planner prune #2 — the top-K threshold — needs shards visited
-    // sequentially (each visit tightens the thresholds for the next), so
-    // cost mode with a K and multiple shards trades scatter parallelism
-    // for pruning and gives each visit the full thread budget instead.
-    let threshold_k = match opts.top_k {
-        Some(k) if cost && nshards > 1 => Some(k),
-        _ => None,
-    };
-    let mut shard_outcomes: Vec<ShardOutcome>;
-    if let Some(k) = threshold_k {
-        let bound = |u: usize, s: usize| -> Option<f64> {
-            plans[uniques[u]]
-                .shard_plans
-                .get(s)
-                .and_then(|p| p.score_bound)
-        };
-        // Visit order: descending best-case bound over the shard's needed
-        // uniques (unbounded first), ties by shard index. Purely a
-        // heuristic — correctness only needs the strict-threshold rule.
-        let shard_key = |s: usize| -> f64 {
-            need[s]
-                .iter()
-                .map(|&u| bound(u, s).unwrap_or(f64::INFINITY))
-                .fold(f64::NEG_INFINITY, f64::max)
-        };
-        let mut order: Vec<usize> = (0..nshards).collect();
-        order.sort_by(|&a, &b| {
-            shard_key(b)
-                .partial_cmp(&shard_key(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        // Scores gathered so far per unique, seeded from cached and
-        // infeasible-pruned partials.
-        let mut scores: Vec<Vec<f64>> = partials
-            .iter()
-            .map(|per_shard| {
-                per_shard
-                    .iter()
-                    .flatten()
-                    .flat_map(|list| list.iter().map(|m| m.score))
-                    .collect()
-            })
+    // Scatter: each shard in turn probes + grows the uniques that missed
+    // its cache and were not pruned, on the full thread budget. Per-shard
+    // traffic is exact — a shard's index is only touched by its own visit.
+    let mut shard_outcomes: Vec<ShardOutcome> = Vec::with_capacity(nshards);
+    for (s, reader) in shards.iter().enumerate() {
+        let sel: Vec<usize> = (0..uniques.len())
+            .filter(|&u| partials[u][s].is_none())
             .collect();
-        let kth = |v: &mut Vec<f64>| -> Option<f64> {
-            if k == 0 {
-                return Some(f64::INFINITY); // top-0: everything truncates
-            }
-            if v.len() < k {
-                return None;
-            }
-            v.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-            Some(v[k - 1])
-        };
-        let mut outcomes: Vec<Option<ShardOutcome>> = (0..nshards).map(|_| None).collect();
-        for &s in &order {
-            let mut sel = Vec::with_capacity(need[s].len());
-            for &u in &need[s] {
-                let skip = match (kth(&mut scores[u]), bound(u, s)) {
-                    (Some(kth_score), Some(b)) => b < kth_score,
-                    _ => false,
-                };
-                if skip {
-                    partials[u][s] = Some(Vec::new());
-                    pruned[u][s] = true;
-                    shards_pruned += 1;
-                } else {
-                    sel.push(u);
-                }
-            }
-            let outcome = exec_shard(
-                db, shards[s], s, sel, &uniques, &plans, queries, opts, threads,
-            )?;
-            for (lu, &u) in outcome.sel.iter().enumerate() {
-                scores[u].extend(outcome.partials[lu].iter().map(|m| m.score));
-            }
-            outcomes[s] = Some(outcome);
-        }
-        shard_outcomes = outcomes
-            .into_iter()
-            .map(|o| o.expect("every shard visited"))
-            .collect();
-    } else {
-        let inner_threads = if nshards == 1 {
-            threads
-        } else {
-            (threads / nshards).max(1)
-        };
-        let outer_threads = threads.min(nshards).max(1);
-        let shard_runs: Vec<Result<ShardOutcome>> =
-            tale_par::parallel_map(outer_threads, nshards, |s| {
-                exec_shard(
-                    db,
-                    shards[s],
-                    s,
-                    need[s].clone(),
-                    &uniques,
-                    &plans,
-                    queries,
-                    opts,
-                    inner_threads,
-                )
-            });
-        shard_outcomes = Vec::with_capacity(nshards);
-        for r in shard_runs {
-            shard_outcomes.push(r?);
-        }
-    }
-    for (s, o) in shard_outcomes.iter_mut().enumerate() {
-        o.stats.pruned_uniques = pruned.iter().filter(|p| p[s]).count();
+        let mut outcome = exec_shard(db, *reader, s, sel, &uniques, &plans, queries, opts)?;
+        outcome.stats.pruned_uniques = pruned.iter().filter(|p| p[s]).count();
+        shard_outcomes.push(outcome);
     }
 
     // Gather + rank: store fresh partials, merge each unique's disjoint
     // shard lists, sort by (score desc, graph id asc) — a total order, so
-    // merge order is irrelevant — and truncate to top_k. Only genuinely
-    // executed partials are cached (a pruned substitute is not the
-    // shard's true pre-rank list).
+    // merge order is irrelevant — and truncate to top_k.
     let t = Instant::now();
     let mut unique_traffic: Vec<UniqueTraffic> = vec![UniqueTraffic::default(); uniques.len()];
     let mut executed_any: Vec<bool> = vec![false; uniques.len()];
@@ -525,8 +396,8 @@ pub fn run_batch(
     let shard_stats: Vec<ShardStats> = shard_outcomes.iter().map(|o| o.stats).collect();
     let stages = StageTimes {
         plan_secs,
-        // probe/match run per shard, possibly overlapped: report the summed
-        // per-shard clocks (equal to elapsed time when unsharded).
+        // probe/match run shard after shard: report the summed per-shard
+        // clocks.
         probe_secs: shard_stats.iter().map(|s| s.probe_secs).sum(),
         match_secs: shard_stats.iter().map(|s| s.match_secs).sum(),
         rank_secs,

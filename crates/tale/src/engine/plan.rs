@@ -16,20 +16,18 @@
 //! * [`prefetch_hint`](QueryPlan::prefetch_hint) — an estimated posting
 //!   count that sizes the IoPool readahead budget for this query's
 //!   probes.
-//! * [`shard_plans`](QueryPlan::shard_plans) — per-reader feasibility,
-//!   row estimates, and a similarity score upper bound supporting top-K
-//!   shard pruning (see `engine::exec` for the safety argument).
+//! * [`shard_plans`](QueryPlan::shard_plans) — per-reader feasibility
+//!   and row estimates; a reader no probe can match is pruned (see
+//!   `engine::exec` for the safety argument).
 //!
 //! In [`PlanMode::Fixed`] all of that collapses to the identity: original
 //! probe order, no hints, no shard plans — the baseline pipeline.
 
 use crate::params::{PlanMode, QueryOptions};
 use serde::Serialize;
-use std::collections::HashMap;
 use std::sync::Arc;
 use tale_graph::centrality::select_important_covering;
 use tale_graph::{Graph, GraphDb, NodeId};
-use tale_matching::similarity::BoundContext;
 use tale_nhindex::{IndexReader, IndexStatistics, NhIndex, QuerySignature};
 
 /// One reader's ("shard's") entry in a cost-mode plan.
@@ -46,9 +44,6 @@ pub struct ShardPlan {
     pub feasible_probes: usize,
     /// Estimated posting rows all probes together would visit.
     pub est_rows: u64,
-    /// Upper bound on any result score from this shard under the query's
-    /// similarity model, when the model can bound itself.
-    pub score_bound: Option<f64>,
 }
 
 /// Everything the engine derives from one query before touching the index.
@@ -113,19 +108,13 @@ pub(crate) fn plan_query(
         signatures,
     };
     if opts.plan == PlanMode::Cost {
-        cost_annotate(&mut plan, db, readers, query, opts);
+        cost_annotate(&mut plan, readers, opts);
     }
     plan
 }
 
 /// Fills the cost-mode fields of `plan` from the readers' statistics.
-fn cost_annotate(
-    plan: &mut QueryPlan,
-    db: &GraphDb,
-    readers: &[&dyn IndexReader],
-    query: &Graph,
-    opts: &QueryOptions,
-) {
+fn cost_annotate(plan: &mut QueryPlan, readers: &[&dyn IndexReader], opts: &QueryOptions) {
     let stats: Vec<Option<Arc<IndexStatistics>>> = readers.iter().map(|r| r.statistics()).collect();
     let any_stats = stats.iter().any(|s| s.is_some());
     let all_stats = stats.iter().all(|s| s.is_some());
@@ -173,16 +162,6 @@ fn cost_annotate(
         );
     }
 
-    // Query effective-label histogram for the matched-pairs bound.
-    let mut q_labels: HashMap<u32, u64> = HashMap::new();
-    for n in query.nodes() {
-        *q_labels
-            .entry(db.effective_of_raw(query.label(n)))
-            .or_insert(0) += 1;
-    }
-    let query_nodes = query.node_count();
-    let query_edges = query.edge_count();
-
     plan.shard_plans = stats
         .iter()
         .enumerate()
@@ -192,7 +171,6 @@ fn cost_annotate(
                 has_stats: false,
                 feasible_probes: plan.signatures.len(),
                 est_rows: 0,
-                score_bound: None,
             },
             Some(s) => {
                 let feasible_probes = plan
@@ -207,24 +185,11 @@ fn cost_annotate(
                     .zip(&deg_mins)
                     .map(|(sig, &dm)| s.estimate_rows(sig.label, dm))
                     .sum();
-                // Growth only pairs equal effective labels, so any single
-                // graph yields at most Σ_label min(query, shard) pairs.
-                let max_pairs: u64 = q_labels
-                    .iter()
-                    .map(|(&l, &qc)| qc.min(s.label_nodes(l)))
-                    .sum();
-                let score_bound = opts.similarity.score_upper_bound(&BoundContext {
-                    query_nodes,
-                    query_edges,
-                    max_pairs: max_pairs.min(usize::MAX as u64) as usize,
-                    min_target_size: s.min_graph_size.map(|v| v.min(usize::MAX as u64) as usize),
-                });
                 ShardPlan {
                     shard,
                     has_stats: true,
                     feasible_probes,
                     est_rows,
-                    score_bound,
                 }
             }
         })
@@ -438,15 +403,11 @@ pub fn plan_report(
             .map(|sp| PlanNode {
                 op: "shard".into(),
                 detail: format!(
-                    "shard={} {}feasible={}/{}{}",
+                    "shard={} {}feasible={}/{}",
                     sp.shard,
                     if sp.has_stats { "" } else { "no-stats " },
                     sp.feasible_probes,
                     plan.signatures.len(),
-                    match sp.score_bound {
-                        Some(b) => format!(" score_bound={b:.3}"),
-                        None => String::new(),
-                    }
                 ),
                 est_rows: sp.est_rows,
                 children: if sp.has_stats && sp.feasible_probes == 0 {

@@ -112,8 +112,8 @@ pub struct QueryStats {
     /// [`rows_examined`](QueryStats::rows_examined) to judge the cost
     /// model's calibration.
     pub est_rows: u64,
-    /// Shards the planner skipped for this query with a proof they could
-    /// not change the result (infeasible probes or top-K score bound).
+    /// Shards the planner skipped for this query because statistics prove
+    /// no probe can match there (infeasible probes).
     pub shards_pruned: usize,
     /// True when cost planning executed this query's probes in a
     /// different order than important-node selection produced.
@@ -212,9 +212,8 @@ pub struct BatchStats {
     /// Probes that actually hit the disk index (after signature dedup);
     /// `probes_requested - probes_issued` is the batch's amortization.
     pub probes_issued: u64,
-    /// `(unique query, shard)` executions the planner skipped with a
-    /// conservative proof (infeasible probes, or a top-K score bound
-    /// strictly below the query's K-th score).
+    /// `(unique query, shard)` executions the planner skipped because
+    /// statistics prove no probe can match there (infeasible probes).
     pub shards_pruned: u64,
     /// Executed unique queries whose probes ran in cost order rather than
     /// important-node order.

@@ -76,9 +76,8 @@ pub enum PlanMode {
     Fixed,
     /// Cost-based planning from per-index statistics: probes ordered by
     /// estimated selectivity, readahead sized from posting estimates,
-    /// shards skipped when statistics prove they cannot contribute
-    /// (infeasible probes, or a top-K score bound below the current
-    /// K-th score). Results are bit-identical to [`PlanMode::Fixed`] —
+    /// shards skipped when statistics prove no probe can match there.
+    /// Results are bit-identical to [`PlanMode::Fixed`] —
     /// planning only reorders and elides work whose outcome is proven.
     /// Readers without statistics degrade to the fixed behavior.
     #[default]
