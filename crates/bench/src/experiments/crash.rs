@@ -10,19 +10,18 @@
 //! reference states. A recovery that matches neither — a
 //! corrupted-but-served state — fails the row.
 //!
-//! Sweeps cover insert, remove and fold on both layouts — the single
-//! generational database (an insert appends one record to the graph log,
-//! its commit point, then flips `mvcc.json`; a fold builds a whole
-//! generation first) and the sharded one (the same, per shard) — plus
-//! the in-place compaction of the single database, which may instead
-//! leave a directory open refuses with a typed "rebuild" error (its old
-//! manifest goes first, its new one last). Only built with
+//! Sweeps cover insert, remove and fold on the database at one shard (the
+//! "single" rows) and at two (the "sharded" rows): an insert appends one
+//! record to the graph log, its commit point, then flips the owning
+//! shard's `mvcc.json`; a fold builds a whole generation per shard first.
+//! The one-shard database's in-place compaction may instead leave a
+//! directory open refuses with a typed "rebuild" error (its old
+//! `shards.json` goes first, its new one last). Only built with
 //! `--features failpoints`.
 
 use std::path::Path;
-use tale::{QueryOptions, TaleDatabase, TaleError, TaleParams};
+use tale::{HashPolicy, QueryOptions, ShardedTaleDatabase, TaleError, TaleParams};
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
-use tale_shard::{HashPolicy, ShardError, ShardedTaleDatabase};
 use tale_storage::faults;
 
 /// One mutation kind's sweep outcome.
@@ -107,67 +106,39 @@ fn copy_tree(src: &Path, dst: &Path) {
 type Answers = Vec<Vec<(GraphId, u64, usize)>>;
 
 /// What reopening a crashed directory gave.
-enum Reopened<D> {
-    Served(D),
+enum Reopened {
+    Served(ShardedTaleDatabase),
     /// Refused with the typed "rebuild" error.
     Refused,
     Failed,
 }
 
-/// The two database layouts behind one sweep.
-trait Layout: Sized {
-    /// Opens `dir` through the layout's crash-recovery path.
-    fn reopen(dir: &Path) -> Reopened<Self>;
-    fn recover(dir: &Path) -> Option<Self> {
-        match Self::reopen(dir) {
-            Reopened::Served(d) => Some(d),
-            _ => None,
-        }
-    }
-    fn query(&self, q: &Graph) -> Vec<tale::QueryMatch>;
-    /// Deep integrity check of every index file.
-    fn clean(&self) -> bool;
-}
-
-impl Layout for TaleDatabase {
-    fn reopen(dir: &Path) -> Reopened<Self> {
-        match TaleDatabase::open(dir, params().buffer_frames) {
-            Ok(d) => Reopened::Served(d),
-            Err(TaleError::Rebuild { .. }) => Reopened::Refused,
-            Err(_) => Reopened::Failed,
-        }
-    }
-    fn query(&self, q: &Graph) -> Vec<tale::QueryMatch> {
-        TaleDatabase::query(self, q, &opts()).unwrap()
-    }
-    fn clean(&self) -> bool {
-        self.index().verify().is_ok_and(|r| r.is_ok())
+/// Opens `dir` through the crash-recovery path.
+fn reopen(dir: &Path) -> Reopened {
+    match ShardedTaleDatabase::open(dir, params().buffer_frames) {
+        Ok(d) => Reopened::Served(d),
+        Err(TaleError::Rebuild { .. }) => Reopened::Refused,
+        Err(_) => Reopened::Failed,
     }
 }
 
-impl Layout for ShardedTaleDatabase {
-    fn reopen(dir: &Path) -> Reopened<Self> {
-        match ShardedTaleDatabase::open(dir, params().buffer_frames) {
-            Ok(d) => Reopened::Served(d),
-            Err(ShardError::Tale(TaleError::Rebuild { .. })) => Reopened::Refused,
-            Err(_) => Reopened::Failed,
-        }
-    }
-    fn query(&self, q: &Graph) -> Vec<tale::QueryMatch> {
-        ShardedTaleDatabase::query(self, q, &opts()).unwrap()
-    }
-    fn clean(&self) -> bool {
-        self.index()
-            .verify()
-            .is_ok_and(|rs| rs.iter().all(|r| r.is_ok()))
-    }
+fn recover(dir: &Path) -> ShardedTaleDatabase {
+    ShardedTaleDatabase::open(dir, params().buffer_frames).unwrap()
 }
 
-fn answers<D: Layout>(db: &D, queries: &[Graph]) -> Answers {
+/// Deep integrity check of every index file.
+fn clean(db: &ShardedTaleDatabase) -> bool {
+    db.index()
+        .verify()
+        .is_ok_and(|rs| rs.iter().all(|r| r.is_ok()))
+}
+
+fn answers(db: &ShardedTaleDatabase, queries: &[Graph]) -> Answers {
     queries
         .iter()
         .map(|q| {
-            db.query(q)
+            db.query(q, &opts())
+                .unwrap()
                 .into_iter()
                 .map(|m| (m.graph, m.score.to_bits(), m.matched_nodes))
                 .collect()
@@ -179,30 +150,30 @@ fn answers<D: Layout>(db: &D, queries: &[Graph]) -> Answers {
 /// open database (dropping it is the process exit) and returns whether
 /// the mutation succeeded; the post state is what reopens after a clean
 /// run. A typed "rebuild" refusal passes only when `may_refuse`.
-fn sweep<D: Layout>(
+fn sweep(
     pre: &Path,
     scratch: &Path,
     queries: &[Graph],
     name: &str,
     may_refuse: bool,
-    mutate: impl Fn(D) -> bool,
+    mutate: impl Fn(ShardedTaleDatabase) -> bool,
 ) -> CrashRow {
-    let pre_db = D::recover(pre).unwrap();
+    let pre_db = recover(pre);
     let pre_answers = answers(&pre_db, queries);
     drop(pre_db);
 
     let post_dir = scratch.join("post");
     copy_tree(pre, &post_dir);
     assert!(
-        mutate(D::recover(&post_dir).unwrap()),
+        mutate(recover(&post_dir)),
         "{name}: the clean mutation failed"
     );
-    let post_answers = answers(&D::recover(&post_dir).unwrap(), queries);
+    let post_answers = answers(&recover(&post_dir), queries);
     std::fs::remove_dir_all(&post_dir).unwrap();
 
     let count_dir = scratch.join("count");
     copy_tree(pre, &count_dir);
-    let counted = D::recover(&count_dir).unwrap();
+    let counted = recover(&count_dir);
     faults::arm_counting();
     assert!(mutate(counted), "{name}: the counted mutation failed");
     let n = faults::disarm();
@@ -219,11 +190,11 @@ fn sweep<D: Layout>(
     for i in 0..n {
         let work = scratch.join(format!("fault-{i}"));
         copy_tree(pre, &work);
-        let db = D::recover(&work).unwrap();
+        let db = recover(&work);
         faults::arm(i);
         let crashed = !mutate(db);
         faults::disarm();
-        let recovered = match D::reopen(&work) {
+        let recovered = match reopen(&work) {
             Reopened::Served(d) => d,
             Reopened::Refused => {
                 row.refused += 1;
@@ -237,7 +208,7 @@ fn sweep<D: Layout>(
             }
         };
         let got = answers(&recovered, queries);
-        let clean = recovered.clean();
+        let clean = clean(&recovered);
         // A fold leaves the answers alone, so both sides match: count it
         // with the rollbacks unless the mutation went through.
         if got == pre_answers && clean && crashed {
@@ -254,63 +225,22 @@ fn sweep<D: Layout>(
 }
 
 /// Runs the full crash-safety sweep: insert, remove and fold on the
-/// single generational database and on a two-shard one, and the single
-/// database's in-place compaction. Returns one row per mutation;
-/// `identical` must be true on every row.
+/// database at one shard ("single") and at two ("sharded"), and the
+/// one-shard database's in-place compaction. Returns one row per
+/// mutation; `identical` must be true on every row.
 pub fn run_crash() -> Vec<CrashRow> {
     let (db, graphs, fodder) = corpus();
     let mut queries = graphs;
     queries.push(fodder.clone());
     let mut rows = Vec::new();
 
-    // Each layout's pre state already holds one unfolded insert and one
-    // tombstone, so the fold row has real work to do.
-    {
-        let scratch = tempfile::tempdir().unwrap();
-        let pre = scratch.path().join("pre");
-        let built = TaleDatabase::build(db.clone(), &pre, &params()).unwrap();
-        built.insert_graph("early", fodder.clone()).unwrap();
-        built.remove_graph(GraphId(1)).unwrap();
-        drop(built);
-        let dir = scratch.path();
-        rows.push(sweep(
-            &pre,
-            dir,
-            &queries,
-            "single insert_graph",
-            false,
-            |d: TaleDatabase| d.insert_graph("late", fodder.clone()).is_ok(),
-        ));
-        rows.push(sweep(
-            &pre,
-            dir,
-            &queries,
-            "single remove_graph",
-            false,
-            |d: TaleDatabase| d.remove_graph(GraphId(0)).is_ok(),
-        ));
-        rows.push(sweep(
-            &pre,
-            dir,
-            &queries,
-            "single fold",
-            false,
-            |d: TaleDatabase| d.fold().is_ok(),
-        ));
-        rows.push(sweep(
-            &pre,
-            dir,
-            &queries,
-            "single compact",
-            true,
-            |d: TaleDatabase| d.compact(&params()).is_ok(),
-        ));
-    }
-    {
+    // Each pre state already holds one unfolded insert and one tombstone,
+    // so the fold row has real work to do.
+    for (nshards, layout) in [(1, "single"), (2, "sharded")] {
         let scratch = tempfile::tempdir().unwrap();
         let pre = scratch.path().join("pre");
         let mut built =
-            ShardedTaleDatabase::build(db.clone(), &pre, &params(), 2, &HashPolicy).unwrap();
+            ShardedTaleDatabase::build(db.clone(), &pre, &params(), nshards, &HashPolicy).unwrap();
         built.insert_graph("early", fodder.clone()).unwrap();
         built.remove_graph(GraphId(1)).unwrap();
         drop(built);
@@ -319,26 +249,31 @@ pub fn run_crash() -> Vec<CrashRow> {
             &pre,
             dir,
             &queries,
-            "sharded insert_graph",
+            &format!("{layout} insert_graph"),
             false,
-            |mut d: ShardedTaleDatabase| d.insert_graph("late", fodder.clone()).is_ok(),
+            |mut d| d.insert_graph("late", fodder.clone()).is_ok(),
         ));
         rows.push(sweep(
             &pre,
             dir,
             &queries,
-            "sharded remove_graph",
+            &format!("{layout} remove_graph"),
             false,
-            |mut d: ShardedTaleDatabase| d.remove_graph(GraphId(0)).is_ok(),
+            |mut d| d.remove_graph(GraphId(0)).is_ok(),
         ));
         rows.push(sweep(
             &pre,
             dir,
             &queries,
-            "sharded fold",
+            &format!("{layout} fold"),
             false,
-            |mut d: ShardedTaleDatabase| d.fold().is_ok(),
+            |mut d| d.fold().is_ok(),
         ));
+        if nshards == 1 {
+            rows.push(sweep(&pre, dir, &queries, "single compact", true, |d| {
+                d.compact(&params()).is_ok()
+            }));
+        }
     }
     rows
 }

@@ -28,26 +28,23 @@
 //! Queries take the *first* graph in the file; its label names are mapped
 //! into the database vocabulary (unknown labels simply never match).
 //!
-//! `build --shards N` writes the partitioned layout (`shards.json` +
-//! `shard-NNN/` directories, see `tale_shard`); every other command
-//! detects the layout from the manifest and works on both. Sharded query
-//! results are bit-identical to the single-index answer.
+//! Every directory has one layout: `shards.json` + `shard-NNN/` index
+//! directories beside the graph store (see `tale::ShardedTaleDatabase`).
+//! `build` writes one shard unless `--shards N` asks for more, and every
+//! other command reads the shard count from `shards.json`. Query results
+//! are bit-identical at every shard count.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use tale::{
-    CTreeStyle, ImportanceMeasure, MatchedNodesEdges, PlanMode, QualitySum, QueryMatch,
-    QueryOptions, QueryStats, ShardStats, TaleDatabase, TaleParams,
+    policy_by_name, CTreeStyle, ImportanceMeasure, MatchedNodesEdges, PlanMode, QualitySum,
+    QueryOptions, ShardStats, ShardedTaleDatabase, TaleParams,
 };
 use tale_graph::labels::NodeLabel;
-use tale_graph::{Graph, GraphDb, GraphId, NodeId};
-use tale_nhindex::{
-    GenerationalNhIndex, IndexReader, IndexStatistics, NeighborArrayScheme, NodeCandidate,
-    ProbeStats, QuerySignature,
-};
+use tale_graph::{Graph, GraphDb};
+use tale_nhindex::{GenerationalNhIndex, IndexReader, IndexStatistics};
 use tale_server::wire;
-use tale_shard::{policy_by_name, ShardManifest, ShardedTaleDatabase};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,8 +98,9 @@ usage:
 measures: degree (default) | closeness | betweenness | eigenvector | random
 models:   quality (default) | nodes-edges | ctree
 threads:  0 = one per core (default); 1 = serial; N = worker cap
-shards:   partition the index across N independent NH-Index shards;
-          queries scatter/gather and return bit-identical results
+shards:   partition the index across N independent NH-Index shards
+          (default 1); queries scatter/gather and return bit-identical
+          results at every N
 plan:     cost (default) plans from per-index statistics — selectivity-
           ordered probes, readahead budgets, provably-safe shard pruning;
           fixed runs the baseline pipeline. Results are bit-identical.
@@ -119,12 +117,11 @@ no-cache: bypass the query-result cache for this run
 pool-pages: buffer-pool frames per index page file (8 KiB each); small
           values exercise the larger-than-RAM read path. Results are
           identical at every setting — only latency changes.
-generations: show the generational index's on-disk generations, pinned
-          readers, unfolded delta size and tombstone count — per shard
-          on a sharded layout
+generations: show each shard's on-disk generations, pinned readers,
+          unfolded delta size and tombstone count
 fold:     build the in-memory delta + tombstones into a fresh on-disk
           generation and atomically flip to it (readers never block);
-          every shard of a sharded layout folds in turn
+          every shard folds in turn
 server-stats: fetch a running tale-server's counters (worker or
           frontend) over the wire and pretty-print them; --json dumps
           the raw snapshot
@@ -133,206 +130,38 @@ health:   fetch a running tale-server's health view — liveness, load,
           circuit-breaker state; --json dumps the raw response
 ";
 
-/// A database handle that is either a single-index [`TaleDatabase`] or a
-/// [`ShardedTaleDatabase`], detected from the `shards.json` manifest.
-/// Every subcommand works on both.
-enum AnyDb {
-    Single(TaleDatabase),
-    Sharded(ShardedTaleDatabase),
+/// Opens a database directory with `buffer_frames` pool frames per
+/// shard page file.
+fn open(dir: &str, buffer_frames: usize) -> Result<ShardedTaleDatabase, String> {
+    ShardedTaleDatabase::open(Path::new(dir), buffer_frames).map_err(|e| e.to_string())
 }
 
-/// A borrowed-or-shared view of the graph store: the generational
-/// database hands out an `Arc` snapshot (readers never block its
-/// writers), the sharded one a plain reference. `Deref` makes both read
-/// like `&GraphDb`.
-enum DbRef<'a> {
-    Shared(Arc<GraphDb>),
-    Borrowed(&'a GraphDb),
+/// The shards' generational indexes with their display names.
+fn shards(t: &ShardedTaleDatabase) -> impl Iterator<Item = (String, &GenerationalNhIndex)> {
+    let index = t.index();
+    index
+        .ids()
+        .zip(index.shards())
+        .map(|(s, idx)| (format!("shard {s}"), idx))
 }
 
-impl std::ops::Deref for DbRef<'_> {
-    type Target = GraphDb;
-    fn deref(&self) -> &GraphDb {
-        match self {
-            DbRef::Shared(a) => a,
-            DbRef::Borrowed(r) => r,
+/// Live per-unit index statistics: each shard's pinned base generation,
+/// plus its delta overlay when that holds anything. `None` marks a unit
+/// whose index predates the statistics file (the planner falls back to
+/// fixed behavior there).
+fn statistics_units(t: &ShardedTaleDatabase) -> Vec<(String, Option<Arc<IndexStatistics>>)> {
+    let mut units = Vec::new();
+    for (name, index) in shards(t) {
+        let snap = index.snapshot();
+        units.push((
+            format!("{name} g{}", snap.base_generation()),
+            snap.base_reader().statistics(),
+        ));
+        if snap.delta_graphs() > 0 {
+            units.push((format!("{name} delta"), snap.delta_reader().statistics()));
         }
     }
-}
-
-impl AnyDb {
-    fn open(dir: &Path, buffer_frames: usize) -> Result<Self, String> {
-        if ShardManifest::exists(dir) {
-            ShardedTaleDatabase::open(dir, buffer_frames)
-                .map(AnyDb::Sharded)
-                .map_err(|e| e.to_string())
-        } else {
-            TaleDatabase::open(dir, buffer_frames)
-                .map(AnyDb::Single)
-                .map_err(|e| e.to_string())
-        }
-    }
-
-    fn db(&self) -> DbRef<'_> {
-        match self {
-            AnyDb::Single(t) => DbRef::Shared(t.db()),
-            AnyDb::Sharded(t) => DbRef::Borrowed(t.db()),
-        }
-    }
-
-    fn index_size_bytes(&self) -> u64 {
-        self.indexes().iter().map(|(_, i)| i.size_bytes()).sum()
-    }
-
-    fn key_count(&self) -> u64 {
-        self.indexes().iter().map(|(_, i)| i.key_count()).sum()
-    }
-
-    fn node_count(&self) -> u64 {
-        self.indexes().iter().map(|(_, i)| i.node_count()).sum()
-    }
-
-    /// The neighbor-array scheme: all indexes of one database share it
-    /// (derived from the full vocabulary at build time, kept by folds).
-    fn scheme(&self) -> NeighborArrayScheme {
-        self.indexes()[0].1.scheme()
-    }
-
-    fn signature(
-        &self,
-        g: &Graph,
-        node: NodeId,
-        label_of: &dyn Fn(NodeId) -> u32,
-    ) -> QuerySignature {
-        self.indexes()[0].1.signature(g, node, label_of)
-    }
-
-    /// Probes every index with one signature and merges (each answers
-    /// from its base generation plus its delta overlay). Hits are
-    /// disjoint across indexes; counters sum.
-    fn probe_with_stats(
-        &self,
-        sig: &QuerySignature,
-        rho: f64,
-    ) -> Result<(Vec<NodeCandidate>, ProbeStats), String> {
-        let mut hits = Vec::new();
-        let mut total = ProbeStats::default();
-        for (_, index) in self.indexes() {
-            let mut res = IndexReader::probe_batch(index, std::slice::from_ref(sig), rho, 1)
-                .map_err(|e| e.to_string())?;
-            let (h, st) = res.remove(0);
-            hits.extend(h);
-            total.keys_scanned += st.keys_scanned;
-            total.postings_fetched += st.postings_fetched;
-            total.postings_filtered += st.postings_filtered;
-            total.rows_examined += st.rows_examined;
-            total.rows_returned += st.rows_returned;
-        }
-        Ok((hits, total))
-    }
-
-    /// The cost-based plan report for one query, without executing it.
-    fn explain(&self, query: &Graph, opts: &QueryOptions) -> tale::PlanReport {
-        match self {
-            AnyDb::Single(t) => t.explain(query, opts),
-            AnyDb::Sharded(t) => t.explain(query, opts),
-        }
-    }
-
-    /// The generational indexes behind this handle with their display
-    /// names: `index` for the single layout, `shard N` per shard.
-    fn indexes(&self) -> Vec<(String, &GenerationalNhIndex)> {
-        match self {
-            AnyDb::Single(t) => vec![("index".to_owned(), t.index())],
-            AnyDb::Sharded(t) => t
-                .index()
-                .shards()
-                .iter()
-                .enumerate()
-                .map(|(s, idx)| (format!("shard {s}"), idx))
-                .collect(),
-        }
-    }
-
-    /// Live per-unit index statistics: each index's pinned base
-    /// generation, plus its delta overlay when that holds anything.
-    /// `None` marks a unit whose index predates the statistics file (the
-    /// planner falls back to fixed behavior there).
-    fn statistics_units(&self) -> Vec<(String, Option<Arc<IndexStatistics>>)> {
-        let mut units = Vec::new();
-        for (name, index) in self.indexes() {
-            let snap = index.snapshot();
-            units.push((
-                format!("{name} g{}", snap.base_generation()),
-                snap.base_reader().statistics(),
-            ));
-            if snap.delta_graphs() > 0 {
-                units.push((format!("{name} delta"), snap.delta_reader().statistics()));
-            }
-        }
-        units
-    }
-
-    /// Folds every index; one `(name, report)` row each.
-    fn fold(&mut self) -> Result<Vec<(String, tale_nhindex::FoldReport)>, String> {
-        match self {
-            AnyDb::Single(t) => Ok(vec![(
-                "index".to_owned(),
-                t.fold().map_err(|e| e.to_string())?,
-            )]),
-            AnyDb::Sharded(t) => Ok(t
-                .fold()
-                .map_err(|e| e.to_string())?
-                .into_iter()
-                .enumerate()
-                .map(|(s, r)| (format!("shard {s}"), r))
-                .collect()),
-        }
-    }
-
-    fn insert_graph(&mut self, name: String, g: Graph) -> Result<GraphId, String> {
-        match self {
-            AnyDb::Single(t) => t.insert_graph(name, g).map_err(|e| e.to_string()),
-            AnyDb::Sharded(t) => t.insert_graph(name, g).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn intern_node_label(&mut self, name: &str) -> NodeLabel {
-        match self {
-            AnyDb::Single(t) => t.intern_node_label(name),
-            AnyDb::Sharded(t) => t.intern_node_label(name),
-        }
-    }
-
-    /// One query through the engine, returning its per-query stats plus
-    /// the per-shard breakdown and skew from the batch layer.
-    #[allow(clippy::type_complexity)]
-    fn query_with_stats(
-        &self,
-        query: &Graph,
-        opts: &QueryOptions,
-    ) -> Result<(Vec<QueryMatch>, QueryStats, Vec<ShardStats>, f64), String> {
-        let (mut outputs, mut batch) = match self {
-            AnyDb::Single(t) => t.query_batch_with_stats(&[query], opts),
-            AnyDb::Sharded(t) => {
-                return t
-                    .query_batch_with_stats(&[query], opts)
-                    .map(|(mut o, mut b)| {
-                        let skew = b.shard_skew();
-                        (o.remove(0), b.per_query.remove(0), b.shards, skew)
-                    })
-                    .map_err(|e| e.to_string())
-            }
-        }
-        .map_err(|e| e.to_string())?;
-        let skew = batch.shard_skew();
-        Ok((
-            outputs.remove(0),
-            batch.per_query.remove(0),
-            batch.shards,
-            skew,
-        ))
-    }
+    units
 }
 
 /// Positional arguments and `--flag value` pairs.
@@ -407,7 +236,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         return Err(format!("build needs <graphs> <index-dir>\n{USAGE}"));
     };
     let mut params = TaleParams::default();
-    let mut shards: Option<usize> = None;
+    let mut nshards = 1;
     let mut policy_name = "hash";
     for (name, v) in flags {
         match name {
@@ -418,7 +247,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
                 if n == 0 {
                     return Err("--shards must be >= 1".into());
                 }
-                shards = Some(n);
+                nshards = n;
             }
             "policy" => policy_name = v,
             other => return Err(format!("unknown flag --{other}")),
@@ -429,49 +258,37 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let db = load_db(Path::new(input))?;
     let (graphs, nodes, edges) = (db.len(), db.total_nodes(), db.total_edges());
     let start = std::time::Instant::now();
-    if let Some(nshards) = shards {
-        let (tale, build) = ShardedTaleDatabase::build_with_stats(
-            db,
-            Path::new(dir),
-            &params,
-            nshards,
-            policy.as_ref(),
-        )
-        .map_err(|e| e.to_string())?;
+    let (tale, build) = ShardedTaleDatabase::build_with_stats(
+        db,
+        Path::new(dir),
+        &params,
+        nshards,
+        policy.as_ref(),
+    )
+    .map_err(|e| e.to_string())?;
+    println!(
+        "indexed {graphs} graphs ({nodes} nodes, {edges} edges) in {:.2}s \
+         across {nshards} shard{} ({policy_name} placement, build skew {:.2})",
+        start.elapsed().as_secs_f64(),
+        if nshards == 1 { "" } else { "s" },
+        build.skew()
+    );
+    for (s, (&g, &n)) in build
+        .graphs_per_shard
+        .iter()
+        .zip(&build.nodes_per_shard)
+        .enumerate()
+    {
         println!(
-            "indexed {graphs} graphs ({nodes} nodes, {edges} edges) in {:.2}s \
-             across {nshards} shards ({policy_name} placement, build skew {:.2})",
-            start.elapsed().as_secs_f64(),
-            build.skew()
-        );
-        for (s, (&g, &n)) in build
-            .graphs_per_shard
-            .iter()
-            .zip(&build.nodes_per_shard)
-            .enumerate()
-        {
-            println!(
-                "  shard {s:>3}: {g} graphs, {n} nodes, built in {:.3}s",
-                build.per_shard_secs[s]
-            );
-        }
-        println!(
-            "index: {} keys, {} bytes at {dir}",
-            tale.index().key_count(),
-            tale.index_size_bytes()
-        );
-    } else {
-        let tale = TaleDatabase::build(db, Path::new(dir), &params).map_err(|e| e.to_string())?;
-        println!(
-            "indexed {graphs} graphs ({nodes} nodes, {edges} edges) in {:.2}s",
-            start.elapsed().as_secs_f64()
-        );
-        println!(
-            "index: {} distinct keys, {} bytes at {dir}",
-            tale.index().key_count(),
-            tale.index_size_bytes()
+            "  shard {s:>3}: {g} graphs, {n} nodes, built in {:.3}s",
+            build.per_shard_secs[s]
         );
     }
+    println!(
+        "index: {} keys, {} bytes at {dir}",
+        tale.index().key_count(),
+        tale.index_size_bytes()
+    );
     Ok(())
 }
 
@@ -481,7 +298,7 @@ fn cmd_add(args: &[String]) -> Result<(), String> {
         return Err(format!("add needs <index-dir> <graphs>\n{USAGE}"));
     };
     let pool_pages = pool_pages_only(&flags, 4096)?;
-    let mut tale = AnyDb::open(Path::new(dir), pool_pages)?;
+    let mut tale = open(dir, pool_pages)?;
     let incoming = load_db(Path::new(input))?;
     let mut added = 0;
     for (gid, name, src) in incoming.iter() {
@@ -500,13 +317,14 @@ fn cmd_add(args: &[String]) -> Result<(), String> {
         for (u, v, _) in src.edges() {
             g.add_edge(u, v).map_err(|e| e.to_string())?;
         }
-        tale.insert_graph(name.to_owned(), g)?;
+        tale.insert_graph(name.to_owned(), g)
+            .map_err(|e| e.to_string())?;
         added += 1;
     }
     println!(
         "added {added} graphs; index now covers {} graphs / {} nodes",
         tale.db().len(),
-        tale.node_count()
+        tale.index().node_count()
     );
     Ok(())
 }
@@ -536,8 +354,9 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown flag --{other}")),
         }
     }
-    let tale = AnyDb::open(Path::new(dir), pool_pages)?;
-    let units = tale.statistics_units();
+    let tale = open(dir, pool_pages)?;
+    let units = statistics_units(&tale);
+    let manifest = tale.index().manifest();
     if json {
         #[derive(serde::Serialize)]
         struct UnitDump {
@@ -552,26 +371,19 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             node_labels: usize,
             index_keys: u64,
             index_bytes: u64,
-            shard_count: Option<u32>,
-            policy: Option<String>,
+            shard_count: u32,
+            policy: String,
             units: Vec<UnitDump>,
         }
-        let (shard_count, policy) = match &tale {
-            AnyDb::Sharded(t) => {
-                let m = t.index().manifest();
-                (Some(m.shard_count), Some(m.policy.clone()))
-            }
-            AnyDb::Single(_) => (None, None),
-        };
         let dump = StatsDump {
             graphs: tale.db().len(),
             nodes: tale.db().total_nodes(),
             edges: tale.db().total_edges(),
             node_labels: tale.db().node_vocab().len(),
-            index_keys: tale.key_count(),
+            index_keys: tale.index().key_count(),
             index_bytes: tale.index_size_bytes(),
-            shard_count,
-            policy,
+            shard_count: manifest.shard_count,
+            policy: manifest.policy.clone(),
             units: units
                 .iter()
                 .map(|(name, st)| UnitDump {
@@ -594,26 +406,24 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         "group labels     : {}",
         if tale.db().has_groups() { "yes" } else { "no" }
     );
-    println!("index keys       : {}", tale.key_count());
+    println!("index keys       : {}", tale.index().key_count());
     println!("index bytes      : {}", tale.index_size_bytes());
-    if let AnyDb::Sharded(t) = &tale {
-        let m = t.index().manifest();
+    println!(
+        "shards           : {} ({} placement)",
+        manifest.shard_count, manifest.policy
+    );
+    for (s, idx) in tale.index().ids().zip(tale.index().shards()) {
         println!(
-            "shards           : {} ({} placement)",
-            m.shard_count, m.policy
+            "  shard {s:>3}: {} graphs, {} indexed nodes, {} keys, {} bytes",
+            manifest.graphs_of(s).len(),
+            idx.node_count(),
+            idx.key_count(),
+            idx.size_bytes()
         );
-        for s in 0..m.shard_count {
-            let idx = &t.index().shards()[s as usize];
-            println!(
-                "  shard {s:>3}: {} graphs, {} indexed nodes, {} keys, {} bytes",
-                m.graphs_of(s).len(),
-                idx.node_count(),
-                idx.key_count(),
-                idx.size_bytes()
-            );
-        }
     }
-    let s = tale.scheme();
+    // every shard shares one scheme (derived from the full vocabulary at
+    // build time, kept by folds)
+    let s = tale.index().shards()[0].scheme();
     println!(
         "neighbor arrays  : Sbit={} ({})",
         s.sbit,
@@ -698,12 +508,12 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown flag --{other}")),
         }
     }
-    let tale = AnyDb::open(Path::new(dir), pool_pages)?;
+    let tale = open(dir, pool_pages)?;
     let qdb = load_db(&PathBuf::from(query_path))?;
     if qdb.is_empty() {
         return Err("query file holds no graphs".into());
     }
-    let query = remap_query(&qdb, &tale.db());
+    let query = remap_query(&qdb, tale.db());
     let report = tale.explain(&query, &opts);
     if json {
         println!(
@@ -760,16 +570,21 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let tale = AnyDb::open(Path::new(dir), pool_pages)?;
+    let tale = open(dir, pool_pages)?;
     let qdb = load_db(&PathBuf::from(query_path))?;
     if qdb.is_empty() {
         return Err("query file holds no graphs".into());
     }
-    let query = remap_query(&qdb, &tale.db());
+    let query = remap_query(&qdb, tale.db());
     let plan_report = want_explain.then(|| tale.explain(&query, &opts));
 
     let start = std::time::Instant::now();
-    let (results, stats, shard_stats, skew) = tale.query_with_stats(&query, &opts)?;
+    let (mut outputs, mut batch) = tale
+        .query_batch_with_stats(&[&query], &opts)
+        .map_err(|e| e.to_string())?;
+    let skew = batch.shard_skew();
+    let (results, stats, shard_stats) =
+        (outputs.remove(0), batch.per_query.remove(0), batch.shards);
     let secs = start.elapsed().as_secs_f64();
     if json {
         #[derive(serde::Serialize)]
@@ -892,39 +707,26 @@ fn print_query_stats(s: &tale::QueryStats) {
 
 /// Deep integrity check: reads every page of every index file (checksums
 /// verify on each read), walks the B+-tree checking key ordering and
-/// structure, and decodes every posting — per shard when sharded. Any
-/// corruption exits nonzero with a per-shard report.
+/// structure, and decodes every posting — per shard. Any corruption
+/// exits nonzero with a per-shard report.
 fn cmd_verify(args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_args(args)?;
     let [dir] = pos.as_slice() else {
         return Err(format!("verify needs <index-dir>\n{USAGE}"));
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
-    let tale = AnyDb::open(Path::new(dir), pool_pages)?;
+    let tale = open(dir, pool_pages)?;
     // consistency: index node count equals database node count minus
     // tombstoned graphs' nodes (we can't see tombstones here, so ≤)
     let db_nodes = tale.db().total_nodes() as u64;
-    let idx_nodes = tale.node_count();
+    let idx_nodes = tale.index().node_count();
     if idx_nodes > db_nodes {
         return Err(format!(
             "index claims {idx_nodes} nodes but the database holds {db_nodes}"
         ));
     }
-    // labeled per-shard reports; the single index reports as one shard
-    let reports: Vec<(String, tale_nhindex::IntegrityReport)> = match &tale {
-        AnyDb::Single(t) => vec![(
-            "index".to_owned(),
-            t.index().verify().map_err(|e| e.to_string())?,
-        )],
-        AnyDb::Sharded(t) => t
-            .index()
-            .verify()
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .enumerate()
-            .map(|(s, r)| (format!("shard {s}"), r))
-            .collect(),
-    };
+    let reports = tale.index().verify().map_err(|e| e.to_string())?;
+    let reports: Vec<_> = shards(&tale).map(|(who, _)| who).zip(reports).collect();
     let mut corrupt = 0usize;
     for (who, r) in &reports {
         let status = if r.is_ok() { "ok" } else { "CORRUPT" };
@@ -947,13 +749,17 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         ));
     }
     // probe sweep on top of the physical walk: one representative
-    // signature per graph, against every shard when sharded
+    // signature per graph, against every shard (each answers from its
+    // base generation plus its delta overlay)
+    let indexes = tale.index().shards();
     let mut probed = 0u64;
     for (gid, _, g) in tale.db().iter() {
         if let Some(n) = g.nodes().next() {
-            let sig = tale.signature(g, n, &|x| tale.db().effective_label(gid, x));
-            tale.probe_with_stats(&sig, 1.0)
-                .map_err(|e| format!("probe failed for graph {}: {e}", gid.0))?;
+            let sig = indexes[0].signature(g, n, &|x| tale.db().effective_label(gid, x));
+            for index in indexes {
+                IndexReader::probe_batch(index, std::slice::from_ref(&sig), 1.0, 1)
+                    .map_err(|e| format!("probe failed for graph {}: {e}", gid.0))?;
+            }
             probed += 1;
         }
     }
@@ -962,17 +768,17 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
          {probed} probe paths verified",
         tale.db().len(),
         idx_nodes,
-        tale.key_count(),
+        tale.index().key_count(),
         tale.index_size_bytes()
     );
     Ok(())
 }
 
 /// Explicit crash recovery: opens the directory, repairing what a crash
-/// left behind, and reports what was done — the one story both layouts
-/// share: the graph log's inserts were replayed (an insert a crash cut
-/// short is a torn final record, truncated), and the generation
-/// directories of unfinished folds were swept.
+/// left behind, and reports what was done: the graph log's inserts were
+/// replayed (an insert a crash cut short is a torn final record,
+/// truncated), and the generation directories of unfinished folds were
+/// swept.
 /// Opening with any other subcommand performs the same repairs silently;
 /// this one shows them.
 fn cmd_recover(args: &[String]) -> Result<(), String> {
@@ -981,27 +787,14 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
         return Err(format!("recover needs <index-dir>\n{USAGE}"));
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
-    let dir = Path::new(dir);
-    let sharded = ShardManifest::exists(dir);
-    let rec = if sharded {
-        ShardedTaleDatabase::open_with_recovery(dir, pool_pages).map(|(_, r)| r)
-    } else {
-        TaleDatabase::open_with_recovery(dir, pool_pages)
-            .map(|(_, r)| r)
-            .map_err(tale_shard::ShardError::from)
-    }
-    .map_err(|e| e.to_string())?;
+    let (_, rec) = ShardedTaleDatabase::open_with_recovery(Path::new(dir), pool_pages)
+        .map_err(|e| e.to_string())?;
     println!(
         "graph log: {} insert(s) replayed, {} torn-tail byte(s) truncated",
         rec.log_records, rec.log_torn_bytes
     );
-    for (i, n) in rec.generations_swept.iter().enumerate() {
-        let who = if sharded {
-            format!("shard {i}")
-        } else {
-            "index".to_owned()
-        };
-        println!("{who}: {n} orphaned generation(s) swept");
+    for (s, n) in rec.generations_swept.iter().enumerate() {
+        println!("shard {s}: {n} orphaned generation(s) swept");
     }
     println!("recovered; the directory is safe to serve");
     Ok(())
@@ -1016,9 +809,9 @@ fn cmd_generations(args: &[String]) -> Result<(), String> {
         return Err(format!("generations needs <index-dir>\n{USAGE}"));
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
-    let tale = AnyDb::open(Path::new(dir), pool_pages)?;
+    let tale = open(dir, pool_pages)?;
     let mut pending = false;
-    for (name, index) in tale.indexes() {
+    for (name, index) in shards(&tale) {
         let snap = index.snapshot();
         println!("{name}:");
         println!("  logical mutations : {}", index.logical_generation());
@@ -1049,8 +842,8 @@ fn cmd_generations(args: &[String]) -> Result<(), String> {
 }
 
 /// Folds the in-memory delta and tombstone set into a new on-disk
-/// generation and atomically flips to it — every shard in turn on a
-/// sharded layout. Concurrent readers keep their pinned generation; the
+/// generation and atomically flips to it — every shard in turn.
+/// Concurrent readers keep their pinned generation; the
 /// old one is deleted when its last pin drops.
 fn cmd_fold(args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_args(args)?;
@@ -1058,11 +851,12 @@ fn cmd_fold(args: &[String]) -> Result<(), String> {
         return Err(format!("fold needs <index-dir>\n{USAGE}"));
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
-    let mut tale = AnyDb::open(Path::new(dir), pool_pages)?;
+    let mut tale = open(dir, pool_pages)?;
     let start = std::time::Instant::now();
-    for (name, report) in tale.fold()? {
+    let reports = tale.fold().map_err(|e| e.to_string())?;
+    for (s, report) in tale.index().ids().zip(reports) {
         println!(
-            "{name}: folded {} insert(s) and {} removal(s) into g{}",
+            "shard {s}: folded {} insert(s) and {} removal(s) into g{}",
             report.folded_inserts, report.folded_removes, report.new_generation
         );
     }

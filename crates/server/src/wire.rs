@@ -341,7 +341,7 @@ impl WireGraph {
 
     /// Decodes for **insertion**, interning every label name into `db`'s
     /// vocabularies (append-only, like [`GraphDb::intern_node_label`]).
-    pub fn to_inserted_graph(&self, db: &mut GraphDb) -> Result<Graph> {
+    pub fn to_inserted_graph(&self, db: &mut tale::ShardedTaleDatabase) -> Result<Graph> {
         let mut g = Graph::new(if self.directed {
             tale_graph::graph::Direction::Directed
         } else {

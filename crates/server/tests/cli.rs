@@ -179,12 +179,12 @@ fn json_output_and_verify() {
 
     let (ok, stdout, stderr) = run(&["verify", idx.to_str().unwrap()]);
     assert!(ok, "verify failed: {stderr}");
-    assert!(stdout.contains("index: ok"), "{stdout}");
+    assert!(stdout.contains("shard 0: ok"), "{stdout}");
     assert!(stdout.contains("ok:"), "{stdout}");
 
-    // verify must fail loudly on corruption (the generational layout
-    // keeps a fresh build's index under gens/g0)
-    let blob = idx.join("gens").join("g0").join("nh.blobs");
+    // verify must fail loudly on corruption (a fresh build keeps its one
+    // shard's index under shard-000/gens/g0)
+    let blob = idx.join("shard-000/gens/g0/nh.blobs");
     let mut bytes = std::fs::read(&blob).unwrap();
     for b in bytes.iter_mut().take(64) {
         *b ^= 0xFF;
@@ -331,7 +331,8 @@ fn recover_runs_on_single_and_sharded_layouts() {
     ]);
     assert!(ok);
 
-    // one story on both layouts: the graph log, then swept generations
+    // one story at every shard count: the graph log, then swept
+    // generations
     let (ok, stdout, stderr) = run(&["recover", single.to_str().unwrap()]);
     assert!(ok, "recover failed: {stderr}");
     assert!(
@@ -339,7 +340,7 @@ fn recover_runs_on_single_and_sharded_layouts() {
         "{stdout}"
     );
     assert!(
-        stdout.contains("index: 0 orphaned generation(s) swept"),
+        stdout.contains("shard 0: 0 orphaned generation(s) swept"),
         "{stdout}"
     );
     assert!(stdout.contains("safe to serve"), "{stdout}");
@@ -369,6 +370,34 @@ fn recover_runs_on_single_and_sharded_layouts() {
         "{stdout}"
     );
     assert!(!sharded.join("shard-001/gens/g1").exists());
+}
+
+/// A directory an older build wrote with its one index at the top level
+/// (`mvcc.json`, no `shards.json`) is refused with the rebuild hint, not
+/// reported as an unfinished build.
+#[test]
+fn an_old_single_index_directory_is_refused_with_a_rebuild_hint() {
+    let dir = tempfile::tempdir().unwrap();
+    let db_path = dir.path().join("db.txt");
+    let q_path = dir.path().join("q.txt");
+    let old = dir.path().join("old");
+    std::fs::write(&db_path, DB_TXT).unwrap();
+    std::fs::write(&q_path, QUERY_TXT).unwrap();
+    let db = tale_graph::io::read_text(DB_TXT.as_bytes()).unwrap();
+    std::fs::create_dir_all(&old).unwrap();
+    tale::store::GraphLog::create(&old, &db).unwrap();
+    let config = tale_nhindex::NhIndexConfig::default();
+    drop(tale_nhindex::GenerationalNhIndex::build(&old, &db, &config).unwrap());
+
+    let (ok, stdout, stderr) = run(&["query", old.to_str().unwrap(), q_path.to_str().unwrap()]);
+    assert!(!ok, "query served an old single-index directory: {stdout}");
+    assert!(stderr.contains("mvcc.json"), "{stderr}");
+    assert!(stderr.contains("single-index layout"), "{stderr}");
+    assert!(
+        stderr.contains("rebuild the directory with `tale-cli build`"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("did not finish"), "{stderr}");
 }
 
 #[test]

@@ -65,7 +65,8 @@ use std::sync::Mutex;
 use tale_graph::centrality::ImportanceMeasure;
 use tale_graph::{Graph, GraphDb, NodeId};
 
-/// Default entry budget of a [`TaleDatabase`](crate::TaleDatabase)'s cache.
+/// Default entry budget of each of a database's result caches (two per
+/// shard: base and delta).
 pub const DEFAULT_CACHE_ENTRIES: usize = 128;
 
 /// Exact query representation stored alongside each entry for
@@ -220,7 +221,7 @@ impl CacheStats {
 /// LRU result cache keyed by `(canonical signature, options fingerprint)`
 /// with exact-query verification, holding one shard's pre-rank partial
 /// match lists. Interior-mutable and thread-safe so concurrent queries
-/// through `&TaleDatabase` share it.
+/// through one `&ShardedTaleDatabase` share it.
 pub struct ResultCache {
     inner: Mutex<Inner>,
     capacity: usize,

@@ -1,8 +1,8 @@
 //! The staged query engine.
 //!
-//! [`TaleDatabase::query`](crate::TaleDatabase::query) used to be one
-//! monolithic function; it is now an explicit pipeline of stages, each in
-//! its own module, orchestrated by [`exec`]:
+//! [`ShardedTaleDatabase::query`](crate::ShardedTaleDatabase::query) used
+//! to be one monolithic function; it is now an explicit pipeline of
+//! stages, each in its own module, orchestrated by [`exec`]:
 //!
 //! 1. [`plan`] — per query: importance selection (§V-B), the NH-Index
 //!    probe signature of every important node, and a canonical

@@ -349,9 +349,9 @@ impl PlanReport {
 
 /// Builds the explain report for one query against `readers` — the
 /// same `plan_query` the executor runs, rendered instead of executed.
-/// Public so sharded front ends (`tale-shard`) can explain against their
-/// own reader sets; library users should prefer
-/// [`TaleDatabase::explain`](crate::TaleDatabase::explain).
+/// Library users should prefer
+/// [`ShardedTaleDatabase::explain`](crate::ShardedTaleDatabase::explain),
+/// its one caller.
 pub fn plan_report(
     db: &GraphDb,
     readers: &[&dyn IndexReader],

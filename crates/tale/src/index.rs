@@ -17,20 +17,24 @@
 //!
 //! Mutations are the generational ones, per shard: an insert commits as
 //! one record in the root's graph log and lands in the owning shard's
-//! delta overlay ([`commit_insert`]), a removal is a tombstone in the
-//! owning shard's manifest, and a fold builds that shard's next
-//! generation, committed by that shard's `mvcc.json` flip.
+//! delta overlay ([`ShardedNhIndex::insert_graph`]), a removal is a
+//! tombstone in the owning shard's manifest, and a fold builds that
+//! shard's next generation, committed by that shard's `mvcc.json` flip.
+//!
+//! A served worker opens only its own shard
+//! ([`ShardedTaleDatabase::open_shard`](crate::ShardedTaleDatabase::open_shard)):
+//! the handle then holds that one index and answers for its graphs alone.
 
 use crate::manifest::{vocab_fingerprint, ShardManifest, MANIFEST_FILE, MANIFEST_SCHEMA_VERSION};
 use crate::policy::{policy_by_name, ShardPolicy};
-use crate::{Result, ShardError};
+use crate::store::{self, GraphLog, Replayed};
+use crate::{Result, TaleError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
-use tale::store::{self, GraphLog, Replayed};
 use tale_graph::{Graph, GraphDb, GraphId};
 use tale_nhindex::{
-    FoldReport, GenerationalNhIndex, IntegrityReport, MvccRecovery, NhIndexConfig, ProbeCounters,
+    FoldReport, GenerationalNhIndex, IntegrityReport, MvccRecovery, NhIndexConfig, MVCC_FILE,
 };
 use tale_storage::IoPool;
 
@@ -67,14 +71,24 @@ impl ShardBuildStats {
     }
 }
 
-/// Loads a sharded root's graph store and shard map, ready to open
+/// Loads a database root's graph store and shard map, ready to open
 /// shards against: refuses a root without `shards.json`, checks every
 /// shard's recorded vocabulary fingerprint against the *base*
 /// `graphs.json` (the vocabulary the shards were built against; labels
 /// interned by later inserts travel in the log), then replays
-/// `graphs.log`, appending each record's shard to the assignment. Shared
-/// by the in-process database and the served worker.
-pub fn load_root(root: &Path) -> Result<(GraphDb, ShardManifest, GraphLog, Replayed)> {
+/// `graphs.log`, appending each record's shard to the assignment.
+///
+/// A root holding `mvcc.json` but no `shards.json` is the single-index
+/// layout of an older build, refused as [`TaleError::Rebuild`] naming it.
+pub(crate) fn load_root(root: &Path) -> Result<(GraphDb, ShardManifest, GraphLog, Replayed)> {
+    if !root.join(MANIFEST_FILE).is_file() && root.join(MVCC_FILE).is_file() {
+        return Err(TaleError::Rebuild {
+            file: MVCC_FILE.to_owned(),
+            problem: "the old single-index layout (an index at the top level and no \
+                      shards.json), which this build no longer opens"
+                .to_owned(),
+        });
+    }
     store::require(root, MANIFEST_FILE)?;
     let mut manifest = ShardManifest::load(root)?;
     let mut db = store::load_base(root)?;
@@ -84,7 +98,7 @@ pub fn load_root(root: &Path) -> Result<(GraphDb, ShardManifest, GraphLog, Repla
         match *s {
             Some(s) if s < manifest.shard_count => manifest.assignment.push(s),
             other => {
-                return Err(ShardError::Manifest(format!(
+                return Err(TaleError::Manifest(format!(
                     "graph log record {i} names shard {other:?} of {}",
                     manifest.shard_count
                 )))
@@ -100,7 +114,7 @@ fn check_vocabulary(manifest: &ShardManifest, db: &GraphDb) -> Result<()> {
     let fp = vocab_fingerprint(db);
     match manifest.vocab_fingerprints.iter().position(|&f| f != fp) {
         None => Ok(()),
-        Some(s) => Err(ShardError::Manifest(format!(
+        Some(s) => Err(TaleError::Manifest(format!(
             "shard {s} was built against a different vocabulary \
              (fingerprint {:#018x}, database has {fp:#018x})",
             manifest.vocab_fingerprints[s]
@@ -113,7 +127,7 @@ fn check_vocabulary(manifest: &ShardManifest, db: &GraphDb) -> Result<()> {
 /// layout (`nh.meta.json` at the shard's top level, no `mvcc.json`) or one
 /// carrying a stray write-ahead log — is a typed manifest error, never a
 /// misread; an index-layer failure is attributed to the shard.
-pub fn open_shard(
+fn open_shard(
     root: &Path,
     manifest: &ShardManifest,
     db: &GraphDb,
@@ -128,59 +142,23 @@ pub fn open_shard(
         .map(|f| format!("found a stray {f}"))
         .or_else(|| (!dir.join("mvcc.json").exists()).then(|| "no mvcc.json".to_owned()));
     if let Some(problem) = problem {
-        return Err(ShardError::Manifest(format!(
+        return Err(TaleError::Manifest(format!(
             "shard {s} is not a generational index directory ({problem}); \
              rebuild with `tale-cli build --shards N`"
         )));
     }
     GenerationalNhIndex::open_members(&dir, db, &manifest.graphs_of(s), config, io)
-        .map_err(|source| ShardError::Shard { shard: s, source })
-}
-
-/// The sharded insert, written once for the in-process database and the
-/// served worker: `g` becomes graph `gid` of `db` and a member of the
-/// shard that `place` names, given the new graph in a copy of `db`,
-/// together with that shard's open index. Returns `gid`.
-///
-/// Sequence, as in `TaleDatabase::insert_graph`: insert into a copy of
-/// `db` → append the graph's record, naming its shard, to the graph log
-/// (the commit point) → publish the copy as `db` and add the row to the
-/// in-memory `manifest` → the shard's delta and `mvcc.json` flip. A
-/// failure before the commit point leaves `db` and `manifest` as they
-/// were, so the next insert proceeds; after an error past it, drop the
-/// handle and reopen. `shards.json` is not rewritten: open rebuilds the
-/// assignment from its rows plus the records' shards ([`load_root`]).
-pub fn commit_insert<'a>(
-    log: &mut GraphLog,
-    db: &mut GraphDb,
-    manifest: &mut ShardManifest,
-    name: impl Into<String>,
-    g: Graph,
-    place: impl FnOnce(&GraphDb, GraphId) -> Result<(u32, &'a GenerationalNhIndex)>,
-) -> Result<GraphId> {
-    let mut next = db.clone();
-    let gid = next.insert(name, g);
-    if gid.idx() != manifest.assignment.len() {
-        return Err(ShardError::Manifest(format!(
-            "insert of graph {} but manifest maps {} graphs (ids are dense)",
-            gid.0,
-            manifest.assignment.len()
-        )));
-    }
-    let (s, shard) = place(&next, gid)?;
-    log.append(&next, gid, Some(s))?;
-    *db = next;
-    manifest.assignment.push(s);
-    shard
-        .insert_graph(db, gid)
-        .map_err(|source| ShardError::Shard { shard: s, source })?;
-    Ok(gid)
+        .map_err(|source| TaleError::Shard { shard: s, source })
 }
 
 /// A partitioned NH-Index: one independent generational index per shard
 /// plus the [`ShardManifest`] mapping graphs to shards.
 pub struct ShardedNhIndex {
+    /// The open shards, in shard order: all of them, or the one a served
+    /// worker owns.
     shards: Vec<GenerationalNhIndex>,
+    /// The shard id of `shards[0]`.
+    first: u32,
     manifest: ShardManifest,
     dir: PathBuf,
 }
@@ -215,12 +193,12 @@ impl ShardedNhIndex {
         threads: usize,
     ) -> Result<(Self, ShardBuildStats)> {
         if nshards == 0 {
-            return Err(ShardError::Manifest("shard count must be >= 1".into()));
+            return Err(TaleError::Manifest("shard count must be >= 1".into()));
         }
         std::fs::create_dir_all(dir)?;
         let assignment = policy.assign(db, nshards);
         if assignment.len() != db.len() {
-            return Err(ShardError::Manifest(format!(
+            return Err(TaleError::Manifest(format!(
                 "policy {} assigned {} graphs, database has {}",
                 policy.name(),
                 assignment.len(),
@@ -228,7 +206,7 @@ impl ShardedNhIndex {
             )));
         }
         if let Some(&bad) = assignment.iter().find(|&&s| s >= nshards as u32) {
-            return Err(ShardError::Manifest(format!(
+            return Err(TaleError::Manifest(format!(
                 "policy {} assigned shard {bad} with only {nshards} shards",
                 policy.name()
             )));
@@ -270,7 +248,7 @@ impl ShardedNhIndex {
         let mut shards = Vec::with_capacity(nshards);
         let mut per_shard_secs = Vec::with_capacity(nshards);
         for (s, r) in built.into_iter().enumerate() {
-            let (idx, secs) = r.map_err(|source| ShardError::Shard {
+            let (idx, secs) = r.map_err(|source| TaleError::Shard {
                 shard: s as u32,
                 source,
             })?;
@@ -299,6 +277,7 @@ impl ShardedNhIndex {
         Ok((
             ShardedNhIndex {
                 shards,
+                first: 0,
                 manifest,
                 dir: dir.to_owned(),
             },
@@ -314,47 +293,58 @@ impl ShardedNhIndex {
     /// shard's recorded vocabulary fingerprint is checked against it
     /// (vocabulary drift would silently corrupt probe bitmaps, so it is an
     /// error here). A database directory with inserts in its graph log
-    /// opens through [`load_root`] and [`ShardedNhIndex::open_manifest`]
+    /// opens through [`ShardedTaleDatabase`](crate::ShardedTaleDatabase)
     /// instead.
     pub fn open(dir: &Path, buffer_frames: usize, db: &GraphDb) -> Result<(Self, Vec<usize>)> {
         let manifest = ShardManifest::load(dir)?;
         check_vocabulary(&manifest, db)?;
-        Self::open_manifest(dir, buffer_frames, db, manifest)
+        let config = NhIndexConfig {
+            buffer_frames,
+            ..NhIndexConfig::default()
+        };
+        Self::open_manifest(dir, &config, db, manifest, None)
     }
 
-    /// Opens every shard of `dir` over the assignment of `manifest`.
-    /// `buffer_frames` is the page budget *per shard*. A shard that cannot
-    /// be opened fails with [`ShardError::Shard`] naming it, so a
+    /// Opens the shards of `dir` over the assignment of `manifest`: every
+    /// shard, or only shard `only`. `config` sizes each shard's pool and
+    /// the one read-path worker pool they share. A shard that cannot be
+    /// opened fails with [`TaleError::Shard`] naming it, so a
     /// partial-shard failure is distinguishable from a bad manifest;
     /// shards whose neighbor-array schemes disagree are refused (every
     /// probe signature of a run is laid out for one scheme).
-    pub fn open_manifest(
+    pub(crate) fn open_manifest(
         dir: &Path,
-        buffer_frames: usize,
+        config: &NhIndexConfig,
         db: &GraphDb,
         manifest: ShardManifest,
+        only: Option<u32>,
     ) -> Result<(Self, Vec<usize>)> {
         if manifest.assignment.len() != db.len() {
-            return Err(ShardError::Manifest(format!(
+            return Err(TaleError::Manifest(format!(
                 "manifest maps {} graphs, database has {}",
                 manifest.assignment.len(),
                 db.len()
             )));
         }
-        let config = NhIndexConfig {
-            buffer_frames,
-            ..NhIndexConfig::default()
+        let ids = match only {
+            None => 0..manifest.shard_count,
+            Some(s) if s < manifest.shard_count => s..s + 1,
+            Some(s) => {
+                return Err(TaleError::Manifest(format!(
+                    "shard {s} out of range: the layout has {} shards",
+                    manifest.shard_count
+                )))
+            }
         };
-        // One shared worker pool for every shard's read path.
-        let io = IoPool::new(config.io_workers);
-        let mut shards: Vec<GenerationalNhIndex> =
-            Vec::with_capacity(manifest.shard_count as usize);
-        let mut swept = Vec::with_capacity(manifest.shard_count as usize);
-        for s in 0..manifest.shard_count {
-            let (idx, rec) = open_shard(dir, &manifest, db, s, &config, Some(Arc::clone(&io)))?;
+        let io = (config.io_workers > 0).then(|| IoPool::new(config.io_workers));
+        let first = ids.start;
+        let mut shards: Vec<GenerationalNhIndex> = Vec::with_capacity(ids.len());
+        let mut swept = Vec::with_capacity(ids.len());
+        for s in ids {
+            let (idx, rec) = open_shard(dir, &manifest, db, s, config, io.clone())?;
             if let Some(first) = shards.first() {
                 if idx.scheme() != first.scheme() {
-                    return Err(ShardError::Manifest(format!(
+                    return Err(TaleError::Manifest(format!(
                         "shard {s} uses neighbor-array scheme {:?} but shard 0 uses {:?}; \
                          rebuild with `tale-cli build --shards N`",
                         idx.scheme(),
@@ -368,6 +358,7 @@ impl ShardedNhIndex {
         Ok((
             ShardedNhIndex {
                 shards,
+                first,
                 manifest,
                 dir: dir.to_owned(),
             },
@@ -375,32 +366,39 @@ impl ShardedNhIndex {
         ))
     }
 
-    /// Deep integrity check of every shard's current generation: page
-    /// checksums, B+-tree key ordering, and posting decodability. Returns
-    /// one report per shard, in shard order; an I/O failure while sweeping
-    /// a shard is attributed to it via [`ShardError::Shard`].
+    /// Deep integrity check of every open shard's current generation:
+    /// page checksums, B+-tree key ordering, and posting decodability.
+    /// Returns one report per shard, in shard order; an I/O failure while
+    /// sweeping a shard is attributed to it via [`TaleError::Shard`].
     pub fn verify(&self) -> Result<Vec<IntegrityReport>> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(s, sh)| {
-                sh.verify().map_err(|source| ShardError::Shard {
-                    shard: s as u32,
-                    source,
-                })
+        self.ids()
+            .zip(&self.shards)
+            .map(|(shard, sh)| {
+                sh.verify()
+                    .map_err(|source| TaleError::Shard { shard, source })
             })
             .collect()
     }
 
-    /// The shards, in shard order. The query engine pins one snapshot of
-    /// each and scatters over their base and delta readers.
+    /// The open shards, in shard order. The query engine pins one
+    /// snapshot of each and scatters over their base and delta readers.
     pub fn shards(&self) -> &[GenerationalNhIndex] {
         &self.shards
     }
 
-    /// Number of shards.
+    /// The ids of the open shards, in the order of [`ShardedNhIndex::shards`].
+    pub fn ids(&self) -> std::ops::Range<u32> {
+        self.first..self.first + self.shards.len() as u32
+    }
+
+    /// The open shard `s`, or `None` if this handle did not open it.
+    fn shard(&self, s: u32) -> Option<&GenerationalNhIndex> {
+        self.shards.get(s.checked_sub(self.first)? as usize)
+    }
+
+    /// Number of shards in the layout.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.manifest.shard_count as usize
     }
 
     /// The shard map.
@@ -419,92 +417,91 @@ impl ShardedNhIndex {
         self.manifest.shard_of(gid)
     }
 
-    /// Inserts `g` into `db` and indexes it: routes it with the build
-    /// policy and runs [`commit_insert`] through `log` against the owning
-    /// shard. Returns the new graph's id.
+    /// Inserts `g` into `db` and indexes it: `g` becomes graph `gid` of
+    /// `db` and a member of the shard the build policy routes it to (of a
+    /// handle holding one shard: that shard). Returns `gid`.
+    ///
+    /// Sequence: insert into a copy of `db` → append the graph's record,
+    /// naming its shard, to `log` (the commit point) → publish the copy as
+    /// `db` and add the row to the in-memory manifest → the shard's delta
+    /// and `mvcc.json` flip. A failure before the commit point leaves `db`
+    /// and the manifest as they were, so the next insert proceeds; after
+    /// an error past it, drop the handle and reopen. `shards.json` is not
+    /// rewritten: open rebuilds the assignment from its rows plus the
+    /// records' shards.
     pub fn insert_graph(
         &mut self,
         log: &mut GraphLog,
-        db: &mut GraphDb,
+        db: &mut Arc<GraphDb>,
         name: impl Into<String>,
         g: Graph,
     ) -> Result<GraphId> {
-        let policy = policy_by_name(&self.manifest.policy).ok_or_else(|| {
-            ShardError::Manifest(format!("unknown routing policy {:?}", self.manifest.policy))
-        })?;
-        let shards = &self.shards;
-        commit_insert(log, db, &mut self.manifest, name, g, |db, gid| {
-            let loads: Vec<u64> = shards.iter().map(GenerationalNhIndex::node_count).collect();
-            let s = policy.route(db, gid, &loads);
-            Ok((s, &shards[s as usize]))
-        })
+        let mut next = GraphDb::clone(db);
+        let gid = next.insert(name, g);
+        if gid.idx() != self.manifest.assignment.len() {
+            return Err(TaleError::Manifest(format!(
+                "insert of graph {} but manifest maps {} graphs (ids are dense)",
+                gid.0,
+                self.manifest.assignment.len()
+            )));
+        }
+        let s = if self.shards.len() == self.shard_count() {
+            let policy = policy_by_name(&self.manifest.policy).ok_or_else(|| {
+                TaleError::Manifest(format!("unknown routing policy {:?}", self.manifest.policy))
+            })?;
+            let loads: Vec<u64> = self
+                .shards
+                .iter()
+                .map(GenerationalNhIndex::node_count)
+                .collect();
+            policy.route(&next, gid, &loads)
+        } else {
+            self.first
+        };
+        log.append(&next, gid, s)?;
+        *db = Arc::new(next);
+        self.manifest.assignment.push(s);
+        self.shards[(s - self.first) as usize]
+            .insert_graph(db, gid)
+            .map_err(|source| TaleError::Shard { shard: s, source })?;
+        Ok(gid)
     }
 
     /// Logically removes a graph (a tombstone in its owning shard's
     /// manifest). Returns the owning shard.
     pub fn remove_graph(&self, gid: GraphId) -> Result<u32> {
         let s = self.shard_of(gid).ok_or_else(|| {
-            ShardError::Manifest(format!("graph {} is not in the shard map", gid.0))
+            TaleError::Manifest(format!("graph {} is not in the shard map", gid.0))
         })?;
-        self.shards[s as usize]
+        let shard = self.shard(s).ok_or_else(|| {
+            TaleError::Manifest(format!("graph {} is in shard {s}, not open here", gid.0))
+        })?;
+        shard
             .remove_graph(gid)
-            .map_err(|source| ShardError::Shard { shard: s, source })?;
+            .map_err(|source| TaleError::Shard { shard: s, source })?;
         Ok(s)
     }
 
-    /// Folds every shard's delta and tombstones into its next on-disk
-    /// generation, one shard at a time. Each shard commits on its own
-    /// manifest flip, so a crash mid-way leaves some shards folded and
+    /// Folds every open shard's delta and tombstones into its next
+    /// on-disk generation, one shard at a time. Each shard commits on its
+    /// own manifest flip, so a crash mid-way leaves some shards folded and
     /// the rest not — both answer identically.
     pub fn fold(&self, db: &GraphDb) -> Result<Vec<FoldReport>> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(s, sh)| {
-                sh.fold(db).map_err(|source| ShardError::Shard {
-                    shard: s as u32,
-                    source,
-                })
+        self.ids()
+            .zip(&self.shards)
+            .map(|(shard, sh)| {
+                sh.fold(db)
+                    .map_err(|source| TaleError::Shard { shard, source })
             })
             .collect()
     }
 
-    /// Whether `gid` has been tombstoned (unknown ids read as removed).
+    /// Whether `gid` has been tombstoned (ids of no open shard read as
+    /// removed).
     pub fn is_removed(&self, gid: GraphId) -> bool {
-        match self.shard_of(gid) {
-            Some(s) => self.shards[s as usize].is_removed(gid),
-            None => true,
-        }
-    }
-
-    /// Probe-traffic counters summed over all shards.
-    pub fn counters(&self) -> ProbeCounters {
-        let mut total = ProbeCounters::default();
-        for sh in &self.shards {
-            let c = sh.counters();
-            total.probes += c.probes;
-            total.keys_scanned += c.keys_scanned;
-            total.postings_fetched += c.postings_fetched;
-            total.postings_filtered += c.postings_filtered;
-            total.rows_examined += c.rows_examined;
-        }
-        total
-    }
-
-    /// Buffer-pool statistics summed over all shards.
-    pub fn pool_stats(&self) -> tale_storage::PoolStats {
-        self.shards
-            .iter()
-            .map(GenerationalNhIndex::pool_stats)
-            .fold(tale_storage::PoolStats::default(), |a, b| a.merged(b))
-    }
-
-    /// Readahead statistics summed over all shards.
-    pub fn prefetch_stats(&self) -> tale_storage::PrefetchStats {
-        self.shards
-            .iter()
-            .map(GenerationalNhIndex::prefetch_stats)
-            .fold(tale_storage::PrefetchStats::default(), |a, b| a.merged(b))
+        self.shard_of(gid)
+            .and_then(|s| self.shard(s))
+            .map_or(true, |sh| sh.is_removed(gid))
     }
 
     /// Total on-disk footprint over all shards' current generations, in

@@ -4,7 +4,11 @@
 //! This crate is the public face of the reproduction: build a
 //! [`TaleDatabase`] over a [`tale_graph::GraphDb`] (constructing the
 //! disk-resident NH-Index), then run approximate subgraph queries with
-//! [`TaleDatabase::query`]. The pipeline is exactly the paper's (Fig. 4):
+//! [`ShardedTaleDatabase::query`]. A `TaleDatabase` is the one-shard view
+//! of the one database implementation, [`ShardedTaleDatabase`], which
+//! partitions the index across `N` shards (`shards.json` + `shard-NNN/`)
+//! and answers bit-identically at every `N`. The pipeline is exactly the
+//! paper's (Fig. 4):
 //!
 //! 1. select the query's important nodes (top `Pimp` fraction by the
 //!    configured importance measure, degree centrality by default);
@@ -36,16 +40,24 @@
 
 mod database;
 pub mod engine;
+mod index;
+mod manifest;
 mod params;
+mod policy;
 mod result;
 mod scratch;
 pub mod store;
 
-pub use database::TaleDatabase;
+pub use database::{ShardedTaleDatabase, TaleDatabase};
 pub use engine::cache::{options_fingerprint, CacheStats, DEFAULT_CACHE_ENTRIES, PLAN_VERSION};
 pub use engine::plan::{canonical_signature, PlanNode, PlanReport, ProbeReport, ShardPlan};
 pub use engine::stats::{BatchStats, PoolDelta, QueryStats, ShardStats, StageTimes};
+pub use index::{ShardBuildStats, ShardedNhIndex};
+pub use manifest::{vocab_fingerprint, ShardManifest};
 pub use params::{PlanMode, QueryOptions, TaleParams};
+pub use policy::{
+    policy_by_name, HashPolicy, LabelClusteredPolicy, ShardPolicy, SizeBalancedPolicy,
+};
 pub use result::QueryMatch;
 pub use scratch::ScratchDir;
 pub use store::DbRecovery;
@@ -57,6 +69,19 @@ pub use tale_matching::similarity::{CTreeStyle, MatchedNodesEdges, QualitySum, S
 pub enum TaleError {
     /// Index-layer failure.
     Index(tale_nhindex::NhError),
+    /// Index-layer failure attributed to one shard, so a partial-shard
+    /// failure (one corrupt `shard-NNN/` among healthy siblings) is
+    /// diagnosable.
+    Shard {
+        /// The shard whose index failed.
+        shard: u32,
+        /// The underlying index error.
+        source: tale_nhindex::NhError,
+    },
+    /// `shards.json` missing a piece, malformed, or inconsistent with the
+    /// database — or a request it cannot serve (a shard it does not have,
+    /// a layout of the wrong shard count).
+    Manifest(String),
     /// Graph-layer failure.
     Graph(tale_graph::GraphError),
     /// Filesystem failure.
@@ -84,6 +109,8 @@ impl std::fmt::Display for TaleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TaleError::Index(e) => write!(f, "index: {e}"),
+            TaleError::Shard { shard, source } => write!(f, "shard {shard}: {source}"),
+            TaleError::Manifest(m) => write!(f, "manifest: {m}"),
             TaleError::Graph(e) => write!(f, "graph: {e}"),
             TaleError::Io(e) => write!(f, "io: {e}"),
             TaleError::Rebuild { file, problem } => write!(
@@ -101,10 +128,12 @@ impl std::fmt::Display for TaleError {
 impl std::error::Error for TaleError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TaleError::Index(e) => Some(e),
+            TaleError::Index(e) | TaleError::Shard { source: e, .. } => Some(e),
             TaleError::Graph(e) => Some(e),
             TaleError::Io(e) => Some(e),
-            TaleError::Rebuild { .. } | TaleError::CorruptLog { .. } => None,
+            TaleError::Manifest(_) | TaleError::Rebuild { .. } | TaleError::CorruptLog { .. } => {
+                None
+            }
         }
     }
 }

@@ -18,15 +18,14 @@
 //! `assignment[gid]` names the one shard whose index carries that graph's
 //! postings, and graphs inserted since take their shard from their
 //! graph-log record. It also records a per-shard fingerprint of the
-//! vocabulary each shard was built against; open ([`load_root`]) refuses
-//! to serve queries when a fingerprint disagrees with the reloaded base
-//! `graphs.json`, which catches a `graphs.json` swapped or edited behind
-//! the index's back — the sharded analogue of the single-index
-//! vocabulary drift hazard.
-//!
-//! [`load_root`]: crate::load_root
+//! vocabulary each shard was built against; open
+//! ([`ShardedTaleDatabase::open`](crate::ShardedTaleDatabase::open))
+//! refuses to serve queries when a fingerprint disagrees with the
+//! reloaded base `graphs.json`, which catches a `graphs.json` swapped or
+//! edited behind the index's back — vocabulary drift would silently
+//! corrupt probe bitmaps.
 
-use crate::{Result, ShardError};
+use crate::{Result, TaleError};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use tale_graph::{GraphDb, GraphId};
@@ -43,7 +42,7 @@ pub const MANIFEST_SCHEMA_VERSION: u32 = 2;
 /// The persisted shard map (see the module docs for the directory layout).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardManifest {
-    /// Manifest format version ([`MANIFEST_SCHEMA_VERSION`]).
+    /// Manifest format version (`MANIFEST_SCHEMA_VERSION`).
     pub schema_version: u32,
     /// Number of shards (`shard-000` .. `shard-{N-1}`).
     pub shard_count: u32,
@@ -87,7 +86,7 @@ impl ShardManifest {
     /// new manifest — never a torn one.
     pub fn save(&self, root: &Path) -> Result<()> {
         let json = serde_json::to_string_pretty(self)
-            .map_err(|e| ShardError::Manifest(format!("serialize: {e}")))?;
+            .map_err(|e| TaleError::Manifest(format!("serialize: {e}")))?;
         tale_storage::atomic::write_atomic(&root.join(MANIFEST_FILE), json.as_bytes())?;
         Ok(())
     }
@@ -97,36 +96,31 @@ impl ShardManifest {
     pub fn load(root: &Path) -> Result<ShardManifest> {
         let raw = std::fs::read_to_string(root.join(MANIFEST_FILE))?;
         let m: ShardManifest =
-            serde_json::from_str(&raw).map_err(|e| ShardError::Manifest(format!("parse: {e}")))?;
+            serde_json::from_str(&raw).map_err(|e| TaleError::Manifest(format!("parse: {e}")))?;
         if m.schema_version != MANIFEST_SCHEMA_VERSION {
-            return Err(ShardError::Manifest(format!(
+            return Err(TaleError::Manifest(format!(
                 "schema version {} (this build reads {}); \
                  rebuild with `tale-cli build --shards N`",
                 m.schema_version, MANIFEST_SCHEMA_VERSION
             )));
         }
         if m.shard_count == 0 {
-            return Err(ShardError::Manifest("shard_count is zero".into()));
+            return Err(TaleError::Manifest("shard_count is zero".into()));
         }
         if m.vocab_fingerprints.len() != m.shard_count as usize {
-            return Err(ShardError::Manifest(format!(
+            return Err(TaleError::Manifest(format!(
                 "{} fingerprints for {} shards",
                 m.vocab_fingerprints.len(),
                 m.shard_count
             )));
         }
         if let Some(&bad) = m.assignment.iter().find(|&&s| s >= m.shard_count) {
-            return Err(ShardError::Manifest(format!(
+            return Err(TaleError::Manifest(format!(
                 "assignment names shard {bad} but shard_count is {}",
                 m.shard_count
             )));
         }
         Ok(m)
-    }
-
-    /// Whether a directory holds a sharded index (manifest present).
-    pub fn exists(root: &Path) -> bool {
-        root.join(MANIFEST_FILE).is_file()
     }
 }
 
@@ -177,7 +171,6 @@ mod tests {
             vocab_fingerprints: vec![7, 7, 7],
         };
         m.save(dir.path()).unwrap();
-        assert!(ShardManifest::exists(dir.path()));
         let back = ShardManifest::load(dir.path()).unwrap();
         assert_eq!(back.shard_count, 3);
         assert_eq!(back.assignment, m.assignment);

@@ -8,8 +8,8 @@
 //!   own record, so it costs O(inserted graph), not O(database).
 //!
 //! Appending the record (written and fsynced) is an insert's **one commit
-//! point**, in both layouts. Everything after it — publishing the new
-//! database version, the owning index's delta and its `mvcc.json` flip —
+//! point**. Everything after it — publishing the new database version,
+//! the owning shard's delta and its `mvcc.json` flip —
 //! is re-derived from the store on open, because an index's unfolded
 //! members are by construction the graphs the store holds past its last
 //! build or fold. A crash before the append leaves the insert undone; at
@@ -26,8 +26,8 @@
 //! it.
 //!
 //! Rebuilding a directory in place (a build over an old one, or
-//! [`TaleDatabase::compact`](crate::TaleDatabase::compact)) first removes
-//! the index manifest ([`unpublish`]), then writes the new base and an
+//! [`ShardedTaleDatabase::compact`](crate::ShardedTaleDatabase::compact))
+//! first removes the index manifest ([`unpublish`]), then writes the new base and an
 //! empty log, then the new index with its manifest last. A crash in
 //! between leaves a directory without a manifest, which open refuses as
 //! [`TaleError::Rebuild`] — never a new index served over an old store.
@@ -47,9 +47,8 @@ pub const LOG_FILE: &str = "graphs.log";
 /// Files the retired mutation journal left in a directory mid-insert.
 const JOURNAL_FILES: [&str; 2] = ["pending.json", "graphs.json.pre"];
 
-/// What opening a database directory found and repaired — the one
-/// recovery story of both layouts ([`crate::TaleDatabase::open_with_recovery`]
-/// and its sharded counterpart).
+/// What opening a database directory found and repaired
+/// ([`crate::ShardedTaleDatabase::open_with_recovery`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct DbRecovery {
     /// Inserts replayed from `graphs.log` on top of `graphs.json`.
@@ -58,15 +57,16 @@ pub struct DbRecovery {
     /// before it committed) that were truncated away.
     pub log_torn_bytes: u64,
     /// Orphaned generation directories swept from `gens/` — unfinished
-    /// folds, or retired generations whose GC never ran — per index: one
-    /// entry for the single index, one per shard when sharded.
+    /// folds, or retired generations whose GC never ran — one entry per
+    /// open shard, in shard order.
     pub generations_swept: Vec<usize>,
 }
 
 /// The inserts a log replay applied, in order.
 #[derive(Debug, Default)]
 pub struct Replayed {
-    /// Each record's owning shard (`None` in the single-index layout).
+    /// Each record's owning shard (`None` only in logs of an older
+    /// build's single-index layout, which open refuses).
     pub shards: Vec<Option<u32>>,
     /// Bytes of a torn final record that were truncated away.
     pub torn_bytes: u64,
@@ -181,10 +181,10 @@ impl GraphLog {
 
     /// Commits the insert of graph `gid` (already the last graph of `db`)
     /// by appending its record, with the labels `db` interned since the
-    /// previous one and its owning `shard` in the sharded layout. When
-    /// this returns `Ok` the insert is durable.
-    pub fn append(&mut self, db: &GraphDb, gid: GraphId, shard: Option<u32>) -> Result<()> {
-        let record = GraphRecord::of(db, gid, self.vocab, shard);
+    /// previous one and its owning `shard`. When this returns `Ok` the
+    /// insert is durable.
+    pub fn append(&mut self, db: &GraphDb, gid: GraphId, shard: u32) -> Result<()> {
+        let record = GraphRecord::of(db, gid, self.vocab, Some(shard));
         self.log.append(&record.encode())?;
         self.vocab = vocab_of(db);
         Ok(())
@@ -216,12 +216,12 @@ mod tests {
         let mut g = Graph::new_undirected();
         g.add_node(b);
         let gid = live.insert("g1", g);
-        log.append(&live, gid, None).unwrap();
+        log.append(&live, gid, 0).unwrap();
 
         let mut back = load_base(d.path()).unwrap();
         assert_eq!(back.len(), 1);
         let (_, replayed) = GraphLog::replay(d.path(), &mut back).unwrap();
-        assert_eq!(replayed.shards, vec![None]);
+        assert_eq!(replayed.shards, vec![Some(0)]);
         assert_eq!(back.len(), 2);
         assert_eq!(back.node_vocab().get("B"), Some(b.0));
         // a rebuild starts the log over

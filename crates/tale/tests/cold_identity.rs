@@ -1,57 +1,20 @@
 //! Cold-cache identity: buffer-pool size is a performance knob, never a
 //! correctness knob. Every combination of pool size {1 frame, ~1% of the
-//! index, unbounded} × thread count {0, 4} × layout {single index,
-//! 4 shards} must answer the same query workload bit-identically to an
-//! unbounded-pool serial reference — including `query` (the singular
-//! path) and under repeated hammering of a 1-frame pool, where a single
-//! leaked pin or cross-page flush contamination would surface
-//! immediately.
+//! index, unbounded} × thread count {0, 4} × shard count {1, 4} must
+//! answer the same query workload bit-identically to the oracle (the
+//! engine run serially over one warm generational index) — including
+//! `query` (the singular path) and under repeated hammering of a 1-frame
+//! pool, where a single leaked pin or cross-page flush contamination
+//! would surface immediately.
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use tale::{QueryMatch, QueryOptions, TaleDatabase, TaleParams};
-use tale_graph::generate::{gnm, mutate, MutationRates};
-use tale_graph::{Graph, GraphDb};
-use tale_shard::{HashPolicy, ShardedTaleDatabase};
+mod common;
+
+use common::{assert_bit_identical, corpus, Oracle};
+use tale::{HashPolicy, QueryOptions, ShardedTaleDatabase, TaleDatabase, TaleParams};
+use tale_graph::Graph;
 use tale_storage::PAGE_SIZE;
 
-const LABELS: u32 = 6;
 const THREAD_COUNTS: &[usize] = &[0, 4];
-
-fn corpus(seed: u64, n_graphs: usize) -> (GraphDb, Vec<Graph>) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut db = GraphDb::new();
-    for i in 0..LABELS {
-        db.intern_node_label(&format!("L{i}"));
-    }
-    let mut originals = Vec::new();
-    for i in 0..n_graphs {
-        let g = gnm(&mut rng, 30, 60, LABELS);
-        let (noisy, _) = mutate(&mut rng, &g, &MutationRates::mild(), LABELS);
-        db.insert(format!("g{i}"), noisy);
-        originals.push(g);
-    }
-    (db, originals)
-}
-
-fn assert_bit_identical(a: &[Vec<QueryMatch>], b: &[Vec<QueryMatch>], ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: batch size");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.len(), y.len(), "{ctx}: result count for query {i}");
-        for (m, n) in x.iter().zip(y) {
-            assert_eq!(m.graph, n.graph, "{ctx}: graph order for query {i}");
-            assert_eq!(
-                m.score.to_bits(),
-                n.score.to_bits(),
-                "{ctx}: score bits for query {i} graph {:?}",
-                m.graph
-            );
-            assert_eq!(m.matched_nodes, n.matched_nodes, "{ctx}: query {i}");
-            assert_eq!(m.matched_edges, n.matched_edges, "{ctx}: query {i}");
-            assert_eq!(m.m.pairs, n.m.pairs, "{ctx}: pair list for query {i}");
-        }
-    }
-}
 
 fn base_opts() -> QueryOptions {
     QueryOptions {
@@ -68,9 +31,8 @@ fn pool_sizes(pages: usize) -> [usize; 3] {
     [1, (pages / 100).max(2), pages.max(8)]
 }
 
-/// The full grid: pool sizes × thread counts × single/sharded, each cell
-/// a *cold* open of the on-disk index, against an unbounded serial
-/// reference. Also exercises the singular `query` path per pool size.
+/// The full grid: pool sizes × thread counts × one/four shards, each cell
+/// a *cold* open of the on-disk index, against the oracle. Also exercises the singular `query` path per pool size.
 #[test]
 fn cold_identity_across_pool_sizes_threads_and_layouts() {
     let (db, originals) = corpus(61, 16);
@@ -86,11 +48,7 @@ fn cold_identity_across_pool_sizes_threads_and_layouts() {
     let shard_dir = tempfile::tempdir().unwrap();
     ShardedTaleDatabase::build(db.clone(), shard_dir.path(), &params, 4, &HashPolicy).unwrap();
 
-    let reference = {
-        let r = TaleDatabase::open(single_dir.path(), pages.max(8)).unwrap();
-        r.query_batch(&queries, &base_opts().with_threads(1))
-            .unwrap()
-    };
+    let reference = Oracle::build(db, &params).answers(&queries, &base_opts());
 
     let mut readahead_issued = 0;
     for &frames in &pool_sizes(pages) {
@@ -146,17 +104,8 @@ fn one_frame_pool_stress_keeps_identity_and_ledger() {
     let queries: Vec<&Graph> = originals.iter().collect();
 
     let dir = tempfile::tempdir().unwrap();
-    let built = TaleDatabase::build(db.clone(), dir.path(), &params).unwrap();
-    let pages = (built.index_size_bytes() as usize)
-        .div_ceil(PAGE_SIZE)
-        .max(8);
-    drop(built);
-
-    let reference = {
-        let r = TaleDatabase::open(dir.path(), pages).unwrap();
-        r.query_batch(&queries, &base_opts().with_threads(1))
-            .unwrap()
-    };
+    drop(TaleDatabase::build(db.clone(), dir.path(), &params).unwrap());
+    let reference = Oracle::build(db, &params).answers(&queries, &base_opts());
 
     let cold = TaleDatabase::open(dir.path(), 1).unwrap();
     for round in 0..4 {

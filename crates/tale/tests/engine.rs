@@ -235,7 +235,7 @@ fn remove_graph_keeps_cache_entries_and_filters_tombstones() {
     db.insert("a0", qa.clone());
     db.insert("a1", qa.clone());
     db.insert("b0", qb.clone());
-    let tale = TaleDatabase::build_in_temp(db, &TaleParams::default()).unwrap();
+    let mut tale = TaleDatabase::build_in_temp(db, &TaleParams::default()).unwrap();
     let opts = QueryOptions {
         p_imp: 0.5,
         ..Default::default()
@@ -291,7 +291,7 @@ fn remove_graph_keeps_cache_entries_and_filters_tombstones() {
 fn cache_entries_survive_insert_and_remove() {
     let (db, originals) = corpus(25, 4);
     let extra = originals[1].clone();
-    let tale = TaleDatabase::build_in_temp(db, &TaleParams::default()).unwrap();
+    let mut tale = TaleDatabase::build_in_temp(db, &TaleParams::default()).unwrap();
     let opts = QueryOptions {
         p_imp: 0.25,
         ..Default::default()

@@ -66,7 +66,7 @@ fn log_len(dir: &Path) -> usize {
 #[test]
 fn every_cut_inside_the_last_record_reopens_to_the_pre_insert_answers() {
     let dir = tempfile::tempdir().unwrap();
-    let (tale, mut queries) = build(dir.path());
+    let (mut tale, mut queries) = build(dir.path());
     let labels: Vec<_> = (0..4).map(tale_graph::NodeLabel).collect();
     tale.insert_graph("first", ring(&labels, 6, 1)).unwrap();
     let last = ring(&labels, 4, 2);
@@ -100,7 +100,7 @@ fn every_cut_inside_the_last_record_reopens_to_the_pre_insert_answers() {
 #[test]
 fn a_flipped_byte_before_the_last_record_is_a_typed_corruption() {
     let dir = tempfile::tempdir().unwrap();
-    let (tale, _) = build(dir.path());
+    let (mut tale, _) = build(dir.path());
     let labels: Vec<_> = (0..4).map(tale_graph::NodeLabel).collect();
     tale.insert_graph("first", ring(&labels, 6, 1)).unwrap();
     let first = log_len(dir.path());
@@ -130,7 +130,7 @@ fn a_directory_without_a_log_opens_unchanged() {
     drop(tale);
     // what a directory written before the log existed looks like
     assert!(!dir.path().join("graphs.log").exists());
-    let (db, rec) = TaleDatabase::open_with_recovery(dir.path(), 64).unwrap();
+    let (mut db, rec) = TaleDatabase::open_with_recovery(dir.path(), 64).unwrap();
     assert_eq!(answers(&db, &queries), want);
     assert_eq!((rec.log_records, rec.log_torn_bytes), (0, 0));
     assert!(
@@ -162,13 +162,13 @@ fn leftover_journal_files_are_refused_by_name() {
 #[test]
 fn reopening_never_replays_a_record_twice() {
     let dir = tempfile::tempdir().unwrap();
-    let (tale, queries) = build(dir.path());
+    let (mut tale, queries) = build(dir.path());
     tale.insert_graph("late", queries[1].clone()).unwrap();
     let want = answers(&tale, &queries);
     drop(tale);
     let log = std::fs::read(dir.path().join("graphs.log")).unwrap();
     for _ in 0..2 {
-        let (db, rec) = TaleDatabase::open_with_recovery(dir.path(), 64).unwrap();
+        let (mut db, rec) = TaleDatabase::open_with_recovery(dir.path(), 64).unwrap();
         assert_eq!(rec.log_records, 1);
         assert_eq!(db.db().len(), 6);
         assert_eq!(answers(&db, &queries), want);
@@ -182,7 +182,7 @@ fn reopening_never_replays_a_record_twice() {
 #[test]
 fn an_interned_label_survives_reopen_with_its_id() {
     let dir = tempfile::tempdir().unwrap();
-    let (tale, _) = build(dir.path());
+    let (mut tale, _) = build(dir.path());
     let fresh = tale.intern_node_label("FRESH");
     let isolated = tale.intern_node_label("ON-AN-ISOLATED-NODE");
     let mut g = ring(&[tale_graph::NodeLabel(0), fresh], 4, 0);

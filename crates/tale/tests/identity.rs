@@ -1,58 +1,28 @@
-//! The load-bearing contract of the sharding layer: sharded query output
-//! is **bit-identical** to the single-index answer at every shard count
-//! and every thread count — including after interleaved insert/remove/fold
-//! mutations and a reopen, and regardless of placement policy.
+//! The load-bearing contract of the database: query output is
+//! **bit-identical** to the oracle — the engine run serially over one
+//! generational index of the whole database (`common::Oracle`) — at every
+//! shard count and every thread count, including after interleaved
+//! insert/remove/fold mutations and a reopen, and regardless of placement
+//! policy.
 
+mod common;
+
+use common::{assert_bit_identical, corpus, Oracle, LABELS};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tale::{QueryMatch, QueryOptions, TaleDatabase, TaleParams};
-use tale_graph::generate::{gnm, mutate, MutationRates};
+use tale::{
+    HashPolicy, QueryOptions, ShardPolicy, ShardedTaleDatabase, SizeBalancedPolicy, TaleError,
+    TaleParams,
+};
+use tale_graph::generate::gnm;
 use tale_graph::{Graph, GraphDb};
-use tale_shard::{HashPolicy, ShardError, ShardPolicy, ShardedTaleDatabase, SizeBalancedPolicy};
 
-const LABELS: u32 = 6;
 const SHARD_COUNTS: &[usize] = &[1, 2, 4, 7];
 const THREAD_COUNTS: &[usize] = &[0, 1, 4];
 
-fn corpus(seed: u64, n_graphs: usize) -> (GraphDb, Vec<Graph>) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut db = GraphDb::new();
-    for i in 0..LABELS {
-        db.intern_node_label(&format!("L{i}"));
-    }
-    let mut originals = Vec::new();
-    for i in 0..n_graphs {
-        let g = gnm(&mut rng, 30, 60, LABELS);
-        let (noisy, _) = mutate(&mut rng, &g, &MutationRates::mild(), LABELS);
-        db.insert(format!("g{i}"), noisy);
-        originals.push(g);
-    }
-    (db, originals)
-}
-
-fn assert_bit_identical(a: &[Vec<QueryMatch>], b: &[Vec<QueryMatch>], ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: batch size");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.len(), y.len(), "{ctx}: result count for query {i}");
-        for (m, n) in x.iter().zip(y) {
-            assert_eq!(m.graph, n.graph, "{ctx}: graph order for query {i}");
-            assert_eq!(m.graph_name, n.graph_name, "{ctx}: query {i}");
-            assert_eq!(
-                m.score.to_bits(),
-                n.score.to_bits(),
-                "{ctx}: score bits for query {i} graph {:?}",
-                m.graph
-            );
-            assert_eq!(m.matched_nodes, n.matched_nodes, "{ctx}: query {i}");
-            assert_eq!(m.matched_edges, n.matched_edges, "{ctx}: query {i}");
-            assert_eq!(m.m.pairs, n.m.pairs, "{ctx}: pair list for query {i}");
-        }
-    }
-}
-
 /// The full grid: shard counts {1, 2, 4, 7} × thread counts {0, 1, 4} ×
-/// placement policies, against the unsharded reference.
+/// placement policies, against the oracle.
 #[test]
 fn sharded_equals_unsharded_across_shard_and_thread_grid() {
     let (db, originals) = corpus(41, 8);
@@ -65,10 +35,7 @@ fn sharded_equals_unsharded_across_shard_and_thread_grid() {
     }
     .with_cache(false);
 
-    let single = TaleDatabase::build_in_temp(db.clone(), &params).unwrap();
-    let reference = single
-        .query_batch(&queries, &base.clone().with_threads(1))
-        .unwrap();
+    let reference = Oracle::build(db.clone(), &params).answers(&queries, &base);
 
     let policies: [&dyn ShardPolicy; 2] = [&HashPolicy, &SizeBalancedPolicy];
     for policy in policies {
@@ -96,7 +63,7 @@ fn sharded_equals_unsharded_across_shard_and_thread_grid() {
 
 /// Identity must survive mutation: after the same interleaved
 /// insert/remove/fold sequence on both databases, every (shard count,
-/// thread count) combination still returns the unsharded answer bit for
+/// thread count) combination still returns the oracle's answer bit for
 /// bit — from the live handle and from a reopened one.
 #[test]
 fn sharded_equals_unsharded_after_interleaved_insert_remove_fold() {
@@ -113,46 +80,45 @@ fn sharded_equals_unsharded_after_interleaved_insert_remove_fold() {
     let extras: Vec<Graph> = (0..3).map(|_| gnm(&mut rng, 30, 60, LABELS)).collect();
 
     for &nshards in SHARD_COUNTS {
-        let single = TaleDatabase::build_in_temp(db.clone(), &params).unwrap();
+        let mut oracle = Oracle::build(db.clone(), &params);
         let dir = tempfile::tempdir().unwrap();
         let mut sharded =
             ShardedTaleDatabase::build(db.clone(), dir.path(), &params, nshards, &HashPolicy)
                 .unwrap();
 
-        // warm both caches, then interleave: insert, remove, insert,
+        // warm the caches, then interleave: insert, remove, insert,
         // query, remove, insert — caches must stay exactly coherent
-        let _ = single.query_batch(&queries, &opts).unwrap();
         let _ = sharded.query_batch(&queries, &opts).unwrap();
 
-        let g0 = single.insert_graph("x0", extras[0].clone()).unwrap();
+        let g0 = oracle.insert("x0", extras[0].clone());
         let s0 = sharded.insert_graph("x0", extras[0].clone()).unwrap();
         assert_eq!(g0, s0, "insertion ids must agree");
 
-        single.remove_graph(g0).unwrap();
+        oracle.remove(g0);
         sharded.remove_graph(s0).unwrap();
 
-        let g1 = single.insert_graph("x1", extras[1].clone()).unwrap();
+        let g1 = oracle.insert("x1", extras[1].clone());
         let s1 = sharded.insert_graph("x1", extras[1].clone()).unwrap();
         assert_eq!(g1, s1);
 
-        let mid_single = single.query_batch(&queries, &opts).unwrap();
+        let mid_oracle = oracle.answers(&queries, &opts);
         let mid_sharded = sharded.query_batch(&queries, &opts).unwrap();
         assert_bit_identical(
-            &mid_single,
+            &mid_oracle,
             &mid_sharded,
             &format!("shards={nshards} mid-stream"),
         );
 
-        single.remove_graph(tale_graph::GraphId(1)).unwrap();
+        oracle.remove(tale_graph::GraphId(1));
         sharded.remove_graph(tale_graph::GraphId(1)).unwrap();
-        let g2 = single.insert_graph("x2", extras[2].clone()).unwrap();
+        let g2 = oracle.insert("x2", extras[2].clone());
         let s2 = sharded.insert_graph("x2", extras[2].clone()).unwrap();
         assert_eq!(g2, s2);
 
-        let check = |sharded: &ShardedTaleDatabase, when: &str| {
+        let check = |oracle: &Oracle, sharded: &ShardedTaleDatabase, when: &str| {
+            let want = oracle.answers(&queries, &opts);
             for &threads in THREAD_COUNTS {
                 let o = opts.clone().with_threads(threads);
-                let want = single.query_batch(&queries, &o).unwrap();
                 let got = sharded.query_batch(&queries, &o).unwrap();
                 assert_bit_identical(
                     &want,
@@ -161,24 +127,23 @@ fn sharded_equals_unsharded_after_interleaved_insert_remove_fold() {
                 );
             }
         };
-        check(&sharded, "after mutations");
+        check(&oracle, &sharded, "after mutations");
 
-        // fold both: delta and tombstones move into fresh generations,
-        // answers (and warm caches) must not notice
-        single.fold().unwrap();
+        // fold: delta and tombstones move into fresh generations, answers
+        // (and warm caches) must not notice
         let reports = sharded.fold().unwrap();
         assert_eq!(reports.len(), nshards);
         assert_eq!(reports.iter().map(|r| r.folded_inserts).sum::<u32>(), 3);
-        check(&sharded, "after fold");
+        check(&oracle, &sharded, "after fold");
 
         // one more insert on top of the folded generations, then reopen:
         // the delta is re-derived from the shard map
-        let g3 = single.insert_graph("x3", extras[0].clone()).unwrap();
+        let g3 = oracle.insert("x3", extras[0].clone());
         let s3 = sharded.insert_graph("x3", extras[0].clone()).unwrap();
         assert_eq!(g3, s3);
         drop(sharded);
         let reopened = ShardedTaleDatabase::open(dir.path(), params.buffer_frames).unwrap();
-        check(&reopened, "after reopen");
+        check(&oracle, &reopened, "after reopen");
     }
 }
 
@@ -200,7 +165,7 @@ fn folding_one_shard_after_vocabulary_growth_keeps_one_scheme() {
         p_imp: 0.25,
         ..Default::default()
     };
-    let single = TaleDatabase::build_in_temp(db.clone(), &params).unwrap();
+    let mut oracle = Oracle::build(db.clone(), &params);
     let dir = tempfile::tempdir().unwrap();
     let mut sharded =
         ShardedTaleDatabase::build(db.clone(), dir.path(), &params, 3, &HashPolicy).unwrap();
@@ -212,14 +177,14 @@ fn folding_one_shard_after_vocabulary_growth_keeps_one_scheme() {
     for i in 0..4 {
         let name = format!("late{i}");
         let (a, b) = (
-            single.intern_node_label(&name),
+            oracle.intern_node_label(&name),
             sharded.intern_node_label(&name),
         );
         assert_eq!(a, b);
         let n = late.add_node(a);
         late.add_edge(n, tale_graph::NodeId(i)).unwrap();
     }
-    let gid = single.insert_graph("late", late.clone()).unwrap();
+    let gid = oracle.insert("late", late.clone());
     assert_eq!(sharded.insert_graph("late", late.clone()).unwrap(), gid);
 
     // fold the owning shard only
@@ -231,15 +196,13 @@ fn folding_one_shard_after_vocabulary_growth_keeps_one_scheme() {
     let reopened = ShardedTaleDatabase::open(dir.path(), params.buffer_frames).unwrap();
     let mut all = queries.clone();
     all.push(&late);
-    let want = single.query_batch(&all, &opts).unwrap();
+    let want = oracle.answers(&all, &opts);
     let got = reopened.query_batch(&all, &opts).unwrap();
     assert_bit_identical(&want, &got, "one shard folded after vocabulary growth");
     drop(reopened);
 
     // hand-skew: rebuild shard 1 alone under another width
-    let members = tale_shard::ShardManifest::load(dir.path())
-        .unwrap()
-        .graphs_of(1);
+    let members = tale::ShardManifest::load(dir.path()).unwrap().graphs_of(1);
     let reloaded = tale_graph::io::load_json(&dir.path().join("graphs.json")).unwrap();
     let skewed = tale_nhindex::NhIndexConfig {
         sbit: 16,
@@ -256,7 +219,7 @@ fn folding_one_shard_after_vocabulary_growth_keeps_one_scheme() {
         .unwrap(),
     );
     match ShardedTaleDatabase::open(dir.path(), params.buffer_frames) {
-        Err(ShardError::Manifest(m)) => assert!(m.contains("shard 1"), "{m}"),
+        Err(TaleError::Manifest(m)) => assert!(m.contains("shard 1"), "{m}"),
         Err(other) => panic!("expected a manifest error naming shard 1, got: {other}"),
         Ok(_) => panic!("open served shards with different schemes"),
     }
@@ -284,10 +247,47 @@ proptest! {
         .with_cache(false)
         .with_threads(threads);
 
-        let single = TaleDatabase::build_in_temp(db.clone(), &params).unwrap();
-        let want = single.query_batch(&queries, &opts).unwrap();
+        let want = Oracle::build(db.clone(), &params).answers(&queries, &opts);
         let sharded = ShardedTaleDatabase::build_in_temp(db, &params, nshards).unwrap();
         let got = sharded.query_batch(&queries, &opts).unwrap();
         assert_bit_identical(&want, &got, &format!("seed={seed} shards={nshards} threads={threads}"));
+    }
+}
+
+/// A small corpus of rings through the database type at one, two and
+/// three shards, against the oracle.
+#[test]
+fn sharded_matches_unsharded() {
+    let mut db = GraphDb::new();
+    let labels: Vec<_> = (0..4)
+        .map(|i| db.intern_node_label(&format!("L{i}")))
+        .collect();
+    let mut graphs = Vec::new();
+    for k in 0..6usize {
+        let mut g = Graph::new_undirected();
+        let n: Vec<_> = (0..4 + k % 3)
+            .map(|j| g.add_node(labels[(j + k) % 4]))
+            .collect();
+        for w in n.windows(2) {
+            g.add_edge(w[0], w[1]).unwrap();
+        }
+        g.add_edge(n[0], n[n.len() - 1]).unwrap();
+        db.insert(format!("g{k}"), g.clone());
+        graphs.push(g);
+    }
+    let params = TaleParams::default();
+    let opts = QueryOptions {
+        p_imp: 0.5,
+        ..Default::default()
+    };
+    let queries: Vec<&Graph> = graphs.iter().collect();
+    let want = Oracle::build(db.clone(), &params).answers(&queries, &opts);
+    for nshards in [1, 2, 3] {
+        let sharded = ShardedTaleDatabase::build_in_temp(db.clone(), &params, nshards).unwrap();
+        let got: Vec<_> = graphs
+            .iter()
+            .map(|g| sharded.query(g, &opts).unwrap())
+            .collect();
+        assert_bit_identical(&want, &got, &format!("nshards={nshards}"));
     }
 }

@@ -13,14 +13,19 @@
 //!   prune fires on most (query, shard) cells — the cell where an
 //!   unsound feasibility proof would first drop a match.
 
+mod common;
+
+use common::{assert_bit_identical, Oracle};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tale::{PlanMode, QueryMatch, QueryOptions, TaleDatabase, TaleParams};
+use tale::{
+    HashPolicy, LabelClusteredPolicy, PlanMode, QueryMatch, QueryOptions, ShardedTaleDatabase,
+    TaleDatabase, TaleParams,
+};
 use tale_graph::generate::{gnm, mutate, MutationRates};
 use tale_graph::labels::NodeLabel;
 use tale_graph::{Graph, GraphDb, NodeId};
-use tale_shard::{HashPolicy, LabelClusteredPolicy, ShardedTaleDatabase};
 
 const LABELS: u32 = 6;
 
@@ -38,25 +43,6 @@ fn corpus(seed: u64, n_graphs: usize) -> (GraphDb, Vec<Graph>) {
         originals.push(g);
     }
     (db, originals)
-}
-
-fn assert_bit_identical(a: &[Vec<QueryMatch>], b: &[Vec<QueryMatch>], ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: batch size");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.len(), y.len(), "{ctx}: result count for query {i}");
-        for (m, n) in x.iter().zip(y) {
-            assert_eq!(m.graph, n.graph, "{ctx}: graph order for query {i}");
-            assert_eq!(
-                m.score.to_bits(),
-                n.score.to_bits(),
-                "{ctx}: score bits for query {i} graph {:?}",
-                m.graph
-            );
-            assert_eq!(m.matched_nodes, n.matched_nodes, "{ctx}: query {i}");
-            assert_eq!(m.matched_edges, n.matched_edges, "{ctx}: query {i}");
-            assert_eq!(m.m.pairs, n.m.pairs, "{ctx}: pair list for query {i}");
-        }
-    }
 }
 
 /// Top-K on, as every served workload runs; Pimp raised so most queries
@@ -125,7 +111,7 @@ fn planned_identity_after_insert_remove_and_fold_unsharded() {
     let queries: Vec<&Graph> = originals.iter().collect();
     let dir = tempfile::tempdir().unwrap();
     TaleDatabase::build(db, dir.path(), &TaleParams::default()).unwrap();
-    let tale = TaleDatabase::open(dir.path(), 4096).unwrap();
+    let mut tale = TaleDatabase::open(dir.path(), 4096).unwrap();
     // remap the extra graphs into the live vocabulary by name
     let mut inserted = Vec::new();
     for (i, g) in extras.iter().enumerate() {
@@ -140,13 +126,15 @@ fn planned_identity_after_insert_remove_and_fold_unsharded() {
         }
         inserted.push(tale.insert_graph(format!("x{i}"), remapped).unwrap());
     }
-    let run = |o: &QueryOptions| tale.query_batch(&queries, o).unwrap();
     let opts = base_opts().with_cache(false);
-    assert_modes_agree(&run, &opts, "unsharded after insert");
+    let agree = |tale: &TaleDatabase, ctx: &str| {
+        assert_modes_agree(&|o| tale.query_batch(&queries, o).unwrap(), &opts, ctx)
+    };
+    agree(&tale, "unsharded after insert");
     tale.remove_graph(inserted[0]).unwrap();
-    assert_modes_agree(&run, &opts, "unsharded after remove");
+    agree(&tale, "unsharded after remove");
     tale.fold().unwrap();
-    assert_modes_agree(&run, &opts, "unsharded after fold");
+    agree(&tale, "unsharded after fold");
 }
 
 /// Sharded layout: routed inserts update the owning shard's statistics;
@@ -181,7 +169,7 @@ fn planned_identity_after_insert_and_remove_sharded() {
 /// The placement where pruning actually fires: label domains with
 /// private vocabularies, clustered placement, top-K and unbounded
 /// workloads. The cost pass must (a) agree bit-for-bit with the fixed
-/// pass AND with the unsharded single index, and (b) prune exactly the
+/// pass AND with the oracle, and (b) prune exactly the
 /// (query, reader) cells its plan proves infeasible — at least one, or
 /// this test guards nothing.
 #[test]
@@ -216,9 +204,7 @@ fn shard_pruning_is_safe_on_skewed_clustered_placement() {
     }
     let query_refs: Vec<&Graph> = queries.iter().collect();
 
-    let single_dir = tempfile::tempdir().unwrap();
-    let single =
-        TaleDatabase::build(db.clone(), single_dir.path(), &TaleParams::default()).unwrap();
+    let oracle = Oracle::build(db.clone(), &TaleParams::default());
     let shard_dir = tempfile::tempdir().unwrap();
     ShardedTaleDatabase::build(
         db,
@@ -235,9 +221,7 @@ fn shard_pruning_is_safe_on_skewed_clustered_placement() {
             top_k: k,
             ..base_opts().with_cache(false)
         };
-        let reference = single
-            .query_batch(&query_refs, &opts.clone().with_plan(PlanMode::Fixed))
-            .unwrap();
+        let reference = oracle.answers(&query_refs, &opts.clone().with_plan(PlanMode::Fixed));
         let (fixed, fixed_stats) = sharded
             .query_batch_with_stats(&query_refs, &opts.clone().with_plan(PlanMode::Fixed))
             .unwrap();
@@ -248,12 +232,12 @@ fn shard_pruning_is_safe_on_skewed_clustered_placement() {
         assert_bit_identical(
             &reference,
             &fixed,
-            &format!("k={k:?} single vs sharded fixed"),
+            &format!("k={k:?} oracle vs sharded fixed"),
         );
         assert_bit_identical(
             &reference,
             &cost,
-            &format!("k={k:?} single vs sharded planned"),
+            &format!("k={k:?} oracle vs sharded planned"),
         );
         // Each cell the plan proves infeasible is skipped exactly once
         // (the cache is off), and no other cell is.

@@ -74,7 +74,7 @@ fn family_members_outrank_strangers() {
 #[test]
 fn removal_works_on_directed_graphs() {
     let ds = KeggDataset::generate(23, &spec());
-    let tale = TaleDatabase::build_in_temp(ds.db.clone(), &TaleParams::bind()).unwrap();
+    let mut tale = TaleDatabase::build_in_temp(ds.db.clone(), &TaleParams::bind()).unwrap();
     let q = ds.pick_queries(3, 1)[0];
     let qg = ds.db.graph(q).clone();
     let before = tale.query(&qg, &QueryOptions::bind()).unwrap();
@@ -106,7 +106,7 @@ fn incremental_insert_on_directed_graphs() {
         let _ = id;
         partial.insert(name.to_owned(), g.clone());
     }
-    let tale = TaleDatabase::build_in_temp(partial, &TaleParams::bind()).unwrap();
+    let mut tale = TaleDatabase::build_in_temp(partial, &TaleParams::bind()).unwrap();
     let last = GraphId(n as u32 - 1);
     let last_graph = ds.db.graph(last).clone();
     let gid = tale
