@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn growth_shapes() {
-        let rows = run_fig789(6, &[30, 120, 240], 4);
+        let rows = run_fig789(6, &[20, 80, 160], 2);
         assert_eq!(rows.len(), 3);
         // Fig. 8: index size grows with the database, roughly linearly
         assert!(rows[2].index_bytes > rows[0].index_bytes * 3);

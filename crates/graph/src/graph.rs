@@ -73,6 +73,31 @@ pub struct Graph {
     edges: Vec<EdgeRecord>,
 }
 
+/// Reusable visited marks for [`Graph::rings_into`]. A node counts as
+/// visited when its mark equals the current epoch, so each call starts
+/// clean by bumping the epoch instead of zeroing a `node_count` vector.
+/// One scratch may serve graphs of any size.
+#[derive(Debug, Clone, Default)]
+pub struct RingScratch {
+    marks: Vec<u32>,
+    epoch: u32,
+}
+
+impl RingScratch {
+    /// Starts a fresh visit over a graph of `nodes` nodes.
+    fn next_epoch(&mut self, nodes: usize) -> u32 {
+        if self.marks.len() < nodes {
+            self.marks.resize(nodes, 0);
+        }
+        if self.epoch == u32::MAX {
+            self.marks.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+}
+
 impl Graph {
     /// Creates an empty undirected graph.
     pub fn new_undirected() -> Self {
@@ -279,44 +304,89 @@ impl Graph {
     /// undirected* graph: for matching, "nearby" means reachable in
     /// either direction — a pathway's upstream neighbors are as near as
     /// its downstream ones — while edge-preservation checks stay
-    /// direction-aware.
+    /// direction-aware. The second ring of [`Graph::rings_into`].
     pub fn neighbors_within(&self, n: NodeId, k: u8) -> Vec<NodeId> {
-        let mut seen = vec![false; self.node_count()];
-        seen[n.idx()] = true;
-        let mut frontier: Vec<NodeId> = self.undirected_neighbors(n);
-        for nb in &frontier {
-            seen[nb.idx()] = true;
-        }
         let mut out = Vec::new();
-        for _hop in 2..=k {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for v in self.neighbors(u).chain(self.in_neighbors(u)) {
-                    if !seen[v.idx()] {
-                        seen[v.idx()] = true;
-                        next.push(v);
-                    }
-                }
-            }
-            out.extend_from_slice(&next);
-            frontier = next;
-        }
-        out.sort_unstable();
-        out
+        let split = self.rings_into(n, k, &mut RingScratch::default(), &mut out);
+        out.split_off(split)
     }
 
     /// Neighbors in the underlying undirected graph: out ∪ in, sorted,
     /// deduplicated. Equals [`Graph::neighbors`] for undirected graphs.
+    /// The first ring of [`Graph::rings_into`].
     pub fn undirected_neighbors(&self, n: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.rings_into(n, 1, &mut RingScratch::default(), &mut out);
+        out
+    }
+
+    /// Appends `n`'s rings over the underlying undirected graph to `out`:
+    /// first its 1-hop ring (out ∪ in neighbors, ascending), then the
+    /// nodes at distance `2..=k` (ascending; empty for `k < 2`). Returns
+    /// the index in `out` where the second ring starts. Visited marks live
+    /// in `scratch`, so a caller that keeps one scratch allocates nothing
+    /// per call beyond `out`'s growth.
+    pub fn rings_into(
+        &self,
+        n: NodeId,
+        k: u8,
+        scratch: &mut RingScratch,
+        out: &mut Vec<NodeId>,
+    ) -> usize {
+        let first = out.len();
         match self.direction {
-            Direction::Undirected => self.neighbors(n).collect(),
+            Direction::Undirected => out.extend(self.neighbors(n)),
             Direction::Directed => {
-                let mut v: Vec<NodeId> = self.neighbors(n).chain(self.in_neighbors(n)).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
+                // merge the two sorted lists, dropping mutual-edge repeats
+                let (fwd, back) = (&self.adj[n.idx()], &self.radj[n.idx()]);
+                let (mut i, mut j) = (0, 0);
+                while i < fwd.len() || j < back.len() {
+                    let next = match (fwd.get(i), back.get(j)) {
+                        (Some(&(a, _)), Some(&(b, _))) => a.min(b),
+                        (Some(&(a, _)), None) => a,
+                        (None, Some(&(b, _))) => b,
+                        (None, None) => unreachable!(),
+                    };
+                    i += usize::from(fwd.get(i).is_some_and(|&(a, _)| a == next));
+                    j += usize::from(back.get(j).is_some_and(|&(b, _)| b == next));
+                    out.push(next);
+                }
             }
         }
+        let split = out.len();
+        if k < 2 {
+            return split;
+        }
+        let epoch = scratch.next_epoch(self.node_count());
+        let marks = &mut scratch.marks;
+        marks[n.idx()] = epoch;
+        for &v in &out[first..split] {
+            marks[v.idx()] = epoch;
+        }
+        // Breadth-first, one hop at a time: `out[lo..hi]` is the previous
+        // hop's ring, and the next one is appended behind it.
+        let (mut lo, mut hi) = (first, split);
+        for _hop in 2..=k {
+            for i in lo..hi {
+                let u = out[i];
+                let back = match self.direction {
+                    Direction::Undirected => &[][..],
+                    Direction::Directed => &self.radj[u.idx()][..],
+                };
+                for &(v, _) in self.adj[u.idx()].iter().chain(back) {
+                    if marks[v.idx()] != epoch {
+                        marks[v.idx()] = epoch;
+                        out.push(v);
+                    }
+                }
+            }
+            (lo, hi) = (hi, out.len());
+            if lo == hi {
+                break;
+            }
+        }
+        out[split..].sort_unstable();
+        split
     }
 
     /// Number of edges among the neighbors of `n` — the paper's *neighbor

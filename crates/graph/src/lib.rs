@@ -31,7 +31,7 @@ pub mod stats;
 pub mod wl;
 
 pub use db::{GraphDb, GraphId, LabelBuckets};
-pub use graph::{Direction, EdgeId, Graph, NodeId};
+pub use graph::{Direction, EdgeId, Graph, NodeId, RingScratch};
 pub use labels::{EdgeLabel, LabelInterner, NodeLabel};
 pub use neighborhood::{NeighborhoodStats, NodeSignature, SignatureTable};
 

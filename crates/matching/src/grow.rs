@@ -16,14 +16,16 @@
 //! each test a lookup in per-graph [`SignatureTable`]s, filters IV.3 with a
 //! 64-bit neighbor-label mask popcount before verifying it exactly, and
 //! builds the sorted neighbor-label lists of the exact check only for the
-//! nodes of pairs that survive the mask.
+//! nodes of pairs that survive the mask. It also memoizes each node's 1-hop
+//! and `2..=hops` rings, so the frontiers of every pop of the first growth
+//! and of each re-growth come from one breadth-first search per node.
 
 use serde::Serialize;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tale_graph::neighborhood::node_match_quality;
-use tale_graph::{Graph, NodeId, SignatureTable};
+use tale_graph::{Graph, NodeId, RingScratch, SignatureTable};
 
 /// An anchor match produced by step 1 (index probe + bipartite matching).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -204,6 +206,47 @@ fn sorted_misses(q: &[u64], t: &[u64]) -> u32 {
     misses
 }
 
+/// One graph's rings ([`Graph::rings_into`]) at one radius, each computed
+/// the first time its node is asked for and kept in one arena.
+#[derive(Default)]
+struct RingMemo {
+    hops: u8,
+    /// Per node, `(start, split, end)` in `arena`: the 1-hop ring is
+    /// `arena[start..split]`, the `2..=hops` ring `arena[split..end]`.
+    /// Empty until the first ask; `None` for a node not asked yet.
+    spans: Vec<Option<(u32, u32, u32)>>,
+    arena: Vec<NodeId>,
+    scratch: RingScratch,
+}
+
+impl RingMemo {
+    /// `n`'s 1-hop and `2..=hops` rings in `g`, both ascending.
+    fn rings(&mut self, g: &Graph, n: NodeId, hops: u8) -> (&[NodeId], &[NodeId]) {
+        if self.spans.is_empty() || self.hops != hops {
+            self.hops = hops;
+            self.spans.clear();
+            self.spans.resize(g.node_count(), None);
+            self.arena.clear();
+        }
+        let (start, split, end) = match self.spans[n.idx()] {
+            Some(span) => span,
+            None => {
+                let start = self.arena.len();
+                let split = g.rings_into(n, hops, &mut self.scratch, &mut self.arena);
+                let offset = |i: usize| u32::try_from(i).expect("ring arena under 2^32 nodes");
+                let span = (offset(start), offset(split), offset(self.arena.len()));
+                self.spans[n.idx()] = Some(span);
+                span
+            }
+        };
+        let arena = &self.arena;
+        (
+            &arena[start as usize..split as usize],
+            &arena[split as usize..end as usize],
+        )
+    }
+}
+
 /// Evaluates whether mapping `nq → nt` is satisfiable under the `ρ` budget
 /// and, if so, its quality — the exact-graph analogue of the index probe
 /// conditions IV.1–IV.4 plus Eq. IV.5. Builds both graphs' signature
@@ -224,15 +267,19 @@ pub fn candidate_quality(
 /// over the folded neighbor-label masks and only for survivors exactly, on
 /// sorted neighbor-label lists memoized per node. The tables are borrowed
 /// when the caller keeps them (a database graph's, a query's for a whole
-/// batch) and built by [`CandidateScorer::new`] otherwise. Everything
+/// batch) and built by [`CandidateScorer::new`] otherwise. The growth
+/// frontiers come from per-node rings memoized here as well. Everything
 /// cached assumes the same graphs, label closures and `match_edge_labels`
-/// setting on every call and depends on nothing else, so sharing a scorer
-/// never changes a result.
+/// setting on every call and depends on nothing else (the rings are
+/// recomputed if `hops` changes), so sharing a scorer never changes a
+/// result.
 pub struct CandidateScorer<'a> {
     q_sigs: Cow<'a, SignatureTable>,
     t_sigs: Cow<'a, SignatureTable>,
     q_labels: LabelLists,
     t_labels: LabelLists,
+    q_rings: RingMemo,
+    t_rings: RingMemo,
 }
 
 impl<'a> CandidateScorer<'a> {
@@ -266,6 +313,8 @@ impl<'a> CandidateScorer<'a> {
             t_sigs,
             q_labels: LabelLists::new(input.query.node_count()),
             t_labels: LabelLists::new(input.target.node_count()),
+            q_rings: RingMemo::default(),
+            t_rings: RingMemo::default(),
         }
     }
 
@@ -418,6 +467,7 @@ pub fn grow_match_with(
     }
 
     let mut result = GraphMatch::default();
+    let mut frontier = Frontier::default();
     // Lines 2–6: drain the queue.
     while let Some(entry) = st.heap.pop() {
         // lazy invalidation of replaced entries
@@ -436,9 +486,28 @@ pub fn grow_match_with(
             target: entry.target,
             quality: entry.quality,
         });
-        examine_nodes_nearby(input, config, entry.query, entry.target, &mut st, scorer);
+        examine_nodes_nearby(
+            input,
+            config,
+            entry.query,
+            entry.target,
+            &mut st,
+            &mut frontier,
+            scorer,
+        );
     }
     result
+}
+
+/// One growth's frontier buffers, refilled on every pop.
+#[derive(Default)]
+struct Frontier {
+    nb1q: Vec<NodeId>,
+    nb2q: Vec<NodeId>,
+    nb1t: Vec<NodeId>,
+    nb2t: Vec<NodeId>,
+    /// [`match_nodes`]' available target nodes with their effective labels.
+    available: Vec<(NodeId, u32)>,
 }
 
 /// Algorithm 3 (`ExamineNodesNearBy`).
@@ -448,47 +517,40 @@ fn examine_nodes_nearby(
     nq: NodeId,
     nt: NodeId,
     st: &mut GrowState,
+    fr: &mut Frontier,
     scorer: &mut CandidateScorer<'_>,
 ) {
     // NB1q/NB2q: query nodes 1 / 2 hops out without committed matches.
     // The frontier is over the underlying undirected graph (upstream and
     // downstream are both "nearby"); direction re-enters through the
-    // candidate conditions and edge-preservation scoring.
-    let nb1q: Vec<NodeId> = input
-        .query
-        .undirected_neighbors(nq)
-        .into_iter()
-        .filter(|n| st.q_matched[n.idx()].is_none())
-        .collect();
+    // candidate conditions and edge-preservation scoring. Past 1 hop it is
+    // exactly the 2-hop ring at the paper's default radius, extended to
+    // `2..=hops` for the generalized variant.
+    let (ring1, ring2) = scorer.q_rings.rings(input.query, nq, config.hops);
+    let q_free = |n: &&NodeId| st.q_matched[n.idx()].is_none();
+    fr.nb1q.clear();
+    fr.nb1q.extend(ring1.iter().filter(q_free));
+    fr.nb2q.clear();
+    fr.nb2q.extend(ring2.iter().filter(q_free));
     // NB1db/NB2db: target nodes without committed *or queued* matches.
-    let nb1t: Vec<NodeId> = input
-        .target
-        .undirected_neighbors(nt)
-        .into_iter()
-        .filter(|n| st.t_matched[n.idx()].is_none() && !st.t_queued[n.idx()])
-        .collect();
-    if config.hops < 2 {
-        match_nodes(input, config, &nb1q, &nb1t, st, scorer);
-        return;
-    }
-    // Frontier past 1 hop: exactly the 2-hop ring at the paper's default
-    // radius, extended to `2..=hops` for the generalized variant.
-    let nb2q: Vec<NodeId> = input
-        .query
-        .neighbors_within(nq, config.hops)
-        .into_iter()
-        .filter(|n| st.q_matched[n.idx()].is_none())
-        .collect();
-    let nb2t: Vec<NodeId> = input
-        .target
-        .neighbors_within(nt, config.hops)
-        .into_iter()
-        .filter(|n| st.t_matched[n.idx()].is_none() && !st.t_queued[n.idx()])
-        .collect();
-    // The paper's three pairings (lines 5–7): 1×1, 1×2, 2×1.
-    match_nodes(input, config, &nb1q, &nb1t, st, scorer);
-    match_nodes(input, config, &nb1q, &nb2t, st, scorer);
-    match_nodes(input, config, &nb2q, &nb1t, st, scorer);
+    let (ring1, ring2) = scorer.t_rings.rings(input.target, nt, config.hops);
+    let t_free = |n: &&NodeId| st.t_matched[n.idx()].is_none() && !st.t_queued[n.idx()];
+    fr.nb1t.clear();
+    fr.nb1t.extend(ring1.iter().filter(t_free));
+    fr.nb2t.clear();
+    fr.nb2t.extend(ring2.iter().filter(t_free));
+    let Frontier {
+        nb1q,
+        nb2q,
+        nb1t,
+        nb2t,
+        available,
+    } = fr;
+    // The paper's three pairings (lines 5–7): 1×1, 1×2, 2×1. With
+    // `hops < 2` both 2-hop frontiers are empty and only 1×1 remains.
+    match_nodes(input, config, nb1q, nb1t, st, scorer, available);
+    match_nodes(input, config, nb1q, nb2t, st, scorer, available);
+    match_nodes(input, config, nb2q, nb1t, st, scorer, available);
 }
 
 /// Conserved-edge bonus: among `q`'s already-committed neighbors, the
@@ -524,7 +586,7 @@ fn conservation_bonus(input: &GrowInput<'_>, st: &GrowState, q: NodeId, t: NodeI
     }
 }
 
-/// Algorithm 4 (`MatchNodes`).
+/// Algorithm 4 (`MatchNodes`). `available` is a reused buffer.
 fn match_nodes(
     input: &GrowInput<'_>,
     config: &GrowConfig,
@@ -532,15 +594,18 @@ fn match_nodes(
     st_nodes: &[NodeId],
     st: &mut GrowState,
     scorer: &mut CandidateScorer<'_>,
+    available: &mut Vec<(NodeId, u32)>,
 ) {
     // Effective labels are looked up once per node, so the IV.1 test that
     // rejects most pairs is one integer compare.
-    let mut available: Vec<(NodeId, u32)> = st_nodes
-        .iter()
-        .copied()
-        .filter(|t| st.t_matched[t.idx()].is_none() && !st.t_queued[t.idx()])
-        .map(|t| (t, (input.t_label)(t)))
-        .collect();
+    available.clear();
+    available.extend(
+        st_nodes
+            .iter()
+            .copied()
+            .filter(|t| st.t_matched[t.idx()].is_none() && !st.t_queued[t.idx()])
+            .map(|t| (t, (input.t_label)(t))),
+    );
     for &q in sq {
         if st.q_matched[q.idx()].is_some() {
             continue;
@@ -551,7 +616,7 @@ fn match_nodes(
         // (distinguishes paralogs with identical local statistics), node
         // id last for determinism.
         let mut best: Option<(NodeId, f64, f64)> = None;
-        for &(t, t_label) in &available {
+        for &(t, t_label) in available.iter() {
             if t_label != q_label {
                 continue; // IV.1
             }
@@ -1055,6 +1120,70 @@ mod tests {
                     assert_eq!(borrowed.quality(&input, &cfg, nq, nt), naive, "{ctx}");
                     let masked = q_sigs.get(nq).label_mask & !t_sigs.get(nt).label_mask;
                     assert!(masked.count_ones() <= misses, "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// Rings by definition: breadth-first distances over the underlying
+    /// undirected graph, the 1-hop ring at distance 1 and the second ring
+    /// at `2..=k`, each ascending.
+    fn naive_rings(g: &Graph, n: NodeId, k: u8) -> (Vec<NodeId>, Vec<NodeId>) {
+        let mut dist = vec![u32::MAX; g.node_count()];
+        let mut queue = std::collections::VecDeque::from([n]);
+        dist[n.idx()] = 0;
+        while let Some(u) = queue.pop_front() {
+            for v in g.neighbors(u).chain(g.in_neighbors(u)) {
+                if dist[v.idx()] == u32::MAX {
+                    dist[v.idx()] = dist[u.idx()] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        let at = |lo: u32, hi: u32| -> Vec<NodeId> {
+            g.nodes()
+                .filter(|v| (lo..=hi).contains(&dist[v.idx()]))
+                .collect()
+        };
+        (at(1, 1), at(2, k as u32))
+    }
+
+    /// The memoized rings equal the definition on random directed and
+    /// undirected graphs at every radius, on first asks and on memo hits
+    /// in any order, and across a radius change; so do the
+    /// `Graph::undirected_neighbors` / `neighbors_within` wrappers.
+    #[test]
+    fn memoized_rings_equal_naive_bfs() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        for trial in 0..40 {
+            let directed = trial % 2 == 1;
+            let n = rng.gen_range(1..40u32);
+            let mut g = Graph::new(if directed {
+                tale_graph::Direction::Directed
+            } else {
+                tale_graph::Direction::Undirected
+            });
+            for _ in 0..n {
+                g.add_node(NodeLabel(0));
+            }
+            for _ in 0..rng.gen_range(0..3 * n) {
+                // self loops and repeats are rejected; skip them
+                let _ = g.add_edge(NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+            }
+            let mut memo = RingMemo::default();
+            for hops in [1, 2, 3, 4, 2] {
+                let mut asks: Vec<NodeId> = g.nodes().chain(g.nodes()).collect();
+                asks.extend((0..n).map(|_| NodeId(rng.gen_range(0..n))));
+                asks.shuffle(&mut rng);
+                for v in asks {
+                    let (one, two) = naive_rings(&g, v, hops);
+                    let ctx = format!("trial {trial} hops {hops} node {v:?}");
+                    let (m1, m2) = memo.rings(&g, v, hops);
+                    assert_eq!((m1, m2), (&one[..], &two[..]), "{ctx}");
+                    assert_eq!(g.undirected_neighbors(v), one, "{ctx}");
+                    assert_eq!(g.neighbors_within(v, hops), two, "{ctx}");
                 }
             }
         }

@@ -38,7 +38,7 @@
 //!
 //! ## Invalidation: generation-keyed, not clear-on-write
 //!
-//! Nothing ever clears the cache on a mutation. Each key carries the
+//! Nothing ever clears the cache; it has no `clear`. Each key carries the
 //! answering reader's [`cache_generation`] at lookup time; a mutation
 //! that could change a reader's answers moves that reader to a fresh
 //! generation, so its old entries simply become unreachable and age out
@@ -184,7 +184,6 @@ struct Inner {
     hits: u64,
     misses: u64,
     insertions: u64,
-    invalidations: u64,
 }
 
 /// Observable cache counters (see [`ResultCache::stats`]).
@@ -200,8 +199,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Results stored (including LRU replacements).
     pub insertions: u64,
-    /// Explicit clears (database mutations).
-    pub invalidations: u64,
 }
 
 impl CacheStats {
@@ -213,7 +210,6 @@ impl CacheStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
             insertions: self.insertions + other.insertions,
-            invalidations: self.invalidations + other.invalidations,
         }
     }
 }
@@ -238,7 +234,6 @@ impl ResultCache {
                 hits: 0,
                 misses: 0,
                 insertions: 0,
-                invalidations: 0,
             }),
             capacity,
         }
@@ -297,16 +292,6 @@ impl ResultCache {
         );
     }
 
-    /// Drops every entry. No mutation path calls this anymore —
-    /// invalidation is generation-keyed (see the module docs) — but
-    /// explicit maintenance (compaction, tests) may still want a cold
-    /// cache.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("result cache poisoned");
-        inner.map.clear();
-        inner.invalidations += 1;
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("result cache poisoned");
@@ -316,7 +301,6 @@ impl ResultCache {
             hits: inner.hits,
             misses: inner.misses,
             insertions: inner.insertions,
-            invalidations: inner.invalidations,
         }
     }
 
