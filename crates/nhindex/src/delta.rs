@@ -50,7 +50,7 @@ pub struct DeltaOverlay {
     postings: Vec<(CompositeKey, Posting, u64)>,
     node_count: u64,
     counters: AtomicProbeCounters,
-    /// Planner statistics over the overlay's postings — exact, because
+    /// Statistics over the overlay's postings — exact, because
     /// every overlay is rebuilt from scratch on publish.
     stats: Arc<IndexStatistics>,
 }
@@ -103,7 +103,7 @@ impl DeltaOverlay {
         })
     }
 
-    /// Exact planner statistics over the overlay's contents.
+    /// Exact statistics over the overlay's contents.
     pub fn statistics(&self) -> Arc<IndexStatistics> {
         Arc::clone(&self.stats)
     }

@@ -301,7 +301,7 @@ pub struct NhIndex {
     /// (`None` when prefetching is disabled). Shards of a sharded index
     /// all hold clones of one shared pool.
     io: Option<Arc<IoPool>>,
-    /// Planner statistics (see [`crate::stats`]), collected exactly at
+    /// Index statistics (see [`crate::stats`]), collected exactly at
     /// build; `None` for indexes persisted before statistics existed.
     stats: Option<Arc<IndexStatistics>>,
     /// Label-pair pre-filter (see [`crate::filter`]): per-key summaries
@@ -571,8 +571,8 @@ impl NhIndex {
         let blob_disk = Arc::new(DiskManager::open(&dir.join(BLOB_FILE))?);
         let blob_pool = Arc::new(BufferPool::new(blob_disk, buffer_frames));
         // Statistics are best-effort on open: absent (pre-stats index),
-        // unparseable, or version-skewed files mean "no statistics" and
-        // the planner falls back to the fixed pipeline.
+        // unparseable, or version-skewed files mean "no statistics", and
+        // `explain` has no estimate for this index.
         let stats = std::fs::read_to_string(dir.join(STATS_FILE))
             .ok()
             .and_then(|raw| serde_json::from_str::<IndexStatistics>(&raw).ok())
@@ -614,7 +614,7 @@ impl NhIndex {
         })
     }
 
-    /// The planner statistics persisted with this index (`None` for
+    /// The statistics persisted with this index (`None` for
     /// indexes built before statistics existed). Cheap — clones an `Arc`.
     pub fn statistics(&self) -> Option<Arc<IndexStatistics>> {
         self.stats.clone()
@@ -937,23 +937,6 @@ impl NhIndex {
         rho: f64,
         threads: usize,
     ) -> Result<Vec<(Vec<NodeCandidate>, ProbeStats)>> {
-        self.probe_batch_budgeted(sigs, rho, threads, None)
-    }
-
-    /// [`NhIndex::probe_batch`] with an explicit readahead budget: at most
-    /// `prefetch_cap` postings are queued for async readahead between the
-    /// phases (`None` = unbounded). The cap only shapes *readahead* — any
-    /// posting not staged is demand-read by phase 2 exactly as before, so
-    /// results are bit-identical for every budget. The planner sizes the
-    /// cap from its posting-count estimates so a tiny probe doesn't spin
-    /// up readahead it will never use.
-    pub fn probe_batch_budgeted(
-        &self,
-        sigs: &[QuerySignature],
-        rho: f64,
-        threads: usize,
-        prefetch_cap: Option<u64>,
-    ) -> Result<Vec<(Vec<NodeCandidate>, ProbeStats)>> {
         // phase-1 output per signature: scanned (key, posting ref) hits
         // plus the stats accumulated so far
         type Scanned = (Vec<(CompositeKey, BlobRef)>, ProbeStats);
@@ -967,13 +950,10 @@ impl NhIndex {
         .collect();
         let scanned = scanned?;
 
-        let mut all_refs: Vec<BlobRef> = scanned
+        let all_refs: Vec<BlobRef> = scanned
             .iter()
             .flat_map(|(hits, _)| hits.iter().map(|&(_, r)| r))
             .collect();
-        if let Some(cap) = prefetch_cap {
-            all_refs.truncate(cap.min(usize::MAX as u64) as usize);
-        }
         self.blobs.prefetch(&all_refs);
 
         tale_par::parallel_map(threads, sigs.len(), |i| {

@@ -32,7 +32,7 @@
 //! * [`delta`] — [`DeltaOverlay`]: in-memory postings for unfolded inserts.
 //! * [`mvcc`] — [`GenerationalNhIndex`]: immutable on-disk generations with
 //!   snapshot (pin) reads, delta/tombstone mutations and background folds.
-//! * [`stats`] — [`IndexStatistics`]: per-index planner statistics,
+//! * [`stats`] — [`IndexStatistics`]: per-index statistics,
 //!   collected exactly at build/fold time and persisted atomically.
 
 pub mod bitprobe;

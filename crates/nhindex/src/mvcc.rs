@@ -285,25 +285,14 @@ impl IndexReader for BaseReader<'_> {
         rho: f64,
         threads: usize,
     ) -> Result<Vec<(Vec<NodeCandidate>, ProbeStats)>> {
-        self.probe_batch_budgeted(sigs, rho, threads, None)
-    }
-
-    fn probe_batch_budgeted(
-        &self,
-        sigs: &[QuerySignature],
-        rho: f64,
-        threads: usize,
-        prefetch_cap: Option<u64>,
-    ) -> Result<Vec<(Vec<NodeCandidate>, ProbeStats)>> {
-        let base = &self.snap.state.base.index;
-        let mut out = base.probe_batch_budgeted(sigs, rho, threads, prefetch_cap)?;
+        let mut out = self.snap.state.base.index.probe_batch(sigs, rho, threads)?;
         self.snap.drop_removed(&mut out);
         Ok(out)
     }
 
     /// The base generation's statistics. Removed graphs are filtered at
     /// read time, so these *overestimate* the snapshot's base answers —
-    /// exactly the direction the planner's conservatism invariant needs.
+    /// exactly the direction the conservatism invariant allows.
     fn statistics(&self) -> Option<std::sync::Arc<crate::stats::IndexStatistics>> {
         self.snap.state.base.index.statistics()
     }
@@ -960,7 +949,7 @@ impl GenerationalNhIndex {
 /// [`Snapshot`] per run and scatters over its
 /// [`base_reader`](Snapshot::base_reader) and
 /// [`delta_reader`](Snapshot::delta_reader), each with its own statistics
-/// and cache epoch; this combined view offers the planner none.
+/// and cache epoch; this combined view offers none.
 impl IndexReader for GenerationalNhIndex {
     fn signature(
         &self,

@@ -55,27 +55,12 @@ pub trait IndexReader: Sync {
         threads: usize,
     ) -> Result<Vec<(Vec<NodeCandidate>, ProbeStats)>>;
 
-    /// [`probe_batch`](IndexReader::probe_batch) with a readahead budget:
-    /// stage at most `prefetch_cap` postings for async readahead (`None` =
-    /// unbounded). Purely a latency hint — results must be bit-identical
-    /// for every budget. Readers without readahead ignore it.
-    fn probe_batch_budgeted(
-        &self,
-        sigs: &[QuerySignature],
-        rho: f64,
-        threads: usize,
-        prefetch_cap: Option<u64>,
-    ) -> Result<Vec<(Vec<NodeCandidate>, ProbeStats)>> {
-        let _ = prefetch_cap;
-        self.probe_batch(sigs, rho, threads)
-    }
-
-    /// The planner statistics describing this reader's contents, if it
-    /// has any (see [`crate::stats`]). The default is `None`: the planner
-    /// then treats the reader as opaque — every probe feasible, no
-    /// selectivity ordering, no pruning. Implementations must uphold the
-    /// conservatism invariant: statistics may overestimate what the
-    /// reader can answer, never underestimate.
+    /// The statistics describing this reader's contents, if it has any
+    /// (see [`crate::stats`]); `explain` reads its row estimates from
+    /// them. The default is `None`: the reader then adds nothing to the
+    /// estimates. Implementations must uphold the conservatism invariant:
+    /// statistics may overestimate what the reader can answer, never
+    /// underestimate.
     fn statistics(&self) -> Option<Arc<IndexStatistics>> {
         None
     }
@@ -126,16 +111,6 @@ impl IndexReader for NhIndex {
         threads: usize,
     ) -> Result<Vec<(Vec<NodeCandidate>, ProbeStats)>> {
         NhIndex::probe_batch(self, sigs, rho, threads)
-    }
-
-    fn probe_batch_budgeted(
-        &self,
-        sigs: &[QuerySignature],
-        rho: f64,
-        threads: usize,
-        prefetch_cap: Option<u64>,
-    ) -> Result<Vec<(Vec<NodeCandidate>, ProbeStats)>> {
-        NhIndex::probe_batch_budgeted(self, sigs, rho, threads, prefetch_cap)
     }
 
     fn statistics(&self) -> Option<Arc<IndexStatistics>> {

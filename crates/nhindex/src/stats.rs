@@ -1,8 +1,9 @@
 //! Per-index statistics: collected at build/fold time, persisted next to
-//! the generation's page files, consumed by the cost-based planner.
+//! the generation's page files, read by `tale-cli stats` and by the
+//! engine's `explain`.
 //!
-//! The statistics answer two planner questions without touching the
-//! B+-tree or the postings:
+//! The statistics answer two questions without touching the B+-tree or
+//! the postings:
 //!
 //! 1. **Feasibility** — can a probe signature `(label, degree)` under `ρ`
 //!    possibly return a candidate from this index? The probe's range scan
@@ -11,8 +12,8 @@
 //!    label reaches `deg_min`" is an *exact* emptiness proof — the scan
 //!    would visit no posting at all.
 //! 2. **Selectivity** — roughly how many posting rows would the scan
-//!    visit? A per-label log₂ degree histogram gives an overestimate used
-//!    to order probes (most selective first) and to size readahead.
+//!    visit? A per-label log₂ degree histogram gives an overestimate,
+//!    which `explain` reports per probe.
 //!
 //! ## Conservatism invariant
 //!
@@ -27,7 +28,7 @@
 //!
 //! An index persisted before this file existed simply has no statistics
 //! ([`NhIndex::statistics`](crate::NhIndex::statistics) returns `None`)
-//! and the planner falls back to the fixed pipeline for it.
+//! and adds nothing to `explain`'s estimates.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -172,8 +173,7 @@ impl IndexStatistics {
 
     /// Overestimate of posting rows a probe's range scan would visit:
     /// the histogram mass of every degree bucket whose range reaches
-    /// `deg_min`. Used for ordering and readahead sizing only — never
-    /// for pruning.
+    /// `deg_min`. `explain` reports it; no query decision reads it.
     pub fn estimate_rows(&self, label: u32, deg_min: u32) -> u64 {
         let Some(l) = self.label(label) else { return 0 };
         l.degree_buckets
@@ -182,18 +182,6 @@ impl IndexStatistics {
             .filter(|&(i, _)| bucket_hi(i) >= deg_min as u64)
             .map(|(_, &c)| c)
             .sum()
-    }
-
-    /// Overestimate of postings (distinct keys) a probe would fetch:
-    /// the label's key count scaled by the feasible row fraction,
-    /// rounded up. A readahead hint, not a bound.
-    pub fn estimate_postings(&self, label: u32, deg_min: u32) -> u64 {
-        let Some(l) = self.label(label) else { return 0 };
-        if l.nodes == 0 {
-            return 0;
-        }
-        let rows = self.estimate_rows(label, deg_min);
-        (l.keys * rows).div_ceil(l.nodes)
     }
 }
 
@@ -321,7 +309,6 @@ mod tests {
         let est3 = s.estimate_rows(0, 3);
         assert!((2..=3).contains(&est3));
         assert_eq!(s.estimate_rows(7, 0), 0);
-        assert!(s.estimate_postings(0, 0) >= 1);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //!          [--shards N] [--policy hash|size-balanced|label-clustered]
 //! tale-cli add   <index-dir> <graphs.(txt|json)>
 //! tale-cli stats <index-dir> [--json]
-//! tale-cli explain <index-dir> <query.(txt|json)> [--plan fixed|cost] [--json]
+//! tale-cli explain <index-dir> <query.(txt|json)> [--json]
 //! tale-cli query <index-dir> <query.(txt|json)> [--rho F] [--pimp F]
 //!          [--top-k N] [--importance degree|closeness|betweenness|eigenvector|random]
 //!          [--hops N] [--similarity quality|nodes-edges|ctree] [--threads N]
-//!          [--plan fixed|cost] [--explain] [--format text|json] [--stats]
+//!          [--explain] [--format text|json] [--stats]
 //!          [--no-cache] [--pool-pages N]
 //! tale-cli verify <index-dir>
 //! tale-cli recover <index-dir>
@@ -38,8 +38,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use tale::{
-    policy_by_name, CTreeStyle, ImportanceMeasure, MatchedNodesEdges, PlanMode, QualitySum,
-    QueryOptions, ShardStats, ShardedTaleDatabase, TaleParams,
+    policy_by_name, CTreeStyle, ImportanceMeasure, MatchedNodesEdges, QualitySum, QueryOptions,
+    ShardStats, ShardedTaleDatabase, TaleParams,
 };
 use tale_graph::labels::NodeLabel;
 use tale_graph::{Graph, GraphDb};
@@ -82,7 +82,7 @@ usage:
   tale-cli add   <index-dir> <graphs.(txt|json)> [--pool-pages N]
   tale-cli stats <index-dir> [--json] [--pool-pages N]
   tale-cli explain <index-dir> <query.(txt|json)> [--rho F] [--pimp F]
-           [--top-k N] [--similarity MODEL] [--plan fixed|cost] [--json]
+           [--top-k N] [--similarity MODEL] [--json]
            [--pool-pages N]
   tale-cli verify <index-dir> [--pool-pages N]
   tale-cli recover <index-dir> [--pool-pages N]
@@ -90,7 +90,7 @@ usage:
   tale-cli fold <index-dir> [--pool-pages N]
   tale-cli query <index-dir> <query.(txt|json)> [--rho F] [--pimp F]
            [--top-k N] [--importance MEASURE] [--hops N] [--similarity MODEL]
-           [--threads N] [--plan fixed|cost] [--explain] [--format text|json]
+           [--threads N] [--explain] [--format text|json]
            [--stats] [--no-cache] [--pool-pages N]
   tale-cli server-stats <host:port> [--json]
   tale-cli health <host:port> [--json]
@@ -101,11 +101,10 @@ threads:  0 = one per core (default); 1 = serial; N = worker cap
 shards:   partition the index across N independent NH-Index shards
           (default 1); queries scatter/gather and return bit-identical
           results at every N
-plan:     cost (default) plans from per-index statistics — selectivity-
-          ordered probes, readahead budgets, provably-safe shard pruning;
-          fixed runs the baseline pipeline. Results are bit-identical.
-explain:  (query) also print the chosen plan tree with cost annotations;
-          the explain subcommand prints the plan without executing
+explain:  (query) also print the plan tree — one probe per important
+          node on every shard — with posting-row estimates from the
+          index statistics; the explain subcommand prints the plan
+          without executing
 stats:    print per-stage engine statistics (probe traffic, pool fetch
           taxonomy, per-shard traffic and skew, stage wall clock); with
           --format json, wraps the output as
@@ -147,8 +146,8 @@ fn shards(t: &ShardedTaleDatabase) -> impl Iterator<Item = (String, &Generationa
 
 /// Live per-unit index statistics: each shard's pinned base generation,
 /// plus its delta overlay when that holds anything. `None` marks a unit
-/// whose index predates the statistics file (the planner falls back to
-/// fixed behavior there).
+/// whose index predates the statistics file (`explain` then has no
+/// estimate for it).
 fn statistics_units(t: &ShardedTaleDatabase) -> Vec<(String, Option<Arc<IndexStatistics>>)> {
     let mut units = Vec::new();
     for (name, index) in shards(t) {
@@ -433,10 +432,10 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             "Bloom"
         }
     );
-    // Per-unit planner statistics (nh.stats.json): vocabulary skew and
+    // Per-unit index statistics (nh.stats.json): vocabulary skew and
     // posting-row percentiles. A `-` row means that unit predates the
-    // statistics file; the planner treats it as unplannable.
-    println!("planner statistics:");
+    // statistics file; `explain` has no estimate for it.
+    println!("index statistics:");
     println!("  unit           graphs   nodes  labels  skew   post p50/p90/p99  maxdeg");
     for (name, st) in &units {
         match st.as_deref() {
@@ -476,18 +475,9 @@ fn parse_similarity(v: &str) -> Result<Arc<dyn tale::SimilarityModel>, String> {
     }
 }
 
-/// Parses a `--plan` value.
-fn parse_plan_mode(v: &str) -> Result<PlanMode, String> {
-    match v {
-        "fixed" => Ok(PlanMode::Fixed),
-        "cost" => Ok(PlanMode::Cost),
-        other => Err(format!("unknown plan mode {other:?} (fixed|cost)")),
-    }
-}
-
-/// Prints the plan tree the engine would execute for one query — probe
-/// order with selectivity estimates, readahead budget, and per-shard
-/// feasibility — without running it.
+/// Prints the plan tree the engine would execute for one query — one
+/// probe per important node on every shard, with posting-row estimates
+/// from the index statistics — without running it.
 fn cmd_explain(args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_args(args)?;
     let [dir, query_path] = pos.as_slice() else {
@@ -501,7 +491,6 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             "rho" => opts.rho = parse(name, v)?,
             "pimp" => opts.p_imp = parse(name, v)?,
             "top-k" => opts.top_k = Some(parse(name, v)?),
-            "plan" => opts.plan = parse_plan_mode(v)?,
             "json" => json = true,
             "pool-pages" => pool_pages = parse(name, v)?,
             "similarity" => opts.similarity = parse_similarity(v)?,
@@ -554,7 +543,6 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             "top-k" => opts.top_k = Some(parse(name, v)?),
             "hops" => opts.hops = parse(name, v)?,
             "threads" => opts.threads = parse(name, v)?,
-            "plan" => opts.plan = parse_plan_mode(v)?,
             "importance" => {
                 opts.importance = match v {
                     "degree" => ImportanceMeasure::Degree,
@@ -675,16 +663,6 @@ fn print_query_stats(s: &tale::QueryStats) {
         println!(
             "  candidates       : {} nodes across {} graphs",
             s.candidates, s.candidate_graphs
-        );
-        println!(
-            "  planner          : est {} rows, {} shard(s) pruned{}",
-            s.est_rows,
-            s.shards_pruned,
-            if s.probes_reordered {
-                ", probes reordered"
-            } else {
-                ""
-            }
         );
     }
     println!(

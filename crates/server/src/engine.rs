@@ -193,7 +193,6 @@ impl ShardEngine {
 fn exec_stats_of(batch: &BatchStats) -> WireExecStats {
     let mut s = WireExecStats {
         probes: batch.probes_issued,
-        shards_pruned: batch.shards_pruned,
         wall_secs: batch.stages.total_secs,
         ..WireExecStats::default()
     };

@@ -323,7 +323,6 @@ impl Frontend {
             stats.candidates += p.stats.candidates;
             stats.matches += p.stats.matches;
             stats.cache_hits += p.stats.cache_hits;
-            stats.shards_pruned += p.stats.shards_pruned;
         }
         stats.wall_secs = t0.elapsed().as_secs_f64();
         Ok(QueryBatchResponse {

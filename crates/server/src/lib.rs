@@ -49,7 +49,7 @@
 //! lists and re-ranking yields exactly the sequence a single in-process
 //! run produces, and a shard's own top-K always contains that shard's
 //! contribution to the global top-K. The integration tests assert this
-//! across shard counts, thread counts, and plan modes.
+//! across shard counts and thread counts.
 
 pub mod admission;
 pub mod backoff;

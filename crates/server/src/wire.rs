@@ -56,8 +56,10 @@ pub const MAGIC: u32 = 0x5441_4C45;
 /// Protocol revision. Bumped on any incompatible change to the framing
 /// or the message schema; peers with a different version refuse each
 /// other at the first frame. v2 added the payload CRC to the frame
-/// header (and the replica/degraded message fields).
-pub const PROTOCOL_VERSION: u16 = 2;
+/// header (and the replica/degraded message fields); v3 dropped the plan
+/// mode from the query options and the pruned-shard counter from the
+/// execution stats.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Hard cap on a frame's payload length (64 MiB). A header announcing
 /// more is treated as garbage, not an allocation request.
@@ -432,8 +434,6 @@ pub struct WireOptions {
     pub use_cache: bool,
     /// Similarity model name: `quality|nodes-edges|ctree`.
     pub similarity: String,
-    /// Plan mode name: `fixed|cost`.
-    pub plan: String,
 }
 
 impl WireOptions {
@@ -457,7 +457,6 @@ impl WireOptions {
             threads: opts.threads as u64,
             use_cache: opts.use_cache,
             similarity: opts.similarity.name().to_owned(),
-            plan: opts.plan.name().to_owned(),
         }
     }
 
@@ -490,15 +489,6 @@ impl WireOptions {
                 )))
             }
         };
-        let plan = match self.plan.as_str() {
-            "fixed" => tale::PlanMode::Fixed,
-            "cost" => tale::PlanMode::Cost,
-            other => {
-                return Err(ServerError::BadRequest(format!(
-                    "unknown plan mode {other:?}"
-                )))
-            }
-        };
         Ok(tale::QueryOptions {
             rho: self.rho,
             p_imp: self.p_imp,
@@ -510,7 +500,6 @@ impl WireOptions {
             threads: self.threads.min(tale_par::effective_threads(0) as u64) as usize,
             use_cache: self.use_cache,
             similarity,
-            plan,
         })
     }
 }
@@ -623,8 +612,6 @@ pub struct WireExecStats {
     pub matches: u64,
     /// Queries answered wholly from this worker's result cache.
     pub cache_hits: u64,
-    /// Shards pruned by the worker's own planner (its one shard).
-    pub shards_pruned: u64,
     /// Wall clock of the worker-side batch, seconds.
     pub wall_secs: f64,
 }
@@ -992,10 +979,7 @@ mod tests {
 
     #[test]
     fn options_roundtrip() {
-        let opts = tale::QueryOptions::default()
-            .with_top_k(5)
-            .with_threads(3)
-            .with_plan(tale::PlanMode::Fixed);
+        let opts = tale::QueryOptions::default().with_top_k(5).with_threads(3);
         let wire = WireOptions::from_options(&opts);
         let json = serde_json::to_string(&wire).unwrap();
         let back: WireOptions = serde_json::from_str(&json).unwrap();
@@ -1004,7 +988,6 @@ mod tests {
         assert_eq!(decoded.p_imp.to_bits(), opts.p_imp.to_bits());
         assert_eq!(decoded.top_k, Some(5));
         assert_eq!(decoded.threads, 3.min(tale_par::effective_threads(0)));
-        assert_eq!(decoded.plan, tale::PlanMode::Fixed);
         assert_eq!(decoded.similarity.name(), opts.similarity.name());
         // the engine's cache/options fingerprint must agree across hosts
         assert_eq!(

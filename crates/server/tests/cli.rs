@@ -146,7 +146,7 @@ fn explain_reports_probe_stats() {
         "1.0",
     ]);
     assert!(ok, "explain failed: {stderr}");
-    assert!(stdout.contains("plan mode=cost"), "{stdout}");
+    assert!(stdout.contains("plan canonical="), "{stdout}");
     assert!(stdout.contains("probe [node="), "{stdout}");
     assert!(stdout.contains("est_rows="), "{stdout}");
 }

@@ -2,8 +2,8 @@
 //!
 //! * **Bit identity** — a batch run through frontend + shard workers
 //!   (each a separate TCP server) returns exactly the ranked answers the
-//!   in-process [`ShardedTaleDatabase`] produces, across shard counts,
-//!   thread counts, and plan modes — including through a second TCP hop
+//!   in-process [`ShardedTaleDatabase`] produces, across shard counts
+//!   and thread counts — including through a second TCP hop
 //!   (raw client socket → frontend server → workers).
 //! * **Worker death** — killing a worker mid-deployment fails the whole
 //!   batch with the typed `ShardError::Transport { shard, .. }` (never a
@@ -21,7 +21,7 @@ use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tale::{PlanMode, QueryMatch, QueryOptions, TaleParams};
+use tale::{QueryMatch, QueryOptions, TaleParams};
 use tale_graph::generate::{gnm, mutate, MutationRates};
 use tale_graph::{Graph, GraphDb};
 use tale_server::engine::{EngineConfig, ShardEngine};
@@ -120,7 +120,7 @@ fn decode(resp: &QueryBatchResponse) -> Vec<Vec<QueryMatch>> {
 }
 
 /// The tentpole oracle: frontend + workers over loopback TCP vs the
-/// in-process sharded database, across shards × threads × plan modes.
+/// in-process sharded database, across shards × threads.
 /// Also drives one batch per shard count through a *served* frontend via
 /// a raw client socket, covering the full two-hop path.
 #[test]
@@ -138,21 +138,18 @@ fn remote_execution_is_bit_identical_to_in_process() {
         let frontend = Arc::new(frontend_over(&handles));
 
         for &threads in &[0usize, 4] {
-            for plan in [PlanMode::Fixed, PlanMode::Cost] {
-                let ctx = format!("shards={nshards} threads={threads} plan={plan:?}");
-                let opts = QueryOptions {
-                    rho: 0.25,
-                    p_imp: 0.25,
-                    threads,
-                    plan,
-                    ..QueryOptions::default()
-                }
-                .with_cache(false);
-                let expected = sharded.query_batch(&queries, &opts).unwrap();
-                let req = wire_batch(&db, &originals, &opts);
-                let resp = frontend.query_batch(&req, Instant::now()).unwrap();
-                assert_bit_identical(&expected, &decode(&resp), &ctx);
+            let ctx = format!("shards={nshards} threads={threads}");
+            let opts = QueryOptions {
+                rho: 0.25,
+                p_imp: 0.25,
+                threads,
+                ..QueryOptions::default()
             }
+            .with_cache(false);
+            let expected = sharded.query_batch(&queries, &opts).unwrap();
+            let req = wire_batch(&db, &originals, &opts);
+            let resp = frontend.query_batch(&req, Instant::now()).unwrap();
+            assert_bit_identical(&expected, &decode(&resp), &ctx);
         }
 
         // Full client path: raw socket -> served frontend -> workers.

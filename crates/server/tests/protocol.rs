@@ -136,6 +136,55 @@ fn version_skew_is_refused_with_an_explicit_error() {
     expect_error_code(&mut stream, wire::codes::INTERNAL, "handshake body skew");
 }
 
+/// A peer still on protocol v2 — whose query options carried a plan
+/// mode — is refused at the frame header with the typed version-skew
+/// error, before its payload is parsed: a v2 hello and a v2 query batch
+/// never reach the decoder, and a live worker answers with an explicit
+/// error naming both versions.
+#[test]
+fn v2_peer_is_refused_with_a_typed_version_skew() {
+    let as_v2 = |body: &str| {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, KIND_REQUEST, body.as_bytes()).unwrap();
+        buf[4..6].copy_from_slice(&2u16.to_be_bytes());
+        buf
+    };
+    let hello =
+        as_v2(&serde_json::to_string(&Request::Hello(HelloRequest { protocol: 2 })).unwrap());
+    let v3_batch = serde_json::to_string(&Request::QueryBatch(QueryBatchRequest {
+        queries: Vec::new(),
+        options: WireOptions::from_options(&tale::QueryOptions::default()),
+        deadline_ms: None,
+        allow_partial: false,
+    }))
+    .unwrap();
+    let v2_batch = v3_batch.replacen(r#""options":{"#, r#""options":{"plan":"cost","#, 1);
+    assert_ne!(v2_batch, v3_batch, "the v2 body carries a plan mode");
+    let batch = as_v2(&v2_batch);
+    for (what, frame) in [("hello", &hello), ("query batch", &batch)] {
+        match wire::read_request(&mut frame.as_slice()) {
+            Err(WireError::VersionSkew { got: 2, want }) => assert_eq!(want, PROTOCOL_VERSION),
+            other => panic!("v2 {what}: expected a version skew, got {other:?}"),
+        }
+    }
+
+    let dir = tempfile::tempdir().unwrap();
+    let handle = tiny_worker(dir.path());
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.write_all(&hello).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match wire::read_response(&mut stream) {
+        Ok(Some((Response::Error(e), _))) => {
+            assert_eq!(e.code, wire::codes::BAD_REQUEST, "{}", e.message);
+            let named = format!("peer speaks v2, this end v{PROTOCOL_VERSION}");
+            assert!(e.message.contains(&named), "{}", e.message);
+        }
+        other => panic!("v2 hello over TCP: expected an error response, got {other:?}"),
+    }
+}
+
 /// Garbage bytes get an explicit error response and a close.
 #[test]
 fn garbage_frames_are_refused_cleanly() {

@@ -23,9 +23,8 @@
 //!   [`tale::BatchStats::shards`] (see [`tale::ShardStats`]).
 //!
 //! Graph placement is pluggable via [`tale::ShardPolicy`]: hash-by-id
-//! ([`HashPolicy`], the default), size-balanced or label-clustered (the
-//! one that lets the cost-based planner prove whole shards prunable for a
-//! query).
+//! ([`HashPolicy`], the default), size-balanced or label-clustered
+//! (narrow per-shard label vocabularies).
 
 pub use tale::{HashPolicy, ShardedNhIndex, ShardedTaleDatabase};
 

@@ -339,10 +339,10 @@ impl ShardedTaleDatabase {
         Ok((outputs, batch))
     }
 
-    /// Describes — without executing — the plan the engine would choose
-    /// for `query` under `opts`: probe order with row estimates, the
-    /// readahead budget, and per-reader (each shard's base generation,
-    /// then its delta) feasibility from their statistics. Render with
+    /// Describes — without executing — the plan the engine runs for
+    /// `query` under `opts`: one probe per important node, each with its
+    /// posting-row estimate from the statistics of every reader (each
+    /// shard's base generation, then its delta) that has them. Render with
     /// [`PlanReport::render`](crate::PlanReport::render) or serialize to
     /// JSON.
     pub fn explain(&self, query: &Graph, opts: &QueryOptions) -> crate::PlanReport {

@@ -13,12 +13,9 @@
 //!   hash over effective labels, invariant under query-node relabeling, so
 //!   renumbered copies of one pattern land on the same key.
 //! * The *options fingerprint* ([`options_fingerprint`]) folds every
-//!   result-affecting [`QueryOptions`] field, plus the planner knobs
-//!   ([`QueryOptions::plan`]) and the [`PLAN_VERSION`] — so a plan change
-//!   can never serve a ranking cached under a different plan shape.
-//!   `threads` is excluded on purpose: results are bit-identical at every
-//!   thread count, so a serial and a parallel run of the same query share
-//!   one entry.
+//!   result-affecting [`QueryOptions`] field. `threads` is excluded on
+//!   purpose: results are bit-identical at every thread count, so a
+//!   serial and a parallel run of the same query share one entry.
 //! * Each entry additionally stores the **exact** query representation
 //!   (direction, effective labels, labeled edge list). A lookup must match
 //!   it byte for byte; a 1-WL collision — or a relabeled variant whose
@@ -154,23 +151,8 @@ pub fn options_fingerprint(opts: &QueryOptions) -> u64 {
     for b in opts.similarity.name().bytes() {
         h = fnv(h, b as u64);
     }
-    // Planner coverage: the plan version (bumped whenever planning logic
-    // changes shape) and the plan mode. Planning is proven
-    // result-identical, but an entry produced under one plan shape must
-    // never satisfy a lookup under another — if a future planner bug
-    // broke identity, the fingerprint keeps it from being *served* across
-    // plan shapes, and the version bump retires every pre-change entry.
-    h = fnv(h, PLAN_VERSION);
-    h = fnv(h, opts.plan.name().len() as u64);
-    for b in opts.plan.name().bytes() {
-        h = fnv(h, b as u64);
-    }
     h
 }
-
-/// Version of the planning logic covered by [`options_fingerprint`].
-/// Bump on any change to how plans are chosen or executed.
-pub const PLAN_VERSION: u64 = 2;
 
 struct Entry {
     repr: QueryRepr,

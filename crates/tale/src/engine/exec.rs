@@ -22,27 +22,12 @@
 //! score descending, graph id ascending — is a total order over matches
 //! (graph ids are unique per query), so merging the shards' disjoint
 //! partial lists in *any* order sorts to the same ranked output.
-//!
-//! ## Why cost planning cannot change results
-//!
-//! In [`PlanMode::Cost`] the executor may skip a `(unique query, shard)`
-//! execution entirely, substituting an empty partial list, when the shard
-//! is **infeasible**: a probe's range scan only visits keys with the
-//! signature's label and degree ≥ its IV.2 lower bound, and the shard's
-//! statistics track the exact per-label max degree (they only ever
-//! overestimate — see `tale_nhindex::stats`). If no probe signature is
-//! feasible, every probe answers empty, no match task is ever spawned,
-//! and the shard's partial is empty by construction. That empty list is
-//! the shard's *true* pre-rank partial, so it is written to the result
-//! cache like an executed one.
-//!
-//! [`PlanMode::Cost`]: crate::params::PlanMode::Cost
 
 use crate::engine::cache::{self, CacheKey, QueryRepr, ResultCache};
 use crate::engine::plan::{plan_query, QueryPlan};
 use crate::engine::stats::{BatchStats, QueryStats, ShardStats, StageTimes};
 use crate::engine::{grow, probe};
-use crate::params::{PlanMode, QueryOptions};
+use crate::params::QueryOptions;
 use crate::result::QueryMatch;
 use crate::Result;
 use std::time::Instant;
@@ -66,8 +51,8 @@ struct UniqueTraffic {
 
 /// One shard's contribution to the batch.
 struct ShardOutcome {
-    /// The unique slots this shard actually executed (cache misses minus
-    /// planner prunes), in ascending order.
+    /// The unique slots this shard actually executed (its cache misses),
+    /// in ascending order.
     sel: Vec<usize>,
     /// Pre-rank partial match lists, aligned with `sel`.
     partials: Vec<Vec<QueryMatch>>,
@@ -96,18 +81,8 @@ fn exec_shard(
     let counters_before = index.counters();
     let pool_before = index.pool_stats();
     let shard_plans: Vec<&QueryPlan> = sel.iter().map(|&u| &plans[uniques[u]]).collect();
-    // Readahead budget: the summed posting estimates of the plans this
-    // shard executes, when every plan has one (a hint — identity-safe at
-    // any value).
-    let prefetch_cap = if opts.plan == PlanMode::Cost {
-        shard_plans.iter().try_fold(0u64, |acc, p| {
-            p.prefetch_hint.map(|h| acc.saturating_add(h))
-        })
-    } else {
-        None
-    };
     let t = Instant::now();
-    let probed = probe::run_probe(index, &shard_plans, opts.rho, threads, prefetch_cap)?;
+    let probed = probe::run_probe(index, &shard_plans, opts.rho, threads)?;
     let probe_secs = t.elapsed().as_secs_f64();
 
     // Match: anchor + grow per (query, candidate graph), flattened
@@ -115,12 +90,15 @@ fn exec_shard(
     // order and items are (unique, sorted gid), so the per-query
     // gather below is byte-identical to a serial per-query loop.
     let t = Instant::now();
-    // Each query's signature table, shared by all of its match tasks.
-    let q_sigs: Vec<SignatureTable> = sel
+    // Each query's signature table, shared by all of its match tasks —
+    // built only for queries with a candidate graph on this shard.
+    let q_sigs: Vec<Option<SignatureTable>> = sel
         .iter()
-        .map(|&u| {
+        .zip(&probed.per_query)
+        .map(|(&u, p)| {
             let q = queries[uniques[u]];
-            SignatureTable::build(q, |n| db.effective_of_raw(q.label(n)))
+            (!p.per_graph.is_empty())
+                .then(|| SignatureTable::build(q, |n| db.effective_of_raw(q.label(n))))
         })
         .collect();
     let mut items: Vec<(usize, u32)> = Vec::new();
@@ -135,7 +113,9 @@ fn exec_shard(
         grow::match_one_graph(
             db,
             queries[qi],
-            &q_sigs[lu],
+            q_sigs[lu]
+                .as_ref()
+                .expect("a query with match items has candidate graphs"),
             &plans[qi].important,
             gid,
             &probed.per_query[lu].per_graph[&gid],
@@ -178,7 +158,6 @@ fn exec_shard(
             candidates: traffic.iter().map(|t| t.candidates).sum(),
             match_items,
             matches,
-            pruned_uniques: 0, // patched by the caller, which owns the grid
             pool: index.pool_stats().since(pool_before).into(),
             probe_secs,
             match_secs,
@@ -246,14 +225,11 @@ pub fn run_batch(
         assert_eq!(c.len(), nshards, "one result cache per shard");
     }
     let threads = tale_par::effective_threads(opts.threads);
-    let cost = opts.plan == PlanMode::Cost;
 
-    // Plan: importance + signatures + canonical signature, plus — in cost
-    // mode — probe order, readahead budget, and per-shard feasibility from
-    // the readers' statistics.
+    // Plan: importance + signatures + canonical signature.
     let t = Instant::now();
     let plans: Vec<QueryPlan> = tale_par::parallel_map(threads, queries.len(), |i| {
-        plan_query(db, shards, queries[i], opts)
+        plan_query(db, shards[0], queries[i], opts)
     });
     let reprs: Vec<QueryRepr> = queries.iter().map(|q| cache::query_repr(db, q)).collect();
     let plan_secs = t.elapsed().as_secs_f64();
@@ -306,43 +282,17 @@ pub fn run_batch(
         .map(|p| p.iter().all(Option::is_some))
         .collect();
 
-    // Planner prune — infeasible shards: statistics prove every probe of
-    // this unique answers empty on this shard, so its partial is empty
-    // without probing (see the module doc for the proof). The empty list
-    // *is* the shard's true pre-rank partial, so it is cached — repeat
-    // queries then fully hit.
-    let mut pruned: Vec<Vec<bool>> = uniques.iter().map(|_| vec![false; nshards]).collect();
-    let mut shards_pruned = 0u64;
-    if cost {
-        for (u, &qi) in uniques.iter().enumerate() {
-            for s in 0..nshards {
-                if partials[u][s].is_none() {
-                    if let Some(sp) = plans[qi].shard_plans.get(s) {
-                        if sp.has_stats && sp.feasible_probes == 0 {
-                            if let Some(caches) = caches {
-                                caches[s].put(key_for(qi, s), reprs[qi].clone(), Vec::new());
-                            }
-                            partials[u][s] = Some(Vec::new());
-                            pruned[u][s] = true;
-                            shards_pruned += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     // Scatter: each shard in turn probes + grows the uniques that missed
-    // its cache and were not pruned, on the full thread budget. Per-shard
-    // traffic is exact — a shard's index is only touched by its own visit.
+    // its cache, on the full thread budget. Per-shard traffic is exact — a
+    // shard's index is only touched by its own visit.
     let mut shard_outcomes: Vec<ShardOutcome> = Vec::with_capacity(nshards);
     for (s, reader) in shards.iter().enumerate() {
         let sel: Vec<usize> = (0..uniques.len())
             .filter(|&u| partials[u][s].is_none())
             .collect();
-        let mut outcome = exec_shard(db, *reader, s, sel, &uniques, &plans, queries, opts)?;
-        outcome.stats.pruned_uniques = pruned.iter().filter(|p| p[s]).count();
-        shard_outcomes.push(outcome);
+        shard_outcomes.push(exec_shard(
+            db, *reader, s, sel, &uniques, &plans, queries, opts,
+        )?);
     }
 
     // Gather + rank: store fresh partials, merge each unique's disjoint
@@ -350,11 +300,9 @@ pub fn run_batch(
     // merge order is irrelevant — and truncate to top_k.
     let t = Instant::now();
     let mut unique_traffic: Vec<UniqueTraffic> = vec![UniqueTraffic::default(); uniques.len()];
-    let mut executed_any: Vec<bool> = vec![false; uniques.len()];
     for (s, out) in shard_outcomes.iter_mut().enumerate() {
         let sel = std::mem::take(&mut out.sel);
         for (lu, &u) in sel.iter().enumerate() {
-            executed_any[u] = true;
             let list = std::mem::take(&mut out.partials[lu]);
             if let Some(caches) = caches {
                 caches[s].put(
@@ -381,7 +329,7 @@ pub fn run_batch(
     for per_shard in partials {
         let mut all: Vec<QueryMatch> = Vec::new();
         for p in per_shard {
-            all.extend(p.expect("every shard answered, was cached, or was pruned"));
+            all.extend(p.expect("every shard answered or was cached"));
         }
         unique_results.push(rank_matches(all, opts.top_k));
     }
@@ -440,28 +388,18 @@ pub fn run_batch(
             candidate_graphs: tr.candidate_graphs,
             matches: results.len(),
             cache_hit: hit,
-            est_rows: plans[i].total_est_rows(),
-            shards_pruned: pruned[u].iter().filter(|&&p| p).count(),
-            probes_reordered: plans[i].is_reordered(),
             stages,
             pool,
         });
         outputs.push(results);
     }
 
-    let probes_reordered = uniques
-        .iter()
-        .enumerate()
-        .filter(|&(u, &qi)| executed_any[u] && plans[qi].is_reordered())
-        .count() as u64;
     let batch = BatchStats {
         queries: queries.len(),
         cache_hits,
         unique_queries: fully_cached.iter().filter(|&&h| !h).count(),
         probes_requested: shard_outcomes.iter().map(|o| o.probes_requested).sum(),
         probes_issued: shard_outcomes.iter().map(|o| o.probes_issued).sum(),
-        shards_pruned,
-        probes_reordered,
         stages,
         pool,
         shards: shard_stats,

@@ -6,12 +6,10 @@
 //!
 //! 1. [`plan`] — per query: importance selection (§V-B), the NH-Index
 //!    probe signature of every important node, and a canonical
-//!    (relabeling-invariant) query signature used as the cache key. In
-//!    cost mode (the default) the plan additionally carries an explicit
-//!    plan tree derived from per-index statistics: selectivity-ordered
-//!    probes, a readahead budget, and per-shard feasibility + score
-//!    bounds that let [`exec`] prune shards with a proof they cannot
-//!    change the result. `tale-cli explain` renders it.
+//!    (relabeling-invariant) query signature used as the cache key. The
+//!    pipeline is fixed: every important node is probed once, in
+//!    selection order, on every shard. `tale-cli explain` renders the
+//!    plan with posting-row estimates from per-index statistics.
 //! 2. [`cache`] — the [`ResultCache`](cache::ResultCache) lookup, keyed by
 //!    `(canonical signature, options fingerprint)` and verified against the
 //!    exact query so hash collisions can never serve wrong results.

@@ -1,50 +1,22 @@
-//! The plan stage: importance selection, signatures, and — in cost mode —
-//! an explicit plan tree derived from per-index statistics.
+//! The plan stage: importance selection and signatures.
 //!
 //! A [`QueryPlan`] carries everything later stages need that depends only
-//! on the query, the options, and the readers' statistics: the important
-//! nodes (§V-B), their NH-Index probe signatures, a *canonical signature*
-//! (a relabeling-invariant hash keying the
-//! [`ResultCache`](crate::engine::cache::ResultCache)), and the planner's
-//! decisions:
+//! on the query and the options: the important nodes (§V-B), their
+//! NH-Index probe signatures, and a *canonical signature* (a
+//! relabeling-invariant hash keying the
+//! [`ResultCache`](crate::engine::cache::ResultCache)). Every important
+//! node is probed once, in selection order, on every shard.
 //!
-//! * [`probe_order`](QueryPlan::probe_order) — probes sorted by estimated
-//!   selectivity (fewest estimated posting rows first), so the cheapest
-//!   evidence lands first in the readahead queue. Buckets are still
-//!   filled per important-node position, so reordering cannot change any
-//!   result.
-//! * [`prefetch_hint`](QueryPlan::prefetch_hint) — an estimated posting
-//!   count that sizes the IoPool readahead budget for this query's
-//!   probes.
-//! * [`shard_plans`](QueryPlan::shard_plans) — per-reader feasibility
-//!   and row estimates; a reader no probe can match is pruned (see
-//!   `engine::exec` for the safety argument).
-//!
-//! In [`PlanMode::Fixed`] all of that collapses to the identity: original
-//! probe order, no hints, no shard plans — the baseline pipeline.
+//! [`plan_report`] renders the same plan for `explain`, annotated with
+//! posting-row estimates from the readers' statistics
+//! ([`tale_nhindex::IndexStatistics`]). The estimates only describe the
+//! plan; nothing the engine executes reads them.
 
-use crate::params::{PlanMode, QueryOptions};
+use crate::params::QueryOptions;
 use serde::Serialize;
-use std::sync::Arc;
 use tale_graph::centrality::select_important_covering;
 use tale_graph::{Graph, GraphDb, NodeId};
-use tale_nhindex::{IndexReader, IndexStatistics, NhIndex, QuerySignature};
-
-/// One reader's ("shard's") entry in a cost-mode plan.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct ShardPlan {
-    /// Reader index in the executor's shard order.
-    pub shard: usize,
-    /// Whether the reader exposed statistics; without them the planner
-    /// treats it as opaque (everything feasible, nothing prunable).
-    pub has_stats: bool,
-    /// Probe signatures the statistics say *can* return candidates here
-    /// (label present with sufficient max degree). Zero with `has_stats`
-    /// proves every probe answers empty on this shard.
-    pub feasible_probes: usize,
-    /// Estimated posting rows all probes together would visit.
-    pub est_rows: u64,
-}
+use tale_nhindex::{IndexReader, NhIndex, QuerySignature};
 
 /// Everything the engine derives from one query before touching the index.
 #[derive(Debug)]
@@ -56,39 +28,13 @@ pub struct QueryPlan {
     /// Canonical query signature over effective labels — invariant under
     /// node-id relabeling of the query graph.
     pub canonical: u64,
-    /// Probe execution order: a permutation of `0..signatures.len()`.
-    /// Identity in fixed mode; ascending estimated rows (ties by original
-    /// position) in cost mode.
-    pub probe_order: Vec<usize>,
-    /// Estimated posting rows per signature (summed over readers with
-    /// statistics), aligned with `signatures`. Empty when no reader has
-    /// statistics or in fixed mode.
-    pub est_rows: Vec<u64>,
-    /// Estimated postings this query's probes would fetch — the readahead
-    /// budget. `None` when any reader lacks statistics (unbounded).
-    pub prefetch_hint: Option<u64>,
-    /// Per-reader cost entries; empty in fixed mode.
-    pub shard_plans: Vec<ShardPlan>,
 }
 
-impl QueryPlan {
-    /// True when cost planning moved any probe off its original position.
-    pub fn is_reordered(&self) -> bool {
-        self.probe_order.iter().enumerate().any(|(i, &o)| i != o)
-    }
-
-    /// Total estimated posting rows across all probes (0 without stats).
-    pub fn total_est_rows(&self) -> u64 {
-        self.est_rows.iter().sum()
-    }
-}
-
-/// Runs the plan stage for one query against the executor's full reader
-/// set (`readers[0]` supplies the signature scheme — all readers share
-/// it).
+/// Runs the plan stage for one query. `scheme` supplies the signature
+/// scheme, which every reader of a database shares.
 pub(crate) fn plan_query(
     db: &GraphDb,
-    readers: &[&dyn IndexReader],
+    scheme: &dyn IndexReader,
     query: &Graph,
     opts: &QueryOptions,
 ) -> QueryPlan {
@@ -96,104 +42,13 @@ pub(crate) fn plan_query(
     let q_label = |n: NodeId| db.effective_of_raw(query.label(n));
     let signatures: Vec<QuerySignature> = important
         .iter()
-        .map(|&n| readers[0].signature(query, n, &q_label))
+        .map(|&n| scheme.signature(query, n, &q_label))
         .collect();
-    let mut plan = QueryPlan {
+    QueryPlan {
         canonical: canonical_signature(query, &q_label),
-        probe_order: (0..signatures.len()).collect(),
-        est_rows: Vec::new(),
-        prefetch_hint: None,
-        shard_plans: Vec::new(),
         important,
         signatures,
-    };
-    if opts.plan == PlanMode::Cost {
-        cost_annotate(&mut plan, readers, opts);
     }
-    plan
-}
-
-/// Fills the cost-mode fields of `plan` from the readers' statistics.
-fn cost_annotate(plan: &mut QueryPlan, readers: &[&dyn IndexReader], opts: &QueryOptions) {
-    let stats: Vec<Option<Arc<IndexStatistics>>> = readers.iter().map(|r| r.statistics()).collect();
-    let any_stats = stats.iter().any(|s| s.is_some());
-    let all_stats = stats.iter().all(|s| s.is_some());
-
-    // Per-probe lower degree bound of the range scan (condition IV.2).
-    let deg_mins: Vec<u32> = plan
-        .signatures
-        .iter()
-        .map(|sig| sig.degree - NhIndex::miss_budgets(sig.degree, opts.rho).0)
-        .collect();
-
-    if any_stats {
-        // Row estimates summed over stats-bearing readers; opaque readers
-        // contribute nothing to the ordering (they cost the same for
-        // every order).
-        plan.est_rows = plan
-            .signatures
-            .iter()
-            .zip(&deg_mins)
-            .map(|(sig, &dm)| {
-                stats
-                    .iter()
-                    .flatten()
-                    .map(|s| s.estimate_rows(sig.label, dm))
-                    .sum()
-            })
-            .collect();
-        let mut order: Vec<usize> = (0..plan.signatures.len()).collect();
-        order.sort_by_key(|&i| (plan.est_rows[i], i));
-        plan.probe_order = order;
-    }
-    if all_stats {
-        plan.prefetch_hint = Some(
-            plan.signatures
-                .iter()
-                .zip(&deg_mins)
-                .map(|(sig, &dm)| {
-                    stats
-                        .iter()
-                        .flatten()
-                        .map(|s| s.estimate_postings(sig.label, dm))
-                        .sum::<u64>()
-                })
-                .sum(),
-        );
-    }
-
-    plan.shard_plans = stats
-        .iter()
-        .enumerate()
-        .map(|(shard, s)| match s {
-            None => ShardPlan {
-                shard,
-                has_stats: false,
-                feasible_probes: plan.signatures.len(),
-                est_rows: 0,
-            },
-            Some(s) => {
-                let feasible_probes = plan
-                    .signatures
-                    .iter()
-                    .zip(&deg_mins)
-                    .filter(|(sig, &dm)| s.matchable(sig.label, dm))
-                    .count();
-                let est_rows = plan
-                    .signatures
-                    .iter()
-                    .zip(&deg_mins)
-                    .map(|(sig, &dm)| s.estimate_rows(sig.label, dm))
-                    .sum();
-                ShardPlan {
-                    shard,
-                    has_stats: true,
-                    feasible_probes,
-                    est_rows,
-                }
-            }
-        })
-        .collect();
 }
 
 /// FNV-1a over a u64 stream — stable across runs and platforms.
@@ -268,9 +123,9 @@ pub fn canonical_signature(query: &Graph, label_of: &dyn Fn(NodeId) -> u32) -> u
 /// One node of the rendered plan tree (`explain` output).
 #[derive(Debug, Clone, Serialize)]
 pub struct PlanNode {
-    /// Operator name (`rank`, `scatter`, `shard`, `probe`, …).
+    /// Operator name (`rank`, `scatter`, `shard`, `probe`).
     pub op: String,
-    /// Human-readable cost/shape annotation.
+    /// Human-readable shape annotation.
     pub detail: String,
     /// Estimated posting rows under this node (0 when unknown).
     pub est_rows: u64,
@@ -278,58 +133,40 @@ pub struct PlanNode {
     pub children: Vec<PlanNode>,
 }
 
-/// One probe's entry in a [`PlanReport`], in execution order.
+/// One probe's entry in a [`PlanReport`], in important-node order.
 #[derive(Debug, Clone, Serialize)]
 pub struct ProbeReport {
-    /// Position in the execution order (0 = probed first).
-    pub order: usize,
-    /// Original important-node position this probe fills.
-    pub position: usize,
     /// Query node id.
     pub node: u32,
     /// Effective label of the probe signature.
     pub label: u32,
     /// Degree of the probe signature.
     pub degree: u32,
-    /// Estimated posting rows, when statistics were available.
+    /// Estimated posting rows, summed over the readers with statistics;
+    /// `None` when no reader has them.
     pub est_rows: Option<u64>,
 }
 
-/// A serializable, renderable description of the plan the engine chose
+/// A serializable, renderable description of the plan the engine runs
 /// for one query — the payload of `tale-cli explain` / `query --explain`.
 #[derive(Debug, Clone, Serialize)]
 pub struct PlanReport {
-    /// Plan mode name (`fixed` / `cost`).
-    pub mode: String,
     /// Canonical (relabeling-invariant) query signature, hex.
     pub canonical: String,
     /// Important query nodes selected (§V-B).
     pub important_nodes: usize,
-    /// Whether cost planning moved any probe off its original position.
-    pub reordered: bool,
-    /// Readahead budget in postings, when statistics allowed one.
-    pub prefetch_hint: Option<u64>,
-    /// Probes in execution order.
+    /// One probe per important node, in selection order.
     pub probes: Vec<ProbeReport>,
-    /// Per-shard cost entries (empty in fixed mode).
-    pub shards: Vec<ShardPlan>,
-    /// The operator tree with cost annotations.
+    /// The operator tree with row estimates.
     pub tree: PlanNode,
 }
 
 impl PlanReport {
-    /// Pretty-prints the operator tree with cost annotations.
+    /// Pretty-prints the operator tree with row estimates.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "plan mode={} canonical={} important={} reordered={}{}\n",
-            self.mode,
-            self.canonical,
-            self.important_nodes,
-            self.reordered,
-            match self.prefetch_hint {
-                Some(h) => format!(" prefetch_budget={h}"),
-                None => String::new(),
-            }
+            "plan canonical={} important={}\n",
+            self.canonical, self.important_nodes
         );
         fn walk(node: &PlanNode, prefix: &str, last: bool, out: &mut String) {
             let branch = if last { "└─ " } else { "├─ " };
@@ -349,8 +186,11 @@ impl PlanReport {
 
 /// Builds the explain report for one query against `readers` — the
 /// same `plan_query` the executor runs, rendered instead of executed.
-/// Library users should prefer
-/// [`ShardedTaleDatabase::explain`](crate::ShardedTaleDatabase::explain),
+/// Each reader with statistics estimates every probe's posting rows as
+/// `estimate_rows(label, deg_min)`, where `deg_min` is the probe's
+/// IV.2 lower degree bound; statistics only overestimate, so a reader's
+/// estimate bounds the rows its probe examines. Library users should
+/// prefer [`ShardedTaleDatabase::explain`](crate::ShardedTaleDatabase::explain),
 /// its one caller.
 pub fn plan_report(
     db: &GraphDb,
@@ -358,73 +198,61 @@ pub fn plan_report(
     query: &Graph,
     opts: &QueryOptions,
 ) -> PlanReport {
-    let plan = plan_query(db, readers, query, opts);
-    let probes: Vec<ProbeReport> = plan
-        .probe_order
+    let plan = plan_query(db, readers[0], query, opts);
+    // Per reader: each probe's estimated rows, `None` without statistics.
+    let per_reader: Vec<Option<Vec<u64>>> = readers
         .iter()
+        .map(|r| {
+            let stats = r.statistics()?;
+            Some(
+                plan.signatures
+                    .iter()
+                    .map(|sig| {
+                        let deg_min = sig.degree - NhIndex::miss_budgets(sig.degree, opts.rho).0;
+                        stats.estimate_rows(sig.label, deg_min)
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    let any_stats = per_reader.iter().any(Option::is_some);
+    let probes: Vec<ProbeReport> = plan
+        .important
+        .iter()
+        .zip(&plan.signatures)
         .enumerate()
-        .map(|(order, &position)| {
-            let sig = &plan.signatures[position];
-            ProbeReport {
-                order,
-                position,
-                node: plan.important[position].0,
-                label: sig.label,
-                degree: sig.degree,
-                est_rows: plan.est_rows.get(position).copied(),
-            }
+        .map(|(i, (node, sig))| ProbeReport {
+            node: node.0,
+            label: sig.label,
+            degree: sig.degree,
+            est_rows: any_stats.then(|| per_reader.iter().flatten().map(|e| e[i]).sum()),
         })
         .collect();
 
-    let probe_children = || -> Vec<PlanNode> {
-        probes
-            .iter()
-            .map(|p| PlanNode {
-                op: "probe".into(),
-                detail: format!("node={} label={} degree={}", p.node, p.label, p.degree),
-                est_rows: p.est_rows.unwrap_or(0),
-                children: Vec::new(),
-            })
-            .collect()
-    };
+    let shard_nodes: Vec<PlanNode> = per_reader
+        .iter()
+        .enumerate()
+        .map(|(s, est)| PlanNode {
+            op: "shard".into(),
+            detail: match est {
+                Some(_) => format!("shard={s}"),
+                None => format!("shard={s} no-stats"),
+            },
+            est_rows: est.as_ref().map_or(0, |e| e.iter().sum()),
+            children: probes
+                .iter()
+                .enumerate()
+                .map(|(i, p)| PlanNode {
+                    op: "probe".into(),
+                    detail: format!("node={} label={} degree={}", p.node, p.label, p.degree),
+                    est_rows: est.as_ref().map_or(0, |e| e[i]),
+                    children: Vec::new(),
+                })
+                .collect(),
+        })
+        .collect();
 
-    let shard_nodes: Vec<PlanNode> = if plan.shard_plans.is_empty() {
-        (0..readers.len())
-            .map(|s| PlanNode {
-                op: "shard".into(),
-                detail: format!("shard={s} fixed"),
-                est_rows: 0,
-                children: probe_children(),
-            })
-            .collect()
-    } else {
-        plan.shard_plans
-            .iter()
-            .map(|sp| PlanNode {
-                op: "shard".into(),
-                detail: format!(
-                    "shard={} {}feasible={}/{}",
-                    sp.shard,
-                    if sp.has_stats { "" } else { "no-stats " },
-                    sp.feasible_probes,
-                    plan.signatures.len(),
-                ),
-                est_rows: sp.est_rows,
-                children: if sp.has_stats && sp.feasible_probes == 0 {
-                    vec![PlanNode {
-                        op: "pruned".into(),
-                        detail: "no feasible probe — provably empty".into(),
-                        est_rows: 0,
-                        children: Vec::new(),
-                    }]
-                } else {
-                    probe_children()
-                },
-            })
-            .collect()
-    };
-
-    let total_est = plan.total_est_rows();
+    let total_est: u64 = probes.iter().filter_map(|p| p.est_rows).sum();
     let tree = PlanNode {
         op: "rank".into(),
         detail: match opts.top_k {
@@ -441,13 +269,9 @@ pub fn plan_report(
     };
 
     PlanReport {
-        mode: opts.plan.name().to_string(),
         canonical: format!("{:016x}", plan.canonical),
         important_nodes: plan.important.len(),
-        reordered: plan.is_reordered(),
-        prefetch_hint: plan.prefetch_hint,
         probes,
-        shards: plan.shard_plans.clone(),
         tree,
     }
 }

@@ -68,48 +68,40 @@ pub(crate) struct ProbeOutcome {
 /// across (and within) queries. Buckets are filled in important-node
 /// order, making each graph's bucket byte-identical to a per-query serial
 /// probe loop.
-///
-/// Signatures are *interned* in each plan's
-/// [`probe_order`](QueryPlan::probe_order), so a cost-mode plan puts its
-/// most selective probes at the front of the batch — and therefore at the
-/// front of the readahead queue. `prefetch_cap` bounds that readahead
-/// (`None` = unbounded). Neither changes any answer: interning order only
-/// permutes which distinct signature gets which slot, and the per-query
-/// buckets below are filled by important-node *position*, not slot.
 pub(crate) fn run_probe(
     index: &dyn IndexReader,
     plans: &[&QueryPlan],
     rho: f64,
     threads: usize,
-    prefetch_cap: Option<u64>,
 ) -> Result<ProbeOutcome> {
-    // Intern distinct signatures in first-seen order (per plan: the
-    // planner's probe order); remember which query first requested each
-    // one so sharing can be attributed.
+    // Intern distinct signatures in first-seen order; remember which
+    // query first requested each one so sharing can be attributed.
     let mut key_of: HashMap<SigKey, usize> = HashMap::new();
     let mut unique_sigs: Vec<QuerySignature> = Vec::new();
     let mut first_requester: Vec<usize> = Vec::new();
-    let mut refs: Vec<Vec<usize>> = Vec::with_capacity(plans.len());
-    for (qi, plan) in plans.iter().enumerate() {
-        let mut r = vec![usize::MAX; plan.signatures.len()];
-        for &ni in &plan.probe_order {
-            let sig = &plan.signatures[ni];
-            let idx = *key_of.entry(SigKey::of(sig)).or_insert_with(|| {
-                unique_sigs.push(sig.clone());
-                first_requester.push(qi);
-                unique_sigs.len() - 1
-            });
-            r[ni] = idx;
-        }
-        refs.push(r);
-    }
+    let refs: Vec<Vec<usize>> = plans
+        .iter()
+        .enumerate()
+        .map(|(qi, plan)| {
+            plan.signatures
+                .iter()
+                .map(|sig| {
+                    *key_of.entry(SigKey::of(sig)).or_insert_with(|| {
+                        unique_sigs.push(sig.clone());
+                        first_requester.push(qi);
+                        unique_sigs.len() - 1
+                    })
+                })
+                .collect()
+        })
+        .collect();
 
     // One disk probe per distinct signature, fanned across threads, then
     // scored once with Eq. IV.5 (the score depends only on the signature
     // and the candidate row, so every requester shares it).
     // per unique signature: scored (graph, node, quality) hits + traffic
     type ScoredProbe = (Vec<(u32, u32, f64)>, tale_nhindex::ProbeStats);
-    let probed = index.probe_batch_budgeted(&unique_sigs, rho, threads, prefetch_cap)?;
+    let probed = index.probe_batch(&unique_sigs, rho, threads)?;
     let scored: Vec<ScoredProbe> = probed
         .into_iter()
         .zip(unique_sigs.iter())

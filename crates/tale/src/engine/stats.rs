@@ -107,17 +107,6 @@ pub struct QueryStats {
     ///
     /// [`ResultCache`]: crate::engine::cache::ResultCache
     pub cache_hit: bool,
-    /// The planner's posting-row estimate for this query (0 in fixed mode
-    /// or without statistics) — compare against the actual
-    /// [`rows_examined`](QueryStats::rows_examined) to judge the cost
-    /// model's calibration.
-    pub est_rows: u64,
-    /// Shards the planner skipped for this query because statistics prove
-    /// no probe can match there (infeasible probes).
-    pub shards_pruned: usize,
-    /// True when cost planning executed this query's probes in a
-    /// different order than important-node selection produced.
-    pub probes_reordered: bool,
     /// Stage wall clocks (of the enclosing batch when batched).
     pub stages: StageTimes,
     /// Buffer-pool traffic (of the enclosing batch when batched).
@@ -151,9 +140,6 @@ pub struct ShardStats {
     pub match_items: usize,
     /// Partial matches this shard contributed before global ranking.
     pub matches: usize,
-    /// Unique queries the planner pruned off this shard (proved unable to
-    /// contribute) instead of executing.
-    pub pruned_uniques: usize,
     /// This shard's buffer-pool traffic.
     pub pool: PoolDelta,
     /// Seconds this shard spent probing.
@@ -180,7 +166,6 @@ impl ShardStats {
             candidates: self.candidates + other.candidates,
             match_items: self.match_items + other.match_items,
             matches: self.matches + other.matches,
-            pruned_uniques: self.pruned_uniques + other.pruned_uniques,
             pool: PoolDelta {
                 hits: self.pool.hits + other.pool.hits,
                 coalesced: self.pool.coalesced + other.pool.coalesced,
@@ -212,12 +197,6 @@ pub struct BatchStats {
     /// Probes that actually hit the disk index (after signature dedup);
     /// `probes_requested - probes_issued` is the batch's amortization.
     pub probes_issued: u64,
-    /// `(unique query, shard)` executions the planner skipped because
-    /// statistics prove no probe can match there (infeasible probes).
-    pub shards_pruned: u64,
-    /// Executed unique queries whose probes ran in cost order rather than
-    /// important-node order.
-    pub probes_reordered: u64,
     /// Stage wall clocks for the whole batch.
     pub stages: StageTimes,
     /// Buffer-pool traffic for the whole batch.

@@ -49,12 +49,12 @@ mod scratch;
 pub mod store;
 
 pub use database::{ShardedTaleDatabase, TaleDatabase};
-pub use engine::cache::{options_fingerprint, CacheStats, DEFAULT_CACHE_ENTRIES, PLAN_VERSION};
-pub use engine::plan::{canonical_signature, PlanNode, PlanReport, ProbeReport, ShardPlan};
+pub use engine::cache::{options_fingerprint, CacheStats, DEFAULT_CACHE_ENTRIES};
+pub use engine::plan::{canonical_signature, PlanNode, PlanReport, ProbeReport};
 pub use engine::stats::{BatchStats, PoolDelta, QueryStats, ShardStats, StageTimes};
 pub use index::{ShardBuildStats, ShardedNhIndex};
 pub use manifest::{vocab_fingerprint, ShardManifest};
-pub use params::{PlanMode, QueryOptions, TaleParams};
+pub use params::{QueryOptions, TaleParams};
 pub use policy::{
     policy_by_name, HashPolicy, LabelClusteredPolicy, ShardPolicy, SizeBalancedPolicy,
 };

@@ -67,33 +67,6 @@ impl TaleParams {
     }
 }
 
-/// How the engine turns a query into an execution plan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PlanMode {
-    /// The original hard-coded pipeline: probe every important node in
-    /// selection order against every shard, unbounded readahead. The
-    /// baseline the bit-identity oracles compare against.
-    Fixed,
-    /// Cost-based planning from per-index statistics: probes ordered by
-    /// estimated selectivity, readahead sized from posting estimates,
-    /// shards skipped when statistics prove no probe can match there.
-    /// Results are bit-identical to [`PlanMode::Fixed`] —
-    /// planning only reorders and elides work whose outcome is proven.
-    /// Readers without statistics degrade to the fixed behavior.
-    #[default]
-    Cost,
-}
-
-impl PlanMode {
-    /// Stable name (CLI flags, explain output, cache fingerprint tag).
-    pub fn name(self) -> &'static str {
-        match self {
-            PlanMode::Fixed => "fixed",
-            PlanMode::Cost => "cost",
-        }
-    }
-}
-
 /// Query-time parameters.
 #[derive(Clone)]
 pub struct QueryOptions {
@@ -128,9 +101,6 @@ pub struct QueryOptions {
     pub use_cache: bool,
     /// Similarity model ranking the results (§III: user-customizable).
     pub similarity: Arc<dyn SimilarityModel>,
-    /// Plan selection (see [`PlanMode`]). Purely a performance knob:
-    /// results are bit-identical in every mode.
-    pub plan: PlanMode,
 }
 
 impl Default for QueryOptions {
@@ -146,7 +116,6 @@ impl Default for QueryOptions {
             threads: 0,
             use_cache: true,
             similarity: Arc::new(QualitySum),
-            plan: PlanMode::default(),
         }
     }
 }
@@ -163,7 +132,6 @@ impl std::fmt::Debug for QueryOptions {
             .field("threads", &self.threads)
             .field("use_cache", &self.use_cache)
             .field("similarity", &self.similarity.name())
-            .field("plan", &self.plan)
             .finish()
     }
 }
@@ -212,12 +180,6 @@ impl QueryOptions {
         self.use_cache = use_cache;
         self
     }
-
-    /// Builder-style: set the plan mode.
-    pub fn with_plan(mut self, plan: PlanMode) -> Self {
-        self.plan = plan;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -237,14 +199,9 @@ mod tests {
     fn builders() {
         let o = QueryOptions::default()
             .with_top_k(20)
-            .with_importance(ImportanceMeasure::Closeness)
-            .with_plan(PlanMode::Fixed);
+            .with_importance(ImportanceMeasure::Closeness);
         assert_eq!(o.top_k, Some(20));
         assert_eq!(o.importance, ImportanceMeasure::Closeness);
-        assert_eq!(o.plan, PlanMode::Fixed);
-        assert_eq!(QueryOptions::default().plan, PlanMode::Cost);
-        assert_eq!(PlanMode::Cost.name(), "cost");
-        assert_eq!(PlanMode::Fixed.name(), "fixed");
     }
 
     #[test]

@@ -120,11 +120,10 @@ impl ShardPolicy for SizeBalancedPolicy {
 /// routing depends only on the graph's own labels, never on current
 /// loads — so a late insert lands where a full rebuild would put it.
 ///
-/// This is the policy that gives the cost-based planner teeth: clustering
-/// makes per-shard label vocabularies *narrow*, so shard statistics can
-/// prove whole shards infeasible for a query (its labels absent there) or
-/// bound their best score far below the leaders'. Under hash placement
-/// every shard holds a slice of everything and no shard is ever prunable.
+/// Clustering makes per-shard label vocabularies *narrow*: a query whose
+/// labels are absent from a shard finds no candidate there, and that
+/// shard's work is its empty range scans. Under hash placement every
+/// shard holds a slice of everything.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LabelClusteredPolicy;
 

@@ -1,28 +1,34 @@
 //! The load-bearing contract of the database: query output is
 //! **bit-identical** to the oracle — the engine run serially over one
 //! generational index of the whole database (`common::Oracle`) — at every
-//! shard count and every thread count, including after interleaved
-//! insert/remove/fold mutations and a reopen, and regardless of placement
-//! policy.
+//! shard count and every thread count, with the result cache cold or
+//! warm, including after interleaved insert/remove/fold mutations and a
+//! reopen, and regardless of placement policy. `explain`'s row estimates
+//! are held to the rows the probes really examine.
 
 mod common;
 
 use common::{assert_bit_identical, corpus, Oracle, LABELS};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::path::Path;
 use tale::{
-    HashPolicy, QueryOptions, ShardPolicy, ShardedTaleDatabase, SizeBalancedPolicy, TaleError,
-    TaleParams,
+    HashPolicy, LabelClusteredPolicy, PlanReport, QueryOptions, ShardPolicy, ShardedTaleDatabase,
+    SizeBalancedPolicy, TaleError, TaleParams,
 };
 use tale_graph::generate::gnm;
-use tale_graph::{Graph, GraphDb};
+use tale_graph::{Graph, GraphDb, NodeId, NodeLabel};
+use tale_nhindex::{Snapshot, STATS_FILE};
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 4, 7];
 const THREAD_COUNTS: &[usize] = &[0, 1, 4];
 
 /// The full grid: shard counts {1, 2, 4, 7} × thread counts {0, 1, 4} ×
-/// placement policies, against the oracle.
+/// placement policies, against the oracle, plus a cold and a warm pass
+/// with the result cache on. The label-clustered placement is the skewed
+/// one: shard sizes differ widely, and at the higher shard counts some
+/// shards hold no graph and every query must answer empty there.
 #[test]
 fn sharded_equals_unsharded_across_shard_and_thread_grid() {
     let (db, originals) = corpus(41, 8);
@@ -37,7 +43,7 @@ fn sharded_equals_unsharded_across_shard_and_thread_grid() {
 
     let reference = Oracle::build(db.clone(), &params).answers(&queries, &base);
 
-    let policies: [&dyn ShardPolicy; 2] = [&HashPolicy, &SizeBalancedPolicy];
+    let policies: [&dyn ShardPolicy; 3] = [&HashPolicy, &SizeBalancedPolicy, &LabelClusteredPolicy];
     for policy in policies {
         for &nshards in SHARD_COUNTS {
             let dir = tempfile::tempdir().unwrap();
@@ -56,6 +62,17 @@ fn sharded_equals_unsharded_across_shard_and_thread_grid() {
                         policy.name()
                     ),
                 );
+            }
+            // cache on: the cold pass fills every shard's cache, the warm
+            // pass must answer every query from it
+            let cached = base.clone().with_cache(true);
+            for pass in ["cold", "warm"] {
+                let (got, stats) = sharded.query_batch_with_stats(&queries, &cached).unwrap();
+                let ctx = format!("policy={} shards={nshards} cache {pass}", policy.name());
+                assert_bit_identical(&reference, &got, &ctx);
+                if pass == "warm" {
+                    assert_eq!(stats.cache_hits, queries.len(), "{ctx}: hits");
+                }
             }
         }
     }
@@ -290,4 +307,188 @@ fn sharded_matches_unsharded() {
             .collect();
         assert_bit_identical(&want, &got, &format!("nshards={nshards}"));
     }
+}
+
+/// Label domains with private vocabularies: `DOMAINS` domains of three
+/// labels each, `PER_DOMAIN` rings per domain in the database, and one
+/// query ring per domain. Under label-clustered placement a query's
+/// labels are absent from every shard but its domain's.
+fn domain_corpus() -> (GraphDb, Vec<Graph>) {
+    const DOMAINS: usize = 5;
+    const PER_DOMAIN: usize = 4;
+    let mut rng = ChaCha8Rng::seed_from_u64(74);
+    let mut db = GraphDb::new();
+    for d in 0..DOMAINS {
+        for j in 0..3 {
+            db.intern_node_label(&format!("d{d}-l{j}"));
+        }
+    }
+    let mut domain_graph = |base: u32, n: usize| {
+        let mut g = Graph::new_undirected();
+        for _ in 0..n {
+            g.add_node(NodeLabel(base + rng.gen_range(0..3)));
+        }
+        for j in 1..n as u32 {
+            g.add_edge(NodeId(j - 1), NodeId(j)).unwrap();
+        }
+        g.add_edge(NodeId(0), NodeId(n as u32 - 1)).unwrap();
+        g
+    };
+    let mut queries = Vec::new();
+    for d in 0..DOMAINS {
+        let base = (d * 3) as u32;
+        for i in 0..PER_DOMAIN {
+            db.insert(format!("d{d}g{i}"), domain_graph(base, 8 + (i % 3) * 2));
+        }
+        queries.push(domain_graph(base, 6));
+    }
+    (db, queries)
+}
+
+/// Rows each of `report`'s probes examines, summed over every reader of
+/// `sharded` (each shard's base generation, then its delta).
+fn probe_rows(
+    sharded: &ShardedTaleDatabase,
+    query: &Graph,
+    report: &PlanReport,
+    opts: &QueryOptions,
+) -> Vec<u64> {
+    let snaps: Vec<Snapshot> = sharded
+        .index()
+        .shards()
+        .iter()
+        .map(|s| s.snapshot())
+        .collect();
+    Snapshot::with_readers(&snaps, |readers| {
+        let label_of = |n: NodeId| sharded.db().effective_of_raw(query.label(n));
+        report
+            .probes
+            .iter()
+            .map(|p| {
+                let sig = readers[0].signature(query, NodeId(p.node), &label_of);
+                readers
+                    .iter()
+                    .map(|r| {
+                        let probed = r.probe_batch(std::slice::from_ref(&sig), opts.rho, 1);
+                        probed.unwrap()[0].1.rows_examined
+                    })
+                    .sum()
+            })
+            .collect()
+    })
+}
+
+/// Every file named `name` under `dir`, recursively.
+fn files_named(dir: &Path, name: &str) -> Vec<std::path::PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(files_named(&path, name));
+        } else if path.file_name().is_some_and(|f| f == name) {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// What `explain` promises on a 2-shard label-clustered build: every
+/// probe's `est_rows` is known and bounds the rows that probe examines
+/// (statistics only overestimate), and a shard whose `nh.stats.json` is
+/// gone still explains, adds nothing to the estimates, and answers the
+/// same. A domain's labels live on few shards, so some queries run on a
+/// shard where all their probes answer empty.
+#[test]
+fn explain_estimates_bound_examined_rows_and_survive_a_missing_statistics_file() {
+    let (db, queries) = domain_corpus();
+    let query_refs: Vec<&Graph> = queries.iter().collect();
+    let params = TaleParams::default();
+    let opts = QueryOptions {
+        rho: 0.25,
+        p_imp: 0.25,
+        ..Default::default()
+    }
+    .with_cache(false);
+    let want = Oracle::build(db.clone(), &params).answers(&query_refs, &opts);
+    let dir = tempfile::tempdir().unwrap();
+    let sharded =
+        ShardedTaleDatabase::build(db, dir.path(), &params, 2, &LabelClusteredPolicy).unwrap();
+    let (got, stats) = sharded.query_batch_with_stats(&query_refs, &opts).unwrap();
+    assert_bit_identical(&want, &got, "2-shard label-clustered");
+
+    let mut examined = 0u64;
+    let mut empty_cells = 0usize;
+    let before: Vec<PlanReport> = queries.iter().map(|q| sharded.explain(q, &opts)).collect();
+    for (qi, (q, report)) in queries.iter().zip(&before).enumerate() {
+        let rows = probe_rows(&sharded, q, report, &opts);
+        for (p, &r) in report.probes.iter().zip(&rows) {
+            let est = p
+                .est_rows
+                .expect("every reader of a fresh build has statistics");
+            assert!(
+                est >= r,
+                "query {qi} node {}: est_rows {est} < {r} rows examined",
+                p.node
+            );
+        }
+        let bases = report.tree.children[0].children.iter().step_by(2);
+        empty_cells += bases.filter(|b| b.est_rows == 0).count();
+        // the per-probe rows are exactly the rows the query run examined
+        assert_eq!(
+            rows.iter().sum::<u64>(),
+            stats.per_query[qi].rows_examined,
+            "query {qi}"
+        );
+        examined += rows.iter().sum::<u64>();
+    }
+    assert!(
+        examined > 0,
+        "no probe examined a row — the bound went untested"
+    );
+    assert!(
+        empty_cells > 0,
+        "every query found its labels on both shards"
+    );
+    drop(sharded);
+
+    // Shard 1's base generation loses its statistics. Readers run shard
+    // by shard, base then delta, so that is reader 2.
+    let stats_files = files_named(&dir.path().join("shard-001"), STATS_FILE);
+    assert_eq!(stats_files.len(), 1, "{stats_files:?}");
+    std::fs::remove_file(&stats_files[0]).unwrap();
+    let reopened = ShardedTaleDatabase::open(dir.path(), params.buffer_frames).unwrap();
+    let mut dropped_rows = 0u64;
+    for (qi, (q, was)) in queries.iter().zip(&before).enumerate() {
+        let now = reopened.explain(q, &opts);
+        let readers = &now.tree.children[0].children;
+        assert_eq!(
+            readers.len(),
+            4,
+            "query {qi}: two shards, base and delta each"
+        );
+        for (r, node) in readers.iter().enumerate() {
+            assert_eq!(
+                node.detail.contains("no-stats"),
+                r == 2,
+                "query {qi} reader {r}"
+            );
+        }
+        assert_eq!(readers[2].est_rows, 0, "query {qi}");
+        let dropped = &was.tree.children[0].children[2].children;
+        dropped_rows += was.tree.children[0].children[2].est_rows;
+        for ((p, old), gone) in now.probes.iter().zip(&was.probes).zip(dropped) {
+            assert_eq!(
+                p.est_rows,
+                old.est_rows.map(|e| e - gone.est_rows),
+                "query {qi} node {}: the shard without statistics still adds to the estimate",
+                p.node
+            );
+        }
+    }
+    assert!(
+        dropped_rows > 0,
+        "shard 1 never estimated a row — the removal went untested"
+    );
+    let after = reopened.query_batch(&query_refs, &opts).unwrap();
+    assert_bit_identical(&want, &after, "after removing shard 1's statistics");
 }
