@@ -20,26 +20,8 @@
 //! per-bit scan), reported there as 2×–12× slower; `experiments alg1`
 //! regenerates that comparison.
 //!
-//! ## Kernels and dispatch
-//!
-//! Both steps are pure bitwise vector arithmetic over `ceil(n/64)`-word
-//! columns, so they vectorize mechanically. Two kernels implement the
-//! identical algorithm:
-//!
-//! * [`ProbeKernel::Scalar`] — portable word-at-a-time Rust (the original
-//!   implementation, and the reference the SIMD kernel is property-tested
-//!   against).
-//! * [`ProbeKernel::Avx2`] — explicit `std::arch` AVX2 intrinsics
-//!   (x86_64 only): 256-bit lanes carry four counter words at once through
-//!   Step 1's ripple-carry and Step 2's threshold compare, with the carry
-//!   kept in a register across the whole slice ripple. All `unsafe` is
-//!   confined to this module's `avx2` submodule.
-//!
-//! [`probe_bitsliced`] picks a kernel once per process: AVX2 when the CPU
-//! reports it (`is_x86_feature_detected!`), scalar otherwise. Setting the
-//! environment variable `TALE_PROBE_KERNEL=scalar` forces the scalar
-//! kernel (the CI fallback leg uses this so both dispatch arms stay
-//! green); any other value keeps auto-detection.
+//! Both steps are plain bitwise arithmetic over `ceil(n/64)`-word
+//! columns, one 64-row word at a time, in portable safe Rust.
 //!
 //! ## Width contract
 //!
@@ -184,13 +166,12 @@ impl ProbeHits {
     }
 }
 
-/// One of the interchangeable Algorithm-1 kernel implementations.
+/// The Algorithm-1 kernel, named in benchmark output. There is one:
+/// the portable scalar kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeKernel {
     /// Portable word-parallel Rust.
     Scalar,
-    /// Explicit AVX2 intrinsics (x86_64 with runtime feature detection).
-    Avx2,
 }
 
 impl ProbeKernel {
@@ -198,38 +179,14 @@ impl ProbeKernel {
     pub fn name(self) -> &'static str {
         match self {
             ProbeKernel::Scalar => "scalar",
-            ProbeKernel::Avx2 => "avx2",
         }
     }
 }
 
-/// The kernels runnable on this machine (scalar always; AVX2 when the CPU
-/// reports it). Property tests probe every available kernel so both
-/// dispatch arms stay covered wherever they can execute.
-pub fn available_kernels() -> Vec<ProbeKernel> {
-    let mut out = vec![ProbeKernel::Scalar];
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        out.push(ProbeKernel::Avx2);
-    }
-    out
-}
-
-/// The kernel [`probe_bitsliced`] dispatches to: AVX2 when available
-/// unless `TALE_PROBE_KERNEL=scalar` forces the fallback. Resolved once
-/// per process.
+/// The kernel [`probe_bitsliced`] runs: always [`ProbeKernel::Scalar`].
+/// Kept only because the performance ledger records its name.
 pub fn active_kernel() -> ProbeKernel {
-    static ACTIVE: std::sync::OnceLock<ProbeKernel> = std::sync::OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        let forced_scalar = std::env::var("TALE_PROBE_KERNEL")
-            .map(|v| v.eq_ignore_ascii_case("scalar"))
-            .unwrap_or(false);
-        if !forced_scalar && available_kernels().contains(&ProbeKernel::Avx2) {
-            ProbeKernel::Avx2
-        } else {
-            ProbeKernel::Scalar
-        }
-    })
+    ProbeKernel::Scalar
 }
 
 /// `countSize` (line 3): `⌊log2(nbmiss)⌋ + 1` counter digits; `nbmiss = 0`
@@ -266,15 +223,13 @@ fn assert_query_width(who: &str, sbit: u32, query: &[u64]) {
 
 /// Walks `Result_lt | Result_eq`, masking rows past `n`, and reconstructs
 /// each qualifying row's exact miss count from the counter slices
-/// (`count_word(k, w)` reads digit-slice `k`, word `w`). Shared by both
-/// kernels so extraction is bit-identical by construction.
+/// (`count[k][w]` is digit-slice `k`, word `w`).
 fn collect_hits(
     n: usize,
     wpc: usize,
     result_lt: &[u64],
     result_eq: &[u64],
-    slices: usize,
-    count_word: impl Fn(usize, usize) -> u64,
+    count: &[Vec<u64>],
 ) -> ProbeHits {
     let mut rows = Vec::new();
     let mut misses = Vec::new();
@@ -289,8 +244,8 @@ fn collect_hits(
             let row = w * 64 + bit;
             word &= word - 1;
             let mut m = 0u32;
-            for k in 0..slices {
-                if count_word(k, w) >> bit & 1 == 1 {
+            for (k, slice) in count.iter().enumerate() {
+                if slice[w] >> bit & 1 == 1 {
                     m |= 1 << k;
                 }
             }
@@ -304,7 +259,7 @@ fn collect_hits(
 /// Algorithm 1. Returns the rows of `bitmap` whose neighbor arrays miss at
 /// most `nbmiss` of the set bits in `query` (given as `ceil(sbit/64)`
 /// words), along with each row's exact miss count (needed by the quality
-/// function, Eq. IV.5). Dispatches to the [`active_kernel`].
+/// function, Eq. IV.5).
 ///
 /// # Panics
 ///
@@ -314,61 +269,6 @@ pub fn probe_bitsliced(bitmap: &ColumnBitmap, query: &[u64], nbmiss: u32) -> Pro
     if bitmap.rows() == 0 {
         return ProbeHits::empty();
     }
-    match active_kernel() {
-        ProbeKernel::Scalar => scalar_probe(bitmap, query, nbmiss),
-        #[cfg(target_arch = "x86_64")]
-        ProbeKernel::Avx2 => avx2::probe(bitmap, query, nbmiss),
-        #[cfg(not(target_arch = "x86_64"))]
-        ProbeKernel::Avx2 => unreachable!("AVX2 kernel selected off x86_64"),
-    }
-}
-
-/// [`probe_bitsliced`] through an explicit kernel (benchmarks and the
-/// dual-arm property tests; normal callers use the dispatcher).
-///
-/// # Panics
-///
-/// Panics on a width-contract violation, or when `kernel` is not in
-/// [`available_kernels`] on this machine.
-pub fn probe_bitsliced_with(
-    kernel: ProbeKernel,
-    bitmap: &ColumnBitmap,
-    query: &[u64],
-    nbmiss: u32,
-) -> ProbeHits {
-    assert_query_width("probe_bitsliced_with", bitmap.sbit(), query);
-    if bitmap.rows() == 0 {
-        return ProbeHits::empty();
-    }
-    match kernel {
-        ProbeKernel::Scalar => scalar_probe(bitmap, query, nbmiss),
-        ProbeKernel::Avx2 => {
-            assert!(
-                available_kernels().contains(&ProbeKernel::Avx2),
-                "AVX2 kernel requested but not available on this CPU"
-            );
-            #[cfg(target_arch = "x86_64")]
-            {
-                avx2::probe(bitmap, query, nbmiss)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX2 kernel is never available off x86_64")
-        }
-    }
-}
-
-/// The portable scalar kernel (the original word-parallel implementation).
-/// Public so benchmarks can pin it regardless of dispatch.
-pub fn probe_bitsliced_scalar(bitmap: &ColumnBitmap, query: &[u64], nbmiss: u32) -> ProbeHits {
-    assert_query_width("probe_bitsliced_scalar", bitmap.sbit(), query);
-    if bitmap.rows() == 0 {
-        return ProbeHits::empty();
-    }
-    scalar_probe(bitmap, query, nbmiss)
-}
-
-/// Scalar Algorithm 1 body (width checked, `n > 0`).
-fn scalar_probe(bitmap: &ColumnBitmap, query: &[u64], nbmiss: u32) -> ProbeHits {
     let n = bitmap.rows();
     let wpc = bitmap.wpc;
     let count_size = count_size_for(nbmiss);
@@ -415,131 +315,7 @@ fn scalar_probe(bitmap: &ColumnBitmap, query: &[u64], nbmiss: u32) -> ProbeHits 
         }
     }
 
-    collect_hits(n, wpc, &result_lt, &result_eq, count_size + 1, |k, w| {
-        count[k][w]
-    })
-}
-
-/// The AVX2 kernel: identical algorithm, 256-bit lanes. All `unsafe`
-/// lives here; the sole entry point is safe and assumes dispatch already
-/// verified CPU support.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{collect_hits, count_size_for, ColumnBitmap, ProbeHits};
-    use std::arch::x86_64::*;
-
-    /// AVX2 lanes per iteration (4 × u64 = 256 bits).
-    const LANES: usize = 4;
-
-    /// Runs Algorithm 1 with AVX2 intrinsics. The caller (kernel
-    /// dispatch) must have verified `is_x86_feature_detected!("avx2")`.
-    pub(super) fn probe(bitmap: &ColumnBitmap, query: &[u64], nbmiss: u32) -> ProbeHits {
-        // SAFETY: every dispatch path guards this call behind a runtime
-        // AVX2 feature check (`available_kernels`/`active_kernel`).
-        unsafe { probe_impl(bitmap, query, nbmiss) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn probe_impl(bitmap: &ColumnBitmap, query: &[u64], nbmiss: u32) -> ProbeHits {
-        let n = bitmap.rows();
-        let wpc = bitmap.wpc;
-        let count_size = count_size_for(nbmiss);
-        // Flat slice-major counter buffer: digit-slice `k` occupies
-        // `count[k*wpc .. (k+1)*wpc]` (contiguous for the lane loads).
-        let mut count = vec![0u64; (count_size + 1) * wpc];
-
-        // Step 1: add NOT B_j for each set query bit. The ripple keeps
-        // the carry in a register across all count_size slices.
-        let sbit = bitmap.sbit();
-        for j in 0..sbit {
-            if query[(j / 64) as usize] >> (j % 64) & 1 == 0 {
-                continue;
-            }
-            ripple_add_not(bitmap.column(j), &mut count, count_size, wpc);
-        }
-
-        // Step 2: threshold compare against nbmiss.
-        let mut result_lt = vec![0u64; wpc];
-        let mut result_eq = vec![u64::MAX; wpc];
-        for k in (0..=count_size).rev() {
-            let slice = &count[k * wpc..(k + 1) * wpc];
-            compare_digit(
-                slice,
-                (nbmiss as u64) >> k & 1 == 1,
-                &mut result_lt,
-                &mut result_eq,
-            );
-        }
-
-        collect_hits(n, wpc, &result_lt, &result_eq, count_size + 1, |k, w| {
-            count[k * wpc + w]
-        })
-    }
-
-    /// `Count += NOT col` in bit-sliced form, sticky overflow in the last
-    /// slice. Lane part first, scalar tail for `wpc % 4` words.
-    #[target_feature(enable = "avx2")]
-    unsafe fn ripple_add_not(col: &[u64], count: &mut [u64], count_size: usize, wpc: usize) {
-        let ones = _mm256_set1_epi64x(-1);
-        let mut w = 0usize;
-        while w + LANES <= wpc {
-            let c = _mm256_loadu_si256(col.as_ptr().add(w) as *const __m256i);
-            let mut carry = _mm256_xor_si256(c, ones); // NOT col
-            for k in 0..count_size {
-                let p = count.as_mut_ptr().add(k * wpc + w) as *mut __m256i;
-                let digit = _mm256_loadu_si256(p as *const __m256i);
-                let next = _mm256_and_si256(digit, carry);
-                _mm256_storeu_si256(p, _mm256_xor_si256(digit, carry));
-                carry = next;
-            }
-            let p = count.as_mut_ptr().add(count_size * wpc + w) as *mut __m256i;
-            let overflow = _mm256_loadu_si256(p as *const __m256i);
-            _mm256_storeu_si256(p, _mm256_or_si256(overflow, carry));
-            w += LANES;
-        }
-        while w < wpc {
-            let mut carry = !col[w];
-            for k in 0..count_size {
-                let digit = count[k * wpc + w];
-                count[k * wpc + w] = digit ^ carry;
-                carry &= digit;
-            }
-            count[count_size * wpc + w] |= carry;
-            w += 1;
-        }
-    }
-
-    /// One Step-2 digit: when the nbmiss bit is set,
-    /// `lt |= eq & !digit; eq &= digit`; otherwise `eq &= !digit`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn compare_digit(digit: &[u64], bit_set: bool, lt: &mut [u64], eq: &mut [u64]) {
-        let wpc = digit.len();
-        let mut w = 0usize;
-        while w + LANES <= wpc {
-            let d = _mm256_loadu_si256(digit.as_ptr().add(w) as *const __m256i);
-            let pe = eq.as_mut_ptr().add(w) as *mut __m256i;
-            let e = _mm256_loadu_si256(pe as *const __m256i);
-            if bit_set {
-                let pl = lt.as_mut_ptr().add(w) as *mut __m256i;
-                let l = _mm256_loadu_si256(pl as *const __m256i);
-                // eq & !digit == andnot(digit, eq)
-                _mm256_storeu_si256(pl, _mm256_or_si256(l, _mm256_andnot_si256(d, e)));
-                _mm256_storeu_si256(pe, _mm256_and_si256(e, d));
-            } else {
-                _mm256_storeu_si256(pe, _mm256_andnot_si256(d, e));
-            }
-            w += LANES;
-        }
-        while w < wpc {
-            if bit_set {
-                lt[w] |= eq[w] & !digit[w];
-                eq[w] &= digit[w];
-            } else {
-                eq[w] &= !digit[w];
-            }
-            w += 1;
-        }
-    }
+    collect_hits(n, wpc, &result_lt, &result_eq, &count)
 }
 
 /// The naive probe §IV-D compares against: visit every row, walk the query
@@ -644,11 +420,9 @@ mod tests {
         // n3 = 11111: all → 0 ✓
         let bm = bitmap_from_rows(&rows, sbit);
         let q = vec![0b11011u64];
-        for kernel in available_kernels() {
-            let hits = probe_bitsliced_with(kernel, &bm, &q, 1);
-            assert_eq!(hits.rows, vec![0, 3], "{kernel:?}");
-            assert_eq!(hits.misses, vec![1, 0], "{kernel:?}");
-        }
+        let hits = probe_bitsliced(&bm, &q, 1);
+        assert_eq!(hits.rows, vec![0, 3]);
+        assert_eq!(hits.misses, vec![1, 0]);
     }
 
     #[test]
@@ -687,15 +461,13 @@ mod tests {
             .map(|i| vec![if i % 7 == 0 { 0b1u64 } else { 0 }])
             .collect();
         let bm = bitmap_from_rows(&rows, sbit);
-        for kernel in available_kernels() {
-            let hits = probe_bitsliced_with(kernel, &bm, &[0b1u64], 0);
-            let expect: Vec<u32> = (0..100).filter(|i| i % 7 == 0).collect();
-            assert_eq!(hits.rows, expect, "{kernel:?}");
-        }
+        let hits = probe_bitsliced(&bm, &[0b1u64], 0);
+        let expect: Vec<u32> = (0..100).filter(|i| i % 7 == 0).collect();
+        assert_eq!(hits.rows, expect);
     }
 
-    /// One random corpus drives every probe implementation and every
-    /// available kernel; the naive per-row scan is the oracle.
+    /// One random corpus drives every probe implementation; the naive
+    /// per-row scan is the oracle.
     ///
     /// Coverage (the regression spread that caught the old gaps):
     /// * `sbit` at, below, and beyond one word — 16..256 including the
@@ -706,7 +478,6 @@ mod tests {
     ///   never fire).
     #[test]
     fn agrees_with_naive_random() {
-        let kernels = available_kernels();
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         let widths = [16u32, 32, 64, 96, 128, 192, 256];
         for trial in 0..140 {
@@ -755,17 +526,12 @@ mod tests {
             // nbmiss spans the whole budget range, not just tiny values.
             let nbmiss = rng.gen_range(0..=sbit);
             let oracle = probe_naive(&bm, &q, nbmiss);
-            for &kernel in &kernels {
-                let got = probe_bitsliced_with(kernel, &bm, &q, nbmiss);
-                assert_eq!(
-                    got.rows, oracle.rows,
-                    "{kernel:?} trial {trial} n={n} sbit={sbit} nbmiss={nbmiss}"
-                );
-                assert_eq!(got.misses, oracle.misses, "{kernel:?} trial {trial}");
-            }
-            let dispatched = probe_bitsliced(&bm, &q, nbmiss);
-            assert_eq!(dispatched.rows, oracle.rows, "dispatch trial {trial}");
-            assert_eq!(dispatched.misses, oracle.misses, "dispatch trial {trial}");
+            let got = probe_bitsliced(&bm, &q, nbmiss);
+            assert_eq!(
+                got.rows, oracle.rows,
+                "trial {trial} n={n} sbit={sbit} nbmiss={nbmiss}"
+            );
+            assert_eq!(got.misses, oracle.misses, "trial {trial}");
             let c = probe_rowscan(&rows, &q, nbmiss);
             assert_eq!(c.rows, oracle.rows, "rowscan trial {trial}");
             assert_eq!(c.misses, oracle.misses, "rowscan trial {trial}");
@@ -779,15 +545,13 @@ mod tests {
         let rows = vec![vec![0u64]; 70];
         let bm = bitmap_from_rows(&rows, 40);
         let q = vec![(1u64 << 40) - 1];
-        for kernel in available_kernels() {
-            for nbmiss in [0u32, 1, 3, 7] {
-                let hits = probe_bitsliced_with(kernel, &bm, &q, nbmiss);
-                assert!(hits.rows.is_empty(), "{kernel:?} nbmiss={nbmiss}");
-            }
-            let hits = probe_bitsliced_with(kernel, &bm, &q, 40);
-            assert_eq!(hits.rows.len(), 70, "{kernel:?}");
-            assert!(hits.misses.iter().all(|&m| m == 40), "{kernel:?}");
+        for nbmiss in [0u32, 1, 3, 7] {
+            let hits = probe_bitsliced(&bm, &q, nbmiss);
+            assert!(hits.rows.is_empty(), "nbmiss={nbmiss}");
         }
+        let hits = probe_bitsliced(&bm, &q, 40);
+        assert_eq!(hits.rows.len(), 70);
+        assert!(hits.misses.iter().all(|&m| m == 40));
     }
 
     #[test]
@@ -868,14 +632,5 @@ mod tests {
     fn naive_rejects_short_query() {
         let bm = ColumnBitmap::new(4, 96);
         probe_naive(&bm, &[0u64], 1);
-    }
-
-    #[test]
-    fn kernel_dispatch_reports_consistent_state() {
-        let kernels = available_kernels();
-        assert!(kernels.contains(&ProbeKernel::Scalar));
-        assert!(kernels.contains(&active_kernel()));
-        assert_eq!(ProbeKernel::Scalar.name(), "scalar");
-        assert_eq!(ProbeKernel::Avx2.name(), "avx2");
     }
 }

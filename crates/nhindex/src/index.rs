@@ -310,9 +310,6 @@ pub struct NhIndex {
     /// (or with an unreadable sidecar) — probing works, just without
     /// skips.
     filter: Option<LabelPairFilter>,
-    /// Runtime toggle for the pre-filter (default on). Benchmarks flip it
-    /// off to prove bit-identity of the filtered path.
-    filter_enabled: std::sync::atomic::AtomicBool,
 }
 
 /// One extracted indexing unit (pre-grouping). Shared with the delta
@@ -435,7 +432,6 @@ impl NhIndex {
             io,
             stats: Some(Arc::new(stats_builder.finish())),
             filter: Some(LabelPairFilter::from_entries(summaries)),
-            filter_enabled: std::sync::atomic::AtomicBool::new(true),
         };
         idx.flush(db.effective_vocab_size() as u64)?;
         Ok(idx)
@@ -610,7 +606,6 @@ impl NhIndex {
             io: None,
             stats,
             filter: lp_filter,
-            filter_enabled: std::sync::atomic::AtomicBool::new(true),
         })
     }
 
@@ -776,7 +771,7 @@ impl NhIndex {
         // The probe-width contract, enforced here as a typed error: a
         // signature built under a different index's scheme (sbit skew)
         // must fail loudly, not silently under-count misses in the
-        // kernels below.
+        // kernel below.
         self.scheme
             .check_query_width(&sig.nb_array)
             .map_err(NhError::Meta)?;
@@ -784,11 +779,7 @@ impl NhIndex {
         let deg_min = sig.degree - nbmiss; // condition IV.2
         let nbc_min = sig.nb_connection.saturating_sub(nbcmiss); // IV.4
         let bit_budget = self.scheme.bit_budget(nbmiss); // IV.3, bit space
-        let lp_filter = if self.filter_enabled() {
-            self.filter.as_ref()
-        } else {
-            None
-        };
+        let lp_filter = self.filter.as_ref();
 
         let lo = CompositeKey::new(sig.label, deg_min, 0);
         let hi = CompositeKey::new(sig.label, u32::MAX, u32::MAX);
@@ -832,23 +823,12 @@ impl NhIndex {
         Ok(hits)
     }
 
-    /// Whether the label-pair pre-filter is consulted (true unless turned
-    /// off via [`NhIndex::set_filter_enabled`], or the index has no
-    /// persisted filter).
+    /// Whether the label-pair pre-filter is consulted: false only when the
+    /// index has no current `nh.lpf` sidecar. Answers are bit-identical
+    /// either way (the filter only skips postings that can prove no row
+    /// qualifies).
     pub fn filter_enabled(&self) -> bool {
         self.filter.is_some()
-            && self
-                .filter_enabled
-                .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Turns the label-pair pre-filter on or off at runtime. Answers are
-    /// bit-identical either way (the filter only skips postings that can
-    /// prove no row qualifies); benchmarks flip it to measure the skip
-    /// fraction and verify identity.
-    pub fn set_filter_enabled(&self, enabled: bool) {
-        self.filter_enabled
-            .store(enabled, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Number of keys carrying a label-pair summary (0 when the index has
@@ -1337,9 +1317,25 @@ mod tests {
         }
     }
 
+    /// A copy of the index in `dir` with its `nh.lpf` sidecar removed:
+    /// the degrade path (see `missing_or_stale_sidecar_degrades_to_no_filter`)
+    /// that opens it without a label-pair filter.
+    fn unfiltered_copy(dir: &Path) -> (tempfile::TempDir, NhIndex) {
+        let copy = tempfile::tempdir().unwrap();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            assert!(path.is_file(), "{path:?}: an index directory is flat");
+            if path.file_name().is_some_and(|f| f != FILTER_FILE) {
+                std::fs::copy(&path, copy.path().join(path.file_name().unwrap())).unwrap();
+            }
+        }
+        let idx = NhIndex::open(copy.path(), 64).unwrap();
+        (copy, idx)
+    }
+
     #[test]
     fn filter_skips_postings_before_fetch() {
-        let (_d, db, idx) = build_sample(&cfg());
+        let (dir, db, idx) = build_sample(&cfg());
         assert!(idx.scheme().deterministic);
         assert!(idx.filter_enabled());
         assert!(idx.filter_keys() > 0);
@@ -1354,31 +1350,29 @@ mod tests {
 
         // identity against the unfiltered path, and the counter taxonomy
         // flips back to fetches
-        idx.set_filter_enabled(false);
-        assert!(!idx.filter_enabled());
-        let (hits_off, stats_off) = idx.probe_with_stats(&sig, 0.0).unwrap();
+        let (_copy, off) = unfiltered_copy(dir.path());
+        assert!(!off.filter_enabled());
+        let (hits_off, stats_off) = off.probe_with_stats(&sig, 0.0).unwrap();
         assert_eq!(hits_off, hits);
         assert_eq!(stats_off.postings_filtered, 0);
         assert!(stats_off.postings_fetched > 0);
         assert!(stats.rows_examined <= stats_off.rows_examined);
 
         // lifetime counters carried the skip
-        idx.set_filter_enabled(true);
         assert!(idx.counters().postings_filtered > 0);
     }
 
     #[test]
     fn filter_on_off_answers_identically() {
-        let (_d, db, idx) = build_sample(&cfg());
+        let (dir, db, idx) = build_sample(&cfg());
+        let (_copy, off) = unfiltered_copy(dir.path());
         for gid in [tale_graph::GraphId(0), tale_graph::GraphId(1)] {
             let g = db.graph(gid);
             for n in g.nodes() {
                 let sig = idx.signature(g, n, &|x| db.effective_label(gid, x));
                 for rho in [0.0, 0.25, 0.5, 1.0] {
-                    idx.set_filter_enabled(true);
                     let on = idx.probe(&sig, rho).unwrap();
-                    idx.set_filter_enabled(false);
-                    let off = idx.probe(&sig, rho).unwrap();
+                    let off = off.probe(&sig, rho).unwrap();
                     assert_eq!(on, off, "gid={gid:?} n={n:?} rho={rho}");
                 }
             }

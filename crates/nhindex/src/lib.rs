@@ -19,9 +19,8 @@
 //!   Bloom-filter hashing for large `Σv` (§IV-A).
 //! * [`posting`] — the second-level blob layout (node refs + column-major
 //!   bitmap).
-//! * [`bitprobe`] — Algorithm 1 (bit-sliced counting probe, scalar + AVX2
-//!   kernels behind runtime dispatch) and the naive scan it is benchmarked
-//!   against in §IV-D.
+//! * [`bitprobe`] — Algorithm 1 (the word-parallel bit-sliced counting
+//!   probe) and the naive scan it is benchmarked against in §IV-D.
 //! * [`filter`] — [`LabelPairFilter`]: per-key neighboring-label summaries
 //!   that skip postings before blob prefetch (the l2Match-style pre-probe
 //!   level).

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! tale-cli build <graphs.(txt|json)> <index-dir> [--sbit N] [--frames N]
-//!          [--shards N] [--policy hash|size-balanced|label-clustered]
+//!          [--shards N]
 //! tale-cli add   <index-dir> <graphs.(txt|json)>
 //! tale-cli stats <index-dir> [--json]
 //! tale-cli explain <index-dir> <query.(txt|json)> [--json]
@@ -38,13 +38,45 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use tale::{
-    policy_by_name, CTreeStyle, ImportanceMeasure, MatchedNodesEdges, QualitySum, QueryOptions,
+    CTreeStyle, HashPolicy, ImportanceMeasure, MatchedNodesEdges, QualitySum, QueryOptions,
     ShardStats, ShardedTaleDatabase, TaleParams,
 };
 use tale_graph::labels::NodeLabel;
 use tale_graph::{Graph, GraphDb};
 use tale_nhindex::{GenerationalNhIndex, IndexReader, IndexStatistics};
 use tale_server::wire;
+
+/// `print!` for command output (see [`write_stdout`]).
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for command output (see [`write_stdout`]).
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes command output to stdout. A closed stdout — the reader of
+/// `tale-cli ... | head` has gone — ends the process quietly with success,
+/// where `print!` would panic; any other write error ends it with a
+/// one-line message.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("tale-cli: writing to stdout: {e}");
+            std::process::exit(1);
+        }
+        std::process::exit(0);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -78,7 +110,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "\
 usage:
   tale-cli build <graphs.(txt|json)> <index-dir> [--sbit N] [--frames N]
-           [--shards N] [--policy hash|size-balanced|label-clustered]
+           [--shards N]
   tale-cli add   <index-dir> <graphs.(txt|json)> [--pool-pages N]
   tale-cli stats <index-dir> [--json] [--pool-pages N]
   tale-cli explain <index-dir> <query.(txt|json)> [--rho F] [--pimp F]
@@ -99,8 +131,8 @@ measures: degree (default) | closeness | betweenness | eigenvector | random
 models:   quality (default) | nodes-edges | ctree
 threads:  0 = one per core (default); 1 = serial; N = worker cap
 shards:   partition the index across N independent NH-Index shards
-          (default 1); queries scatter/gather and return bit-identical
-          results at every N
+          (default 1), graph id placed by hash; queries scatter/gather
+          and return bit-identical results at every N
 explain:  (query) also print the plan tree — one probe per important
           node on every shard — with posting-row estimates from the
           index statistics; the explain subcommand prints the plan
@@ -236,7 +268,6 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     };
     let mut params = TaleParams::default();
     let mut nshards = 1;
-    let mut policy_name = "hash";
     for (name, v) in flags {
         match name {
             "sbit" => params.sbit = parse(name, v)?,
@@ -248,26 +279,18 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
                 }
                 nshards = n;
             }
-            "policy" => policy_name = v,
             other => return Err(format!("unknown flag --{other}")),
         }
     }
-    let policy =
-        policy_by_name(policy_name).ok_or_else(|| format!("unknown policy {policy_name:?}"))?;
     let db = load_db(Path::new(input))?;
     let (graphs, nodes, edges) = (db.len(), db.total_nodes(), db.total_edges());
     let start = std::time::Instant::now();
-    let (tale, build) = ShardedTaleDatabase::build_with_stats(
-        db,
-        Path::new(dir),
-        &params,
-        nshards,
-        policy.as_ref(),
-    )
-    .map_err(|e| e.to_string())?;
-    println!(
+    let (tale, build) =
+        ShardedTaleDatabase::build_with_stats(db, Path::new(dir), &params, nshards, &HashPolicy)
+            .map_err(|e| e.to_string())?;
+    outln!(
         "indexed {graphs} graphs ({nodes} nodes, {edges} edges) in {:.2}s \
-         across {nshards} shard{} ({policy_name} placement, build skew {:.2})",
+         across {nshards} shard{} (hash placement, build skew {:.2})",
         start.elapsed().as_secs_f64(),
         if nshards == 1 { "" } else { "s" },
         build.skew()
@@ -278,12 +301,12 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         .zip(&build.nodes_per_shard)
         .enumerate()
     {
-        println!(
+        outln!(
             "  shard {s:>3}: {g} graphs, {n} nodes, built in {:.3}s",
             build.per_shard_secs[s]
         );
     }
-    println!(
+    outln!(
         "index: {} keys, {} bytes at {dir}",
         tale.index().key_count(),
         tale.index_size_bytes()
@@ -320,7 +343,7 @@ fn cmd_add(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         added += 1;
     }
-    println!(
+    outln!(
         "added {added} graphs; index now covers {} graphs / {} nodes",
         tale.db().len(),
         tale.index().node_count()
@@ -391,28 +414,29 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
                 })
                 .collect(),
         };
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&dump).map_err(|e| e.to_string())?
         );
         return Ok(());
     }
-    println!("graphs           : {}", tale.db().len());
-    println!("total nodes      : {}", tale.db().total_nodes());
-    println!("total edges      : {}", tale.db().total_edges());
-    println!("node labels |Σv| : {}", tale.db().node_vocab().len());
-    println!(
+    outln!("graphs           : {}", tale.db().len());
+    outln!("total nodes      : {}", tale.db().total_nodes());
+    outln!("total edges      : {}", tale.db().total_edges());
+    outln!("node labels |Σv| : {}", tale.db().node_vocab().len());
+    outln!(
         "group labels     : {}",
         if tale.db().has_groups() { "yes" } else { "no" }
     );
-    println!("index keys       : {}", tale.index().key_count());
-    println!("index bytes      : {}", tale.index_size_bytes());
-    println!(
+    outln!("index keys       : {}", tale.index().key_count());
+    outln!("index bytes      : {}", tale.index_size_bytes());
+    outln!(
         "shards           : {} ({} placement)",
-        manifest.shard_count, manifest.policy
+        manifest.shard_count,
+        manifest.policy
     );
     for (s, idx) in tale.index().ids().zip(tale.index().shards()) {
-        println!(
+        outln!(
             "  shard {s:>3}: {} graphs, {} indexed nodes, {} keys, {} bytes",
             manifest.graphs_of(s).len(),
             idx.node_count(),
@@ -423,7 +447,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     // every shard shares one scheme (derived from the full vocabulary at
     // build time, kept by folds)
     let s = tale.index().shards()[0].scheme();
-    println!(
+    outln!(
         "neighbor arrays  : Sbit={} ({})",
         s.sbit,
         if s.deterministic {
@@ -435,11 +459,11 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     // Per-unit index statistics (nh.stats.json): vocabulary skew and
     // posting-row percentiles. A `-` row means that unit predates the
     // statistics file; `explain` has no estimate for it.
-    println!("index statistics:");
-    println!("  unit           graphs   nodes  labels  skew   post p50/p90/p99  maxdeg");
+    outln!("index statistics:");
+    outln!("  unit           graphs   nodes  labels  skew   post p50/p90/p99  maxdeg");
     for (name, st) in &units {
         match st.as_deref() {
-            Some(st) => println!(
+            Some(st) => outln!(
                 "  {:<13} {:>7} {:>7}  {:>6}  {:>4.2}  {:>6}/{:>3}/{:>3}  {:>6}",
                 name,
                 st.graph_count,
@@ -451,15 +475,18 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
                 st.posting_rows.p99,
                 st.max_degree
             ),
-            None => println!("  {name:<13}       -       -       -     -        -/  -/  -       -"),
+            None => outln!("  {name:<13}       -       -       -     -        -/  -/  -       -"),
         }
     }
     for (id, name, g) in tale.db().iter() {
         let _ = id;
         let st = tale_graph::stats::stats(g);
-        println!(
+        outln!(
             "  {name}: {} nodes, {} edges, max degree {}, clustering {:.3}",
-            st.nodes, st.edges, st.max_degree, st.clustering
+            st.nodes,
+            st.edges,
+            st.max_degree,
+            st.clustering
         );
     }
     Ok(())
@@ -505,12 +532,12 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let query = remap_query(&qdb, tale.db());
     let report = tale.explain(&query, &opts);
     if json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
         );
     } else {
-        print!("{}", report.render());
+        out!("{}", report.render());
     }
     Ok(())
 }
@@ -595,14 +622,14 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             serde_json::to_string_pretty(&results)
         }
         .map_err(|e| e.to_string())?;
-        println!("{out}");
+        outln!("{out}");
         return Ok(());
     }
     if let Some(report) = &plan_report {
-        print!("{}", report.render());
-        println!();
+        out!("{}", report.render());
+        outln!();
     }
-    println!(
+    outln!(
         "query: {} nodes, {} edges → {} matches in {:.3}s (ρ={}, Pimp={})",
         query.node_count(),
         query.edge_count(),
@@ -612,7 +639,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         opts.p_imp
     );
     for (rank, m) in results.iter().enumerate() {
-        println!(
+        outln!(
             "#{:<3} {:24} score {:>8.3}  nodes {:>4}  edges {:>4}",
             rank + 1,
             m.graph_name,
@@ -622,13 +649,13 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         );
     }
     if want_stats {
-        println!();
+        outln!();
         print_query_stats(&stats);
         if shard_stats.len() > 1 {
-            println!("per-shard (skew {skew:.2}):");
-            println!("  shard  probes  keys  postings  rows  cands  matches  wall(s)");
+            outln!("per-shard (skew {skew:.2}):");
+            outln!("  shard  probes  keys  postings  rows  cands  matches  wall(s)");
             for s in &shard_stats {
-                println!(
+                outln!(
                     "  {:>5}  {:>6}  {:>4}  {:>8}  {:>4}  {:>5}  {:>7}  {:.4}",
                     s.shard,
                     s.probes,
@@ -646,26 +673,28 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 }
 
 fn print_query_stats(s: &tale::QueryStats) {
-    println!("engine stats:");
+    outln!("engine stats:");
     if s.cache_hit {
-        println!("  result cache     : HIT (index untouched)");
+        outln!("  result cache     : HIT (index untouched)");
     } else {
-        println!("  result cache     : miss");
-        println!("  important nodes  : {}", s.important_nodes);
-        println!(
+        outln!("  result cache     : miss");
+        outln!("  important nodes  : {}", s.important_nodes);
+        outln!(
             "  index probes     : {} ({} shared)",
-            s.probes, s.probes_shared
+            s.probes,
+            s.probes_shared
         );
-        println!("  keys scanned     : {}", s.keys_scanned);
-        println!("  postings fetched : {}", s.postings_fetched);
-        println!("  postings filtered: {}", s.postings_filtered);
-        println!("  rows examined    : {}", s.rows_examined);
-        println!(
+        outln!("  keys scanned     : {}", s.keys_scanned);
+        outln!("  postings fetched : {}", s.postings_fetched);
+        outln!("  postings filtered: {}", s.postings_filtered);
+        outln!("  rows examined    : {}", s.rows_examined);
+        outln!(
             "  candidates       : {} nodes across {} graphs",
-            s.candidates, s.candidate_graphs
+            s.candidates,
+            s.candidate_graphs
         );
     }
-    println!(
+    outln!(
         "  pool hit rate    : {:.1}% ({} hits / {} coalesced / {} misses / {} prefetched)",
         100.0 * s.pool.hit_rate(),
         s.pool.hits,
@@ -673,7 +702,7 @@ fn print_query_stats(s: &tale::QueryStats) {
         s.pool.misses,
         s.pool.prefetched
     );
-    println!(
+    outln!(
         "  stages (s)       : plan {:.4} | probe {:.4} | match {:.4} | rank {:.4} | total {:.4}",
         s.stages.plan_secs,
         s.stages.probe_secs,
@@ -708,13 +737,17 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     let mut corrupt = 0usize;
     for (who, r) in &reports {
         let status = if r.is_ok() { "ok" } else { "CORRUPT" };
-        println!(
+        outln!(
             "{who}: {status} — {} btree pages, {} blob pages, {} keys, \
              {} postings, {} rows",
-            r.btree_pages, r.blob_pages, r.keys, r.postings, r.posting_rows
+            r.btree_pages,
+            r.blob_pages,
+            r.keys,
+            r.postings,
+            r.posting_rows
         );
         for e in &r.errors {
-            println!("  error: {e}");
+            outln!("  error: {e}");
         }
         if !r.is_ok() {
             corrupt += 1;
@@ -741,7 +774,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
             probed += 1;
         }
     }
-    println!(
+    outln!(
         "ok: {} graphs, {} indexed nodes, {} distinct keys, {} bytes; \
          {probed} probe paths verified",
         tale.db().len(),
@@ -767,14 +800,15 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
     let pool_pages = pool_pages_only(&flags, 256)?;
     let (_, rec) = ShardedTaleDatabase::open_with_recovery(Path::new(dir), pool_pages)
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "graph log: {} insert(s) replayed, {} torn-tail byte(s) truncated",
-        rec.log_records, rec.log_torn_bytes
+        rec.log_records,
+        rec.log_torn_bytes
     );
     for (s, n) in rec.generations_swept.iter().enumerate() {
-        println!("shard {s}: {n} orphaned generation(s) swept");
+        outln!("shard {s}: {n} orphaned generation(s) swept");
     }
-    println!("recovered; the directory is safe to serve");
+    outln!("recovered; the directory is safe to serve");
     Ok(())
 }
 
@@ -791,20 +825,20 @@ fn cmd_generations(args: &[String]) -> Result<(), String> {
     let mut pending = false;
     for (name, index) in shards(&tale) {
         let snap = index.snapshot();
-        println!("{name}:");
-        println!("  logical mutations : {}", index.logical_generation());
-        println!("  current generation: g{}", index.current_generation());
-        println!(
+        outln!("{name}:");
+        outln!("  logical mutations : {}", index.logical_generation());
+        outln!("  current generation: g{}", index.current_generation());
+        outln!(
             "  delta overlay     : {} unfolded insert(s)",
             snap.delta_graphs()
         );
-        println!(
+        outln!(
             "  tombstones        : {} removed graph(s)",
             snap.removed_count()
         );
-        println!("  on-disk generations:");
+        outln!("  on-disk generations:");
         for g in index.generations() {
-            println!(
+            outln!(
                 "    g{:<4} pins {:>3}{}",
                 g.number,
                 g.pins,
@@ -814,7 +848,7 @@ fn cmd_generations(args: &[String]) -> Result<(), String> {
         pending |= snap.delta_graphs() > 0 || snap.removed_count() > 0;
     }
     if pending {
-        println!("run `tale-cli fold` to build these into a fresh generation");
+        outln!("run `tale-cli fold` to build these into a fresh generation");
     }
     Ok(())
 }
@@ -833,12 +867,14 @@ fn cmd_fold(args: &[String]) -> Result<(), String> {
     let start = std::time::Instant::now();
     let reports = tale.fold().map_err(|e| e.to_string())?;
     for (s, report) in tale.index().ids().zip(reports) {
-        println!(
+        outln!(
             "shard {s}: folded {} insert(s) and {} removal(s) into g{}",
-            report.folded_inserts, report.folded_removes, report.new_generation
+            report.folded_inserts,
+            report.folded_removes,
+            report.new_generation
         );
     }
-    println!("done in {:.2}s", start.elapsed().as_secs_f64());
+    outln!("done in {:.2}s", start.elapsed().as_secs_f64());
     Ok(())
 }
 
@@ -876,39 +912,39 @@ fn cmd_server_stats(args: &[String]) -> Result<(), String> {
         Err(e) => return Err(format!("reading stats response: {e}")),
     };
     if json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&s).map_err(|e| e.to_string())?
         );
         return Ok(());
     }
-    println!("server {addr} (up {:.1}s)", s.uptime_secs);
-    println!("connections:");
-    println!("  accepted             {:>12}", s.conns_accepted);
-    println!("  active               {:>12}", s.conns_active);
-    println!("  shed (budget full)   {:>12}", s.conns_shed);
-    println!("admission:");
-    println!("  requests shed        {:>12}", s.requests_shed);
-    println!(
+    outln!("server {addr} (up {:.1}s)", s.uptime_secs);
+    outln!("connections:");
+    outln!("  accepted             {:>12}", s.conns_accepted);
+    outln!("  active               {:>12}", s.conns_active);
+    outln!("  shed (budget full)   {:>12}", s.conns_shed);
+    outln!("admission:");
+    outln!("  requests shed        {:>12}", s.requests_shed);
+    outln!(
         "  deadline exceeded    {:>12}",
         s.requests_deadline_exceeded
     );
-    println!("  in flight now        {:>12}", s.requests_inflight);
-    println!("  queued now           {:>12}", s.requests_queued);
-    println!("  in-flight high-water {:>12}", s.inflight_hwm);
-    println!("  queue-depth high-water {:>10}", s.queue_depth_hwm);
-    println!("fault handling:");
-    println!("  retries              {:>12}", s.retries);
-    println!("  hedges fired         {:>12}", s.hedges_fired);
-    println!("  hedges won           {:>12}", s.hedges_won);
-    println!("  failovers            {:>12}", s.failovers);
-    println!("  replica failures     {:>12}", s.replica_failures);
-    println!("  breaker opened       {:>12}", s.breaker_opened);
-    println!("  responses degraded   {:>12}", s.responses_degraded);
-    println!("traffic:");
-    println!("  bytes in             {:>12}", s.bytes_in);
-    println!("  bytes out            {:>12}", s.bytes_out);
-    println!("requests by endpoint:");
+    outln!("  in flight now        {:>12}", s.requests_inflight);
+    outln!("  queued now           {:>12}", s.requests_queued);
+    outln!("  in-flight high-water {:>12}", s.inflight_hwm);
+    outln!("  queue-depth high-water {:>10}", s.queue_depth_hwm);
+    outln!("fault handling:");
+    outln!("  retries              {:>12}", s.retries);
+    outln!("  hedges fired         {:>12}", s.hedges_fired);
+    outln!("  hedges won           {:>12}", s.hedges_won);
+    outln!("  failovers            {:>12}", s.failovers);
+    outln!("  replica failures     {:>12}", s.replica_failures);
+    outln!("  breaker opened       {:>12}", s.breaker_opened);
+    outln!("  responses degraded   {:>12}", s.responses_degraded);
+    outln!("traffic:");
+    outln!("  bytes in             {:>12}", s.bytes_in);
+    outln!("  bytes out            {:>12}", s.bytes_out);
+    outln!("requests by endpoint:");
     for (name, n) in [
         ("hello", s.requests_hello),
         ("query", s.requests_query),
@@ -919,7 +955,7 @@ fn cmd_server_stats(args: &[String]) -> Result<(), String> {
         ("health", s.requests_health),
         ("explain", s.requests_explain),
     ] {
-        println!("  {name:<8} {:>12}", n);
+        outln!("  {name:<8} {:>12}", n);
     }
     Ok(())
 }
@@ -958,13 +994,13 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
         Err(e) => return Err(format!("reading health response: {e}")),
     };
     if json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&h).map_err(|e| e.to_string())?
         );
         return Ok(());
     }
-    println!(
+    outln!(
         "server {addr}: {} (up {:.1}s, {} in flight, {} queued)",
         if h.ok { "ok" } else { "not ok" },
         h.uptime_secs,
@@ -972,17 +1008,28 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
         h.queued
     );
     if h.replicas.is_empty() {
-        println!("replicas: none (no replica groups behind this server)");
+        outln!("replicas: none (no replica groups behind this server)");
         return Ok(());
     }
-    println!(
+    outln!(
         "{:>5} {:>7}  {:<10} {:>10} {:>10} {:>13}  address",
-        "shard", "replica", "breaker", "successes", "failures", "consec.fails"
+        "shard",
+        "replica",
+        "breaker",
+        "successes",
+        "failures",
+        "consec.fails"
     );
     for r in &h.replicas {
-        println!(
+        outln!(
             "{:>5} {:>7}  {:<10} {:>10} {:>10} {:>13}  {}",
-            r.shard, r.replica, r.state, r.successes, r.failures, r.consecutive_failures, r.address
+            r.shard,
+            r.replica,
+            r.state,
+            r.successes,
+            r.failures,
+            r.consecutive_failures,
+            r.address
         );
     }
     Ok(())

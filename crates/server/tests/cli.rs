@@ -436,8 +436,6 @@ fn sharded_build_roundtrip_matches_single_index() {
         sharded.to_str().unwrap(),
         "--shards",
         "2",
-        "--policy",
-        "size-balanced",
     ]);
     assert!(ok, "sharded build failed: {stderr}");
     assert!(stdout.contains("across 2 shards"), "{stdout}");
@@ -484,10 +482,10 @@ fn sharded_build_roundtrip_matches_single_index() {
     ]);
     assert!(ok, "explain failed: {stderr}");
     assert!(stdout.contains("scatter [shards=4"), "{stdout}");
-    assert!(stdout.contains("shard [shard=0"), "{stdout}");
-    assert!(stdout.contains("shard [shard=3"), "{stdout}");
+    assert!(stdout.contains("shard [shard=0 base"), "{stdout}");
+    assert!(stdout.contains("shard [shard=1 delta"), "{stdout}");
 
-    // add routes through the placement policy and stays queryable
+    // add routes to the graph's hash-placed shard and stays queryable
     let more_path = dir.path().join("more.txt");
     std::fs::write(
         &more_path,
@@ -581,10 +579,65 @@ fn sharded_flag_validation() {
         "--shards",
         "2",
         "--policy",
-        "astrology",
+        "hash",
     ]);
     assert!(!ok);
-    assert!(stderr.contains("unknown policy"), "{stderr}");
+    assert!(stderr.contains("unknown flag --policy"), "{stderr}");
+}
+
+/// `tale-cli explain ... --json | head`: once the reader of stdout has
+/// gone, the CLI stops quietly instead of panicking on the closed pipe.
+/// The output (a 400-probe plan over four readers) is far larger than a
+/// pipe buffer, so the write is still under way when the pipe closes.
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    use std::io::Read;
+    use std::process::Stdio;
+    let dir = tempfile::tempdir().unwrap();
+    let db_path = dir.path().join("db.txt");
+    let q_path = dir.path().join("q.txt");
+    let idx = dir.path().join("index");
+    std::fs::write(&db_path, DB_TXT).unwrap();
+    let labels = ["kinase", "ligase", "channel"];
+    let mut query = String::from("graph path\n");
+    for i in 0..400 {
+        query.push_str(&format!("v {}\n", labels[i % 3]));
+    }
+    for i in 1..400 {
+        query.push_str(&format!("e {} {i}\n", i - 1));
+    }
+    std::fs::write(&q_path, query).unwrap();
+    let (ok, _, stderr) = run(&[
+        "build",
+        db_path.to_str().unwrap(),
+        idx.to_str().unwrap(),
+        "--shards",
+        "2",
+    ]);
+    assert!(ok, "{stderr}");
+
+    let mut child = Command::new(BIN)
+        .args([
+            "explain",
+            idx.to_str().unwrap(),
+            q_path.to_str().unwrap(),
+            "--pimp",
+            "1.0",
+            "--json",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tale-cli");
+    let mut stdout = child.stdout.take().unwrap();
+    let mut head = [0u8; 16];
+    stdout.read_exact(&mut head).unwrap();
+    assert_eq!(head[0], b'{');
+    drop(stdout);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
 }
 
 #[test]

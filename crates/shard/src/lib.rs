@@ -22,9 +22,9 @@
 //!   deltas, wall clocks, and the skew ratio surface through
 //!   [`tale::BatchStats::shards`] (see [`tale::ShardStats`]).
 //!
-//! Graph placement is pluggable via [`tale::ShardPolicy`]: hash-by-id
-//! ([`HashPolicy`], the default), size-balanced or label-clustered
-//! (narrow per-shard label vocabularies).
+//! Graph placement is one function: graph `id` lives on shard
+//! FNV-1a(id) mod N. [`HashPolicy`] names it as the build functions'
+//! unit argument.
 
 pub use tale::{HashPolicy, ShardedNhIndex, ShardedTaleDatabase};
 

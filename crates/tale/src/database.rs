@@ -26,7 +26,7 @@ use crate::engine::stats::{BatchStats, QueryStats, ShardStats};
 use crate::index::{load_root, ShardBuildStats, ShardedNhIndex};
 use crate::manifest::MANIFEST_FILE;
 use crate::params::{QueryOptions, TaleParams};
-use crate::policy::{policy_by_name, HashPolicy, ShardPolicy};
+use crate::policy::HashPolicy;
 use crate::result::QueryMatch;
 use crate::scratch::ScratchDir;
 use crate::store::{self, DbRecovery, GraphLog};
@@ -85,9 +85,9 @@ impl ShardedTaleDatabase {
         dir: &Path,
         params: &TaleParams,
         nshards: usize,
-        policy: &dyn ShardPolicy,
+        placement: &HashPolicy,
     ) -> Result<Self> {
-        Ok(Self::build_with_stats(db, dir, params, nshards, policy)?.0)
+        Ok(Self::build_with_stats(db, dir, params, nshards, placement)?.0)
     }
 
     /// Like [`ShardedTaleDatabase::build`], also reporting per-shard
@@ -103,7 +103,7 @@ impl ShardedTaleDatabase {
         dir: &Path,
         params: &TaleParams,
         nshards: usize,
-        policy: &dyn ShardPolicy,
+        placement: &HashPolicy,
     ) -> Result<(Self, ShardBuildStats)> {
         std::fs::create_dir_all(dir)?;
         store::unpublish(dir, MANIFEST_FILE)?;
@@ -114,12 +114,11 @@ impl ShardedTaleDatabase {
         }
         let log = GraphLog::create(dir, &db)?;
         let (index, stats) =
-            ShardedNhIndex::build_with_stats(dir, &db, &config_of(params), nshards, policy, 0)?;
+            ShardedNhIndex::build_with_stats(dir, &db, &config_of(params), nshards, placement, 0)?;
         Ok((Self::assemble(db, log, index), stats))
     }
 
-    /// Builds into a self-cleaning scratch directory with the default
-    /// hash placement — convenient for experiments and tests. The index
+    /// Builds into a self-cleaning scratch directory — convenient for experiments and tests. The index
     /// is still genuinely disk-based; it just lives in the OS temp dir for
     /// this handle's lifetime.
     pub fn build_in_temp(db: GraphDb, params: &TaleParams, nshards: usize) -> Result<Self> {
@@ -180,8 +179,8 @@ impl ShardedTaleDatabase {
     }
 
     /// Adds a graph — the growing-database scenario the paper's
-    /// introduction motivates — and routes it to a shard with the build
-    /// policy; it lands in that shard's in-memory delta overlay (no
+    /// introduction motivates — and routes it to shard FNV-1a(id) mod N;
+    /// it lands in that shard's in-memory delta overlay (no
     /// on-disk index structure is touched) and is immediately queryable,
     /// until a [`ShardedTaleDatabase::fold`] moves it into the next
     /// on-disk generation. The graph must use this database's label
@@ -224,8 +223,9 @@ impl ShardedTaleDatabase {
     }
 
     /// Rebuilds the database without tombstoned graphs, with the same
-    /// shard count and placement policy. Graph ids are re-assigned
-    /// (compaction renumbers); vocabulary and group map are preserved. The
+    /// shard count, placed by hash whatever placement the manifest
+    /// recorded. Graph ids are re-assigned (compaction renumbers);
+    /// vocabulary and group map are preserved. The
     /// directory — the scratch one of an in-temp build — is rebuilt in
     /// place. Needs every shard open.
     pub fn compact(self, params: &TaleParams) -> Result<Self> {
@@ -240,12 +240,6 @@ impl ShardedTaleDatabase {
                 "compaction needs every shard of the layout open".into(),
             ));
         }
-        let policy = policy_by_name(&index.manifest().policy).ok_or_else(|| {
-            TaleError::Manifest(format!(
-                "unknown placement policy {:?}",
-                index.manifest().policy
-            ))
-        })?;
         let mut fresh = GraphDb::new();
         for (_, name) in db.node_vocab().iter() {
             fresh.intern_node_label(name);
@@ -263,7 +257,7 @@ impl ShardedTaleDatabase {
         }
         let (dir, nshards) = (index.dir().to_owned(), index.shard_count());
         drop(index); // release page-file handles before truncating
-        let mut built = Self::build(fresh, &dir, params, nshards, policy.as_ref())?;
+        let mut built = Self::build(fresh, &dir, params, nshards, &HashPolicy)?;
         built._scratch = _scratch;
         Ok(built)
     }
@@ -347,7 +341,7 @@ impl ShardedTaleDatabase {
     /// JSON.
     pub fn explain(&self, query: &Graph, opts: &QueryOptions) -> crate::PlanReport {
         Snapshot::with_readers(&self.snapshots(), |readers| {
-            crate::engine::plan::plan_report(&self.db, readers, query, opts)
+            crate::engine::plan::plan_report(&self.db, readers, self.index.ids().start, query, opts)
         })
     }
 
@@ -954,13 +948,16 @@ mod tests {
             ..Default::default()
         };
         let dir = tempfile::tempdir().unwrap();
-        let policy = crate::SizeBalancedPolicy;
-        let mut sharded = ShardedTaleDatabase::build(db, dir.path(), &params, 2, &policy).unwrap();
+        let mut sharded =
+            ShardedTaleDatabase::build(db, dir.path(), &params, 2, &HashPolicy).unwrap();
         let full_size = sharded.index_size_bytes();
         sharded.remove_graph(GraphId(2)).unwrap();
         let compacted = sharded.compact(&params).unwrap();
         assert_eq!(compacted.index().shard_count(), 2);
-        assert_eq!(compacted.index().manifest().policy, "size-balanced");
+        let by_hash: Vec<u32> = (0..graphs.len() as u32 - 1)
+            .map(|g| crate::policy::shard_for(GraphId(g), 2))
+            .collect();
+        assert_eq!(compacted.index().manifest().assignment, by_hash);
         assert!(compacted.index_size_bytes() <= full_size);
         assert_eq!(compacted.db().len(), graphs.len() - 1);
 

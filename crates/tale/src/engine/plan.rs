@@ -184,8 +184,10 @@ impl PlanReport {
     }
 }
 
-/// Builds the explain report for one query against `readers` — the
-/// same `plan_query` the executor runs, rendered instead of executed.
+/// Builds the explain report for one query against `readers` — each open
+/// shard's base reader then its delta reader, from shard `first_shard`
+/// on — the same `plan_query` the executor runs, rendered instead of
+/// executed.
 /// Each reader with statistics estimates every probe's posting rows as
 /// `estimate_rows(label, deg_min)`, where `deg_min` is the probe's
 /// IV.2 lower degree bound; statistics only overestimate, so a reader's
@@ -195,6 +197,7 @@ impl PlanReport {
 pub fn plan_report(
     db: &GraphDb,
     readers: &[&dyn IndexReader],
+    first_shard: u32,
     query: &Graph,
     opts: &QueryOptions,
 ) -> PlanReport {
@@ -232,12 +235,14 @@ pub fn plan_report(
     let shard_nodes: Vec<PlanNode> = per_reader
         .iter()
         .enumerate()
-        .map(|(s, est)| PlanNode {
+        .map(|(r, est)| PlanNode {
             op: "shard".into(),
-            detail: match est {
-                Some(_) => format!("shard={s}"),
-                None => format!("shard={s} no-stats"),
-            },
+            detail: format!(
+                "shard={} {}{}",
+                first_shard + r as u32 / 2,
+                if r % 2 == 0 { "base" } else { "delta" },
+                if est.is_some() { "" } else { " no-stats" }
+            ),
             est_rows: est.as_ref().map_or(0, |e| e.iter().sum()),
             children: probes
                 .iter()

@@ -26,7 +26,7 @@
 //! the handle then holds that one index and answers for its graphs alone.
 
 use crate::manifest::{vocab_fingerprint, ShardManifest, MANIFEST_FILE, MANIFEST_SCHEMA_VERSION};
-use crate::policy::{policy_by_name, ShardPolicy};
+use crate::policy::{shard_for, HashPolicy, PLACEMENT};
 use crate::store::{self, GraphLog, Replayed};
 use crate::{Result, TaleError};
 use std::path::{Path, PathBuf};
@@ -49,8 +49,7 @@ pub struct ShardBuildStats {
     pub total_secs: f64,
     /// Graphs assigned to each shard.
     pub graphs_per_shard: Vec<usize>,
-    /// Total nodes assigned to each shard (the load the size-balanced
-    /// policy equalizes).
+    /// Total nodes assigned to each shard.
     pub nodes_per_shard: Vec<u64>,
 }
 
@@ -171,15 +170,16 @@ impl ShardedNhIndex {
         db: &GraphDb,
         config: &NhIndexConfig,
         nshards: usize,
-        policy: &dyn ShardPolicy,
+        placement: &HashPolicy,
         threads: usize,
     ) -> Result<Self> {
-        Ok(Self::build_with_stats(dir, db, config, nshards, policy, threads)?.0)
+        Ok(Self::build_with_stats(dir, db, config, nshards, placement, threads)?.0)
     }
 
     /// Builds a sharded index and reports per-shard timings.
     ///
-    /// `policy.assign` splits the graphs; each shard then builds its
+    /// Hash placement ([`crate::policy`]) splits the graphs; each shard
+    /// then builds its
     /// generation 0 in its own `shard-NNN/` directory (cleared first), fanned
     /// over `threads` workers (`0` = all cores). The manifest is written
     /// last, so a crash mid-build leaves no directory that
@@ -189,28 +189,16 @@ impl ShardedNhIndex {
         db: &GraphDb,
         config: &NhIndexConfig,
         nshards: usize,
-        policy: &dyn ShardPolicy,
+        _placement: &HashPolicy,
         threads: usize,
     ) -> Result<(Self, ShardBuildStats)> {
         if nshards == 0 {
             return Err(TaleError::Manifest("shard count must be >= 1".into()));
         }
         std::fs::create_dir_all(dir)?;
-        let assignment = policy.assign(db, nshards);
-        if assignment.len() != db.len() {
-            return Err(TaleError::Manifest(format!(
-                "policy {} assigned {} graphs, database has {}",
-                policy.name(),
-                assignment.len(),
-                db.len()
-            )));
-        }
-        if let Some(&bad) = assignment.iter().find(|&&s| s >= nshards as u32) {
-            return Err(TaleError::Manifest(format!(
-                "policy {} assigned shard {bad} with only {nshards} shards",
-                policy.name()
-            )));
-        }
+        let assignment: Vec<u32> = (0..db.len() as u32)
+            .map(|g| shard_for(GraphId(g), nshards as u32))
+            .collect();
         let mut groups: Vec<Vec<GraphId>> = vec![Vec::new(); nshards];
         for (i, &s) in assignment.iter().enumerate() {
             groups[s as usize].push(GraphId(i as u32));
@@ -259,7 +247,7 @@ impl ShardedNhIndex {
         let manifest = ShardManifest {
             schema_version: MANIFEST_SCHEMA_VERSION,
             shard_count: nshards as u32,
-            policy: policy.name().to_owned(),
+            policy: PLACEMENT.to_owned(),
             assignment,
             vocab_fingerprints: vec![vocab_fingerprint(db); nshards],
         };
@@ -418,8 +406,8 @@ impl ShardedNhIndex {
     }
 
     /// Inserts `g` into `db` and indexes it: `g` becomes graph `gid` of
-    /// `db` and a member of the shard the build policy routes it to (of a
-    /// handle holding one shard: that shard). Returns `gid`.
+    /// `db` and a member of shard FNV-1a(`gid`) mod N (of a handle holding
+    /// one shard: that shard). Returns `gid`.
     ///
     /// Sequence: insert into a copy of `db` → append the graph's record,
     /// naming its shard, to `log` (the commit point) → publish the copy as
@@ -446,15 +434,7 @@ impl ShardedNhIndex {
             )));
         }
         let s = if self.shards.len() == self.shard_count() {
-            let policy = policy_by_name(&self.manifest.policy).ok_or_else(|| {
-                TaleError::Manifest(format!("unknown routing policy {:?}", self.manifest.policy))
-            })?;
-            let loads: Vec<u64> = self
-                .shards
-                .iter()
-                .map(GenerationalNhIndex::node_count)
-                .collect();
-            policy.route(&next, gid, &loads)
+            shard_for(gid, self.manifest.shard_count)
         } else {
             self.first
         };

@@ -55,9 +55,7 @@ pub use engine::stats::{BatchStats, PoolDelta, QueryStats, ShardStats, StageTime
 pub use index::{ShardBuildStats, ShardedNhIndex};
 pub use manifest::{vocab_fingerprint, ShardManifest};
 pub use params::{QueryOptions, TaleParams};
-pub use policy::{
-    policy_by_name, HashPolicy, LabelClusteredPolicy, ShardPolicy, SizeBalancedPolicy,
-};
+pub use policy::HashPolicy;
 pub use result::QueryMatch;
 pub use scratch::ScratchDir;
 pub use store::DbRecovery;

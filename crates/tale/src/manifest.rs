@@ -46,9 +46,10 @@ pub struct ShardManifest {
     pub schema_version: u32,
     /// Number of shards (`shard-000` .. `shard-{N-1}`).
     pub shard_count: u32,
-    /// Name of the placement policy that produced `assignment`
-    /// ([`crate::ShardPolicy::name`]); resolved again for routing late
-    /// inserts.
+    /// Name of the placement that produced `assignment`: `"hash"` for
+    /// every build of this version. An older build's `size-balanced` or
+    /// `label-clustered` still opens with its recorded assignment; inserts
+    /// and compaction place by hash either way ([`crate::policy`]).
     pub policy: String,
     /// `assignment[gid]` = owning shard, indexed by [`GraphId::idx`]. On
     /// disk it covers the graphs of the build; an open database appends

@@ -3,8 +3,8 @@
 //! generational index of the whole database (`common::Oracle`) — at every
 //! shard count and every thread count, with the result cache cold or
 //! warm, including after interleaved insert/remove/fold mutations and a
-//! reopen, and regardless of placement policy. `explain`'s row estimates
-//! are held to the rows the probes really examine.
+//! reopen, and under a manifest recording a retired placement. `explain`'s
+//! row estimates are held to the rows the probes really examine.
 
 mod common;
 
@@ -13,10 +13,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::path::Path;
-use tale::{
-    HashPolicy, LabelClusteredPolicy, PlanReport, QueryOptions, ShardPolicy, ShardedTaleDatabase,
-    SizeBalancedPolicy, TaleError, TaleParams,
-};
+use tale::{HashPolicy, PlanReport, QueryOptions, ShardedTaleDatabase, TaleError, TaleParams};
 use tale_graph::generate::gnm;
 use tale_graph::{Graph, GraphDb, NodeId, NodeLabel};
 use tale_nhindex::{Snapshot, STATS_FILE};
@@ -24,11 +21,9 @@ use tale_nhindex::{Snapshot, STATS_FILE};
 const SHARD_COUNTS: &[usize] = &[1, 2, 4, 7];
 const THREAD_COUNTS: &[usize] = &[0, 1, 4];
 
-/// The full grid: shard counts {1, 2, 4, 7} × thread counts {0, 1, 4} ×
-/// placement policies, against the oracle, plus a cold and a warm pass
-/// with the result cache on. The label-clustered placement is the skewed
-/// one: shard sizes differ widely, and at the higher shard counts some
-/// shards hold no graph and every query must answer empty there.
+/// The full grid: shard counts {1, 2, 4, 7} × thread counts {0, 1, 4},
+/// against the oracle, plus a cold and a warm pass with the result cache
+/// on.
 #[test]
 fn sharded_equals_unsharded_across_shard_and_thread_grid() {
     let (db, originals) = corpus(41, 8);
@@ -43,39 +38,110 @@ fn sharded_equals_unsharded_across_shard_and_thread_grid() {
 
     let reference = Oracle::build(db.clone(), &params).answers(&queries, &base);
 
-    let policies: [&dyn ShardPolicy; 3] = [&HashPolicy, &SizeBalancedPolicy, &LabelClusteredPolicy];
-    for policy in policies {
-        for &nshards in SHARD_COUNTS {
-            let dir = tempfile::tempdir().unwrap();
-            let sharded =
-                ShardedTaleDatabase::build(db.clone(), dir.path(), &params, nshards, policy)
-                    .unwrap();
-            for &threads in THREAD_COUNTS {
-                let got = sharded
-                    .query_batch(&queries, &base.clone().with_threads(threads))
-                    .unwrap();
-                assert_bit_identical(
-                    &reference,
-                    &got,
-                    &format!(
-                        "policy={} shards={nshards} threads={threads}",
-                        policy.name()
-                    ),
-                );
-            }
-            // cache on: the cold pass fills every shard's cache, the warm
-            // pass must answer every query from it
-            let cached = base.clone().with_cache(true);
-            for pass in ["cold", "warm"] {
-                let (got, stats) = sharded.query_batch_with_stats(&queries, &cached).unwrap();
-                let ctx = format!("policy={} shards={nshards} cache {pass}", policy.name());
-                assert_bit_identical(&reference, &got, &ctx);
-                if pass == "warm" {
-                    assert_eq!(stats.cache_hits, queries.len(), "{ctx}: hits");
-                }
+    for &nshards in SHARD_COUNTS {
+        let dir = tempfile::tempdir().unwrap();
+        let sharded =
+            ShardedTaleDatabase::build(db.clone(), dir.path(), &params, nshards, &HashPolicy)
+                .unwrap();
+        for &threads in THREAD_COUNTS {
+            let got = sharded
+                .query_batch(&queries, &base.clone().with_threads(threads))
+                .unwrap();
+            assert_bit_identical(
+                &reference,
+                &got,
+                &format!("shards={nshards} threads={threads}"),
+            );
+        }
+        // cache on: the cold pass fills every shard's cache, the warm
+        // pass must answer every query from it
+        let cached = base.clone().with_cache(true);
+        for pass in ["cold", "warm"] {
+            let (got, stats) = sharded.query_batch_with_stats(&queries, &cached).unwrap();
+            let ctx = format!("shards={nshards} cache {pass}");
+            assert_bit_identical(&reference, &got, &ctx);
+            if pass == "warm" {
+                assert_eq!(stats.cache_hits, queries.len(), "{ctx}: hits");
             }
         }
     }
+}
+
+/// FNV-1a(id) mod `nshards`: the placement the build, insert routing and
+/// compaction use, written out here independently of the library.
+fn hash_shard(gid: u32, nshards: u32) -> u32 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in gid.to_le_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h % nshards as u64) as u32
+}
+
+/// A `shards.json` that names a placement this build no longer has
+/// (`size-balanced`) still opens with its recorded assignment and answers
+/// like the oracle; an insert lands on its hash shard, and compaction
+/// rewrites the manifest as a hash placement.
+#[test]
+fn a_manifest_naming_a_retired_placement_opens_and_places_by_hash() {
+    let (db, originals) = corpus(45, 6);
+    let params = TaleParams::default();
+    let queries: Vec<&Graph> = originals.iter().collect();
+    let opts = QueryOptions {
+        rho: 0.25,
+        p_imp: 0.25,
+        ..Default::default()
+    }
+    .with_cache(false);
+    let mut oracle = Oracle::build(db.clone(), &params);
+    let dir = tempfile::tempdir().unwrap();
+    let nshards = 3u32;
+    drop(
+        ShardedTaleDatabase::build(
+            db.clone(),
+            dir.path(),
+            &params,
+            nshards as usize,
+            &HashPolicy,
+        )
+        .unwrap(),
+    );
+    let path = dir.path().join("shards.json");
+    let json = std::fs::read_to_string(&path).unwrap();
+    assert!(json.contains("\"policy\": \"hash\""), "{json}");
+    std::fs::write(
+        &path,
+        json.replace("\"policy\": \"hash\"", "\"policy\": \"size-balanced\""),
+    )
+    .unwrap();
+
+    let mut opened = ShardedTaleDatabase::open(dir.path(), params.buffer_frames).unwrap();
+    assert_eq!(opened.index().manifest().policy, "size-balanced");
+    let want = oracle.answers(&queries, &opts);
+    let got = opened.query_batch(&queries, &opts).unwrap();
+    assert_bit_identical(&want, &got, "size-balanced manifest");
+
+    let mut rng = ChaCha8Rng::seed_from_u64(46);
+    let extra = gnm(&mut rng, 30, 60, LABELS);
+    let gid = opened.insert_graph("extra", extra.clone()).unwrap();
+    oracle.insert("extra", extra);
+    assert_eq!(
+        opened.index().shard_of(gid),
+        Some(hash_shard(gid.0, nshards))
+    );
+    let want = oracle.answers(&queries, &opts);
+    let got = opened.query_batch(&queries, &opts).unwrap();
+    assert_bit_identical(&want, &got, "after an insert");
+
+    let compacted = opened.compact(&params).unwrap();
+    let json = std::fs::read_to_string(&path).unwrap();
+    assert!(json.contains("\"policy\": \"hash\""), "{json}");
+    let by_hash: Vec<u32> = (0..compacted.db().len() as u32)
+        .map(|g| hash_shard(g, nshards))
+        .collect();
+    assert_eq!(compacted.index().manifest().assignment, by_hash);
+    let got = compacted.query_batch(&queries, &opts).unwrap();
+    assert_bit_identical(&want, &got, "after compaction");
 }
 
 /// Identity must survive mutation: after the same interleaved
@@ -311,8 +377,8 @@ fn sharded_matches_unsharded() {
 
 /// Label domains with private vocabularies: `DOMAINS` domains of three
 /// labels each, `PER_DOMAIN` rings per domain in the database, and one
-/// query ring per domain. Under label-clustered placement a query's
-/// labels are absent from every shard but its domain's.
+/// query ring per domain. On a shard that holds none of a domain's
+/// graphs, that domain's query finds no candidate.
 fn domain_corpus() -> (GraphDb, Vec<Graph>) {
     const DOMAINS: usize = 5;
     const PER_DOMAIN: usize = 4;
@@ -392,12 +458,12 @@ fn files_named(dir: &Path, name: &str) -> Vec<std::path::PathBuf> {
     out
 }
 
-/// What `explain` promises on a 2-shard label-clustered build: every
-/// probe's `est_rows` is known and bounds the rows that probe examines
-/// (statistics only overestimate), and a shard whose `nh.stats.json` is
-/// gone still explains, adds nothing to the estimates, and answers the
-/// same. A domain's labels live on few shards, so some queries run on a
-/// shard where all their probes answer empty.
+/// What `explain` promises on a 5-shard build: every probe's `est_rows`
+/// is known and bounds the rows that probe examines (statistics only
+/// overestimate), and a shard whose `nh.stats.json` is gone still
+/// explains, adds nothing to the estimates, and answers the same. A
+/// domain's four graphs cover at most four of the five shards, so every
+/// query runs on some shard where all its probes answer empty.
 #[test]
 fn explain_estimates_bound_examined_rows_and_survive_a_missing_statistics_file() {
     let (db, queries) = domain_corpus();
@@ -411,10 +477,9 @@ fn explain_estimates_bound_examined_rows_and_survive_a_missing_statistics_file()
     .with_cache(false);
     let want = Oracle::build(db.clone(), &params).answers(&query_refs, &opts);
     let dir = tempfile::tempdir().unwrap();
-    let sharded =
-        ShardedTaleDatabase::build(db, dir.path(), &params, 2, &LabelClusteredPolicy).unwrap();
+    let sharded = ShardedTaleDatabase::build(db, dir.path(), &params, 5, &HashPolicy).unwrap();
     let (got, stats) = sharded.query_batch_with_stats(&query_refs, &opts).unwrap();
-    assert_bit_identical(&want, &got, "2-shard label-clustered");
+    assert_bit_identical(&want, &got, "5-shard build");
 
     let mut examined = 0u64;
     let mut empty_cells = 0usize;
@@ -447,7 +512,7 @@ fn explain_estimates_bound_examined_rows_and_survive_a_missing_statistics_file()
     );
     assert!(
         empty_cells > 0,
-        "every query found its labels on both shards"
+        "every query found its labels on every shard"
     );
     drop(sharded);
 
@@ -463,8 +528,8 @@ fn explain_estimates_bound_examined_rows_and_survive_a_missing_statistics_file()
         let readers = &now.tree.children[0].children;
         assert_eq!(
             readers.len(),
-            4,
-            "query {qi}: two shards, base and delta each"
+            10,
+            "query {qi}: five shards, base and delta each"
         );
         for (r, node) in readers.iter().enumerate() {
             assert_eq!(
