@@ -79,7 +79,7 @@ pub struct LabelBuckets {
 
 impl LabelBuckets {
     /// Groups `g`'s nodes by `label_of`.
-    fn build(g: &Graph, label_of: impl Fn(NodeId) -> u32) -> Self {
+    pub fn build(g: &Graph, label_of: impl Fn(NodeId) -> u32) -> Self {
         let mut keyed: Vec<(u32, NodeId)> = g.nodes().map(|n| (label_of(n), n)).collect();
         keyed.sort_unstable();
         let mut b = LabelBuckets {

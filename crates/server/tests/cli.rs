@@ -471,8 +471,8 @@ fn sharded_build_roundtrip_matches_single_index() {
     assert!(stdout.contains("shard 0: ok"), "{stdout}");
     assert!(stdout.contains("shard 1: ok"), "{stdout}");
 
-    // explain renders one plan subtree per reader: each shard's base
-    // generation, then its delta overlay
+    // explain scatters over the 2 shards and renders one plan subtree per
+    // reader: each shard's base generation, then its delta overlay
     let (ok, stdout, stderr) = run(&[
         "explain",
         sharded.to_str().unwrap(),
@@ -481,7 +481,7 @@ fn sharded_build_roundtrip_matches_single_index() {
         "1.0",
     ]);
     assert!(ok, "explain failed: {stderr}");
-    assert!(stdout.contains("scatter [shards=4"), "{stdout}");
+    assert!(stdout.contains("scatter [shards=2"), "{stdout}");
     assert!(stdout.contains("shard [shard=0 base"), "{stdout}");
     assert!(stdout.contains("shard [shard=1 delta"), "{stdout}");
 

@@ -267,7 +267,7 @@ pub fn plan_report(
         est_rows: total_est,
         children: vec![PlanNode {
             op: "scatter".into(),
-            detail: format!("shards={} threads={}", readers.len(), opts.threads),
+            detail: format!("shards={} threads={}", readers.len() / 2, opts.threads),
             est_rows: total_est,
             children: shard_nodes,
         }],

@@ -178,8 +178,8 @@ impl ShardedNhIndex {
 
     /// Builds a sharded index and reports per-shard timings.
     ///
-    /// Hash placement ([`crate::policy`]) splits the graphs; each shard
-    /// then builds its
+    /// Hash placement (FNV-1a of the graph id, mod the shard count) splits
+    /// the graphs; each shard then builds its
     /// generation 0 in its own `shard-NNN/` directory (cleared first), fanned
     /// over `threads` workers (`0` = all cores). The manifest is written
     /// last, so a crash mid-build leaves no directory that

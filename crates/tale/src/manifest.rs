@@ -49,7 +49,8 @@ pub struct ShardManifest {
     /// Name of the placement that produced `assignment`: `"hash"` for
     /// every build of this version. An older build's `size-balanced` or
     /// `label-clustered` still opens with its recorded assignment; inserts
-    /// and compaction place by hash either way ([`crate::policy`]).
+    /// and compaction place by hash (FNV-1a of the graph id, mod the
+    /// shard count) either way.
     pub policy: String,
     /// `assignment[gid]` = owning shard, indexed by [`GraphId::idx`]. On
     /// disk it covers the graphs of the build; an open database appends

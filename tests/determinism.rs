@@ -122,3 +122,119 @@ fn generators_are_seed_deterministic() {
         assert_eq!(pa.members, pb.members);
     }
 }
+
+/// A copy of `g` whose edges carry one of three edge labels.
+fn with_edge_labels(g: &tale_graph::Graph) -> tale_graph::Graph {
+    use tale_graph::labels::EdgeLabel;
+    let mut out = tale_graph::Graph::new(g.direction());
+    for n in g.nodes() {
+        out.add_node(g.label(n));
+    }
+    for (i, (u, v, _)) in g.edges().enumerate() {
+        out.add_edge_labeled(u, v, EdgeLabel(i as u32 % 3))
+            .expect("copying simple edges stays simple");
+    }
+    out
+}
+
+/// The engine's answers pinned to a constant: a hash of every answer's
+/// graph, counts, score bits and node pairs over a seeded corpus, across
+/// the paper's presets, extension radii 1–3, ρ ∈ {0, 0.25, 0.5} and
+/// labeled-edge matching. The identity grids compare configurations of
+/// one matcher against each other; this catches a change to the matcher
+/// itself. An intended change of answers must state the new constant.
+#[test]
+fn engine_answers_match_the_pinned_hash() {
+    use tale_graph::generate::{mutate, MutationRates};
+    const PINNED: u64 = 0xe017_3a7c_ffc8_1ccd;
+
+    let mut rng = ChaCha8Rng::seed_from_u64(2008);
+    let mut db = GraphDb::new();
+    for i in 0..6 {
+        db.intern_node_label(&format!("L{i}"));
+    }
+    for i in 0..3 {
+        db.intern_edge_label(&format!("E{i}"));
+    }
+    let mut queries = Vec::new();
+    for i in 0..10 {
+        let g = with_edge_labels(&gnm(&mut rng, 30, 60, 6));
+        if i % 3 == 0 {
+            queries.push(mutate(&mut rng, &g, &MutationRates::mild(), 6).0);
+        }
+        db.insert(format!("g{i}"), g);
+    }
+    queries.push(gnm(&mut rng, 15, 30, 6));
+    let tale = TaleDatabase::build_in_temp(db, &TaleParams::default()).unwrap();
+
+    let settings: Vec<(&str, QueryOptions)> = vec![
+        ("default", QueryOptions::default()),
+        ("bind", QueryOptions::bind()),
+        ("astral", QueryOptions::astral()),
+        (
+            "hops=1",
+            QueryOptions {
+                hops: 1,
+                ..QueryOptions::default()
+            },
+        ),
+        (
+            "hops=3",
+            QueryOptions {
+                hops: 3,
+                ..QueryOptions::default()
+            },
+        ),
+        (
+            "rho=0",
+            QueryOptions {
+                rho: 0.0,
+                ..QueryOptions::default()
+            },
+        ),
+        (
+            "rho=0.5",
+            QueryOptions {
+                rho: 0.5,
+                ..QueryOptions::default()
+            },
+        ),
+        (
+            "edge labels",
+            QueryOptions {
+                match_edge_labels: true,
+                ..QueryOptions::default()
+            },
+        ),
+    ];
+    // FNV-1a over the answers' fields, in answer order
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |x: u64| {
+        for b in x.to_le_bytes() {
+            hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut answers = 0;
+    for (name, opts) in &settings {
+        let opts = opts.clone().with_cache(false);
+        for (i, q) in queries.iter().enumerate() {
+            let res = tale.query(q, &opts).unwrap();
+            assert!(!res.is_empty(), "{name}: query {i} matched nothing");
+            answers += res.len();
+            for r in &res {
+                feed(r.graph.0 as u64);
+                feed(r.matched_nodes as u64);
+                feed(r.matched_edges as u64);
+                feed(r.score.to_bits());
+                for p in &r.m.pairs {
+                    feed(((p.query.0 as u64) << 32) | p.target.0 as u64);
+                }
+            }
+        }
+    }
+    assert!(
+        answers > settings.len() * queries.len(),
+        "too few answers to pin"
+    );
+    assert_eq!(hash, PINNED, "answers changed ({answers} answers hashed)");
+}
