@@ -3,8 +3,8 @@
 //! For each mutation kind the harness first runs the mutation cleanly
 //! while *counting* its gated I/O operations, then re-runs it once per
 //! fault point with exactly that operation failing. Process death is
-//! simulated by dropping the handle with the fault still tripped (so even
-//! the buffer pool's best-effort `Drop` flush fails), the directory is
+//! simulated by dropping the handle with the fault still tripped (so every
+//! later gated write of the mutation fails too), the directory is
 //! reopened through the recovery path, and the query output is compared
 //! bit-for-bit against both the pre-mutation and the post-mutation
 //! reference states. A recovery that matches neither — a
@@ -44,8 +44,8 @@ pub struct CrashRow {
     pub identical: bool,
 }
 
-/// Tiny pool so generation builds overflow it and exercise eviction
-/// write-backs.
+/// Tiny pool, so recovery and the integrity checks read every generation
+/// through constant eviction.
 fn params() -> TaleParams {
     TaleParams {
         buffer_frames: 8,

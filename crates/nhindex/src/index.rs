@@ -7,7 +7,9 @@
 //!
 //! Build is bulk: extract one indexing unit per database node (optionally
 //! in parallel across graphs via `tale-par`), sort by composite key, write
-//! one posting blob per distinct key, then bulk-load the B+-tree. This
+//! one posting blob per distinct key, then bulk-load the B+-tree. Both
+//! page files are written once, front to back, and only read afterwards,
+//! through buffer pools: a build ends by opening what it wrote. This
 //! mirrors how the paper materializes the index as a relation + B+-tree in
 //! PostgreSQL (§IV-C) and gives the near-linear build times of Table III /
 //! Fig. 7.
@@ -28,7 +30,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tale_graph::{Graph, GraphDb, NodeId};
 use tale_storage::{
-    BTree, BlobRef, BlobStore, BufferPool, CompositeKey, DiskManager, IoPool, PrefetchStats,
+    BTree, BlobRef, BlobStore, BlobWriter, BufferPool, CompositeKey, DiskManager, IoPool,
+    PrefetchStats,
 };
 
 const BTREE_FILE: &str = "nh.btree";
@@ -340,7 +343,14 @@ impl NhIndex {
         config: &NhIndexConfig,
         graphs: &[tale_graph::GraphId],
     ) -> Result<Self> {
-        let scheme = if config.use_edge_labels {
+        let io = (config.io_workers > 0).then(|| IoPool::new(config.io_workers));
+        Self::build_with_scheme(dir, db, config, Self::scheme_for(db, config), graphs, io)
+    }
+
+    /// The neighbor-array scheme a from-scratch build of `db` uses under
+    /// `config`.
+    pub(crate) fn scheme_for(db: &GraphDb, config: &NhIndexConfig) -> NeighborArrayScheme {
+        if config.use_edge_labels {
             // pair space is too large for the deterministic regime
             NeighborArrayScheme {
                 sbit: config.sbit,
@@ -353,20 +363,26 @@ impl NhIndex {
                 db.effective_vocab_size(),
                 config.bloom_hashes,
             )
-        };
-        Self::build_with_scheme(dir, db, config, scheme, graphs)
+        }
     }
 
     /// [`NhIndex::build_subset`] under a caller-chosen `scheme` instead of
     /// one derived from the current vocabulary — how a fold keeps the
     /// scheme its index was first built with, so sibling shards (and the
-    /// signatures probing them) never disagree on the bit layout.
+    /// signatures probing them) never disagree on the bit layout — with
+    /// prefetching on the worker pool `io` (`None`: no prefetching).
+    ///
+    /// Writes the blob file, then the B+-tree file (each fsynced), then the
+    /// sidecars, and the meta file last and atomically, so a directory
+    /// with a meta file is a complete index. Returns the directory as
+    /// [`NhIndex::open_without_io`] opens it, bound to `io`.
     pub(crate) fn build_with_scheme(
         dir: &Path,
         db: &GraphDb,
         config: &NhIndexConfig,
         scheme: NeighborArrayScheme,
         graphs: &[tale_graph::GraphId],
+        io: Option<Arc<IoPool>>,
     ) -> Result<Self> {
         let mut stats_builder = StatsBuilder::new();
         for &gid in graphs {
@@ -384,19 +400,8 @@ impl NhIndex {
         // deterministic postings.
         units.sort_unstable_by(|a, b| a.key.cmp(&b.key).then(a.node.cmp(&b.node)));
 
-        let bt_disk = Arc::new(DiskManager::create(&dir.join(BTREE_FILE))?);
-        let bt_pool = Arc::new(BufferPool::new(bt_disk, config.buffer_frames));
-        let blob_disk = Arc::new(DiskManager::create(&dir.join(BLOB_FILE))?);
-        let blob_pool = Arc::new(BufferPool::new(blob_disk, config.buffer_frames));
-        let io = if config.io_workers > 0 {
-            let io = IoPool::new(config.io_workers);
-            bt_pool.attach_prefetcher(Arc::clone(&io), config.prefetch_pages);
-            blob_pool.attach_prefetcher(Arc::clone(&io), config.prefetch_pages);
-            Some(io)
-        } else {
-            None
-        };
-        let blobs = BlobStore::create(blob_pool);
+        let blob_disk = DiskManager::create(&dir.join(BLOB_FILE))?;
+        let mut blobs = BlobWriter::new(&blob_disk);
 
         let mut pairs: Vec<(CompositeKey, u64)> = Vec::new();
         let mut summaries: Vec<(CompositeKey, u64)> = Vec::new();
@@ -417,24 +422,54 @@ impl NhIndex {
             pairs.push((key, r.pack()));
             i = j;
         }
-        let btree = BTree::bulk_load(Arc::clone(&bt_pool), &pairs)?;
+        let blob_cursor = blobs.finish()?;
+        let (root, height) =
+            BTree::bulk_load(&DiskManager::create(&dir.join(BTREE_FILE))?, &pairs)?;
 
-        let idx = NhIndex {
-            btree,
-            bt_pool,
-            blobs,
-            scheme,
-            dir: dir.to_owned(),
+        let json = serde_json::to_string_pretty(&stats_builder.finish())
+            .map_err(|e| NhError::Meta(format!("serialize stats: {e}")))?;
+        tale_storage::atomic::write_atomic(&dir.join(STATS_FILE), json.as_bytes())?;
+        let filter = LabelPairFilter::from_entries(summaries);
+        tale_storage::atomic::write_atomic(&dir.join(FILTER_FILE), &filter.encode())?;
+        let meta = MetaFile {
+            sbit: scheme.sbit,
+            deterministic: scheme.deterministic,
+            hashes: scheme.hashes,
+            edge_labels: config.use_edge_labels,
+            root_page: root.0,
+            height,
+            blob_cursor,
             node_count: units.len() as u64,
             key_count: pairs.len() as u64,
-            edge_labels: config.use_edge_labels,
-            counters: AtomicProbeCounters::default(),
-            io,
-            stats: Some(Arc::new(stats_builder.finish())),
-            filter: Some(LabelPairFilter::from_entries(summaries)),
+            vocab_size: db.effective_vocab_size() as u64,
+            label_filter: FILTER_SCHEMA_VERSION,
         };
-        idx.flush(db.effective_vocab_size() as u64)?;
+        let json = serde_json::to_string_pretty(&meta)
+            .map_err(|e| NhError::Meta(format!("serialize: {e}")))?;
+        tale_storage::atomic::write_atomic(&dir.join(META_FILE), json.as_bytes())?;
+
+        let mut idx = Self::open_without_io(dir, config.buffer_frames)?;
+        idx.preload()?;
+        if let Some(io) = io {
+            idx.attach_io(io, config.prefetch_pages);
+        }
         Ok(idx)
+    }
+
+    /// Reads the last pages of both page files (the B+-tree's root and
+    /// upper levels among them) into their pools, as many as each pool
+    /// holds. A fold's new generation takes over from a warm one; pages
+    /// just written are cheap to read back here, where left cold the
+    /// first queries on the generation would fetch them one miss or
+    /// readahead job at a time.
+    fn preload(&self) -> Result<()> {
+        for pool in [&self.bt_pool, self.blobs.pool()] {
+            let pages = pool.disk().page_count();
+            for id in pages.saturating_sub(pool.capacity() as u64)..pages {
+                pool.fetch(tale_storage::PageId(id))?;
+            }
+        }
+        Ok(())
     }
 
     fn extract_serial(
@@ -501,50 +536,6 @@ impl NhIndex {
                 array,
             });
         }
-    }
-
-    /// Persists the freshly built index: data pages flushed and fsynced
-    /// first, then the sidecars, then the meta file — written atomically
-    /// last, so a directory with a meta file is a complete index.
-    fn flush(&self, vocab_size: u64) -> Result<()> {
-        self.sync()?;
-        if let Some(stats) = &self.stats {
-            let json = serde_json::to_string_pretty(stats.as_ref())
-                .map_err(|e| NhError::Meta(format!("serialize stats: {e}")))?;
-            tale_storage::atomic::write_atomic(&self.dir.join(STATS_FILE), json.as_bytes())?;
-        }
-        if let Some(f) = &self.filter {
-            tale_storage::atomic::write_atomic(&self.dir.join(FILTER_FILE), &f.encode())?;
-        }
-        let meta = MetaFile {
-            sbit: self.scheme.sbit,
-            deterministic: self.scheme.deterministic,
-            hashes: self.scheme.hashes,
-            edge_labels: self.edge_labels,
-            root_page: self.btree.root().0,
-            height: self.btree.height(),
-            blob_cursor: self.blobs.cursor(),
-            node_count: self.node_count,
-            key_count: self.key_count,
-            vocab_size,
-            label_filter: if self.filter.is_some() {
-                FILTER_SCHEMA_VERSION
-            } else {
-                0
-            },
-        };
-        let json = serde_json::to_string_pretty(&meta)
-            .map_err(|e| NhError::Meta(format!("serialize: {e}")))?;
-        tale_storage::atomic::write_atomic(&self.dir.join(META_FILE), json.as_bytes())?;
-        Ok(())
-    }
-
-    /// Forces all pages to durable storage (flush + fsync both files).
-    pub fn sync(&self) -> Result<()> {
-        self.bt_pool.flush_all()?;
-        self.bt_pool.disk().sync()?;
-        self.blobs.sync()?;
-        Ok(())
     }
 
     /// Reopens an index previously built in `dir`, with the default async
@@ -720,8 +711,6 @@ impl NhIndex {
 
     /// Total on-disk footprint in bytes (both page files).
     pub fn size_bytes(&self) -> u64 {
-        // Page files may not be fully extended until flush; compute from
-        // allocation counters.
         let bt = self.dir.join(BTREE_FILE);
         let bl = self.dir.join(BLOB_FILE);
         let fs = |p: &Path| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);

@@ -479,19 +479,9 @@ impl GenerationalNhIndex {
         scheme: Option<NeighborArrayScheme>,
         graphs: &[GraphId],
     ) -> Result<NhIndex> {
+        let scheme = scheme.unwrap_or_else(|| NhIndex::scheme_for(db, config));
         let gdir = Self::gen_dir(dir, number);
-        let config = NhIndexConfig {
-            io_workers: 0,
-            ..config.clone()
-        };
-        let mut index = match scheme {
-            Some(s) => NhIndex::build_with_scheme(&gdir, db, &config, s, graphs)?,
-            None => NhIndex::build_subset(&gdir, db, &config, graphs)?,
-        };
-        if let Some(io) = io {
-            index.attach_io(Arc::clone(io), config.prefetch_pages);
-        }
-        Ok(index)
+        NhIndex::build_with_scheme(&gdir, db, config, scheme, graphs, io.cloned())
     }
 
     /// Builds generation 0 over every graph of `db` into `dir` and commits

@@ -15,7 +15,8 @@ use tale_graph::{Graph, GraphDb, GraphId, NodeId};
 use tale_nhindex::{GenerationalNhIndex, IndexReader, NhIndex, NhIndexConfig, NodeCandidate};
 use tale_storage::faults;
 
-/// Tiny pool so builds overflow it and exercise eviction write-backs.
+/// Tiny pool, so recovery and the integrity checks read through constant
+/// eviction.
 fn cfg() -> NhIndexConfig {
     NhIndexConfig {
         sbit: 32,

@@ -8,14 +8,16 @@
 //!
 //! The store owns a dedicated page file (separate from the B+-tree file) so
 //! the blob address space is contiguous: a [`BlobRef`] is simply a byte
-//! offset + length over the concatenated page payloads. The only mutable
-//! state is the append cursor, which the owner persists in its metadata and
-//! passes back to [`BlobStore::open`].
+//! offset + length over the concatenated page payloads. [`BlobWriter`]
+//! writes the file once, front to back; its final cursor (the bytes
+//! stored) is persisted by the owner and passed to [`BlobStore::open`],
+//! which reads the file through a buffer pool.
 
 use crate::buffer::BufferPool;
-use crate::page::{PageId, PAGE_SIZE};
+use crate::disk::DiskManager;
+use crate::page::{Page, PageId, PAGE_SIZE};
+use crate::writer::PageWriter;
 use crate::{Result, StorageError};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Usable payload bytes per page.
@@ -50,34 +52,77 @@ impl BlobRef {
     }
 }
 
-/// The blob store. Appends are serialized by the cursor mutex; reads are
-/// concurrent through the buffer pool.
+/// Appends blobs to a fresh blob file, filling one in-memory page at a
+/// time: a page is written when it is full, and [`BlobWriter::finish`]
+/// writes the zero-padded last page and fsyncs.
+pub struct BlobWriter<'a> {
+    pages: PageWriter<'a>,
+    page: Page,
+    /// Payload bytes of `page` already filled.
+    fill: usize,
+    cursor: u64,
+}
+
+impl<'a> BlobWriter<'a> {
+    /// A writer over the freshly created `disk`.
+    pub fn new(disk: &'a DiskManager) -> Self {
+        BlobWriter {
+            pages: PageWriter::new(disk),
+            page: Page::zeroed(),
+            fill: 0,
+            cursor: 0,
+        }
+    }
+
+    /// Appends `data`, returning its reference.
+    pub fn put(&mut self, data: &[u8]) -> Result<BlobRef> {
+        let offset = self.cursor;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let take = rest.len().min(PAYLOAD - self.fill);
+            self.page.payload_mut()[self.fill..self.fill + take].copy_from_slice(&rest[..take]);
+            self.fill += take;
+            rest = &rest[take..];
+            if self.fill == PAYLOAD {
+                self.pages.append(&mut self.page)?;
+                self.page.payload_mut().fill(0);
+                self.fill = 0;
+            }
+        }
+        self.cursor += data.len() as u64;
+        Ok(BlobRef {
+            offset,
+            len: data.len() as u32,
+        })
+    }
+
+    /// Writes the partly filled last page, fsyncs the file and returns the
+    /// cursor (the bytes stored) to persist for [`BlobStore::open`].
+    pub fn finish(mut self) -> Result<u64> {
+        if self.fill > 0 {
+            self.pages.append(&mut self.page)?;
+        }
+        self.pages.finish()?;
+        Ok(self.cursor)
+    }
+}
+
+/// A written blob file, read concurrently through a buffer pool.
 pub struct BlobStore {
     pool: Arc<BufferPool>,
-    cursor: Mutex<u64>,
+    cursor: u64,
 }
 
 impl BlobStore {
-    /// Creates an empty store over a fresh page file.
-    pub fn create(pool: Arc<BufferPool>) -> Self {
-        BlobStore {
-            pool,
-            cursor: Mutex::new(0),
-        }
-    }
-
-    /// Reopens a store; `cursor` must be the value returned by
-    /// [`BlobStore::cursor`] when the file was last written.
+    /// Opens a store; `cursor` must be what [`BlobWriter::finish`]
+    /// returned for the file.
     pub fn open(pool: Arc<BufferPool>, cursor: u64) -> Self {
-        BlobStore {
-            pool,
-            cursor: Mutex::new(cursor),
-        }
+        BlobStore { pool, cursor }
     }
 
-    /// Current append cursor (persist to reopen).
+    /// Bytes stored (the end of the blob address space).
     pub fn cursor(&self) -> u64 {
-        *self.cursor.lock()
+        self.cursor
     }
 
     /// Hit/miss counters of the underlying buffer pool.
@@ -95,40 +140,6 @@ impl BlobStore {
     /// readahead counters through this).
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
-    }
-
-    /// Total bytes stored.
-    pub fn size_bytes(&self) -> u64 {
-        self.cursor()
-    }
-
-    /// Appends `data`, returning its reference.
-    pub fn put(&self, data: &[u8]) -> Result<BlobRef> {
-        let mut cursor = self.cursor.lock();
-        let offset = *cursor;
-        let mut remaining = data;
-        let mut pos = offset;
-        while !remaining.is_empty() {
-            let page_idx = pos / PAYLOAD as u64;
-            let in_page = (pos % PAYLOAD as u64) as usize;
-            // Allocate pages lazily as the cursor crosses boundaries.
-            while self.pool.disk().page_count() <= page_idx {
-                let (_, guard) = self.pool.new_page()?;
-                drop(guard);
-            }
-            let take = remaining.len().min(PAYLOAD - in_page);
-            let mut guard = self.pool.fetch_mut(PageId(page_idx))?;
-            guard.page_mut().payload_mut()[in_page..in_page + take]
-                .copy_from_slice(&remaining[..take]);
-            drop(guard);
-            remaining = &remaining[take..];
-            pos += take as u64;
-        }
-        *cursor = pos;
-        Ok(BlobRef {
-            offset,
-            len: data.len() as u32,
-        })
     }
 
     /// The pages a blob's bytes live on — computable from the reference
@@ -172,78 +183,68 @@ impl BlobStore {
         }
         Ok(out)
     }
-
-    /// Flushes dirty pages to disk.
-    pub fn flush(&self) -> Result<()> {
-        self.pool.flush_all()
-    }
-
-    /// Flushes and fsyncs the backing file.
-    pub fn sync(&self) -> Result<()> {
-        self.pool.flush_all()?;
-        self.pool.disk().sync()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::DiskManager;
 
-    fn store(frames: usize) -> (tempfile::TempDir, BlobStore) {
+    /// Writes `blobs` to a fresh blob file and opens it behind a
+    /// `frames`-frame pool.
+    fn written(frames: usize, blobs: &[&[u8]]) -> (tempfile::TempDir, BlobStore, Vec<BlobRef>) {
         let d = tempfile::tempdir().unwrap();
-        let dm = Arc::new(DiskManager::create(&d.path().join("blobs.db")).unwrap());
-        let pool = Arc::new(BufferPool::new(dm, frames));
-        (d, BlobStore::create(pool))
+        let disk = DiskManager::create(&d.path().join("blobs.db")).unwrap();
+        let mut w = BlobWriter::new(&disk);
+        let refs = blobs.iter().map(|b| w.put(b).unwrap()).collect();
+        let cursor = w.finish().unwrap();
+        let pool = Arc::new(BufferPool::new(Arc::new(disk), frames));
+        (d, BlobStore::open(pool, cursor), refs)
     }
 
     #[test]
     fn small_blob_roundtrip() {
-        let (_d, s) = store(4);
-        let r = s.put(b"hello postings").unwrap();
-        assert_eq!(s.get(r).unwrap(), b"hello postings");
+        let (_d, s, r) = written(4, &[b"hello postings"]);
+        assert_eq!(s.get(r[0]).unwrap(), b"hello postings");
     }
 
     #[test]
     fn empty_blob() {
-        let (_d, s) = store(4);
-        let r = s.put(b"").unwrap();
-        assert_eq!(r.len, 0);
-        assert_eq!(s.get(r).unwrap(), Vec::<u8>::new());
+        let (_d, s, r) = written(4, &[b""]);
+        assert_eq!(r[0].len, 0);
+        assert_eq!(s.get(r[0]).unwrap(), Vec::<u8>::new());
+        assert_eq!(s.disk().page_count(), 0, "no bytes, no pages");
     }
 
     #[test]
     fn page_spanning_blob() {
-        let (_d, s) = store(4);
         let big: Vec<u8> = (0..PAYLOAD * 3 + 1234).map(|i| (i % 251) as u8).collect();
-        let r0 = s.put(b"prefix").unwrap();
-        let r1 = s.put(&big).unwrap();
-        let r2 = s.put(b"suffix").unwrap();
-        assert_eq!(s.get(r1).unwrap(), big);
-        assert_eq!(s.get(r0).unwrap(), b"prefix");
-        assert_eq!(s.get(r2).unwrap(), b"suffix");
+        let (_d, s, r) = written(4, &[b"prefix", &big, b"suffix"]);
+        assert_eq!(s.get(r[1]).unwrap(), big);
+        assert_eq!(s.get(r[0]).unwrap(), b"prefix");
+        assert_eq!(s.get(r[2]).unwrap(), b"suffix");
+        // the last page is zero-padded, not left out
+        assert_eq!(s.disk().page_count(), s.cursor().div_ceil(PAYLOAD as u64));
     }
 
     #[test]
     fn many_blobs_tiny_pool() {
-        let (_d, s) = store(2);
-        let refs: Vec<(BlobRef, Vec<u8>)> = (0..200usize)
+        let data: Vec<Vec<u8>> = (0..200usize)
             .map(|i| {
-                let data: Vec<u8> = (0..(i * 37) % 500 + 1)
+                (0..(i * 37) % 500 + 1)
                     .map(|j| ((i + j) % 251) as u8)
-                    .collect();
-                (s.put(&data).unwrap(), data)
+                    .collect()
             })
             .collect();
-        for (r, data) in &refs {
+        let slices: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let (_d, s, refs) = written(2, &slices);
+        for (r, data) in refs.iter().zip(&data) {
             assert_eq!(&s.get(*r).unwrap(), data);
         }
     }
 
     #[test]
     fn bad_ref_rejected() {
-        let (_d, s) = store(4);
-        s.put(b"x").unwrap();
+        let (_d, s, _) = written(4, &[b"x"]);
         let bogus = BlobRef {
             offset: 100,
             len: 50,
@@ -273,22 +274,21 @@ mod tests {
     fn reopen_with_cursor() {
         let d = tempfile::tempdir().unwrap();
         let path = d.path().join("blobs.db");
-        let (r, cursor);
-        {
-            let dm = Arc::new(DiskManager::create(&path).unwrap());
-            let pool = Arc::new(BufferPool::new(dm, 4));
-            let s = BlobStore::create(pool);
-            r = s.put(b"persisted").unwrap();
-            cursor = s.cursor();
-            s.flush().unwrap();
-        }
+        let (r, cursor) = {
+            let disk = DiskManager::create(&path).unwrap();
+            let mut w = BlobWriter::new(&disk);
+            let r = w.put(b"persisted").unwrap();
+            (r, w.finish().unwrap())
+        };
         let dm = Arc::new(DiskManager::open(&path).unwrap());
         let pool = Arc::new(BufferPool::new(dm, 4));
         let s = BlobStore::open(pool, cursor);
         assert_eq!(s.get(r).unwrap(), b"persisted");
-        // appends continue after the persisted data
-        let r2 = s.put(b"more").unwrap();
-        assert_eq!(s.get(r2).unwrap(), b"more");
-        assert_eq!(s.get(r).unwrap(), b"persisted");
+        // the cursor bounds reads
+        let past = BlobRef {
+            offset: r.offset,
+            len: r.len + 1,
+        };
+        assert!(matches!(s.get(past), Err(StorageError::BadBlobRef)));
     }
 }

@@ -9,11 +9,14 @@
 //!
 //! Keys are unique, which matches the index's one-posting-per-distinct-key
 //! layout. A tree is written once by [`BTree::bulk_load`] (leaves packed
-//! at 100% fill) and read-only afterwards: growing databases build new
-//! index generations instead of updating a tree in place.
+//! at 100% fill, through a [`PageWriter`]) and read through a buffer pool
+//! afterwards: growing databases build new index generations instead of
+//! updating a tree in place.
 
 use crate::buffer::BufferPool;
-use crate::page::{PageId, PAGE_SIZE};
+use crate::disk::DiskManager;
+use crate::page::{Page, PageId, PAGE_SIZE};
+use crate::writer::PageWriter;
 use crate::{Result, StorageError};
 use std::sync::Arc;
 
@@ -139,8 +142,10 @@ impl Node {
         }
     }
 
+    /// Writes the node over the whole payload (bytes past its entries
+    /// are zero).
     fn encode(&self, payload: &mut [u8]) {
-        payload[..HDR].fill(0);
+        payload.fill(0);
         match self {
             Node::Leaf { entries, next } => {
                 payload[0] = 0;
@@ -175,9 +180,10 @@ impl Node {
 ///
 /// let dir = std::env::temp_dir().join(format!("bt-doc-{}", std::process::id()));
 /// std::fs::create_dir_all(&dir).unwrap();
-/// let dm = Arc::new(DiskManager::create(&dir.join("t.db")).unwrap());
-/// let pool = Arc::new(BufferPool::new(dm, 64));
-/// let tree = BTree::bulk_load(pool, &[(CompositeKey::new(1, 4, 2), 99)]).unwrap();
+/// let dm = DiskManager::create(&dir.join("t.db")).unwrap();
+/// // write the tree once, then read it through a buffer pool
+/// let (root, height) = BTree::bulk_load(&dm, &[(CompositeKey::new(1, 4, 2), 99)]).unwrap();
+/// let tree = BTree::open(Arc::new(BufferPool::new(Arc::new(dm), 64)), root, height);
 /// assert_eq!(tree.get(CompositeKey::new(1, 4, 2)).unwrap(), Some(99));
 /// // range scan: every entry for label 1 with degree >= 4
 /// let hits = tree
@@ -193,23 +199,8 @@ pub struct BTree {
 }
 
 impl BTree {
-    /// Creates an empty tree (a single empty leaf).
-    pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
-        let (root, mut guard) = pool.new_page()?;
-        Node::Leaf {
-            entries: Vec::new(),
-            next: None,
-        }
-        .encode(guard.page_mut().payload_mut());
-        drop(guard);
-        Ok(BTree {
-            pool,
-            root,
-            height: 1,
-        })
-    }
-
-    /// Reopens a tree whose root/height were persisted by the caller.
+    /// Opens the tree [`BTree::bulk_load`] wrote with this `root` and
+    /// `height`.
     pub fn open(pool: Arc<BufferPool>, root: PageId, height: u32) -> Self {
         BTree { pool, root, height }
     }
@@ -355,36 +346,37 @@ impl BTree {
         Ok(!any)
     }
 
-    /// Bulk-loads a tree from `pairs`, which must be sorted by key with no
-    /// duplicates. Leaves are packed full (read-optimized); internal levels
-    /// are built bottom-up. The only way entries enter a tree: index
-    /// generations are built once and never updated in place.
-    pub fn bulk_load(pool: Arc<BufferPool>, pairs: &[(CompositeKey, u64)]) -> Result<Self> {
+    /// Writes a tree for `pairs`, which must be sorted by key with no
+    /// duplicates, to the freshly created `disk` and fsyncs it. Leaves are
+    /// packed full (read-optimized) and written first, each pointing at
+    /// the next id; then each internal level, bottom-up. No pairs give one
+    /// empty leaf. Returns `(root, height)` for [`BTree::open`]. The only
+    /// way entries enter a tree: index generations are built once and
+    /// never updated in place.
+    pub fn bulk_load(disk: &DiskManager, pairs: &[(CompositeKey, u64)]) -> Result<(PageId, u32)> {
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "sorted unique input"
         );
-        if pairs.is_empty() {
-            return Self::create(pool);
-        }
-        // level 0: leaves
-        let mut level: Vec<(CompositeKey, PageId)> = Vec::new();
-        let chunks: Vec<&[(CompositeKey, u64)]> = pairs.chunks(LEAF_CAP).collect();
-        let mut ids: Vec<PageId> = Vec::with_capacity(chunks.len());
-        for _ in 0..chunks.len() {
-            let (id, guard) = pool.new_page()?;
-            drop(guard);
-            ids.push(id);
-        }
-        for (i, chunk) in chunks.iter().enumerate() {
-            let next = ids.get(i + 1).copied();
-            let node = Node::Leaf {
+        let mut writer = PageWriter::new(disk);
+        let mut page = Page::zeroed();
+        // level 0: leaves (an empty input still gets its one leaf)
+        let leaves: Vec<&[(CompositeKey, u64)]> = if pairs.is_empty() {
+            vec![&[]]
+        } else {
+            pairs.chunks(LEAF_CAP).collect()
+        };
+        let last = PageId(writer.next_id().0 + leaves.len() as u64 - 1);
+        let mut level: Vec<(CompositeKey, PageId)> = Vec::with_capacity(leaves.len());
+        for chunk in leaves {
+            let id = writer.next_id();
+            Node::Leaf {
                 entries: chunk.to_vec(),
-                next,
-            };
-            let mut guard = pool.fetch_mut(ids[i])?;
-            node.encode(guard.page_mut().payload_mut());
-            level.push((chunk[0].0, ids[i]));
+                next: (id != last).then_some(PageId(id.0 + 1)),
+            }
+            .encode(page.payload_mut());
+            writer.append(&mut page)?;
+            level.push((chunk.first().map_or(CompositeKey::MIN, |e| e.0), id));
         }
         // upper levels
         let mut height = 1;
@@ -392,22 +384,17 @@ impl BTree {
             height += 1;
             let mut next_level = Vec::new();
             for group in level.chunks(INT_CAP + 1) {
-                let (id, mut guard) = pool.new_page()?;
-                let node = Node::Internal {
+                Node::Internal {
                     leftmost: group[0].1,
                     entries: group[1..].to_vec(),
-                };
-                node.encode(guard.page_mut().payload_mut());
-                drop(guard);
-                next_level.push((group[0].0, id));
+                }
+                .encode(page.payload_mut());
+                next_level.push((group[0].0, writer.append(&mut page)?));
             }
             level = next_level;
         }
-        Ok(BTree {
-            pool,
-            root: level[0].1,
-            height,
-        })
+        writer.finish()?;
+        Ok((level[0].1, height))
     }
 
     /// Walks the whole tree checking structural invariants: node types
@@ -546,13 +533,15 @@ pub struct TreeCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufferPool;
-    use crate::disk::DiskManager;
 
-    fn make_pool(frames: usize) -> (tempfile::TempDir, Arc<BufferPool>) {
+    /// Bulk-loads `pairs` into a fresh file and opens the tree behind a
+    /// `frames`-frame pool.
+    fn load(frames: usize, pairs: &[(CompositeKey, u64)]) -> (tempfile::TempDir, BTree) {
         let d = tempfile::tempdir().unwrap();
-        let dm = Arc::new(DiskManager::create(&d.path().join("bt.db")).unwrap());
-        (d, Arc::new(BufferPool::new(dm, frames)))
+        let dm = DiskManager::create(&d.path().join("bt.db")).unwrap();
+        let (root, height) = BTree::bulk_load(&dm, pairs).unwrap();
+        let pool = Arc::new(BufferPool::new(Arc::new(dm), frames));
+        (d, BTree::open(pool, root, height))
     }
 
     fn key(i: u32) -> CompositeKey {
@@ -565,9 +554,8 @@ mod tests {
 
     #[test]
     fn verify_accepts_built_trees_and_counts_entries() {
-        let (_d, pool) = make_pool(64);
         let sorted = pairs(5000);
-        let t = BTree::bulk_load(Arc::clone(&pool), &sorted).unwrap();
+        let (_d, t) = load(64, &sorted);
         let c = t.verify().unwrap();
         assert_eq!(c.entries as usize, sorted.len());
         assert!(c.pages > 1);
@@ -576,21 +564,19 @@ mod tests {
 
     #[test]
     fn verify_rejects_wrong_height() {
-        let (_d, pool) = make_pool(64);
         let sorted: Vec<(CompositeKey, u64)> = (0..5000u32)
             .map(|i| (CompositeKey::new(i, 0, 0), i as u64))
             .collect();
-        let t = BTree::bulk_load(Arc::clone(&pool), &sorted).unwrap();
+        let (_d, t) = load(64, &sorted);
         assert!(t.height() > 1);
         // a handle opened with a bogus height must not silently verify
-        let t_bad = BTree::open(pool, t.root(), t.height() - 1);
+        let t_bad = BTree::open(Arc::clone(&t.pool), t.root(), t.height() - 1);
         assert!(t_bad.verify().is_err());
     }
 
     #[test]
     fn empty_tree_behaves() {
-        let (_d, pool) = make_pool(16);
-        let t = BTree::create(pool).unwrap();
+        let (_d, t) = load(16, &[]);
         assert!(t.is_empty().unwrap());
         assert_eq!(t.get(key(5)).unwrap(), None);
         assert!(t
@@ -601,7 +587,6 @@ mod tests {
 
     #[test]
     fn range_scan_bounds() {
-        let (_d, pool) = make_pool(32);
         let mut entries = Vec::new();
         for label in 0..5u32 {
             for deg in 0..20u32 {
@@ -611,7 +596,7 @@ mod tests {
                 ));
             }
         }
-        let t = BTree::bulk_load(pool, &entries).unwrap();
+        let (_d, t) = load(32, &entries);
         // all entries for label 2 with degree >= 15
         let lo = CompositeKey::new(2, 15, 0);
         let hi = CompositeKey::new(2, u32::MAX, u32::MAX);
@@ -624,8 +609,7 @@ mod tests {
 
     #[test]
     fn range_with_early_stop() {
-        let (_d, pool) = make_pool(32);
-        let t = BTree::bulk_load(pool, &pairs(1000)).unwrap();
+        let (_d, t) = load(32, &pairs(1000));
         let mut seen = 0;
         t.range_with(CompositeKey::MIN, CompositeKey::MAX, |_, _| {
             seen += 1;
@@ -637,8 +621,7 @@ mod tests {
 
     #[test]
     fn bulk_load_get_and_range() {
-        let (_d, pool) = make_pool(64);
-        let t = BTree::bulk_load(Arc::clone(&pool), &pairs(3000)).unwrap();
+        let (_d, t) = load(64, &pairs(3000));
         assert!(t.height() > 1, "3000 entries span several leaves");
         assert_eq!(t.len().unwrap(), 3000);
         for i in (0..3000u32).step_by(61) {
@@ -653,10 +636,10 @@ mod tests {
 
     #[test]
     fn bulk_load_empty_and_single() {
-        let (_d, pool) = make_pool(8);
-        let t = BTree::bulk_load(Arc::clone(&pool), &[]).unwrap();
+        let (_d, t) = load(8, &[]);
         assert!(t.is_empty().unwrap());
-        let t = BTree::bulk_load(pool, &[(key(3), 9)]).unwrap();
+        assert_eq!((t.root(), t.height()), (PageId(0), 1), "one empty leaf");
+        let (_d, t) = load(8, &[(key(3), 9)]);
         assert_eq!(t.get(key(3)).unwrap(), Some(9));
         assert_eq!(t.height(), 1);
     }
@@ -665,15 +648,8 @@ mod tests {
     fn reopen_via_root_pointer() {
         let d = tempfile::tempdir().unwrap();
         let path = d.path().join("bt.db");
-        let (root, height);
-        {
-            let dm = Arc::new(DiskManager::create(&path).unwrap());
-            let pool = Arc::new(BufferPool::new(dm, 32));
-            let t = BTree::bulk_load(Arc::clone(&pool), &pairs(2000)).unwrap();
-            root = t.root();
-            height = t.height();
-            pool.flush_all().unwrap();
-        }
+        let (root, height) =
+            BTree::bulk_load(&DiskManager::create(&path).unwrap(), &pairs(2000)).unwrap();
         let dm = Arc::new(DiskManager::open(&path).unwrap());
         let pool = Arc::new(BufferPool::new(dm, 32));
         let t = BTree::open(pool, root, height);
@@ -683,10 +659,8 @@ mod tests {
 
     #[test]
     fn works_with_tiny_buffer_pool() {
-        // 4 frames force constant eviction during the load: exercises
-        // write-back correctness under memory pressure.
-        let (_d, pool) = make_pool(4);
-        let t = BTree::bulk_load(pool, &pairs(2000)).unwrap();
+        // 4 frames force constant eviction while descending and scanning.
+        let (_d, t) = load(4, &pairs(2000));
         for i in (0..2000u32).step_by(97) {
             assert_eq!(t.get(key(i)).unwrap(), Some(i as u64));
         }

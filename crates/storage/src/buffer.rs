@@ -17,10 +17,13 @@
 //! re-locks briefly to publish `Resident`. Concurrent fetches of the
 //! in-flight page park on that frame's condition variable instead of
 //! redoing the read; fetches of other pages proceed untouched — one slow
-//! cold read never serializes the pool. Dirty-victim write-back and
-//! [`BufferPool::flush_all`] follow the same discipline: claim under the
-//! lock, write outside it. [`DiskManager`] enforces the invariant with a
-//! debug assertion on every read/write.
+//! cold read never serializes the pool. [`DiskManager`] enforces the
+//! invariant with a debug assertion on every read.
+//!
+//! The pool only reads. Page files are written once, front to back, by
+//! [`crate::writer::PageWriter`] before any pool opens them, so a frame
+//! never holds bytes that differ from its page on disk: eviction just
+//! drops the frame, and there is nothing to flush.
 //!
 //! Loading frames always carry the loader's pin, so the victim search
 //! (which only considers unpinned frames) can never evict a frame whose
@@ -40,24 +43,20 @@
 //!   pool see latency, not error storms. A generous deadline keeps a
 //!   genuinely wedged pool from hanging forever.
 //!
-//! Eviction is contention-aware: among unpinned frames, clean frames are
-//! preferred (LRU within each class) so read-heavy probe traffic does not
-//! pay write-back latency while dirty build pages age out.
+//! Eviction picks the least recently used unpinned frame.
 //!
 //! # Prefetch
 //!
 //! [`BufferPool::attach_prefetcher`] wires in an async staging area (see
 //! [`crate::readpath`]); [`BufferPool::prefetch`] then queues readahead
 //! for non-resident pages, and a later miss takes the staged image
-//! instead of reading synchronously. The pool invalidates staged entries
-//! whenever it dirties or rewrites a page, so a stale disk image is never
-//! served.
+//! instead of reading synchronously.
 
 use crate::disk::DiskManager;
 use crate::page::{Page, PageId};
 use crate::readpath::{DiskReadBackend, IoPool, PrefetchStats, Prefetcher, ReadBackend};
 use crate::{Result, StorageError};
-use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
+use parking_lot::lock_api::ArcRwLockReadGuard;
 use parking_lot::{Condvar, Mutex, RawRwLock, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -166,7 +165,10 @@ impl PoolStats {
 }
 
 struct FrameCell {
-    page: Arc<RwLock<Page>>,
+    /// The frame's page image, allocated by the read that first fills the
+    /// frame: a pool sized for a working set it never reaches holds no
+    /// memory for the frames it never uses.
+    page: Arc<RwLock<Option<Page>>>,
     pins: AtomicU32,
 }
 
@@ -231,7 +233,7 @@ impl PinLedger {
 enum FrameState {
     /// Not bound to any page.
     Empty,
-    /// Bound to a page whose read (or zero-fill) is in flight; fetches
+    /// Bound to a page whose read is in flight; fetches
     /// park on the frame's condition variable.
     Loading,
     /// Bound with valid contents.
@@ -240,7 +242,6 @@ enum FrameState {
 
 struct FrameMeta {
     page_id: Option<PageId>,
-    dirty: bool,
     state: FrameState,
     last_used: u64,
 }
@@ -284,7 +285,7 @@ impl Drop for InnerGuard<'_> {
 /// Shared read access to a pinned page. Unpins on drop.
 pub struct PageGuard {
     cell: Arc<FrameCell>,
-    guard: Option<ArcRwLockReadGuard<RawRwLock, Page>>,
+    guard: Option<ArcRwLockReadGuard<RawRwLock, Option<Page>>>,
     ledger: Arc<PinLedger>,
     owner: ThreadId,
 }
@@ -293,42 +294,14 @@ impl PageGuard {
     /// The page contents.
     #[inline]
     pub fn page(&self) -> &Page {
-        self.guard.as_ref().expect("guard present until drop")
+        let frame = self.guard.as_ref().expect("guard present until drop");
+        frame
+            .as_ref()
+            .expect("a pinned resident frame holds a page")
     }
 }
 
 impl Drop for PageGuard {
-    fn drop(&mut self) {
-        self.guard.take();
-        self.cell.pins.fetch_sub(1, Ordering::Release);
-        self.ledger.release(self.owner);
-    }
-}
-
-/// Exclusive write access to a pinned page. Unpins on drop; the frame is
-/// marked dirty at fetch time so eviction writes it back.
-pub struct PageGuardMut {
-    cell: Arc<FrameCell>,
-    guard: Option<ArcRwLockWriteGuard<RawRwLock, Page>>,
-    ledger: Arc<PinLedger>,
-    owner: ThreadId,
-}
-
-impl PageGuardMut {
-    /// The page contents.
-    #[inline]
-    pub fn page(&self) -> &Page {
-        self.guard.as_ref().expect("guard present until drop")
-    }
-
-    /// Mutable page contents.
-    #[inline]
-    pub fn page_mut(&mut self) -> &mut Page {
-        self.guard.as_mut().expect("guard present until drop")
-    }
-}
-
-impl Drop for PageGuardMut {
     fn drop(&mut self) {
         self.guard.take();
         self.cell.pins.fetch_sub(1, Ordering::Release);
@@ -359,7 +332,7 @@ impl BufferPool {
         let frames = (0..frame_count)
             .map(|_| {
                 Arc::new(FrameCell {
-                    page: Arc::new(RwLock::new(Page::zeroed())),
+                    page: Arc::new(RwLock::new(None)),
                     pins: AtomicU32::new(0),
                 })
             })
@@ -368,7 +341,6 @@ impl BufferPool {
         let meta = (0..frame_count)
             .map(|_| FrameMeta {
                 page_id: None,
-                dirty: false,
                 state: FrameState::Empty,
                 last_used: 0,
             })
@@ -456,13 +428,6 @@ impl BufferPool {
             .unwrap_or_default()
     }
 
-    /// `(hits, misses)` since creation (see [`PoolStats`] for the full
-    /// taxonomy).
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.lock_inner();
-        (inner.hits, inner.misses)
-    }
-
     /// Full counter snapshot.
     pub fn pool_stats(&self) -> PoolStats {
         let inner = self.lock_inner();
@@ -476,7 +441,7 @@ impl BufferPool {
 
     /// Fetches a page for reading.
     pub fn fetch(&self, id: PageId) -> Result<PageGuard> {
-        let (cell, owner) = self.pin_frame(id, false)?;
+        let (cell, owner) = self.pin_frame(id)?;
         let guard = RwLock::read_arc(&cell.page);
         Ok(PageGuard {
             cell,
@@ -484,132 +449,6 @@ impl BufferPool {
             ledger: Arc::clone(&self.ledger),
             owner,
         })
-    }
-
-    /// Fetches a page for writing; the frame is marked dirty.
-    pub fn fetch_mut(&self, id: PageId) -> Result<PageGuardMut> {
-        let (cell, owner) = self.pin_frame(id, true)?;
-        let guard = RwLock::write_arc(&cell.page);
-        Ok(PageGuardMut {
-            cell,
-            guard: Some(guard),
-            ledger: Arc::clone(&self.ledger),
-            owner,
-        })
-    }
-
-    /// Allocates a fresh zeroed page and returns it pinned for writing.
-    ///
-    /// The frame recycles some victim's memory, so it passes through
-    /// `Loading` while the old bytes are zeroed: a concurrent fetch of
-    /// the new page id parks until the zero-fill is published and then
-    /// blocks on the page RwLock until the returned guard drops — stale
-    /// prior-page bytes are never observable.
-    pub fn new_page(&self) -> Result<(PageId, PageGuardMut)> {
-        let id = self.disk.allocate();
-        let deadline = Instant::now() + PIN_WAIT_DEADLINE;
-        let mut inner = self.lock_inner();
-        let frame = loop {
-            let (guard, res) = self.claim_victim(inner);
-            inner = guard;
-            match res {
-                Ok(f) => break f,
-                Err(e @ StorageError::PoolExhausted) => {
-                    inner = self.wait_for_unpin(inner, deadline, e)?;
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        if let Some(old) = inner.meta[frame].page_id.take() {
-            inner.map.remove(&old);
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.meta[frame] = FrameMeta {
-            page_id: Some(id),
-            dirty: true,
-            state: FrameState::Loading,
-            last_used: tick,
-        };
-        inner.map.insert(id, frame);
-        self.frames[frame].pins.fetch_add(1, Ordering::Acquire);
-        let owner = self.ledger.acquire();
-        drop(inner);
-        self.invalidate_staged(id);
-        let cell = Arc::clone(&self.frames[frame]);
-        let mut guard = RwLock::write_arc(&cell.page);
-        *guard = Page::zeroed();
-        // Publish while still holding the page write guard: waiters wake,
-        // pin, then block on the page lock until the caller is done.
-        {
-            let mut inner = self.lock_inner();
-            inner.meta[frame].state = FrameState::Resident;
-            self.frame_cvs[frame].notify_all();
-        }
-        Ok((
-            id,
-            PageGuardMut {
-                cell,
-                guard: Some(guard),
-                ledger: Arc::clone(&self.ledger),
-                owner,
-            },
-        ))
-    }
-
-    /// Writes all dirty frames back to disk, performing every write
-    /// outside the pool mutex so concurrent fetches keep flowing during a
-    /// checkpoint.
-    pub fn flush_all(&self) -> Result<()> {
-        let dirty: Vec<(usize, PageId)> = {
-            let inner = self.lock_inner();
-            (0..self.frames.len())
-                // A `Loading` frame can already be dirty (a `fetch_mut`
-                // miss binds it dirty before its read lands), but its
-                // cell still holds the previous occupant's bytes —
-                // flushing it would write those bytes to the new id.
-                // Only `Resident` content is flushable.
-                .filter(|&i| inner.meta[i].dirty && inner.meta[i].state == FrameState::Resident)
-                .map(|i| (i, inner.meta[i].page_id.expect("dirty frame has a page")))
-                .collect()
-        };
-        for (f, id) in dirty {
-            let mut inner = self.lock_inner();
-            // Revalidate: the frame may have been evicted (write-back
-            // already done) or rebound — possibly to the *same* id and
-            // now mid-reload — while we were unlocked.
-            if inner.meta[f].page_id != Some(id)
-                || !inner.meta[f].dirty
-                || inner.meta[f].state != FrameState::Resident
-            {
-                continue;
-            }
-            // Claim: clear dirty optimistically and pin so the frame
-            // cannot be evicted mid-write. A concurrent `fetch_mut` will
-            // re-set dirty under this same mutex and serialize its
-            // mutation against our disk write on the page RwLock, so no
-            // update can be lost.
-            inner.meta[f].dirty = false;
-            self.frames[f].pins.fetch_add(1, Ordering::Acquire);
-            let owner = self.ledger.acquire();
-            drop(inner);
-            let res = {
-                let mut page = self.frames[f].page.write();
-                self.disk.write_page(id, &mut page)
-            };
-            self.invalidate_staged(id);
-            self.frames[f].pins.fetch_sub(1, Ordering::Release);
-            self.ledger.release(owner);
-            if let Err(e) = res {
-                let mut inner = self.lock_inner();
-                if inner.meta[f].page_id == Some(id) && inner.meta[f].state == FrameState::Resident
-                {
-                    inner.meta[f].dirty = true; // contents still in memory
-                }
-                return Err(e);
-            }
-        }
-        Ok(())
     }
 
     /// Locks the pool mutex, maintaining the debug lock-depth used by the
@@ -629,13 +468,7 @@ impl BufferPool {
         self.prefetcher.read().as_ref()?.take(id)
     }
 
-    fn invalidate_staged(&self, id: PageId) {
-        if let Some(pf) = &*self.prefetcher.read() {
-            pf.invalidate(id);
-        }
-    }
-
-    fn pin_frame(&self, id: PageId, dirty: bool) -> Result<(Arc<FrameCell>, ThreadId)> {
+    fn pin_frame(&self, id: PageId) -> Result<(Arc<FrameCell>, ThreadId)> {
         let deadline = Instant::now() + PIN_WAIT_DEADLINE;
         // True once this fetch has parked on an in-flight load of `id`;
         // decides hit vs. coalesced when the page turns out resident.
@@ -655,15 +488,6 @@ impl BufferPool {
                             inner.hits += 1;
                         }
                         inner.meta[f].last_used = tick;
-                        if dirty && !inner.meta[f].dirty {
-                            inner.meta[f].dirty = true;
-                            // The disk image is about to go stale; a
-                            // staged copy of it must not be served later.
-                            let pf = self.prefetcher.read().as_ref().map(Arc::clone);
-                            if let Some(pf) = pf {
-                                pf.invalidate(id);
-                            }
-                        }
                         self.frames[f].pins.fetch_add(1, Ordering::Acquire);
                         let owner = self.ledger.acquire();
                         return Ok((Arc::clone(&self.frames[f]), owner));
@@ -681,23 +505,14 @@ impl BufferPool {
                 }
             }
             // Miss: claim a victim, bind it Loading, and read unlocked.
-            let frame = {
-                let (guard, res) = self.claim_victim(inner);
-                inner = guard;
-                match res {
-                    Ok(f) => f,
-                    Err(e @ StorageError::PoolExhausted) => {
-                        inner = self.wait_for_unpin(inner, deadline, e)?;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
+            let Some(frame) = self.lru_unpinned(&inner) else {
+                inner = self.wait_for_unpin(inner, deadline)?;
+                continue;
             };
             if let Some(old) = inner.meta[frame].page_id.take() {
                 inner.map.remove(&old);
             }
             inner.meta[frame].page_id = Some(id);
-            inner.meta[frame].dirty = dirty;
             inner.meta[frame].state = FrameState::Loading;
             inner.meta[frame].last_used = tick;
             inner.map.insert(id, frame);
@@ -705,11 +520,8 @@ impl BufferPool {
             self.frames[frame].pins.fetch_add(1, Ordering::Acquire);
             let owner = self.ledger.acquire();
             drop(inner);
-            if dirty {
-                self.invalidate_staged(id);
-            }
             // --- the read: no pool mutex held ---
-            let staged = if dirty { None } else { self.take_staged(id) };
+            let staged = self.take_staged(id);
             let from_prefetch = staged.is_some();
             let loaded = match staged {
                 Some(page) => Ok(page),
@@ -717,7 +529,7 @@ impl BufferPool {
             };
             match loaded {
                 Ok(page) => {
-                    *self.frames[frame].page.write() = page;
+                    *self.frames[frame].page.write() = Some(page);
                     let mut inner = self.lock_inner();
                     inner.meta[frame].state = FrameState::Resident;
                     if from_prefetch {
@@ -734,7 +546,6 @@ impl BufferPool {
                     // same error if it is persistent).
                     let mut inner = self.lock_inner();
                     inner.meta[frame].page_id = None;
-                    inner.meta[frame].dirty = false;
                     inner.meta[frame].state = FrameState::Empty;
                     inner.map.remove(&id);
                     self.frame_cvs[frame].notify_all();
@@ -748,118 +559,95 @@ impl BufferPool {
     }
 
     /// Handles an all-frames-pinned victim search. If every outstanding pin
-    /// belongs to the calling thread (or the deadline has passed), the
-    /// error propagates — waiting on our own guards would deadlock.
+    /// belongs to the calling thread (or the deadline has passed), this is
+    /// [`StorageError::PoolExhausted`] — waiting on our own guards would
+    /// deadlock.
     /// Otherwise the pool lock is released and the caller parks until some
     /// guard drops, then retries with the lock re-acquired.
     fn wait_for_unpin<'a>(
         &'a self,
         inner: InnerGuard<'a>,
         deadline: Instant,
-        err: StorageError,
     ) -> Result<InnerGuard<'a>> {
         let (mine, total) = self.ledger.split_counts();
         if (mine > 0 && mine == total) || Instant::now() >= deadline {
-            return Err(err);
+            return Err(StorageError::PoolExhausted);
         }
         drop(inner);
         self.ledger.wait_for_release();
         Ok(self.lock_inner())
     }
 
-    /// Picks an eviction victim among unpinned frames: clean frames first
-    /// (no write-back on the fetch path), LRU within each class. A dirty
-    /// victim is written back with the pool mutex *released* (claimed via
-    /// a pin so it cannot be evicted or reused meanwhile), then the
-    /// search retries; the returned frame is always clean or empty.
+    /// The least recently used unpinned frame (the first such frame on a
+    /// tie), or `None` when every frame is pinned. An unpinned frame is
+    /// never `Loading` (a loading frame carries its loader's pin), so it is
+    /// free to rebind.
     ///
-    /// Clearing the dirty bit before the unlocked write is safe: a
-    /// concurrent `fetch_mut` re-sets it under this mutex, and its
-    /// mutation serializes against our disk write on the page RwLock —
-    /// whichever order they land in, dirty stays `true` for any content
-    /// not yet on disk.
-    fn claim_victim<'a>(&'a self, mut inner: InnerGuard<'a>) -> (InnerGuard<'a>, Result<usize>) {
-        loop {
-            let mut victim = None;
-            let mut best = (true, u64::MAX); // (dirty?, last_used) — clean sorts first
-            for (i, m) in inner.meta.iter().enumerate() {
-                let key = (m.dirty, m.last_used);
-                if self.frames[i].pins.load(Ordering::Acquire) == 0 && key < best {
-                    best = key;
-                    victim = Some(i);
+    /// Pin counts live behind each frame's `Arc`, so a frame's pins are
+    /// read only when its `last_used` would beat the best so far, and a
+    /// never-used frame (`last_used` 0) ends the search: a miss on a pool
+    /// that is not yet full costs a walk over the metadata array, not a
+    /// pointer chase per frame.
+    fn lru_unpinned(&self, inner: &PoolInner) -> Option<usize> {
+        let mut victim: Option<usize> = None;
+        for (i, m) in inner.meta.iter().enumerate() {
+            if victim.is_some_and(|v| inner.meta[v].last_used <= m.last_used) {
+                continue;
+            }
+            if self.frames[i].pins.load(Ordering::Acquire) == 0 {
+                victim = Some(i);
+                if m.last_used == 0 {
+                    break;
                 }
             }
-            let Some(v) = victim else {
-                return (inner, Err(StorageError::PoolExhausted));
-            };
-            if !inner.meta[v].dirty {
-                return (inner, Ok(v));
-            }
-            let old = inner.meta[v].page_id.expect("dirty frame has a page");
-            // pins == 0 rules out `Loading` (a loading frame always
-            // carries its loader's pin), so the cell's bytes are `old`'s.
-            debug_assert_eq!(inner.meta[v].state, FrameState::Resident);
-            inner.meta[v].dirty = false;
-            self.frames[v].pins.fetch_add(1, Ordering::Acquire);
-            let owner = self.ledger.acquire();
-            drop(inner);
-            let res = {
-                let mut page = self.frames[v].page.write();
-                self.disk.write_page(old, &mut page)
-            };
-            self.invalidate_staged(old);
-            inner = self.lock_inner();
-            self.frames[v].pins.fetch_sub(1, Ordering::Release);
-            self.ledger.release(owner);
-            if let Err(e) = res {
-                inner.meta[v].dirty = true; // restore; contents still in memory
-                return (inner, Err(e));
-            }
-            // Retry the search: while unlocked the frame may have been
-            // pinned or re-dirtied; if it is now clean and unpinned the
-            // next iteration claims it for free.
         }
-    }
-}
-
-impl Drop for BufferPool {
-    fn drop(&mut self) {
-        // Best-effort flush so read-only reopen sees complete data even if
-        // the user forgot an explicit flush; errors are ignored here (the
-        // explicit flush path reports them).
-        let _ = self.flush_all();
+        victim
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::writer::PageWriter;
 
-    fn pool(frames: usize) -> (tempfile::TempDir, BufferPool) {
-        let d = tempfile::tempdir().unwrap();
-        let dm = Arc::new(DiskManager::create(&d.path().join("p.db")).unwrap());
-        (d, BufferPool::new(dm, frames))
+    /// Writes one page per marker (its first payload byte) to the end of
+    /// `disk` and returns the pages' ids.
+    fn write_markers(disk: &DiskManager, markers: impl IntoIterator<Item = u8>) -> Vec<PageId> {
+        let mut writer = PageWriter::new(disk);
+        let mut page = Page::zeroed();
+        let ids = markers
+            .into_iter()
+            .map(|m| {
+                page.payload_mut()[0] = m;
+                writer.append(&mut page).unwrap()
+            })
+            .collect();
+        writer.finish().unwrap();
+        ids
     }
 
-    fn write_marker(pool: &BufferPool, marker: u8) -> PageId {
-        let (id, mut g) = pool.new_page().unwrap();
-        g.page_mut().payload_mut()[0] = marker;
-        id
+    /// A `frames`-frame pool over a fresh file holding one page per marker.
+    fn marked_pool(
+        frames: usize,
+        markers: impl IntoIterator<Item = u8>,
+    ) -> (tempfile::TempDir, BufferPool, Vec<PageId>) {
+        let d = tempfile::tempdir().unwrap();
+        let dm = Arc::new(DiskManager::create(&d.path().join("p.db")).unwrap());
+        let ids = write_markers(&dm, markers);
+        (d, BufferPool::new(dm, frames), ids)
     }
 
     #[test]
-    fn new_page_then_fetch() {
-        let (_d, pool) = pool(4);
-        let id = write_marker(&pool, 7);
-        let g = pool.fetch(id).unwrap();
+    fn written_page_then_fetch() {
+        let (_d, pool, ids) = marked_pool(4, [7]);
+        let g = pool.fetch(ids[0]).unwrap();
         assert_eq!(g.page().payload()[0], 7);
     }
 
     #[test]
     fn eviction_roundtrips_through_disk() {
-        let (_d, pool) = pool(2);
-        let ids: Vec<PageId> = (0..10).map(|i| write_marker(&pool, i as u8)).collect();
-        // all but the last two were evicted; refetch everything
+        let (_d, pool, ids) = marked_pool(2, 0..10);
+        // two frames over ten pages: every refetch past the second evicts
         for (i, id) in ids.iter().enumerate() {
             let g = pool.fetch(*id).unwrap();
             assert_eq!(g.page().payload()[0], i as u8, "page {i}");
@@ -867,15 +655,27 @@ mod tests {
     }
 
     #[test]
+    fn eviction_takes_the_least_recently_used_frame() {
+        let (_d, pool, ids) = marked_pool(2, [1, 2, 3]);
+        let (a, b, c) = (ids[0], ids[1], ids[2]);
+        pool.fetch(a).unwrap();
+        pool.fetch(b).unwrap();
+        pool.fetch(a).unwrap(); // b is now the older frame
+        pool.fetch(c).unwrap(); // evicts b
+        let before = pool.pool_stats();
+        pool.fetch(a).unwrap();
+        assert_eq!(pool.pool_stats().since(before).hits, 1, "a stayed");
+        pool.fetch(b).unwrap();
+        assert_eq!(pool.pool_stats().since(before).misses, 1, "b was evicted");
+    }
+
+    #[test]
     fn pool_exhausted_when_all_pinned() {
-        let (_d, pool) = pool(2);
-        let a = write_marker(&pool, 1);
-        let b = write_marker(&pool, 2);
+        let (_d, pool, ids) = marked_pool(2, [1, 2, 3]);
+        let (a, b, c) = (ids[0], ids[1], ids[2]);
         let _ga = pool.fetch(a).unwrap();
         let _gb = pool.fetch(b).unwrap();
-        let c = pool.disk().allocate();
-        let _ = c;
-        match pool.new_page() {
+        match pool.fetch(c) {
             Err(StorageError::PoolExhausted) => {}
             other => panic!("expected PoolExhausted, got {:?}", other.is_ok()),
         }
@@ -883,12 +683,11 @@ mod tests {
 
     #[test]
     fn unpin_allows_reuse() {
-        let (_d, pool) = pool(1);
-        let a = write_marker(&pool, 1);
+        let (_d, pool, ids) = marked_pool(1, [1, 2]);
+        let (a, b) = (ids[0], ids[1]);
         {
             let _g = pool.fetch(a).unwrap();
         } // dropped => unpinned
-        let b = write_marker(&pool, 2);
         let g = pool.fetch(b).unwrap();
         assert_eq!(g.page().payload()[0], 2);
         drop(g);
@@ -897,16 +696,10 @@ mod tests {
     }
 
     #[test]
-    fn flush_persists_for_reopen() {
+    fn written_pages_survive_reopen() {
         let d = tempfile::tempdir().unwrap();
         let path = d.path().join("p.db");
-        let id;
-        {
-            let dm = Arc::new(DiskManager::create(&path).unwrap());
-            let pool = BufferPool::new(dm, 4);
-            id = write_marker(&pool, 99);
-            pool.flush_all().unwrap();
-        }
+        let id = write_markers(&DiskManager::create(&path).unwrap(), [99])[0];
         let dm = Arc::new(DiskManager::open(&path).unwrap());
         let pool = BufferPool::new(dm, 4);
         let g = pool.fetch(id).unwrap();
@@ -915,12 +708,13 @@ mod tests {
 
     #[test]
     fn hit_miss_stats() {
-        let (_d, pool) = pool(4);
-        let a = write_marker(&pool, 1);
-        let (h0, _m0) = pool.stats();
+        let (_d, pool, ids) = marked_pool(4, [1]);
+        let a = ids[0];
+        pool.fetch(a).unwrap(); // the one miss
+        let h0 = pool.pool_stats().hits;
         pool.fetch(a).unwrap();
         pool.fetch(a).unwrap();
-        let (h1, _m1) = pool.stats();
+        let h1 = pool.pool_stats().hits;
         assert_eq!(h1 - h0, 2);
     }
 
@@ -929,9 +723,7 @@ mod tests {
         // `misses` must equal the DiskManager's verified-read counter:
         // every demand read counted exactly once, no double count on
         // races, no phantom hit on retries.
-        let (_d, pool) = pool(2);
-        let ids: Vec<PageId> = (0..12).map(|i| write_marker(&pool, i as u8)).collect();
-        pool.flush_all().unwrap();
+        let (_d, pool, ids) = marked_pool(2, 0..12);
         let (reads0, _) = pool.disk().io_counts();
         let base = pool.pool_stats();
         for _ in 0..3 {
@@ -952,10 +744,7 @@ mod tests {
 
     #[test]
     fn many_pages_tiny_pool_stress() {
-        let (_d, pool) = pool(3);
-        let ids: Vec<PageId> = (0..100)
-            .map(|i| write_marker(&pool, (i % 251) as u8))
-            .collect();
+        let (_d, pool, ids) = marked_pool(3, (0..100).map(|i| (i % 251) as u8));
         for round in 0..3 {
             for (i, id) in ids.iter().enumerate() {
                 let g = pool.fetch(*id).unwrap();
@@ -966,7 +755,7 @@ mod tests {
                 );
             }
         }
-        let (hits, misses) = pool.stats();
+        let PoolStats { hits, misses, .. } = pool.pool_stats();
         assert!(misses > 0 && hits + misses >= 300);
     }
 
@@ -976,11 +765,8 @@ mod tests {
         // time. All-frames-pinned moments are common, but the pins always
         // belong to other threads, so every fetch must wait and succeed —
         // never PoolExhausted.
-        let d = tempfile::tempdir().unwrap();
-        let dm = Arc::new(DiskManager::create(&d.path().join("p.db")).unwrap());
-        let pool = Arc::new(BufferPool::new(dm, 2));
-        let ids: Vec<PageId> = (0..16).map(|i| write_marker(&pool, i as u8)).collect();
-        pool.flush_all().unwrap();
+        let (_d, pool, ids) = marked_pool(2, 0..16);
+        let pool = Arc::new(pool);
         let mut handles = Vec::new();
         for t in 0..8 {
             let pool = Arc::clone(&pool);
@@ -1007,11 +793,8 @@ mod tests {
         // all pins drain afterwards.
         const THREADS: usize = 6;
         const ROUNDS: usize = 300;
-        let d = tempfile::tempdir().unwrap();
-        let dm = Arc::new(DiskManager::create(&d.path().join("p.db")).unwrap());
-        let pool = Arc::new(BufferPool::new(dm, 3));
-        let ids: Vec<PageId> = (0..24).map(|i| write_marker(&pool, i as u8)).collect();
-        pool.flush_all().unwrap();
+        let (_d, pool, ids) = marked_pool(3, 0..24);
+        let pool = Arc::new(pool);
         let base = pool.pool_stats();
         let mut handles = Vec::new();
         for t in 0..THREADS {
@@ -1042,12 +825,9 @@ mod tests {
 
     #[test]
     fn waiter_succeeds_when_other_thread_unpins() {
-        let d = tempfile::tempdir().unwrap();
-        let dm = Arc::new(DiskManager::create(&d.path().join("p.db")).unwrap());
-        let pool = Arc::new(BufferPool::new(dm, 1));
-        let a = write_marker(&pool, 1);
-        let b = write_marker(&pool, 2);
-        pool.flush_all().unwrap();
+        let (_d, pool, ids) = marked_pool(1, [1, 2]);
+        let pool = Arc::new(pool);
+        let (a, b) = (ids[0], ids[1]);
         let ga = pool.fetch(a).unwrap(); // pin the only frame
         let child = {
             let pool = Arc::clone(&pool);
@@ -1077,14 +857,10 @@ mod tests {
         let d = tempfile::tempdir().unwrap();
         let dm_a = Arc::new(DiskManager::create(&d.path().join("a.db")).unwrap());
         let dm_b = Arc::new(DiskManager::create(&d.path().join("b.db")).unwrap());
+        let ids_a = write_markers(&dm_a, 0..12);
+        let ids_b = write_markers(&dm_b, 100..112);
         let pool_a = Arc::new(BufferPool::new(dm_a, WORKERS));
         let pool_b = Arc::new(BufferPool::new(dm_b, WORKERS));
-        let ids_a: Vec<PageId> = (0..12).map(|i| write_marker(&pool_a, i as u8)).collect();
-        let ids_b: Vec<PageId> = (0..12)
-            .map(|i| write_marker(&pool_b, 100 + i as u8))
-            .collect();
-        pool_a.flush_all().unwrap();
-        pool_b.flush_all().unwrap();
         let base_a = pool_a.pool_stats();
         let base_b = pool_b.pool_stats();
 
@@ -1135,11 +911,8 @@ mod tests {
 
     #[test]
     fn concurrent_readers() {
-        let d = tempfile::tempdir().unwrap();
-        let dm = Arc::new(DiskManager::create(&d.path().join("p.db")).unwrap());
-        let pool = Arc::new(BufferPool::new(dm, 8));
-        let ids: Vec<PageId> = (0..32).map(|i| write_marker(&pool, i as u8)).collect();
-        pool.flush_all().unwrap();
+        let (_d, pool, ids) = marked_pool(8, 0..32);
+        let pool = Arc::new(pool);
         let mut handles = Vec::new();
         for t in 0..4 {
             let pool = Arc::clone(&pool);
@@ -1181,13 +954,7 @@ mod tests {
         // delay fetches of already-resident pages.
         let d = tempfile::tempdir().unwrap();
         let path = d.path().join("p.db");
-        let ids: Vec<PageId>;
-        {
-            let dm = Arc::new(DiskManager::create(&path).unwrap());
-            let pool = BufferPool::new(dm, 8);
-            ids = (0..8).map(|i| write_marker(&pool, i as u8)).collect();
-            pool.flush_all().unwrap();
-        }
+        let ids = write_markers(&DiskManager::create(&path).unwrap(), 0..8);
         let slow = ids[0];
         let delay = Duration::from_millis(300);
         // Fresh pool: everything cold. Warm ids[1..], leave ids[0] cold.
@@ -1230,13 +997,7 @@ mod tests {
         const WAITERS: usize = 4;
         let d = tempfile::tempdir().unwrap();
         let path = d.path().join("p.db");
-        let target;
-        {
-            let dm = Arc::new(DiskManager::create(&path).unwrap());
-            let pool = BufferPool::new(dm, 4);
-            target = write_marker(&pool, 42);
-            pool.flush_all().unwrap();
-        }
+        let target = write_markers(&DiskManager::create(&path).unwrap(), [42])[0];
         let dm = Arc::new(DiskManager::open(&path).unwrap());
         let pool = Arc::new(BufferPool::new(Arc::clone(&dm), 4));
         pool.set_read_backend(Arc::new(SlowPageBackend {
@@ -1280,63 +1041,10 @@ mod tests {
     }
 
     #[test]
-    fn new_page_recycled_frame_never_exposes_stale_bytes() {
-        // Regression for the zero-after-install race: `new_page` recycles
-        // a frame whose memory still holds the prior page's bytes. A
-        // concurrent fetch of the *new* page id must observe either the
-        // zeroed page or the caller's final content — never byte 0xAA
-        // from the victim page. (This is the BlobStore allocation
-        // pattern: `put` spins on `page_count` and fetches pages another
-        // thread is still creating.)
-        for _round in 0..30 {
-            let d = tempfile::tempdir().unwrap();
-            let dm = Arc::new(DiskManager::create(&d.path().join("p.db")).unwrap());
-            let pool = Arc::new(BufferPool::new(dm, 1)); // 1 frame => always recycles
-            let stale = write_marker(&pool, 0xAA);
-            pool.flush_all().unwrap();
-            // re-fill the single frame with the stale marker
-            pool.fetch(stale).unwrap();
-            let creator = {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    let (id, mut g) = pool.new_page().unwrap();
-                    g.page_mut().payload_mut()[0] = 0xBB;
-                    id
-                })
-            };
-            let racer = {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    // Poll for the id the creator will allocate, like
-                    // BlobStore::put's lazy-allocation loop does.
-                    let next = PageId(pool.disk().page_count().saturating_sub(1).max(1));
-                    for _ in 0..50 {
-                        if let Ok(g) = pool.fetch(next) {
-                            let b = g.page().payload()[0];
-                            assert!(
-                                b == 0 || b == 0xBB,
-                                "observed stale victim bytes 0x{b:02X} in a recycled frame"
-                            );
-                        }
-                    }
-                })
-            };
-            creator.join().unwrap();
-            racer.join().unwrap();
-        }
-    }
-
-    #[test]
     fn prefetched_pages_are_served_from_staging() {
         let d = tempfile::tempdir().unwrap();
         let path = d.path().join("p.db");
-        let ids: Vec<PageId>;
-        {
-            let dm = Arc::new(DiskManager::create(&path).unwrap());
-            let pool = BufferPool::new(dm, 4);
-            ids = (0..16).map(|i| write_marker(&pool, i as u8)).collect();
-            pool.flush_all().unwrap();
-        }
+        let ids = write_markers(&DiskManager::create(&path).unwrap(), 0..16);
         let dm = Arc::new(DiskManager::open(&path).unwrap());
         let pool = BufferPool::new(dm, 8);
         let io = IoPool::new(2);
@@ -1363,54 +1071,6 @@ mod tests {
         assert_eq!(pf.used, s.prefetched);
     }
 
-    #[test]
-    fn flush_all_races_with_fetches() {
-        // Checkpoint while a storm of readers and writers runs: no lost
-        // updates, no deadlock, and the final flush lands every marker.
-        let d = tempfile::tempdir().unwrap();
-        let path = d.path().join("p.db");
-        let dm = Arc::new(DiskManager::create(&path).unwrap());
-        let pool = Arc::new(BufferPool::new(dm, 4));
-        let ids: Vec<PageId> = (0..12).map(|i| write_marker(&pool, i as u8)).collect();
-        pool.flush_all().unwrap();
-        let stop = Arc::new(AtomicU32::new(0));
-        let mut handles = Vec::new();
-        for t in 0..3 {
-            let pool = Arc::clone(&pool);
-            let ids = ids.clone();
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                let mut round = 0usize;
-                while stop.load(Ordering::Relaxed) == 0 {
-                    let i = (t * 5 + round * 7) % ids.len();
-                    if round % 3 == 0 {
-                        let mut g = pool.fetch_mut(ids[i]).unwrap();
-                        g.page_mut().payload_mut()[1] = (round % 251) as u8;
-                    } else {
-                        let g = pool.fetch(ids[i]).unwrap();
-                        assert_eq!(g.page().payload()[0], i as u8, "marker byte stable");
-                    }
-                    round += 1;
-                }
-            }));
-        }
-        for _ in 0..20 {
-            pool.flush_all().unwrap();
-        }
-        stop.store(1, Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
-        pool.flush_all().unwrap();
-        drop(pool);
-        // every marker byte survived the concurrent checkpoints
-        let dm = Arc::new(DiskManager::open(&path).unwrap());
-        let pool = BufferPool::new(dm, 4);
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(pool.fetch(*id).unwrap().page().payload()[0], i as u8);
-        }
-    }
-
     /// A read backend that tallies every page it serves, so tests can
     /// audit the stats taxonomy against actual disk traffic.
     struct CountingBackend {
@@ -1429,14 +1089,12 @@ mod tests {
     /// one demand disk read, every `issued` tick exactly one async read,
     /// and nothing else ever touches the disk. Run without a prefetcher
     /// the audit is an equality on `misses` alone; with one attached (and
-    /// `flush_all` churning underneath) it is `misses + issued`. Either
+    /// readahead requests mixed into the fetches) it is `misses + issued`. Either
     /// way every pin must be returned — a leaked pin on a 3-frame pool
     /// would wedge the victim search.
     #[test]
     fn stress_accounting_matches_actual_disk_reads() {
-        let (_d, pool) = pool(3);
-        let ids: Vec<PageId> = (0..24).map(|i| write_marker(&pool, i as u8)).collect();
-        pool.flush_all().unwrap();
+        let (_d, pool, ids) = marked_pool(3, 0..24);
         let reads = Arc::new(std::sync::atomic::AtomicU64::new(0));
         pool.set_read_backend(Arc::new(CountingBackend {
             inner: Arc::new(DiskReadBackend::new(Arc::clone(pool.disk()))),
@@ -1475,8 +1133,8 @@ mod tests {
             "misses == demand reads"
         );
 
-        // Phase 2 — prefetcher attached (capturing the counting backend)
-        // plus fetch_mut and flush_all churn.
+        // Phase 2 — prefetcher attached (capturing the counting backend),
+        // readahead requests between the fetches.
         let io = IoPool::new(2);
         pool.attach_prefetcher(io, 8);
         let base = pool.pool_stats();
@@ -1489,13 +1147,7 @@ mod tests {
                 for i in 0..200u64 {
                     let k = ((t * 37 + i * 11) % ids.len() as u64) as usize;
                     match (t + i) % 5 {
-                        0 => {
-                            // idempotent write: same byte every time
-                            let mut g = pool.fetch_mut(ids[k]).unwrap();
-                            g.page_mut().payload_mut()[0] = k as u8;
-                        }
                         1 => pool.prefetch(&[ids[k], ids[(k + 5) % 24], ids[(k + 11) % 24]]),
-                        2 => pool.flush_all().unwrap(),
                         _ => {
                             let g = pool.fetch(ids[k]).unwrap();
                             assert_eq!(g.page().payload()[0], k as u8);

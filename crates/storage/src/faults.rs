@@ -6,7 +6,7 @@
 //! the Nth operation returns an injected error. Once a fault fires the
 //! thread is *tripped*: every subsequent gated operation fails too, which
 //! is what makes the simulation a process death rather than a single
-//! transient error — the buffer pool's best-effort `Drop` flush and the
+//! transient error — the build's remaining page writes and fsyncs and the
 //! manifest rename all fail exactly as they would after a kill.
 //!
 //! State is thread-local so torture sweeps are deterministic and parallel

@@ -10,15 +10,17 @@
 //!
 //! * [`page`]: 8 KiB pages with checksums.
 //! * [`disk`]: a page-granular file manager.
-//! * [`buffer`]: a pinned-frame buffer pool with LRU eviction, so working
-//!   sets larger than memory stream through a bounded pool (the paper runs
-//!   Postgres with a 512 MB buffer pool; ours defaults to a configurable
-//!   frame count).
+//! * [`writer`]: the sequential page writer every page file is built with
+//!   — written once, front to back, then only read.
+//! * [`buffer`]: a read-only pinned-frame buffer pool with LRU eviction,
+//!   so working sets larger than memory stream through a bounded pool (the
+//!   paper runs Postgres with a 512 MB buffer pool; ours defaults to a
+//!   configurable frame count).
 //! * [`btree`]: a disk B+-tree with fixed 12-byte composite keys
 //!   `(label, degree, nbConnection)` — exactly the paper's first level —
 //!   supporting exact and range scans and sorted bulk loading.
-//! * [`blob`]: an append-only blob store for the second-level postings
-//!   (node-id lists + neighbor-array bitmaps).
+//! * [`blob`]: a blob file for the second-level postings (node-id lists +
+//!   neighbor-array bitmaps), appended once and then read.
 //! * [`readpath`]: the asynchronous read path — an I/O worker pool and a
 //!   prefetch staging area behind a [`readpath::ReadBackend`] seam — so
 //!   larger-than-RAM query workloads overlap their cold reads instead of
@@ -53,10 +55,11 @@ pub mod log;
 pub mod page;
 pub mod readpath;
 pub mod wah;
+pub mod writer;
 
-pub use blob::{BlobRef, BlobStore};
+pub use blob::{BlobRef, BlobStore, BlobWriter};
 pub use btree::{BTree, CompositeKey, TreeCheck};
-pub use buffer::{BufferPool, PageGuard, PageGuardMut, PoolStats};
+pub use buffer::{BufferPool, PageGuard, PoolStats};
 pub use disk::DiskManager;
 pub use page::{PageId, PAGE_SIZE};
 pub use readpath::{DiskReadBackend, IoPool, PrefetchStats, Prefetcher, ReadBackend};

@@ -19,13 +19,8 @@
 //! Tests substitute latency-injecting backends to prove the pool never
 //! holds its mutex across a read.
 //!
-//! Staleness safety: the staging area holds *disk* images. A page that is
-//! dirty in some buffer pool is by definition resident there (dirty pages
-//! are never dropped without write-back), so the pool skips resident
-//! pages when issuing prefetches and invalidates staged entries whenever
-//! it dirties or rewrites a page. Workers re-check that their entry is
-//! still wanted before publishing, so a late read of an invalidated page
-//! is discarded rather than resurrected.
+//! The staging area holds disk images, and a page file is never written
+//! after it is opened for reading, so a staged image cannot go stale.
 
 use crate::disk::DiskManager;
 use crate::page::{Page, PageId};
@@ -141,9 +136,6 @@ pub struct PrefetchStats {
     /// Requests skipped: already staged, already resident, or the staging
     /// area was full.
     pub skipped: u64,
-    /// Completed reads discarded because the entry had been taken or
-    /// invalidated while the read was in flight.
-    pub wasted: u64,
     /// Async reads that failed (the demand path will retry and surface
     /// the error if it is real).
     pub errors: u64,
@@ -157,7 +149,6 @@ impl PrefetchStats {
             issued: self.issued + other.issued,
             used: self.used + other.used,
             skipped: self.skipped + other.skipped,
-            wasted: self.wasted + other.wasted,
             errors: self.errors + other.errors,
         }
     }
@@ -189,7 +180,6 @@ struct Counters {
     issued: AtomicU64,
     used: AtomicU64,
     skipped: AtomicU64,
-    wasted: AtomicU64,
     errors: AtomicU64,
 }
 
@@ -211,7 +201,6 @@ impl Prefetcher {
             issued: self.counters.issued.load(Ordering::Relaxed),
             used: self.counters.used.load(Ordering::Relaxed),
             skipped: self.counters.skipped.load(Ordering::Relaxed),
-            wasted: self.counters.wasted.load(Ordering::Relaxed),
             errors: self.counters.errors.load(Ordering::Relaxed),
         }
     }
@@ -234,23 +223,18 @@ impl Prefetcher {
             let staged = Arc::clone(&self.staged);
             let counters = Arc::clone(&self.counters);
             self.io.submit(Box::new(move || {
+                // Only this job removes a `Pending` entry: publish the
+                // image, or withdraw the entry on error so the demand path
+                // retries.
                 let res = backend.read_page(id);
                 let mut staged = staged.lock();
-                match staged.get(&id) {
-                    // Still wanted: publish the image (or withdraw the
-                    // entry on error so the demand path retries).
-                    Some(Staged::Pending) => match res {
-                        Ok(page) => {
-                            staged.insert(id, Staged::Ready(page));
-                        }
-                        Err(_) => {
-                            staged.remove(&id);
-                            counters.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    },
-                    // Taken or invalidated while we read: discard.
-                    _ => {
-                        counters.wasted.fetch_add(1, Ordering::Relaxed);
+                match res {
+                    Ok(page) => {
+                        staged.insert(id, Staged::Ready(page));
+                    }
+                    Err(_) => {
+                        staged.remove(&id);
+                        counters.errors.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }));
@@ -259,7 +243,8 @@ impl Prefetcher {
 
     /// Removes and returns the staged image of `id` if its read has
     /// completed. A `Pending` entry is left alone — the caller reads
-    /// synchronously and the worker's late result is discarded.
+    /// synchronously, and the worker's late image stays staged until a
+    /// later miss of the same page takes it.
     pub fn take(&self, id: PageId) -> Option<Page> {
         let mut staged = self.staged.lock();
         match staged.get(&id) {
@@ -273,46 +258,24 @@ impl Prefetcher {
             _ => None,
         }
     }
-
-    /// Drops any staged or in-flight entry for `id`. Called by the pool
-    /// whenever it dirties or rewrites a page, so a stale disk image can
-    /// never be served after the page has newer content.
-    pub fn invalidate(&self, id: PageId) {
-        self.staged.lock().remove(&id);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::writer::PageWriter;
     use std::time::Duration;
-
-    struct CountingBackend {
-        disk: Arc<DiskManager>,
-        reads: AtomicUsize,
-        delay: Duration,
-    }
-
-    impl ReadBackend for CountingBackend {
-        fn read_page(&self, id: PageId) -> Result<Page> {
-            self.reads.fetch_add(1, Ordering::SeqCst);
-            if !self.delay.is_zero() {
-                std::thread::sleep(self.delay);
-            }
-            self.disk.read_page(id)
-        }
-    }
 
     fn setup(pages: u64) -> (tempfile::TempDir, Arc<DiskManager>) {
         let d = tempfile::tempdir().unwrap();
         let dm = Arc::new(DiskManager::create(&d.path().join("p.db")).unwrap());
+        let mut writer = PageWriter::new(&dm);
+        let mut page = Page::zeroed();
         for i in 0..pages {
-            let id = dm.allocate();
-            let mut page = Page::zeroed();
             page.payload_mut()[0] = i as u8;
-            dm.write_page(id, &mut page).unwrap();
+            writer.append(&mut page).unwrap();
         }
+        writer.finish().unwrap();
         (d, dm)
     }
 
@@ -345,25 +308,6 @@ mod tests {
         let s = pf.stats();
         assert!(s.issued <= 2 + s.used, "staging capacity respected");
         assert!(s.skipped >= 6);
-    }
-
-    #[test]
-    fn invalidate_discards_inflight() {
-        let (_d, dm) = setup(2);
-        let io = IoPool::new(1);
-        let backend = Arc::new(CountingBackend {
-            disk: dm,
-            reads: AtomicUsize::new(0),
-            delay: Duration::from_millis(50),
-        });
-        let pf = Prefetcher::new(io, backend, 4);
-        pf.request(&[PageId(0)]);
-        pf.invalidate(PageId(0)); // while the slow read is in flight
-        std::thread::sleep(Duration::from_millis(150));
-        assert!(
-            pf.take(PageId(0)).is_none(),
-            "invalidated entry never served"
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! answer the same query workload bit-identically to the oracle (the
 //! engine run serially over one warm generational index) — including
 //! `query` (the singular path) and under repeated hammering of a 1-frame
-//! pool, where a single leaked pin or cross-page flush contamination
+//! pool, where a single leaked pin or a frame bound to the wrong page
 //! would surface immediately.
 
 mod common;
@@ -96,7 +96,8 @@ fn cold_identity_across_pool_sizes_threads_and_layouts() {
 /// Answers must stay bit-identical every round, the pool must report
 /// real disk traffic, and the access taxonomy must stay a partition
 /// (hits + coalesced + misses + prefetched == fetches). A leaked pin
-/// would wedge round two; stale flush bytes would corrupt a later read.
+/// would wedge round two; a frame bound to the wrong page would corrupt a
+/// later read.
 #[test]
 fn one_frame_pool_stress_keeps_identity_and_ledger() {
     let (db, originals) = corpus(62, 6);

@@ -20,8 +20,8 @@ use tale_datasets::{KeggDataset, KeggSpec};
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
 use tale_storage::faults;
 
-/// Tiny per-shard pool so generation builds overflow it and exercise
-/// eviction write-backs.
+/// Tiny per-shard pool, so recovery and the integrity checks read every
+/// generation through constant eviction.
 fn params() -> TaleParams {
     TaleParams {
         buffer_frames: 8,

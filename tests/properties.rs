@@ -153,14 +153,15 @@ proptest! {
         hi in (0u32..6, 0u32..40, 0u32..6),
     ) {
         let dir = tempfile::tempdir().unwrap();
-        let dm = Arc::new(DiskManager::create(&dir.path().join("t.db")).unwrap());
-        let pool = Arc::new(BufferPool::new(dm, 16)); // tiny pool: force eviction
+        let dm = DiskManager::create(&dir.path().join("t.db")).unwrap();
         let model: BTreeMap<CompositeKey, u64> = ops
             .into_iter()
             .map(|((a, b, c), v)| (CompositeKey::new(a, b, c), v))
             .collect();
         let pairs: Vec<(CompositeKey, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        let tree = BTree::bulk_load(pool, &pairs).unwrap();
+        let (root, height) = BTree::bulk_load(&dm, &pairs).unwrap();
+        let pool = Arc::new(BufferPool::new(Arc::new(dm), 16)); // tiny pool: force eviction
+        let tree = BTree::open(pool, root, height);
         // point lookups
         for (k, v) in &model {
             prop_assert_eq!(tree.get(*k).unwrap(), Some(*v));
