@@ -111,13 +111,6 @@ impl PathIndex {
         self.graphs.is_empty()
     }
 
-    /// Total distinct features across all graphs (index size driver —
-    /// note it can grow super-linearly with path length, the blow-up
-    /// §IV-A contrasts the NH-Index's linear size with).
-    pub fn total_features(&self) -> usize {
-        self.tables.iter().map(HashMap::len).sum()
-    }
-
     /// Filter step: graphs whose feature tables dominate the query's.
     /// Guaranteed superset of the true containment answer set.
     pub fn candidates(&self, query: &Graph) -> Vec<usize> {

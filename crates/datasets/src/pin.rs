@@ -193,11 +193,6 @@ impl SpeciesPins {
             group_of_node,
         }
     }
-
-    /// Table I generation preset: human, mouse, rat with 60 pathways.
-    pub fn mammals(seed: u64) -> SpeciesPins {
-        Self::generate(seed, &[HUMAN, MOUSE, RAT], 60, 12)
-    }
 }
 
 /// Expected paralogs per ortholog group in the ancestor.

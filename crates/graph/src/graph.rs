@@ -205,14 +205,6 @@ impl Graph {
         self.labels[n.idx()]
     }
 
-    /// Fallible label lookup.
-    pub fn try_label(&self, n: NodeId) -> Result<NodeLabel> {
-        self.labels
-            .get(n.idx())
-            .copied()
-            .ok_or(GraphError::NodeOutOfBounds(n))
-    }
-
     /// Degree of `n`: incident edges for undirected graphs, out-degree for
     /// directed graphs (the extended paper's neighborhood convention).
     #[inline]

@@ -121,10 +121,35 @@ pub fn node_match_quality(q_degree: u32, q_nb_connection: u32, nb_miss: u32, nbc
     }
 }
 
+/// The miss budgets `(nbmiss, nbcmiss)` of a query node of `degree`
+/// under approximation ratio `ρ` (§IV-B): conditions IV.2/IV.3 allow
+/// `nbmiss = ⌊ρ·degree⌋` missing neighbors (at most `degree`), and IV.4
+/// the worst-case neighbor connections they take with them,
+/// `nbcmiss = nbmiss(nbmiss−1)/2 + (degree−nbmiss)·nbmiss`. The NH-Index
+/// probe and the matcher's exact check both read their budgets here, so
+/// the filter and the check it stands in for cannot drift apart.
+pub fn miss_budgets(degree: u32, rho: f64) -> (u32, u32) {
+    let nbmiss = ((rho.max(0.0) * degree as f64).floor() as u32).min(degree);
+    let nbcmiss = nbmiss * nbmiss.saturating_sub(1) / 2 + (degree - nbmiss) * nbmiss;
+    (nbmiss, nbcmiss)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Graph;
+
+    #[test]
+    fn miss_budget_formula() {
+        // degree 8, ρ = 25% → nbmiss 2; nbcmiss = 1 + 6*2 = 13
+        assert_eq!(miss_budgets(8, 0.25), (2, 13));
+        // ρ = 0 → no misses
+        assert_eq!(miss_budgets(8, 0.0), (0, 0));
+        // degenerate degree 0
+        assert_eq!(miss_budgets(0, 0.5), (0, 0));
+        // ρ ≥ 1 caps at degree
+        assert_eq!(miss_budgets(4, 2.0).0, 4);
+    }
 
     fn star_with_ring() -> (GraphDb, GraphId) {
         // center (label C) with 4 leaves (labels L0..L3); leaves form a path.

@@ -29,7 +29,7 @@ use serde::Serialize;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use tale_graph::neighborhood::node_match_quality;
+use tale_graph::neighborhood::{miss_budgets, node_match_quality};
 use tale_graph::{Graph, LabelBuckets, NodeId, NodeSignature, RingScratch, SignatureTable};
 
 /// An anchor match produced by step 1 (index probe + bipartite matching).
@@ -299,12 +299,12 @@ struct QueryNode {
 impl QueryNode {
     fn new(input: &GrowInput<'_>, rho: f64, sigs: &SignatureTable, id: NodeId) -> Self {
         let degree = input.query.degree(id) as u32;
-        let nbmiss = ((rho.max(0.0) * degree as f64).floor() as u32).min(degree);
+        let (nbmiss, nbcmiss) = miss_budgets(degree, rho);
         QueryNode {
             id,
             degree,
             nbmiss,
-            nbcmiss: nbmiss * nbmiss.saturating_sub(1) / 2 + (degree - nbmiss) * nbmiss,
+            nbcmiss,
             sig: sigs.get(id),
         }
     }

@@ -7,13 +7,14 @@
 //! (`NhIndex::extract_graph` under the base generation's scheme) and
 //! grouped into the same [`Posting`] structure, but the postings stay in
 //! a sorted in-memory vector instead of B+-tree-addressed blobs. Probing
-//! replicates the disk probe exactly — range scan over composite keys
-//! (conditions IV.1/IV.2/IV.4), then Algorithm 1 on each posting's
-//! bitmap (IV.3) — so the engine can treat the overlay as one more index
-//! shard: because freshly inserted graph ids are disjoint from the base
-//! generation's, concatenating base and delta answers is bit-identical
-//! to probing one index holding both (the same disjointness argument the
-//! sharded executor relies on).
+//! runs the disk probe's own bounds and per-posting step (`index::Probe`)
+//! over that vector — a range scan over composite keys (conditions
+//! IV.1/IV.2/IV.4), then Algorithm 1 on each posting's bitmap (IV.3) — so
+//! the engine can treat the overlay as one more index shard: because
+//! freshly inserted graph ids are disjoint from the base generation's,
+//! concatenating base and delta answers is bit-identical to probing one
+//! index holding both (the same disjointness argument the sharded
+//! executor relies on).
 //!
 //! An overlay is immutable once built; each insert publishes a fresh one
 //! covering every unfolded member. Removals are *not* the overlay's
@@ -21,9 +22,8 @@
 //! and delta answers, which keeps one overlay shareable across remove
 //! operations.
 
-use crate::bitprobe::probe_bitsliced;
 use crate::filter;
-use crate::index::{NodeCandidate, ProbeCounters, ProbeStats, QuerySignature};
+use crate::index::{Admit, NodeCandidate, Probe, ProbeStats, QuerySignature};
 use crate::posting::Posting;
 use crate::scheme::NeighborArrayScheme;
 use crate::stats::{IndexStatistics, StatsBuilder};
@@ -32,8 +32,6 @@ use crate::{NhIndex, Result};
 use std::sync::Arc;
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
 use tale_storage::CompositeKey;
-
-use crate::index::AtomicProbeCounters;
 
 /// Immutable in-memory postings over the graphs inserted since the
 /// current base generation was built.
@@ -49,7 +47,6 @@ pub struct DeltaOverlay {
     /// inline since the overlay is rebuilt from scratch on publish.
     postings: Vec<(CompositeKey, Posting, u64)>,
     node_count: u64,
-    counters: AtomicProbeCounters,
     /// Statistics over the overlay's postings — exact, because
     /// every overlay is rebuilt from scratch on publish.
     stats: Arc<IndexStatistics>,
@@ -98,7 +95,6 @@ impl DeltaOverlay {
             graph_count: graphs.len() as u32,
             postings,
             node_count,
-            counters: AtomicProbeCounters::default(),
             stats: Arc::new(stats_builder.finish()),
         })
     }
@@ -139,70 +135,30 @@ impl DeltaOverlay {
         QuerySignature::of(self.scheme, self.edge_labels, g, node, label_of)
     }
 
-    /// Probes the overlay for `sig` under `rho` — the in-memory mirror of
-    /// [`NhIndex::probe_with_stats`], byte-for-byte the same candidate
-    /// construction (conditions IV.1–IV.4, Algorithm 1, the multi-hash
-    /// miss division and the degree-shortfall floor). The counters use
-    /// the same taxonomy; `postings_fetched` counts postings *visited*
-    /// even though no disk is involved.
+    /// Probes the overlay for `sig` under `rho` with the disk probe's
+    /// bounds and per-posting step (conditions IV.1–IV.4, Algorithm 1).
+    /// The counters use the same taxonomy; `postings_fetched` counts
+    /// postings *visited* even though no disk is involved.
     pub fn probe_with_stats(
         &self,
         sig: &QuerySignature,
         rho: f64,
     ) -> (Vec<NodeCandidate>, ProbeStats) {
+        let probe = Probe::new(self.scheme, sig, rho);
+        let (lo, hi) = probe.keys();
         let mut stats = ProbeStats::default();
-        let (nbmiss, nbcmiss) = NhIndex::miss_budgets(sig.degree, rho);
-        let deg_min = sig.degree - nbmiss; // condition IV.2
-        let nbc_min = sig.nb_connection.saturating_sub(nbcmiss); // IV.4
-        let lo = CompositeKey::new(sig.label, deg_min, 0);
-
-        let bit_budget = self.scheme.bit_budget(nbmiss);
-        let k = if self.scheme.deterministic {
-            1
-        } else {
-            self.scheme.hashes.max(1) as u32
-        };
         let mut out = Vec::new();
         let start = self.postings.partition_point(|(key, _, _)| *key < lo);
         for (key, posting, summary) in &self.postings[start..] {
-            // hi is (label, MAX, MAX): the range ends with the label.
-            if key.label != sig.label {
+            if *key > hi {
                 break;
             }
-            stats.keys_scanned += 1;
-            if key.nb_connection < nbc_min {
-                continue;
-            }
-            // The label-pair pre-filter, mirroring the disk probe: a
-            // posting whose guaranteed miss bound exceeds the budget
-            // can't hold a qualifying row (safety argument in
-            // `crate::filter`), so Algorithm 1 never runs on it.
-            if filter::guaranteed_misses(&sig.nb_array, *summary) > bit_budget {
-                stats.postings_filtered += 1;
-                debug_assert!(
-                    probe_bitsliced(&posting.bitmap, &sig.nb_array, bit_budget)
-                        .rows
-                        .is_empty(),
-                    "label-pair filter skipped a delta posting with qualifying rows",
-                );
-                continue;
-            }
-            stats.postings_fetched += 1;
-            stats.rows_examined += posting.refs.len() as u64;
-            let ph = probe_bitsliced(&posting.bitmap, &sig.nb_array, bit_budget);
-            for (row, &miss) in ph.rows.iter().zip(ph.misses.iter()) {
-                let label_misses = miss.div_ceil(k);
-                let shortfall = sig.degree.saturating_sub(key.degree);
-                out.push(NodeCandidate {
-                    node: posting.refs[*row as usize],
-                    nb_miss: label_misses.max(shortfall),
-                    db_degree: key.degree,
-                    db_nb_connection: key.nb_connection,
-                });
+            match probe.admit(*key, || Some(*summary), &mut stats) {
+                Admit::Fetch => probe.collect(*key, posting, &mut stats, &mut out),
+                Admit::Filtered => probe.debug_check_filtered(posting),
+                Admit::Reject => {}
             }
         }
-        stats.rows_returned = out.len() as u64;
-        self.counters.record(&stats);
         (out, stats)
     }
 
@@ -226,11 +182,6 @@ impl DeltaOverlay {
                 .map_err(NhError::Meta)?;
         }
         Ok(sigs.iter().map(|s| self.probe_with_stats(s, rho)).collect())
-    }
-
-    /// Lifetime probe tallies of this overlay instance.
-    pub fn counters(&self) -> ProbeCounters {
-        self.counters.snapshot()
     }
 }
 
@@ -321,7 +272,6 @@ mod tests {
         assert!(hits.is_empty());
         assert!(stats.postings_filtered > 0, "{stats:?}");
         assert_eq!(stats.postings_fetched, 0, "{stats:?}");
-        assert!(overlay.counters().postings_filtered > 0);
     }
 
     /// The width contract at the overlay's `probe_batch` boundary —

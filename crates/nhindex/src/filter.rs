@@ -35,8 +35,9 @@
 //! emptiness of another column congruent to it), which makes the bound
 //! *smaller* — the filter then merely fails to skip. It can never make
 //! the bound larger, so no skip is ever wrong. For `sbit ≤ 64` the fold
-//! is the exact column-occupancy bitmap. Debug builds re-check every
-//! skipped posting against the real probe (`NhIndex::scan_keys`).
+//! is the exact column-occupancy bitmap. Both readers apply the filter
+//! through one probe step (`index::Probe::admit`), and debug builds
+//! re-check every skipped posting against the real Algorithm-1 probe.
 //!
 //! Under mutation the same direction holds: a generation's postings
 //! never change, inserts land in the delta overlay (which folds its own
@@ -87,6 +88,13 @@ pub fn guaranteed_misses(query: &[u64], summary: u64) -> u32 {
     query.iter().map(|&q| (q & !summary).count_ones()).sum()
 }
 
+/// True when a posting with `summary` cannot contain any row within
+/// `bit_budget` misses of `query` — i.e. the probe may skip it. A posting
+/// without a summary (`None`) never skips.
+pub fn can_skip(summary: Option<u64>, query: &[u64], bit_budget: u32) -> bool {
+    summary.is_some_and(|s| guaranteed_misses(query, s) > bit_budget)
+}
+
 impl LabelPairFilter {
     /// Builds from `(key, summary)` pairs in any order; last write per
     /// key wins.
@@ -119,16 +127,6 @@ impl LabelPairFilter {
             .binary_search_by_key(&key, |&(k, _)| k)
             .ok()
             .map(|i| self.entries[i].1)
-    }
-
-    /// True when the posting under `key` cannot contain any row within
-    /// `bit_budget` misses of `query` — i.e. the probe may skip it. A key
-    /// without a summary never skips.
-    pub fn can_skip(&self, key: CompositeKey, query: &[u64], bit_budget: u32) -> bool {
-        match self.get(key) {
-            Some(summary) => guaranteed_misses(query, summary) > bit_budget,
-            None => false,
-        }
     }
 
     /// Serializes to the sidecar format: little-endian
@@ -223,7 +221,7 @@ mod tests {
     fn lookup() {
         let f = LabelPairFilter::default();
         assert!(f.get(key(1, 2, 3)).is_none());
-        assert!(!f.can_skip(key(1, 2, 3), &[u64::MAX], 0)); // no entry → never skip
+        assert!(!can_skip(f.get(key(1, 2, 3)), &[u64::MAX], 0)); // no entry → never skip
         let f = LabelPairFilter::from_entries(vec![(key(1, 2, 3), 0b10), (key(0, 9, 9), 0b01)]);
         assert_eq!(f.get(key(1, 2, 3)), Some(0b10));
         assert_eq!(f.get(key(0, 9, 9)), Some(0b01));
@@ -298,7 +296,7 @@ mod tests {
                 .collect();
             let budget = rng.gen_range(0..6);
             let f = LabelPairFilter::from_entries(vec![(key(0, 0, 0), summary)]);
-            if f.can_skip(key(0, 0, 0), &query, budget) {
+            if can_skip(f.get(key(0, 0, 0)), &query, budget) {
                 skips += 1;
                 let mut bm = ColumnBitmap::new(n, sbit);
                 for (r, row) in rows.iter().enumerate() {

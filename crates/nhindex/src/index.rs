@@ -28,6 +28,7 @@ use crate::{NhError, Result};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use tale_graph::neighborhood::miss_budgets;
 use tale_graph::{Graph, GraphDb, NodeId};
 use tale_storage::{
     BTree, BlobRef, BlobStore, BlobWriter, BufferPool, CompositeKey, DiskManager, IoPool,
@@ -197,7 +198,8 @@ pub struct NodeCandidate {
     pub db_nb_connection: u32,
 }
 
-/// Probe-side counters for introspection and the index-explorer example.
+/// What one probe did: the traffic record every level reports, from a
+/// single signature up to a shard of a batch (sum with `+=`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeStats {
     /// B+-tree keys visited by the range scan.
@@ -214,74 +216,136 @@ pub struct ProbeStats {
     pub rows_returned: u64,
 }
 
-/// Cumulative probe counters over the index's lifetime. Snapshots are
-/// cheap relaxed atomic loads; diff two snapshots to attribute index
-/// traffic to a span of work (the query engine uses this to prove a
-/// cached result never touched the disk index).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProbeCounters {
-    /// Probes executed (one per query signature answered from disk).
-    pub probes: u64,
-    /// B+-tree keys visited across all probes.
-    pub keys_scanned: u64,
-    /// Postings fetched across all probes.
-    pub postings_fetched: u64,
-    /// Postings skipped by the label-pair pre-filter across all probes.
-    pub postings_filtered: u64,
-    /// Bitmap rows examined across all probes.
-    pub rows_examined: u64,
-}
-
-impl ProbeCounters {
-    /// Counter deltas since an `earlier` snapshot of the same index.
-    pub fn since(self, earlier: ProbeCounters) -> ProbeCounters {
-        ProbeCounters {
-            probes: self.probes.saturating_sub(earlier.probes),
-            keys_scanned: self.keys_scanned.saturating_sub(earlier.keys_scanned),
-            postings_fetched: self
-                .postings_fetched
-                .saturating_sub(earlier.postings_fetched),
-            postings_filtered: self
-                .postings_filtered
-                .saturating_sub(earlier.postings_filtered),
-            rows_examined: self.rows_examined.saturating_sub(earlier.rows_examined),
-        }
+impl std::ops::AddAssign for ProbeStats {
+    fn add_assign(&mut self, other: ProbeStats) {
+        self.keys_scanned += other.keys_scanned;
+        self.postings_fetched += other.postings_fetched;
+        self.postings_filtered += other.postings_filtered;
+        self.rows_examined += other.rows_examined;
+        self.rows_returned += other.rows_returned;
     }
 }
 
-/// Atomic backing for [`ProbeCounters`]; relaxed ordering is fine — the
-/// counters are monotonic tallies, not synchronization. Shared with the
-/// in-memory delta overlay, which reports the same counter taxonomy.
-#[derive(Debug, Default)]
-pub(crate) struct AtomicProbeCounters {
-    probes: std::sync::atomic::AtomicU64,
-    keys_scanned: std::sync::atomic::AtomicU64,
-    postings_fetched: std::sync::atomic::AtomicU64,
-    postings_filtered: std::sync::atomic::AtomicU64,
-    rows_examined: std::sync::atomic::AtomicU64,
+/// One signature's probe under `ρ` (§IV-B), shared by the disk index and
+/// the delta overlay: the bounds of the key scan and the per-posting step
+/// that turns a posting into candidates. The two readers differ only in
+/// how they walk their keys and reach a posting; everything that decides
+/// an answer or a counter is here.
+pub(crate) struct Probe<'a> {
+    sig: &'a QuerySignature,
+    /// Condition IV.2: the least database degree that can match.
+    deg_min: u32,
+    /// Condition IV.4: the least neighbor connection that can match.
+    nbc_min: u32,
+    /// Condition IV.3's miss budget in bit space: with k Bloom hashes a
+    /// missing neighbor can clear up to k bits.
+    bit_budget: u32,
+    /// Bits one missing neighbor label can clear (1 when deterministic).
+    hashes: u32,
 }
 
-impl AtomicProbeCounters {
-    pub(crate) fn record(&self, stats: &ProbeStats) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.probes.fetch_add(1, Relaxed);
-        self.keys_scanned.fetch_add(stats.keys_scanned, Relaxed);
-        self.postings_fetched
-            .fetch_add(stats.postings_fetched, Relaxed);
-        self.postings_filtered
-            .fetch_add(stats.postings_filtered, Relaxed);
-        self.rows_examined.fetch_add(stats.rows_examined, Relaxed);
+/// The key scan's verdict on one posting.
+pub(crate) enum Admit {
+    /// Fails condition IV.4.
+    Reject,
+    /// The label-pair pre-filter proved that no row qualifies.
+    Filtered,
+    /// Run Algorithm 1 on it.
+    Fetch,
+}
+
+impl<'a> Probe<'a> {
+    pub(crate) fn new(scheme: NeighborArrayScheme, sig: &'a QuerySignature, rho: f64) -> Self {
+        let (nbmiss, nbcmiss) = miss_budgets(sig.degree, rho);
+        Probe {
+            sig,
+            deg_min: sig.degree - nbmiss,
+            nbc_min: sig.nb_connection.saturating_sub(nbcmiss),
+            bit_budget: scheme.bit_budget(nbmiss),
+            hashes: if scheme.deterministic {
+                1
+            } else {
+                scheme.hashes.max(1) as u32
+            },
+        }
     }
 
-    pub(crate) fn snapshot(&self) -> ProbeCounters {
-        use std::sync::atomic::Ordering::Relaxed;
-        ProbeCounters {
-            probes: self.probes.load(Relaxed),
-            keys_scanned: self.keys_scanned.load(Relaxed),
-            postings_fetched: self.postings_fetched.load(Relaxed),
-            postings_filtered: self.postings_filtered.load(Relaxed),
-            rows_examined: self.rows_examined.load(Relaxed),
+    /// The composite-key range of conditions IV.1/IV.2, both ends
+    /// inclusive: the query's label, database degree at least `deg_min`.
+    pub(crate) fn keys(&self) -> (CompositeKey, CompositeKey) {
+        (
+            CompositeKey::new(self.sig.label, self.deg_min, 0),
+            CompositeKey::new(self.sig.label, u32::MAX, u32::MAX),
+        )
+    }
+
+    /// The scan step for one key in range: condition IV.4, then the
+    /// label-pair pre-filter (condition IV.3's cheap bound) over the
+    /// posting's label-pair summary, which `summary` looks up only for
+    /// keys that pass IV.4 (`None`: no summary recorded, never skip).
+    /// Filtered postings never reach a prefetch list, let alone bitmap
+    /// decode.
+    pub(crate) fn admit(
+        &self,
+        key: CompositeKey,
+        summary: impl FnOnce() -> Option<u64>,
+        stats: &mut ProbeStats,
+    ) -> Admit {
+        stats.keys_scanned += 1;
+        if key.nb_connection < self.nbc_min {
+            return Admit::Reject;
         }
+        if filter::can_skip(summary(), &self.sig.nb_array, self.bit_budget) {
+            stats.postings_filtered += 1;
+            return Admit::Filtered;
+        }
+        stats.postings_fetched += 1;
+        Admit::Fetch
+    }
+
+    /// The posting step: Algorithm 1 over the posting's bitmap
+    /// (condition IV.3), then one candidate per qualifying row, appended
+    /// to `out`.
+    pub(crate) fn collect(
+        &self,
+        key: CompositeKey,
+        posting: &Posting,
+        stats: &mut ProbeStats,
+        out: &mut Vec<NodeCandidate>,
+    ) {
+        stats.rows_examined += posting.refs.len() as u64;
+        let ph = probe_bitsliced(&posting.bitmap, &self.sig.nb_array, self.bit_budget);
+        stats.rows_returned += ph.rows.len() as u64;
+        // Bit misses over-count by up to k per missing label under
+        // multi-hash Bloom (divide, rounding up) and can undercount when
+        // several query neighbors share a bit; the degree shortfall is a
+        // second lower bound on missing neighbors.
+        let shortfall = self.sig.degree.saturating_sub(key.degree);
+        for (row, &miss) in ph.rows.iter().zip(ph.misses.iter()) {
+            out.push(NodeCandidate {
+                node: posting.refs[*row as usize],
+                nb_miss: miss.div_ceil(self.hashes).max(shortfall),
+                db_degree: key.degree,
+                db_nb_connection: key.nb_connection,
+            });
+        }
+    }
+
+    /// Verify mode for a [`Admit::Filtered`] posting (debug builds
+    /// only): every skip must be provably safe — the real Algorithm-1
+    /// probe over the posting finds nothing.
+    pub(crate) fn debug_check_filtered(&self, posting: &Posting) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let ph = probe_bitsliced(&posting.bitmap, &self.sig.nb_array, self.bit_budget);
+        assert!(
+            ph.rows.is_empty(),
+            "label-pair filter skipped a posting with {} qualifying rows \
+             (bit_budget {}) — the guaranteed-miss bound is unsound",
+            ph.rows.len(),
+            self.bit_budget,
+        );
     }
 }
 
@@ -298,8 +362,6 @@ pub struct NhIndex {
     key_count: u64,
     /// Neighbor arrays are over (label, edge label) pairs.
     edge_labels: bool,
-    /// Lifetime probe tallies (see [`NhIndex::counters`]).
-    counters: AtomicProbeCounters,
     /// Async read-path workers feeding both page files' prefetchers
     /// (`None` when prefetching is disabled). Shards of a sharded index
     /// all hold clones of one shared pool.
@@ -593,7 +655,6 @@ impl NhIndex {
             node_count: meta.node_count,
             key_count: meta.key_count,
             edge_labels: meta.edge_labels,
-            counters: AtomicProbeCounters::default(),
             io: None,
             stats,
             filter: lp_filter,
@@ -731,16 +792,6 @@ impl NhIndex {
         QuerySignature::of(self.scheme, self.edge_labels, g, node, label_of)
     }
 
-    /// The miss budgets `(nbmiss, nbcmiss)` for a query node under `ρ`
-    /// (§IV-B): `nbmiss = ⌊ρ·degree⌋` and the worst-case connection loss
-    /// `nbcmiss = nbmiss(nbmiss−1)/2 + (degree−nbmiss)·nbmiss`.
-    pub fn miss_budgets(degree: u32, rho: f64) -> (u32, u32) {
-        let nbmiss = (rho.max(0.0) * degree as f64).floor() as u32;
-        let nbmiss = nbmiss.min(degree);
-        let nbcmiss = nbmiss * nbmiss.saturating_sub(1) / 2 + (degree - nbmiss) * nbmiss;
-        (nbmiss, nbcmiss)
-    }
-
     /// Probes the index for database nodes approximately matching `sig`
     /// under approximation ratio `rho` (conditions IV.1–IV.4).
     pub fn probe(&self, sig: &QuerySignature, rho: f64) -> Result<Vec<NodeCandidate>> {
@@ -764,14 +815,8 @@ impl NhIndex {
         self.scheme
             .check_query_width(&sig.nb_array)
             .map_err(NhError::Meta)?;
-        let (nbmiss, nbcmiss) = Self::miss_budgets(sig.degree, rho);
-        let deg_min = sig.degree - nbmiss; // condition IV.2
-        let nbc_min = sig.nb_connection.saturating_sub(nbcmiss); // IV.4
-        let bit_budget = self.scheme.bit_budget(nbmiss); // IV.3, bit space
-        let lp_filter = self.filter.as_ref();
-
-        let lo = CompositeKey::new(sig.label, deg_min, 0);
-        let hi = CompositeKey::new(sig.label, u32::MAX, u32::MAX);
+        let probe = Probe::new(self.scheme, sig, rho);
+        let (lo, hi) = probe.keys();
         let mut hits: Vec<(CompositeKey, BlobRef)> = Vec::new();
         // Postings the pre-filter skipped, re-checked below in debug
         // builds (outside the scan — blob reads must not run under the
@@ -779,35 +824,19 @@ impl NhIndex {
         #[cfg(debug_assertions)]
         let mut skipped: Vec<BlobRef> = Vec::new();
         self.btree.range_with(lo, hi, |k, v| {
-            stats.keys_scanned += 1;
-            if k.nb_connection >= nbc_min {
-                // The label-pair pre-filter (condition IV.3's cheap
-                // bound): skipped postings never reach the prefetch list,
-                // let alone bitmap decode.
-                if lp_filter.is_some_and(|f| f.can_skip(k, &sig.nb_array, bit_budget)) {
-                    stats.postings_filtered += 1;
+            match probe.admit(k, || self.filter.as_ref()?.get(k), stats) {
+                Admit::Fetch => hits.push((k, BlobRef::unpack(v))),
+                Admit::Filtered => {
                     #[cfg(debug_assertions)]
                     skipped.push(BlobRef::unpack(v));
-                    return true;
                 }
-                stats.postings_fetched += 1;
-                hits.push((k, BlobRef::unpack(v)));
+                Admit::Reject => {}
             }
             true
         })?;
-        // Verify mode: every skip must be provably safe — the real
-        // Algorithm-1 probe over the skipped posting finds nothing.
         #[cfg(debug_assertions)]
         for r in skipped {
-            let bytes = self.blobs.get(r)?;
-            let posting = Posting::decode(&bytes)?;
-            let ph = probe_bitsliced(&posting.bitmap, &sig.nb_array, bit_budget);
-            debug_assert!(
-                ph.rows.is_empty(),
-                "label-pair filter skipped a posting with {} qualifying rows \
-                 (bit_budget {bit_budget}) — the guaranteed-miss bound is unsound",
-                ph.rows.len(),
-            );
+            probe.debug_check_filtered(&Posting::decode(&self.blobs.get(r)?)?);
         }
         Ok(hits)
     }
@@ -837,35 +866,11 @@ impl NhIndex {
         hits: &[(CompositeKey, BlobRef)],
         stats: &mut ProbeStats,
     ) -> Result<Vec<NodeCandidate>> {
-        let (nbmiss, _) = Self::miss_budgets(sig.degree, rho);
+        let probe = Probe::new(self.scheme, sig, rho);
         let mut out = Vec::new();
-        // condition IV.3 threshold lives in bit space: with k Bloom hashes
-        // a missing neighbor can clear up to k bits.
-        let bit_budget = self.scheme.bit_budget(nbmiss);
         for &(key, blob_ref) in hits {
-            let bytes = self.blobs.get(blob_ref)?;
-            let posting = Posting::decode(&bytes)?;
-            stats.rows_examined += posting.refs.len() as u64;
-            let ph = probe_bitsliced(&posting.bitmap, &sig.nb_array, bit_budget);
-            let k = if self.scheme.deterministic {
-                1
-            } else {
-                self.scheme.hashes.max(1) as u32
-            };
-            for (row, &miss) in ph.rows.iter().zip(ph.misses.iter()) {
-                // Bit misses over-count by up to k per missing label under
-                // multi-hash Bloom (divide, rounding up) and can undercount
-                // when several query neighbors share a bit; the degree
-                // shortfall is a second lower bound on missing neighbors.
-                let label_misses = miss.div_ceil(k);
-                let shortfall = sig.degree.saturating_sub(key.degree);
-                out.push(NodeCandidate {
-                    node: posting.refs[*row as usize],
-                    nb_miss: label_misses.max(shortfall),
-                    db_degree: key.degree,
-                    db_nb_connection: key.nb_connection,
-                });
-            }
+            let posting = Posting::decode(&self.blobs.get(blob_ref)?)?;
+            probe.collect(key, &posting, stats, &mut out);
         }
         Ok(out)
     }
@@ -884,8 +889,6 @@ impl NhIndex {
         self.blobs
             .prefetch(&hits.iter().map(|&(_, r)| r).collect::<Vec<_>>());
         let out = self.process_postings(sig, rho, &hits, &mut stats)?;
-        stats.rows_returned = out.len() as u64;
-        self.counters.record(&stats);
         Ok((out, stats))
     }
 
@@ -928,19 +931,10 @@ impl NhIndex {
         tale_par::parallel_map(threads, sigs.len(), |i| {
             let (hits, mut stats) = scanned[i].clone();
             let out = self.process_postings(&sigs[i], rho, &hits, &mut stats)?;
-            stats.rows_returned = out.len() as u64;
-            self.counters.record(&stats);
             Ok((out, stats))
         })
         .into_iter()
         .collect()
-    }
-
-    /// Lifetime probe tallies for this index handle (since build/open;
-    /// not persisted). Diff two snapshots with [`ProbeCounters::since`]
-    /// to attribute index traffic to a span of work.
-    pub fn counters(&self) -> ProbeCounters {
-        self.counters.snapshot()
     }
 
     /// Combined hit/miss counters of the B+-tree and blob buffer pools.
@@ -1080,18 +1074,6 @@ mod tests {
         let strict = idx.probe(&sig, 0.0).unwrap();
         let loose = idx.probe(&sig, 0.5).unwrap();
         assert!(loose.len() >= strict.len());
-    }
-
-    #[test]
-    fn miss_budget_formula() {
-        // degree 8, ρ = 25% → nbmiss 2; nbcmiss = 1 + 6*2 = 13
-        assert_eq!(NhIndex::miss_budgets(8, 0.25), (2, 13));
-        // ρ = 0 → no misses
-        assert_eq!(NhIndex::miss_budgets(8, 0.0), (0, 0));
-        // degenerate degree 0
-        assert_eq!(NhIndex::miss_budgets(0, 0.5), (0, 0));
-        // ρ ≥ 1 caps at degree
-        assert_eq!(NhIndex::miss_budgets(4, 2.0).0, 4);
     }
 
     #[test]
@@ -1346,9 +1328,6 @@ mod tests {
         assert_eq!(stats_off.postings_filtered, 0);
         assert!(stats_off.postings_fetched > 0);
         assert!(stats.rows_examined <= stats_off.rows_examined);
-
-        // lifetime counters carried the skip
-        assert!(idx.counters().postings_filtered > 0);
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub use bitprobe::{ColumnBitmap, ProbeKernel};
 pub use delta::DeltaOverlay;
 pub use filter::{LabelPairFilter, FILTER_FILE, FILTER_SCHEMA_VERSION};
 pub use index::{
-    IntegrityReport, NhIndex, NhIndexConfig, NodeCandidate, ProbeCounters, ProbeStats,
-    QuerySignature, DEFAULT_IO_WORKERS, DEFAULT_PREFETCH_PAGES, LEGACY_WAL_FILE,
+    IntegrityReport, NhIndex, NhIndexConfig, NodeCandidate, ProbeStats, QuerySignature,
+    DEFAULT_IO_WORKERS, DEFAULT_PREFETCH_PAGES, LEGACY_WAL_FILE,
 };
 pub use mvcc::{
     FoldReport, GenerationInfo, GenerationalNhIndex, MvccRecovery, Snapshot, MVCC_FILE,

@@ -74,7 +74,7 @@
 //! structurally gone.
 
 use crate::delta::DeltaOverlay;
-use crate::index::{NhIndexConfig, NodeCandidate, ProbeCounters, ProbeStats, QuerySignature};
+use crate::index::{NhIndexConfig, NodeCandidate, ProbeStats, QuerySignature};
 use crate::reader::IndexReader;
 use crate::{NeighborArrayScheme, NhError, NhIndex, Result};
 use parking_lot::{Mutex, RwLock};
@@ -297,10 +297,6 @@ impl IndexReader for BaseReader<'_> {
         self.snap.state.base.index.statistics()
     }
 
-    fn counters(&self) -> ProbeCounters {
-        self.snap.state.base.index.counters()
-    }
-
     fn pool_stats(&self) -> tale_storage::PoolStats {
         self.snap.state.base.index.pool_stats()
     }
@@ -347,10 +343,6 @@ impl IndexReader for DeltaReader<'_> {
     /// time, so again an overestimate of the snapshot's answers).
     fn statistics(&self) -> Option<std::sync::Arc<crate::stats::IndexStatistics>> {
         Some(self.snap.state.delta.statistics())
-    }
-
-    fn counters(&self) -> ProbeCounters {
-        self.snap.state.delta.counters()
     }
 
     fn pool_stats(&self) -> tale_storage::PoolStats {
@@ -907,20 +899,6 @@ impl GenerationalNhIndex {
         self.state.read().base.index.verify()
     }
 
-    /// Combined probe counters of the current base and delta.
-    pub fn counters(&self) -> ProbeCounters {
-        let state = self.state.read().clone();
-        let b = state.base.index.counters();
-        let d = state.delta.counters();
-        ProbeCounters {
-            probes: b.probes + d.probes,
-            keys_scanned: b.keys_scanned + d.keys_scanned,
-            postings_fetched: b.postings_fetched + d.postings_fetched,
-            postings_filtered: b.postings_filtered + d.postings_filtered,
-            rows_examined: b.rows_examined + d.rows_examined,
-        }
-    }
-
     /// Buffer-pool counters of the current generation.
     pub fn pool_stats(&self) -> tale_storage::PoolStats {
         self.state.read().base.index.pool_stats()
@@ -961,17 +939,9 @@ impl IndexReader for GenerationalNhIndex {
         let delta = snap.delta_reader().probe_batch(sigs, rho, threads)?;
         for ((cands, stats), (more, d)) in out.iter_mut().zip(delta) {
             cands.extend(more);
-            stats.keys_scanned += d.keys_scanned;
-            stats.postings_fetched += d.postings_fetched;
-            stats.postings_filtered += d.postings_filtered;
-            stats.rows_examined += d.rows_examined;
-            stats.rows_returned += d.rows_returned;
+            *stats += d;
         }
         Ok(out)
-    }
-
-    fn counters(&self) -> ProbeCounters {
-        GenerationalNhIndex::counters(self)
     }
 
     fn pool_stats(&self) -> tale_storage::PoolStats {

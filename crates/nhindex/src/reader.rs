@@ -1,10 +1,12 @@
 //! The probe seam between the query engine and an index.
 //!
-//! The engine's plan/probe/exec stages only need four things from an
+//! The engine's plan/probe/exec stages only need a few things from an
 //! index: build a query-node signature under the index's neighbor-array
-//! scheme, answer a batch of probe signatures, and expose its probe and
-//! buffer-pool counters for attribution. [`IndexReader`] captures exactly
-//! that surface so the same engine code runs against
+//! scheme, answer a batch of probe signatures (each answer carrying the
+//! [`ProbeStats`] of its own traffic, which the engine sums into its
+//! per-query and per-shard records), and expose its buffer-pool counters.
+//! [`IndexReader`] captures exactly that surface so the same engine code
+//! runs against
 //!
 //! * a plain, immutable [`NhIndex`],
 //! * an MVCC base generation (an `NhIndex` filtered by a snapshot's
@@ -23,7 +25,7 @@
 //! and old entries become unreachable — no wholesale clear, and entries
 //! for untouched readers stay warm.
 
-use crate::index::{NodeCandidate, ProbeCounters, ProbeStats, QuerySignature};
+use crate::index::{NodeCandidate, ProbeStats, QuerySignature};
 use crate::stats::IndexStatistics;
 use crate::{NhIndex, Result};
 use std::sync::Arc;
@@ -64,10 +66,6 @@ pub trait IndexReader: Sync {
     fn statistics(&self) -> Option<Arc<IndexStatistics>> {
         None
     }
-
-    /// Lifetime probe tallies of this reader (diff two snapshots to
-    /// attribute traffic to a span of work).
-    fn counters(&self) -> ProbeCounters;
 
     /// Buffer-pool counters underneath this reader (zeros for purely
     /// in-memory readers).
@@ -115,10 +113,6 @@ impl IndexReader for NhIndex {
 
     fn statistics(&self) -> Option<Arc<IndexStatistics>> {
         NhIndex::statistics(self)
-    }
-
-    fn counters(&self) -> ProbeCounters {
-        NhIndex::counters(self)
     }
 
     fn pool_stats(&self) -> PoolStats {

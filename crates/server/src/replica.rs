@@ -221,11 +221,6 @@ impl ReplicaSet {
         set
     }
 
-    /// Number of replicas in the group.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     fn counters_ref(&self) -> Option<Arc<ServerCounters>> {
         self.counters.lock().clone()
     }

@@ -113,7 +113,7 @@ pub(crate) mod lockcheck {
 /// double-counted and a retried fetch counted a spurious hit. Snapshots
 /// are cheap; consumers diff two snapshots to attribute I/O to a span of
 /// work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct PoolStats {
     /// Page fetches served from a resident frame.
     pub hits: u64,

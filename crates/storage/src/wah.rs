@@ -103,11 +103,6 @@ pub fn decompress(wah: &[u64], nbits: usize) -> Vec<u64> {
     out
 }
 
-/// Size in words of the WAH form without materializing it.
-pub fn compressed_len(words: &[u64], nbits: usize) -> usize {
-    compress(words, nbits).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -814,19 +814,21 @@ mod tests {
         assert_eq!(before, after, "insert must not clear any cache");
         // a repeat query re-probes *only* the owning shard; every other
         // shard answers from its still-reachable cached partials
-        let counters: Vec<_> = sharded
-            .index()
-            .shards()
-            .iter()
-            .map(|s| s.counters())
-            .collect();
-        let res = sharded.query(&graphs[0], &opts).unwrap();
-        for (s, shard) in sharded.index().shards().iter().enumerate() {
-            let d = shard.counters().since(counters[s]);
-            if s == owner {
-                assert!(d.probes > 0, "owning shard must re-run under its new key");
+        let (mut res, batch) = sharded
+            .query_batch_with_stats(&[&graphs[0]], &opts)
+            .unwrap();
+        let res = res.remove(0);
+        assert_eq!(batch.shards.len(), 3);
+        for st in &batch.shards {
+            if st.shard == owner {
+                assert!(st.probes > 0, "owning shard must re-run under its new key");
             } else {
-                assert_eq!(d.probes, 0, "non-owning shard {s} must hit its cache");
+                assert_eq!(
+                    st.probes, 0,
+                    "non-owning shard {} must hit its cache",
+                    st.shard
+                );
+                assert_eq!(st.pool.accesses(), 0, "shard {} read a page", st.shard);
             }
         }
         // and the inserted graph is immediately queryable

@@ -5,7 +5,9 @@
 //! pipeline for every repeat. The [`ResultCache`] short-circuits them:
 //! results are stored under `(canonical query signature, options
 //! fingerprint)` and a **hit returns without touching the disk index at
-//! all** — verifiable through [`NhIndex::counters`](tale_nhindex::NhIndex::counters).
+//! all** — verifiable through the batch's per-shard probe counts
+//! ([`ShardStats::probes`](crate::ShardStats::probes)) and its buffer-pool
+//! fetch count.
 //!
 //! ## Key scheme
 //!

@@ -24,30 +24,17 @@
 //! partial lists in *any* order sorts to the same ranked output.
 
 use crate::engine::cache::{self, CacheKey, QueryRepr, ResultCache};
+use crate::engine::grow;
 use crate::engine::plan::{plan_query, QueryPlan};
+use crate::engine::probe::{self, PerQueryProbe};
 use crate::engine::stats::{BatchStats, QueryStats, ShardStats, StageTimes};
-use crate::engine::{grow, probe};
 use crate::params::QueryOptions;
 use crate::result::QueryMatch;
 use crate::Result;
 use std::time::Instant;
 use tale_graph::{Graph, GraphDb, SignatureTable};
 use tale_nhindex::IndexReader;
-
-/// Per-unique-query index traffic, summed over the shards the query
-/// actually executed on (a standalone unsharded run reports the same
-/// totals: shard answers partition the unsharded answer).
-#[derive(Default, Clone, Copy)]
-struct UniqueTraffic {
-    probes: u64,
-    probes_shared: u64,
-    keys_scanned: u64,
-    postings_fetched: u64,
-    postings_filtered: u64,
-    rows_examined: u64,
-    candidates: u64,
-    candidate_graphs: usize,
-}
+use tale_storage::PoolStats;
 
 /// One shard's contribution to the batch.
 struct ShardOutcome {
@@ -57,9 +44,8 @@ struct ShardOutcome {
     /// Pre-rank partial match lists, aligned with `sel`.
     partials: Vec<Vec<QueryMatch>>,
     /// Per-executed-unique traffic, aligned with `sel`.
-    traffic: Vec<UniqueTraffic>,
+    traffic: Vec<PerQueryProbe>,
     probes_requested: u64,
-    probes_issued: u64,
     stats: ShardStats,
 }
 
@@ -78,7 +64,6 @@ fn exec_shard(
 ) -> Result<ShardOutcome> {
     let threads = tale_par::effective_threads(opts.threads);
     let t_shard = Instant::now();
-    let counters_before = index.counters();
     let pool_before = index.pool_stats();
     let shard_plans: Vec<&QueryPlan> = sel.iter().map(|&u| &plans[uniques[u]]).collect();
     let t = Instant::now();
@@ -94,16 +79,15 @@ fn exec_shard(
     // built only for queries with a candidate graph on this shard.
     let q_sigs: Vec<Option<SignatureTable>> = sel
         .iter()
-        .zip(&probed.per_query)
-        .map(|(&u, p)| {
+        .zip(&probed.buckets)
+        .map(|(&u, b)| {
             let q = queries[uniques[u]];
-            (!p.per_graph.is_empty())
-                .then(|| SignatureTable::build(q, |n| db.effective_of_raw(q.label(n))))
+            (!b.is_empty()).then(|| SignatureTable::build(q, |n| db.effective_of_raw(q.label(n))))
         })
         .collect();
     let mut items: Vec<(usize, u32)> = Vec::new();
-    for (lu, p) in probed.per_query.iter().enumerate() {
-        let mut gids: Vec<u32> = p.per_graph.keys().copied().collect();
+    for (lu, b) in probed.buckets.iter().enumerate() {
+        let mut gids: Vec<u32> = b.keys().copied().collect();
         gids.sort_unstable();
         items.extend(gids.into_iter().map(|g| (lu, g)));
     }
@@ -118,7 +102,7 @@ fn exec_shard(
                 .expect("a query with match items has candidate graphs"),
             &plans[qi].important,
             gid,
-            &probed.per_query[lu].per_graph[&gid],
+            &probed.buckets[lu][&gid],
             opts,
         )
     });
@@ -130,44 +114,35 @@ fn exec_shard(
             out[lu].push(m);
         }
     }
-    let traffic: Vec<UniqueTraffic> = probed
-        .per_query
-        .iter()
-        .map(|p| UniqueTraffic {
-            probes: p.probes,
-            probes_shared: p.probes_shared,
-            keys_scanned: p.keys_scanned,
-            postings_fetched: p.postings_fetched,
-            postings_filtered: p.postings_filtered,
-            rows_examined: p.rows_examined,
-            candidates: p.candidates,
-            candidate_graphs: p.per_graph.len(),
-        })
-        .collect();
-    let counters = index.counters().since(counters_before);
+    // This shard's traffic is what its own issued probes reported, so it
+    // stays exact while other batches probe the same index.
+    let issued = probed.issued;
     let matches = out.iter().map(Vec::len).sum();
     Ok(ShardOutcome {
         stats: ShardStats {
             shard: s,
             uniques_executed: sel.len(),
-            probes: counters.probes,
-            keys_scanned: counters.keys_scanned,
-            postings_fetched: counters.postings_fetched,
-            postings_filtered: counters.postings_filtered,
-            rows_examined: counters.rows_examined,
-            candidates: traffic.iter().map(|t| t.candidates).sum(),
+            probes: probed.probes_issued,
+            keys_scanned: issued.keys_scanned,
+            postings_fetched: issued.postings_fetched,
+            postings_filtered: issued.postings_filtered,
+            rows_examined: issued.rows_examined,
+            candidates: probed
+                .per_query
+                .iter()
+                .map(|p| p.traffic.rows_returned)
+                .sum(),
             match_items,
             matches,
-            pool: index.pool_stats().since(pool_before).into(),
+            pool: index.pool_stats().since(pool_before),
             probe_secs,
             match_secs,
             wall_secs: t_shard.elapsed().as_secs_f64(),
         },
         sel,
         partials: out,
-        traffic,
+        traffic: probed.per_query,
         probes_requested: probed.probes_requested,
-        probes_issued: probed.probes_issued,
     })
 }
 
@@ -283,8 +258,8 @@ pub fn run_batch(
         .collect();
 
     // Scatter: each shard in turn probes + grows the uniques that missed
-    // its cache, on the full thread budget. Per-shard traffic is exact — a
-    // shard's index is only touched by its own visit.
+    // its cache, on the full thread budget. Per-shard probe traffic is
+    // exact: it is summed from the answers to the shard's own probes.
     let mut shard_outcomes: Vec<ShardOutcome> = Vec::with_capacity(nshards);
     for (s, reader) in shards.iter().enumerate() {
         let sel: Vec<usize> = (0..uniques.len())
@@ -299,7 +274,7 @@ pub fn run_batch(
     // shard lists, sort by (score desc, graph id asc) — a total order, so
     // merge order is irrelevant — and truncate to top_k.
     let t = Instant::now();
-    let mut unique_traffic: Vec<UniqueTraffic> = vec![UniqueTraffic::default(); uniques.len()];
+    let mut unique_traffic = vec![PerQueryProbe::default(); uniques.len()];
     for (s, out) in shard_outcomes.iter_mut().enumerate() {
         let sel = std::mem::take(&mut out.sel);
         for (lu, &u) in sel.iter().enumerate() {
@@ -311,16 +286,7 @@ pub fn run_batch(
                     list.clone(),
                 );
             }
-            let t = &out.traffic[lu];
-            let agg = &mut unique_traffic[u];
-            agg.probes += t.probes;
-            agg.probes_shared += t.probes_shared;
-            agg.keys_scanned += t.keys_scanned;
-            agg.postings_fetched += t.postings_fetched;
-            agg.postings_filtered += t.postings_filtered;
-            agg.rows_examined += t.rows_examined;
-            agg.candidates += t.candidates;
-            agg.candidate_graphs += t.candidate_graphs;
+            unique_traffic[u] += out.traffic[lu];
             partials[u][s] = Some(list);
         }
         out.sel = sel;
@@ -353,14 +319,7 @@ pub fn run_batch(
     };
     let pool = shard_stats
         .iter()
-        .fold(crate::engine::stats::PoolDelta::default(), |acc, s| {
-            crate::engine::stats::PoolDelta {
-                hits: acc.hits + s.pool.hits,
-                coalesced: acc.coalesced + s.pool.coalesced,
-                misses: acc.misses + s.pool.misses,
-                prefetched: acc.prefetched + s.pool.prefetched,
-            }
-        });
+        .fold(PoolStats::default(), |acc, s| acc.merged(s.pool));
     let mut per_query: Vec<QueryStats> = Vec::with_capacity(queries.len());
     let mut outputs: Vec<Vec<QueryMatch>> = Vec::with_capacity(queries.len());
     let mut cache_hits = 0usize;
@@ -380,11 +339,11 @@ pub fn run_batch(
             important_nodes: plans[i].important.len(),
             probes: tr.probes,
             probes_shared: tr.probes_shared,
-            keys_scanned: tr.keys_scanned,
-            postings_fetched: tr.postings_fetched,
-            postings_filtered: tr.postings_filtered,
-            rows_examined: tr.rows_examined,
-            candidates: tr.candidates,
+            keys_scanned: tr.traffic.keys_scanned,
+            postings_fetched: tr.traffic.postings_fetched,
+            postings_filtered: tr.traffic.postings_filtered,
+            rows_examined: tr.traffic.rows_examined,
+            candidates: tr.traffic.rows_returned,
             candidate_graphs: tr.candidate_graphs,
             matches: results.len(),
             cache_hit: hit,
@@ -399,7 +358,7 @@ pub fn run_batch(
         cache_hits,
         unique_queries: fully_cached.iter().filter(|&&h| !h).count(),
         probes_requested: shard_outcomes.iter().map(|o| o.probes_requested).sum(),
-        probes_issued: shard_outcomes.iter().map(|o| o.probes_issued).sum(),
+        probes_issued: shard_stats.iter().map(|s| s.probes).sum(),
         stages,
         pool,
         shards: shard_stats,

@@ -15,8 +15,9 @@
 use crate::params::QueryOptions;
 use serde::Serialize;
 use tale_graph::centrality::select_important_covering;
+use tale_graph::neighborhood::miss_budgets;
 use tale_graph::{Graph, GraphDb, NodeId};
-use tale_nhindex::{IndexReader, NhIndex, QuerySignature};
+use tale_nhindex::{IndexReader, QuerySignature};
 
 /// Everything the engine derives from one query before touching the index.
 #[derive(Debug)]
@@ -211,7 +212,7 @@ pub fn plan_report(
                 plan.signatures
                     .iter()
                     .map(|sig| {
-                        let deg_min = sig.degree - NhIndex::miss_budgets(sig.degree, opts.rho).0;
+                        let deg_min = sig.degree - miss_budgets(sig.degree, opts.rho).0;
                         stats.estimate_rows(sig.label, deg_min)
                     })
                     .collect(),

@@ -13,7 +13,7 @@
 use crate::engine::plan::QueryPlan;
 use crate::Result;
 use std::collections::HashMap;
-use tale_nhindex::{node_match_quality, IndexReader, NodeCandidate, QuerySignature};
+use tale_nhindex::{node_match_quality, IndexReader, NodeCandidate, ProbeStats, QuerySignature};
 
 /// Dedup key: the full signature content. Two query nodes with equal keys
 /// receive byte-identical probe answers and scores.
@@ -36,32 +36,47 @@ impl SigKey {
     }
 }
 
-/// One query's probe outcome: candidate buckets plus the index traffic
-/// that answered it (shared probes are credited to every requester, as a
-/// standalone run would report).
+/// Per candidate graph: `(important-node index, db node, quality)`.
+pub(crate) type Buckets = HashMap<u32, Vec<(usize, u32, f64)>>;
+
+/// The index traffic that answered one query (shared probes are credited
+/// to every requester, as a standalone run would report). Sums with `+=`
+/// across the shards a query ran on.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PerQueryProbe {
-    /// Per candidate graph: `(important-node index, db node, quality)`.
-    pub per_graph: HashMap<u32, Vec<(usize, u32, f64)>>,
     /// Signatures this query asked for.
     pub probes: u64,
     /// Of those, answered by a probe first paid for elsewhere in the batch.
     pub probes_shared: u64,
-    pub keys_scanned: u64,
-    pub postings_fetched: u64,
-    pub postings_filtered: u64,
-    pub rows_examined: u64,
-    /// Candidate node matches across all of this query's signatures.
-    pub candidates: u64,
+    /// What those probes did; `rows_returned` counts the query's candidate
+    /// node matches.
+    pub traffic: ProbeStats,
+    /// Database graphs with at least one candidate.
+    pub candidate_graphs: usize,
+}
+
+impl std::ops::AddAssign for PerQueryProbe {
+    fn add_assign(&mut self, other: PerQueryProbe) {
+        self.probes += other.probes;
+        self.probes_shared += other.probes_shared;
+        self.traffic += other.traffic;
+        self.candidate_graphs += other.candidate_graphs;
+    }
 }
 
 /// The whole batch's probe outcome.
 pub(crate) struct ProbeOutcome {
-    /// Aligned with the `plans` argument of [`run_probe`].
+    /// Candidate buckets, aligned with the `plans` argument of
+    /// [`run_probe`].
+    pub buckets: Vec<Buckets>,
+    /// Per-query traffic, aligned with `buckets`.
     pub per_query: Vec<PerQueryProbe>,
     /// Signatures requested across the batch.
     pub probes_requested: u64,
-    /// Distinct signatures that actually hit the disk index.
+    /// Distinct signatures probed: one index probe each.
     pub probes_issued: u64,
+    /// What the issued probes did, summed.
+    pub issued: ProbeStats,
 }
 
 /// Probes the index for every plan, deduplicating identical signatures
@@ -100,12 +115,13 @@ pub(crate) fn run_probe(
     // scored once with Eq. IV.5 (the score depends only on the signature
     // and the candidate row, so every requester shares it).
     // per unique signature: scored (graph, node, quality) hits + traffic
-    type ScoredProbe = (Vec<(u32, u32, f64)>, tale_nhindex::ProbeStats);
+    type ScoredProbe = (Vec<(u32, u32, f64)>, ProbeStats);
     let probed = index.probe_batch(&unique_sigs, rho, threads)?;
     let scored: Vec<ScoredProbe> = probed
         .into_iter()
         .zip(unique_sigs.iter())
         .map(|((candidates, stats), sig)| {
+            debug_assert_eq!(stats.rows_returned, candidates.len() as u64);
             let mut out = Vec::with_capacity(candidates.len());
             for NodeCandidate {
                 node,
@@ -129,41 +145,39 @@ pub(crate) fn run_probe(
         })
         .collect();
 
-    let per_query = refs
+    let (buckets, per_query) = refs
         .iter()
         .enumerate()
         .map(|(qi, sig_refs)| {
+            let mut buckets = Buckets::new();
             let mut p = PerQueryProbe {
-                per_graph: HashMap::new(),
                 probes: sig_refs.len() as u64,
-                probes_shared: 0,
-                keys_scanned: 0,
-                postings_fetched: 0,
-                postings_filtered: 0,
-                rows_examined: 0,
-                candidates: 0,
+                ..PerQueryProbe::default()
             };
             for (ni, &si) in sig_refs.iter().enumerate() {
                 let (hits, stats) = &scored[si];
                 if first_requester[si] != qi || sig_refs[..ni].contains(&si) {
                     p.probes_shared += 1;
                 }
-                p.keys_scanned += stats.keys_scanned;
-                p.postings_fetched += stats.postings_fetched;
-                p.postings_filtered += stats.postings_filtered;
-                p.rows_examined += stats.rows_examined;
-                p.candidates += hits.len() as u64;
+                p.traffic += *stats;
                 for &(graph, node, w) in hits {
-                    p.per_graph.entry(graph).or_default().push((ni, node, w));
+                    buckets.entry(graph).or_default().push((ni, node, w));
                 }
             }
-            p
+            p.candidate_graphs = buckets.len();
+            (buckets, p)
         })
-        .collect();
+        .unzip();
 
+    let mut issued = ProbeStats::default();
+    for (_, stats) in &scored {
+        issued += *stats;
+    }
     Ok(ProbeOutcome {
+        buckets,
         per_query,
         probes_requested: refs.iter().map(|r| r.len() as u64).sum(),
         probes_issued: unique_sigs.len() as u64,
+        issued,
     })
 }

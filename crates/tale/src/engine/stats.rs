@@ -5,6 +5,14 @@
 //! buffer-pool hit rate underneath, and per-stage wall clocks. The CLI
 //! surfaces these via `tale-cli query --stats`; the performance ledger
 //! (`perf`) reads its per-layer metrics from them.
+//!
+//! Probe traffic has one source: the [`ProbeStats`] each probe answer
+//! carries. The engine sums those per query and per shard from the
+//! signatures it issued itself, so the counts are exact even while other
+//! batches probe the same index. Buffer-pool traffic is a [`PoolStats`]
+//! delta of the reader's pools over the run.
+//!
+//! [`ProbeStats`]: tale_nhindex::ProbeStats
 
 use serde::Serialize;
 use tale_storage::PoolStats;
@@ -22,51 +30,6 @@ pub struct StageTimes {
     pub rank_secs: f64,
     /// End-to-end, including cache lookups and result assembly.
     pub total_secs: f64,
-}
-
-/// Buffer-pool traffic attributed to one query or batch (fetch-taxonomy
-/// deltas of the index's pools over the span of the run). Every page
-/// fetch lands in exactly one bucket, so
-/// `hits + coalesced + misses + prefetched` is the access count and
-/// `misses` is exactly the demand disk reads the run performed.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct PoolDelta {
-    /// Page fetches served from a resident frame.
-    pub hits: u64,
-    /// Page fetches that waited on another thread's in-flight load
-    /// instead of issuing their own read (the inflight-wait counter).
-    pub coalesced: u64,
-    /// Page fetches that performed a synchronous disk read.
-    pub misses: u64,
-    /// Page fetches satisfied by the async prefetcher's staging area —
-    /// the read happened, but off the query's critical path.
-    pub prefetched: u64,
-}
-
-impl PoolDelta {
-    /// Fraction of fetches that found the page already in (or entering)
-    /// the pool — `(hits + coalesced) / accesses` — in `[0, 1]`; zero
-    /// accesses count as rate 0.
-    pub fn hit_rate(&self) -> f64 {
-        PoolStats {
-            hits: self.hits,
-            coalesced: self.coalesced,
-            misses: self.misses,
-            prefetched: self.prefetched,
-        }
-        .hit_rate()
-    }
-}
-
-impl From<PoolStats> for PoolDelta {
-    fn from(p: PoolStats) -> Self {
-        PoolDelta {
-            hits: p.hits,
-            coalesced: p.coalesced,
-            misses: p.misses,
-            prefetched: p.prefetched,
-        }
-    }
 }
 
 /// What one query cost, stage by stage.
@@ -109,8 +72,11 @@ pub struct QueryStats {
     pub cache_hit: bool,
     /// Stage wall clocks (of the enclosing batch when batched).
     pub stages: StageTimes,
-    /// Buffer-pool traffic (of the enclosing batch when batched).
-    pub pool: PoolDelta,
+    /// Buffer-pool traffic (of the enclosing batch when batched): the
+    /// fetch-taxonomy delta of the index's pools over the run. Other
+    /// batches share those pools, so under concurrency it includes their
+    /// fetches; the probe counters above are exact.
+    pub pool: PoolStats,
 }
 
 /// What one index shard did for one batch: the scatter/gather executor
@@ -141,7 +107,7 @@ pub struct ShardStats {
     /// Partial matches this shard contributed before global ranking.
     pub matches: usize,
     /// This shard's buffer-pool traffic.
-    pub pool: PoolDelta,
+    pub pool: PoolStats,
     /// Seconds this shard spent probing.
     pub probe_secs: f64,
     /// Seconds this shard spent in anchor + grow.
@@ -166,12 +132,7 @@ impl ShardStats {
             candidates: self.candidates + other.candidates,
             match_items: self.match_items + other.match_items,
             matches: self.matches + other.matches,
-            pool: PoolDelta {
-                hits: self.pool.hits + other.pool.hits,
-                coalesced: self.pool.coalesced + other.pool.coalesced,
-                misses: self.pool.misses + other.pool.misses,
-                prefetched: self.pool.prefetched + other.pool.prefetched,
-            },
+            pool: self.pool.merged(other.pool),
             probe_secs: self.probe_secs + other.probe_secs,
             match_secs: self.match_secs + other.match_secs,
             wall_secs: self.wall_secs + other.wall_secs,
@@ -200,7 +161,7 @@ pub struct BatchStats {
     /// Stage wall clocks for the whole batch.
     pub stages: StageTimes,
     /// Buffer-pool traffic for the whole batch.
-    pub pool: PoolDelta,
+    pub pool: PoolStats,
     /// Per-shard breakdowns of the scatter phase, in shard order (one
     /// entry when unsharded).
     pub shards: Vec<ShardStats>,

@@ -51,7 +51,7 @@ pub mod store;
 pub use database::{ShardedTaleDatabase, TaleDatabase};
 pub use engine::cache::{options_fingerprint, CacheStats, DEFAULT_CACHE_ENTRIES};
 pub use engine::plan::{canonical_signature, PlanNode, PlanReport, ProbeReport};
-pub use engine::stats::{BatchStats, PoolDelta, QueryStats, ShardStats, StageTimes};
+pub use engine::stats::{BatchStats, QueryStats, ShardStats, StageTimes};
 pub use index::{ShardBuildStats, ShardedNhIndex};
 pub use manifest::{vocab_fingerprint, ShardManifest};
 pub use params::{QueryOptions, TaleParams};

@@ -7,12 +7,23 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
-use tale::{canonical_signature, QueryMatch, QueryOptions, TaleDatabase, TaleParams};
+use tale::{canonical_signature, BatchStats, QueryMatch, QueryOptions, TaleDatabase, TaleParams};
 use tale_graph::generate::{gnm, mutate, MutationRates};
 use tale_graph::wl::permute;
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
 
 const LABELS: u32 = 6;
+
+/// Index probes one query issued, over every shard and reader.
+fn probes(batch: &BatchStats) -> u64 {
+    batch.shards.iter().map(|s| s.probes).sum()
+}
+
+/// Runs one query, returning its results and the batch's statistics.
+fn query_one(tale: &TaleDatabase, q: &Graph, opts: &QueryOptions) -> (Vec<QueryMatch>, BatchStats) {
+    let (mut results, batch) = tale.query_batch_with_stats(&[q], opts).unwrap();
+    (results.remove(0), batch)
+}
 
 fn corpus(seed: u64, n_graphs: usize) -> (GraphDb, Vec<Graph>) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -83,7 +94,8 @@ fn canonical_signature_separates_structures_and_labels() {
 }
 
 /// A warm cache hit returns bit-identical results and never touches the
-/// disk index — checked through the NH-Index probe counters.
+/// disk index — checked through the engine's per-shard probe counts and
+/// the buffer pool's own fetch count.
 #[test]
 fn cache_hit_is_bit_identical_and_probes_nothing() {
     let (db, originals) = corpus(21, 5);
@@ -98,12 +110,14 @@ fn cache_hit_is_bit_identical_and_probes_nothing() {
     let cold = tale.query(q, &opts).unwrap();
     assert!(!cold.is_empty(), "workload produced no matches");
 
-    let before = tale.index().counters();
-    let (warm, stats) = tale.query_with_stats(q, &opts).unwrap();
-    let delta = tale.index().counters().since(before);
-    assert!(stats.cache_hit, "second identical query must hit the cache");
-    assert_eq!(delta.probes, 0, "a cache hit must not probe the index");
-    assert_eq!(delta.postings_fetched, 0);
+    let (warm, batch) = query_one(&tale, q, &opts);
+    assert!(
+        batch.per_query[0].cache_hit,
+        "second identical query must hit the cache"
+    );
+    assert_eq!(probes(&batch), 0, "a cache hit must not probe the index");
+    assert!(batch.shards.iter().all(|s| s.postings_fetched == 0));
+    assert_eq!(batch.pool.accesses(), 0, "a cache hit must not read a page");
     assert!(same_results(&cold, &warm));
 
     let cs = tale.result_cache_stats();
@@ -118,11 +132,12 @@ fn cache_hit_is_bit_identical_and_probes_nothing() {
     perm.shuffle(&mut prng);
     assert!(perm.iter().enumerate().any(|(i, &p)| i as u32 != p));
     let pq = permute(q, &perm);
-    let before = tale.index().counters();
-    let (_, pstats) = tale.query_with_stats(&pq, &opts).unwrap();
-    let delta = tale.index().counters().since(before);
-    assert!(!pstats.cache_hit, "a relabeled variant must not hit");
-    assert!(delta.probes > 0, "a miss must consult the index");
+    let (_, batch) = query_one(&tale, &pq, &opts);
+    assert!(
+        !batch.per_query[0].cache_hit,
+        "a relabeled variant must not hit"
+    );
+    assert!(probes(&batch) > 0, "a miss must consult the index");
 }
 
 /// `use_cache: false` bypasses the cache in both directions: no lookups
@@ -134,11 +149,9 @@ fn cache_can_be_bypassed() {
     let opts = QueryOptions::default().with_cache(false);
     let q = &originals[0];
     let a = tale.query(q, &opts).unwrap();
-    let before = tale.index().counters();
-    let (b, stats) = tale.query_with_stats(q, &opts).unwrap();
-    let delta = tale.index().counters().since(before);
-    assert!(!stats.cache_hit);
-    assert!(delta.probes > 0 || a.is_empty());
+    let (b, batch) = query_one(&tale, q, &opts);
+    assert!(!batch.per_query[0].cache_hit);
+    assert!(probes(&batch) > 0 || a.is_empty());
     assert!(same_results(&a, &b));
     assert_eq!(tale.result_cache_stats().insertions, 0);
 }
@@ -256,21 +269,24 @@ fn remove_graph_keeps_cache_entries_and_filters_tombstones() {
     );
 
     // the disjoint entry still hits, with zero index traffic
-    let before = tale.index().counters();
-    let (warm_b, sb) = tale.query_with_stats(&qb, &opts).unwrap();
-    assert!(sb.cache_hit, "disjoint entry must survive the removal");
-    assert_eq!(tale.index().counters().since(before).probes, 0);
+    let (warm_b, sb) = query_one(&tale, &qb, &opts);
+    assert!(
+        sb.per_query[0].cache_hit,
+        "disjoint entry must survive the removal"
+    );
+    assert_eq!(probes(&sb), 0);
+    assert_eq!(sb.pool.accesses(), 0);
     assert!(same_results(&cold_b, &warm_b));
 
     // the intersecting entry ALSO still hits — the removed graph is
     // filtered out of the cached list at lookup time, never served
-    let before = tale.index().counters();
-    let (after_a, sa) = tale.query_with_stats(&qa, &opts).unwrap();
+    let (after_a, sa) = query_one(&tale, &qa, &opts);
     assert!(
-        sa.cache_hit,
+        sa.per_query[0].cache_hit,
         "the entry containing the removed graph serves filtered, not evicted"
     );
-    assert_eq!(tale.index().counters().since(before).probes, 0);
+    assert_eq!(probes(&sa), 0);
+    assert_eq!(sa.pool.accesses(), 0);
     assert!(after_a.iter().all(|r| r.graph != GraphId(0)));
     assert!(after_a.iter().any(|r| r.graph == GraphId(1)));
     // and the filtered hit equals the cold result minus the tombstone
@@ -309,18 +325,18 @@ fn cache_entries_survive_insert_and_remove() {
     );
 
     // Repeat query after the insert: the base entry answers from cache —
-    // the on-disk index sees zero probes — while the delta overlay runs
-    // under its fresh generation to cover the new graph.
-    let snap = tale.index().snapshot();
-    let disk_before = snap.base().counters();
+    // the on-disk index sees zero probes, so its pools zero fetches —
+    // while the in-memory delta overlay runs under its fresh generation
+    // to cover the new graph.
     let base_hits_before = tale.base_cache_stats().hits;
-    let (after_insert, s) = tale.query_with_stats(q, &opts).unwrap();
+    let (after_insert, s) = query_one(&tale, q, &opts);
     assert!(
-        !s.cache_hit,
+        !s.per_query[0].cache_hit,
         "the delta generation rolled, so this is not a full hit"
     );
+    assert!(probes(&s) > 0, "the delta overlay must re-run");
     assert_eq!(
-        snap.base().counters().since(disk_before).probes,
+        s.pool.accesses(),
         0,
         "base entry must survive the insert: zero on-disk probes"
     );
@@ -345,13 +361,13 @@ fn cache_entries_survive_insert_and_remove() {
         resident,
         "remove_graph must not evict anything"
     );
-    let before = tale.index().counters();
-    let (after_remove, s) = tale.query_with_stats(q, &opts).unwrap();
+    let (after_remove, s) = query_one(&tale, q, &opts);
     assert!(
-        s.cache_hit,
+        s.per_query[0].cache_hit,
         "removal keeps both generations, so the repeat query fully hits"
     );
-    assert_eq!(tale.index().counters().since(before).probes, 0);
+    assert_eq!(probes(&s), 0);
+    assert_eq!(s.pool.accesses(), 0);
     assert!(
         after_remove.iter().all(|r| r.graph != GraphId(0)),
         "tombstoned graph must be filtered out of the cached result"

@@ -105,10 +105,7 @@ fn main() {
             let (ref mut hits, ref mut stats) = base[0];
             let (dh, ds) = &delta[0];
             hits.extend(dh.iter().copied());
-            stats.keys_scanned += ds.keys_scanned;
-            stats.postings_fetched += ds.postings_fetched;
-            stats.postings_filtered += ds.postings_filtered;
-            stats.rows_examined += ds.rows_examined;
+            *stats += *ds;
             println!(
                 "  {}  {:.2}  {:12}  {:8}  {:13}  {:10}",
                 name,

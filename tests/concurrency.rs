@@ -4,7 +4,7 @@
 //! and the `threads` knob must never change what a query returns.
 
 use std::sync::Arc;
-use tale::{QueryMatch, QueryOptions, TaleDatabase, TaleParams};
+use tale::{BatchStats, QueryMatch, QueryOptions, TaleDatabase, TaleParams};
 use tale_graph::{generate::gnm, Graph, GraphDb, GraphId};
 
 fn corpus(seed: u64) -> (GraphDb, Vec<Graph>) {
@@ -35,6 +35,47 @@ fn assert_identical(a: &[QueryMatch], b: &[QueryMatch]) {
     }
 }
 
+/// A batch's probe traffic: per shard `[probes, keys, postings fetched,
+/// postings filtered, rows, candidates]`, then per query the same plus
+/// shared probes and candidate graphs. It is a function of the query and
+/// the index alone, so batches running side by side must each report
+/// exactly what they would alone.
+type Traffic = (Vec<[u64; 6]>, Vec<[u64; 8]>);
+
+fn traffic(batch: &BatchStats) -> Traffic {
+    let shards = batch
+        .shards
+        .iter()
+        .map(|s| {
+            [
+                s.probes,
+                s.keys_scanned,
+                s.postings_fetched,
+                s.postings_filtered,
+                s.rows_examined,
+                s.candidates,
+            ]
+        })
+        .collect();
+    let queries = batch
+        .per_query
+        .iter()
+        .map(|q| {
+            [
+                q.probes,
+                q.keys_scanned,
+                q.postings_fetched,
+                q.postings_filtered,
+                q.rows_examined,
+                q.candidates,
+                q.probes_shared,
+                q.candidate_graphs as u64,
+            ]
+        })
+        .collect();
+    (shards, queries)
+}
+
 #[test]
 fn shared_database_concurrent_queries_match_serial() {
     let (db, queries) = corpus(77);
@@ -48,10 +89,16 @@ fn shared_database_concurrent_queries_match_serial() {
         )
         .expect("build"),
     );
-    let opts = QueryOptions::default();
-    let serial: Vec<Vec<QueryMatch>> = queries
+    // Cache off: every run probes, so every run's traffic is comparable.
+    let opts = QueryOptions::default().with_cache(false);
+    let serial: Vec<(Vec<QueryMatch>, Traffic)> = queries
         .iter()
-        .map(|q| tale.query(q, &opts).expect("serial query"))
+        .map(|q| {
+            let (mut res, batch) = tale
+                .query_batch_with_stats(&[q], &opts)
+                .expect("serial query");
+            (res.remove(0), traffic(&batch))
+        })
         .collect();
 
     std::thread::scope(|s| {
@@ -63,8 +110,15 @@ fn shared_database_concurrent_queries_match_serial() {
             s.spawn(move || {
                 for round in 0..3usize {
                     let i = (t + round) % queries.len();
-                    let res = tale.query(&queries[i], opts).expect("concurrent query");
-                    assert_identical(&serial[i], &res);
+                    let (res, batch) = tale
+                        .query_batch_with_stats(&[&queries[i]], opts)
+                        .expect("concurrent query");
+                    assert_identical(&serial[i].0, &res[0]);
+                    assert_eq!(
+                        serial[i].1,
+                        traffic(&batch),
+                        "query {i}: traffic differs from the serial run"
+                    );
                 }
             });
         }
